@@ -11,17 +11,23 @@ The contract every kernel honours: **bit-identical results on both
 paths.**  The vectorized entropy kernel reproduces the scalar
 :func:`~repro.addr.entropy.normalized_iid_entropy` sum order exactly
 (per-nibble terms added in first-occurrence order, non-first positions
-contributing an exact ``+0.0``); min/max folds use the same
-keep-the-accumulator-on-ties semantics as ``AddressCorpus.record``
-(``np.minimum``/``np.maximum`` are ``where(x1 <= x2, x1, x2)`` /
-``where(x1 >= x2, x1, x2)``, matching the scalar ``<``/``>`` guards even
-for signed zeros); count sums are exact integer arithmetic.  The
-equivalence is pinned by the forced-fallback tests in
-``tests/core/test_partial_index.py``.
+contributing an exact ``+0.0``); count sums are exact integer
+arithmetic.  Min/max folds follow the scalar fold's
+keep-the-accumulator-on-ties rule (``AddressCorpus.merge`` replaces a
+value only on a strict ``<``/``>``), so each group takes the *first*
+value equal to its min or max.  numpy's ``minimum``/``maximum`` do not
+promise that: on a tie between ``-0.0`` and ``+0.0`` they may return
+either operand, so the sorted fold (:func:`sorted_record_fold`) settles
+zero extremes explicitly.  The equivalence is pinned by the
+forced-fallback tests in ``tests/core/test_partial_index.py`` and the
+signed-zero table in ``tests/serve/test_build.py``.
 
 Columns cross this boundary as :mod:`array` arrays (``'d'``/``'Q'``/
 ``'B'``) plus plain lists for 128-bit values; numpy is an internal
-acceleration detail and never leaks numpy scalars to consumers.
+acceleration detail and never leaks numpy scalars to consumers.  The
+exceptions are the numpy-only kernels the serving layer calls
+(:func:`stack_partial_columns`, :func:`sorted_record_fold`,
+:func:`pair_searchsorted_array`), which stay in ndarrays end to end.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ __all__ = [
     "lifetime_column",
     "iid_interval_map",
     "fold_record_columns",
+    "sorted_record_fold",
+    "stack_partial_columns",
     "pair_searchsorted",
     "pair_searchsorted_array",
     "sorted_contains_u64",
@@ -259,14 +267,53 @@ def lifetime_column(first: array, last: array) -> List[float]:
     return [last[row] - first[row] for row in range(len(first))]
 
 
+def _sorted_groups(*keys):
+    """Group rows by equal keys: ``(order, starts)``.
+
+    ``keys`` are row-aligned columns, most significant first.  ``order``
+    is their stable lexicographic argsort, so rows of one group keep
+    their input order; ``starts`` are the positions in ``order`` where
+    each group begins, groups ascending by key.
+    """
+    np = _np
+    order = np.lexsort(keys[::-1])
+    begins = np.zeros(len(order), dtype=bool)
+    begins[:1] = True
+    for key in keys:
+        ordered = key[order]
+        begins[1:] |= ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(begins)
+
+
+def _first_extreme(extreme, values, starts):
+    """Per-group ``extreme.reduceat`` (``np.minimum``/``np.maximum``) that
+    keeps the *first* value equal to the group's extreme.
+
+    That is the scalar fold's rule: it replaces its accumulator only on
+    a strict ``<``/``>``.  Finite floats that compare equal have equal
+    bits unless they are ``-0.0`` and ``+0.0``, so only a zero extreme
+    can differ from what the reduction returned; it is replaced by the
+    group's first zero.  ``values`` are in group order (see
+    :func:`_sorted_groups`).
+    """
+    np = _np
+    out = extreme.reduceat(values, starts)
+    zeros = np.flatnonzero(values == 0.0)
+    groups, first_zero = np.unique(
+        np.searchsorted(starts, zeros, side="right") - 1, return_index=True
+    )
+    tied = out[groups] == 0.0
+    out[groups[tied]] = values[zeros[first_zero[tied]]]
+    return out
+
+
 def iid_interval_map(
     iids: array, first: array, last: array
 ) -> Dict[int, Tuple[float, float]]:
     """Per-IID union sighting intervals, keyed in first-occurrence order.
 
-    The grouped fold is ``(min(first), max(last))`` per distinct IID —
-    order-independent operations, so the vectorized scatter-reduce
-    equals the scalar running fold exactly.
+    The grouped fold is ``(min(first), max(last))`` per distinct IID,
+    keeping the first of tied values as the scalar running fold does.
     """
     if _np is None or not len(iids):
         intervals: Dict[int, List[float]] = {}
@@ -286,25 +333,24 @@ def iid_interval_map(
         }
     np = _np
     column = np.frombuffer(iids, dtype=np.uint64)
-    first_np = np.frombuffer(first, dtype=np.float64)
-    last_np = np.frombuffer(last, dtype=np.float64)
-    distinct, first_row, inverse = np.unique(
-        column, return_index=True, return_inverse=True
+    order, starts = _sorted_groups(column)
+    lows = _first_extreme(
+        np.minimum, np.frombuffer(first, dtype=np.float64)[order], starts
     )
-    inverse = inverse.reshape(-1)
-    group_count = len(distinct)
-    lo = np.full(group_count, np.inf)
-    hi = np.full(group_count, -np.inf)
-    np.minimum.at(lo, inverse, first_np)
-    np.maximum.at(hi, inverse, last_np)
+    highs = _first_extreme(
+        np.maximum, np.frombuffer(last, dtype=np.float64)[order], starts
+    )
     # Emit in first-occurrence order so downstream consumers that
     # iterate the mapping see the same order the scalar fold produces.
-    order = np.argsort(first_row, kind="stable")
-    keys = distinct[order].tolist()
-    lows = lo[order].tolist()
-    highs = hi[order].tolist()
+    source = order[starts]
+    emit = np.argsort(source)
     return {
-        key: (low, high) for key, low, high in zip(keys, lows, highs)
+        key: (low, high)
+        for key, low, high in zip(
+            column[source[emit]].tolist(),
+            lows[emit].tolist(),
+            highs[emit].tolist(),
+        )
     }
 
 
@@ -351,86 +397,99 @@ def _fold_record_columns_scalar(partials):
     return addresses, first, last, counts, entropies, codes, macs
 
 
+#: numpy dtypes of the partial-index columns, in
+#: :attr:`~repro.core.index.PartialIndexColumns.COLUMN_SPEC` order.
+_PARTIAL_DTYPES = (
+    ("hi", "u8"),
+    ("lo", "u8"),
+    ("first", "f8"),
+    ("last", "f8"),
+    ("counts", "u8"),
+    ("entropies", "f8"),
+    ("codes", "u1"),
+    ("macs", "u8"),
+)
+
+
+def stack_partial_columns(partials):
+    """Concatenate partial-index columns, one ndarray per column.
+
+    Returns ``(hi, lo, first, last, counts, entropies, codes, macs)``,
+    rows in fold order: partial by partial, each in its own row order.
+    Requires numpy.
+    """
+    np = _np
+    columns = []
+    for name, dtype in _PARTIAL_DTYPES:
+        parts = [
+            np.frombuffer(getattr(part, name), dtype=dtype)
+            for part in partials
+        ]
+        # A store with no segments has no partials to concatenate.
+        columns.append(
+            np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+        )
+    return tuple(columns)
+
+
+def sorted_record_fold(hi, lo, first, last, counts):
+    """Fold rows that share a 128-bit address, in ascending address order.
+
+    The one implementation of the record fold for analysis
+    (:func:`fold_record_columns`) and serving (the ``RSI1`` builder).
+    Inputs are row-aligned ndarrays (u64, u64, f64, f64, u64) in fold
+    order, as :func:`stack_partial_columns` returns them.  Per distinct
+    address, sorted by ``(hi, lo)``, returns ``(source, hi, lo, first,
+    last, counts)``: ``source`` is the input row of the address's first
+    occurrence (where the first-occurrence columns — entropy, code,
+    MAC — are read), then its min ``first``, max ``last`` (the first of
+    tied values, as ``AddressCorpus.merge`` keeps) and summed
+    ``counts``.  Requires numpy.
+    """
+    np = _np
+    order, starts = _sorted_groups(hi, lo)
+    source = order[starts]
+    return (
+        source,
+        hi[source],
+        lo[source],
+        _first_extreme(np.minimum, first[order], starts),
+        _first_extreme(np.maximum, last[order], starts),
+        np.add.reduceat(counts[order], starts),
+    )
+
+
+def _to_array(typecode: str, values) -> array:
+    column = array(typecode)
+    column.frombytes(values.tobytes())
+    return column
+
+
 def _fold_record_columns_numpy(partials):
     np = _np
-    hi_all = np.concatenate(
-        [np.frombuffer(part.hi, dtype=np.uint64) for part in partials]
+    hi, lo, first, last, counts, entropies, codes, macs = (
+        stack_partial_columns(partials)
     )
-    lo_all = np.concatenate(
-        [np.frombuffer(part.lo, dtype=np.uint64) for part in partials]
+    source, hi, lo, first, last, counts = sorted_record_fold(
+        hi, lo, first, last, counts
     )
-    first_all = np.concatenate(
-        [np.frombuffer(part.first, dtype=np.float64) for part in partials]
-    )
-    last_all = np.concatenate(
-        [np.frombuffer(part.last, dtype=np.float64) for part in partials]
-    )
-    counts_all = np.concatenate(
-        [np.frombuffer(part.counts, dtype=np.uint64) for part in partials]
-    )
-    entropies_all = np.concatenate(
-        [np.frombuffer(part.entropies, dtype=np.float64) for part in partials]
-    )
-    codes_all = np.concatenate(
-        [np.frombuffer(part.codes, dtype=np.uint8) for part in partials]
-    )
-    macs_all = np.concatenate(
-        [np.frombuffer(part.macs, dtype=np.uint64) for part in partials]
-    )
-    total = len(lo_all)
-
-    # Group rows by 128-bit address (hi, lo) without a structured dtype:
-    # lexsort, detect group starts, then scatter group ids back.
-    sort_order = np.lexsort((lo_all, hi_all))
-    hi_sorted = hi_all[sort_order]
-    lo_sorted = lo_all[sort_order]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (hi_sorted[1:] != hi_sorted[:-1]) | (
-        lo_sorted[1:] != lo_sorted[:-1]
-    )
-    group_sorted = np.cumsum(boundary) - 1
-    groups = len(group_sorted) and int(group_sorted[-1]) + 1
-    group_of = np.empty(total, dtype=np.int64)
-    group_of[sort_order] = group_sorted
-
-    # First-occurrence input position per group orders the output rows
-    # exactly as the scalar first-seen fold does.
-    first_position = np.full(groups, total, dtype=np.int64)
-    np.minimum.at(first_position, group_of, np.arange(total))
-    emit_order = np.argsort(first_position, kind="stable")
-    out_row_of_group = np.empty(groups, dtype=np.int64)
-    out_row_of_group[emit_order] = np.arange(groups)
-    out_rows = out_row_of_group[group_of]
-
-    first_out = np.full(groups, np.inf)
-    np.minimum.at(first_out, out_rows, first_all)
-    last_out = np.full(groups, -np.inf)
-    np.maximum.at(last_out, out_rows, last_all)
-    counts_out = np.zeros(groups, dtype=np.uint64)
-    np.add.at(counts_out, out_rows, counts_all)
-
-    source = first_position[emit_order]
-    hi_out = hi_all[source]
-    lo_out = lo_all[source]
-
+    # The scalar fold emits an address when it first meets it, so its
+    # row order is the argsort of each group's first input row.
+    emit = np.argsort(source)
+    source = source[emit]
     addresses = [
-        (hi << 64) | lo
-        for hi, lo in zip(hi_out.tolist(), lo_out.tolist())
+        (high << 64) | low
+        for high, low in zip(hi[emit].tolist(), lo[emit].tolist())
     ]
-    first = array("d")
-    first.frombytes(first_out.tobytes())
-    last = array("d")
-    last.frombytes(last_out.tobytes())
-    counts = array("Q")
-    counts.frombytes(counts_out.tobytes())
-    entropies = array("d")
-    entropies.frombytes(np.ascontiguousarray(entropies_all[source]).tobytes())
-    codes = array("B")
-    codes.frombytes(np.ascontiguousarray(codes_all[source]).tobytes())
-    macs = array("Q")
-    macs.frombytes(np.ascontiguousarray(macs_all[source]).tobytes())
-    return addresses, first, last, counts, entropies, codes, macs
+    return (
+        addresses,
+        _to_array("d", first[emit]),
+        _to_array("d", last[emit]),
+        _to_array("Q", counts[emit]),
+        _to_array("d", entropies[source]),
+        _to_array("B", codes[source]),
+        _to_array("Q", macs[source]),
+    )
 
 
 def fold_record_columns(partials):

@@ -322,9 +322,6 @@ def le_bytes(column: array) -> bytes:
     return column.tobytes()
 
 
-_le_bytes = le_bytes
-
-
 def _pad8(size: int) -> int:
     return (-size) % 8
 
@@ -507,14 +504,20 @@ def build_serving_index(
     """Derive ``SERVING.rsi`` from a segment store's ``.idx`` partials.
 
     Folds the seal-time partial indexes (re-reading **zero** sealed
-    ``.seg`` payloads while the partials are intact), sorts the columns
-    by address, flattens ``routing`` (a
-    :class:`~repro.net.routing.RoutingTable` or anything with
-    ``routed_prefixes()``) into the LPM origin table when given, and
+    ``.seg`` payloads while the partials are intact) in one sorted numpy
+    pass (:func:`repro.core.kernels.sorted_record_fold`), flattens
+    ``routing`` (a :class:`~repro.net.routing.RoutingTable` or anything
+    with ``routed_prefixes()``) into the LPM origin table when given,
+    writes every column into one buffer of the exact file size, and
     atomically replaces any previous index — bumping its generation and
     stamping the manifest digest it was derived from.  Returns the
-    index path.
+    index path.  Requires numpy: without it, raises :class:`ImportError`.
     """
+    np = _kernels._np
+    if np is None:
+        raise ImportError(
+            "building a serving index requires numpy (pip install numpy)"
+        )
     registry = NULL_REGISTRY if metrics is None else metrics
     directory = Path(directory)
     if directory.name == MANIFEST_NAME:
@@ -526,49 +529,51 @@ def build_serving_index(
             f"no {MANIFEST_NAME} in {directory} to index"
         )
     with registry.span("serve-index-build"):
-        index = store.reader().build_index()
-
-        size = len(index.addresses)
-        order = sorted(range(size), key=index.addresses.__getitem__)
-        addr_hi = array("Q", bytes(8 * size))
-        addr_lo = array("Q", bytes(8 * size))
-        first = array("d", bytes(8 * size))
-        last = array("d", bytes(8 * size))
-        counts = array("Q", bytes(8 * size))
-        entropies = array("d", bytes(8 * size))
-        macs = array("Q", bytes(8 * size))
-        codes = array("B", bytes(size))
-        for out_row, src in enumerate(order):
-            address = index.addresses[src]
-            addr_hi[out_row] = address >> 64
-            addr_lo[out_row] = address & _U64_MASK
-            first[out_row] = index.first[src]
-            last[out_row] = index.last[src]
-            counts[out_row] = index.counts[src]
-            entropies[out_row] = index.entropies[src]
-            macs[out_row] = index.macs[src]
-            codes[out_row] = index.pattern_codes[src]
-        slash48 = array(
-            "Q",
-            sorted({hi & _SLASH48_HI_MASK for hi in addr_hi}),
+        hi, lo, first, last, counts, entropies, codes, macs = (
+            _kernels.stack_partial_columns(store.reader().partial_indexes())
         )
-        slash64 = array("Q", sorted(set(addr_hi)))
+        source, hi, lo, first, last, counts = _kernels.sorted_record_fold(
+            hi, lo, first, last, counts
+        )
+        size = len(source)
+        slash48 = np.unique(hi & np.uint64(_SLASH48_HI_MASK))
+        slash64 = np.unique(hi)
 
         flags = 0
-        origin_hi = array("Q")
-        origin_lo = array("Q")
-        origin_asn = array("I")
+        origin_hi = origin_lo = origin_asn = ()
         if routing is not None:
-            starts_hi, starts_lo, asns = flatten_origin_table(
+            origin_hi, origin_lo, origin_asn = flatten_origin_table(
                 routing.routed_prefixes()
             )
-            origin_hi = array("Q", starts_hi)
-            origin_lo = array("Q", starts_lo)
-            origin_asn = array("I", asns)
             flags |= _FLAG_ORIGIN_TABLE
 
+        # (values, on-disk dtype) in file order; each run is padded to
+        # 8 bytes, which only the u8 codes and u32 ASNs ever need.
+        columns = (
+            (hi, "<u8"),
+            (lo, "<u8"),
+            (first, "<f8"),
+            (last, "<f8"),
+            (counts, "<u8"),
+            (entropies[source], "<f8"),
+            (macs[source], "<u8"),
+            (codes[source], "u1"),
+            (slash48, "<u8"),
+            (slash64, "<u8"),
+            (origin_hi, "<u8"),
+            (origin_lo, "<u8"),
+            (origin_asn, "<u4"),
+        )
+        runs = [
+            len(values) * np.dtype(dtype).itemsize for values, dtype in columns
+        ]
+        image = bytearray(
+            _HEADER_SIZE + sum(run + _pad8(run) for run in runs) + _FOOTER_SIZE
+        )
         path = directory / SERVING_INDEX_NAME
-        header = _HEADER.pack(
+        _HEADER.pack_into(
+            image,
+            0,
             _MAGIC,
             _VERSION,
             flags,
@@ -579,22 +584,16 @@ def build_serving_index(
             _peek_generation(path) + 1,
             manifest_digest(manifest),
         )
-        parts = [header]
-        for column in (
-            addr_hi, addr_lo, first, last, counts, entropies, macs,
-        ):
-            parts.append(_le_bytes(column))
-        parts.append(_le_bytes(codes))
-        parts.append(bytes(_pad8(len(codes))))
-        parts.append(_le_bytes(slash48))
-        parts.append(_le_bytes(slash64))
-        parts.append(_le_bytes(origin_hi))
-        parts.append(_le_bytes(origin_lo))
-        parts.append(_le_bytes(origin_asn))
-        parts.append(bytes(_pad8(4 * len(origin_asn))))
-        body = b"".join(parts)
-        blob = body + _FOOTER.pack(_FOOTER_MAGIC, crc32_of(body))
-        store._atomic_write(path, blob)
+        offset = _HEADER_SIZE
+        for (values, dtype), run in zip(columns, runs):
+            np.frombuffer(
+                image, dtype=dtype, count=len(values), offset=offset
+            )[:] = values
+            offset += run + _pad8(run)
+        with memoryview(image) as view:
+            crc = crc32_of(view[:offset])
+        _FOOTER.pack_into(image, offset, _FOOTER_MAGIC, crc)
+        store._atomic_write(path, image)
     registry.counter(
         "repro_serve_index_builds_total", "serving index builds"
     ).inc()
