@@ -26,7 +26,6 @@ from typing import Optional, Tuple, Union
 
 from .core import (
     AddressCorpus,
-    CachedOrigins,
     ExecutionOptions,
     ReleaseArtifact,
     SegmentedCorpusReader,
@@ -300,7 +299,6 @@ async def connect(
 
     from .serve import (
         CoalescingEngine,
-        DEFAULT_ORIGIN_CACHE_SLASH64S,
         IndexReloader,
         LocalHitlistClient,
         RemoteHitlistClient,
@@ -333,19 +331,7 @@ async def connect(
     index = ensure_serving_index(
         target, routing=routing, metrics=metrics, rebuild=rebuild
     )
-    origin_resolver = None
-    if routing is not None and not index.has_origin_table:
-        # Unreachable via ensure (it rebuilds with a table), but keeps
-        # the engine honest if handed a prebuilt table-less index.
-        origin_resolver = CachedOrigins.from_routing_table(
-            routing, max_slash64s=DEFAULT_ORIGIN_CACHE_SLASH64S
-        )  # pragma: no cover
-    engine = CoalescingEngine(
-        index,
-        metrics=metrics,
-        origin_resolver=origin_resolver,
-        coalesce=coalesce,
-    )
+    engine = CoalescingEngine(index, metrics=metrics, coalesce=coalesce)
     watcher = None
     if reload_interval is not None and reload_interval > 0:
         reloader = IndexReloader(

@@ -10,8 +10,8 @@ property of an address exactly once, resolve origin once per distinct
 /64, and let every figure and table read precomputed columns.
 
 The heavy per-IID work (entropy, pattern class, MAC extraction) and the
-column folds live in :mod:`repro.core.kernels` — numpy-vectorized when
-numpy is available, pure Python otherwise, bit-identical either way.
+column folds live in :mod:`repro.core.kernels`, vectorized with numpy and
+bit-identical to the scalar reference functions.
 An index is **incrementally maintainable**: corpus appends call
 :meth:`CorpusIndex.observe` to update columns in place instead of
 invalidating the index, and a segmented corpus is indexed by folding
@@ -46,7 +46,7 @@ addresses and prefix keys stay in plain lists.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, OrderedDict
+from collections import Counter
 from typing import (
     Callable,
     Dict,
@@ -111,41 +111,17 @@ class CachedOrigins:
     lookups inside "hot" /64s (those containing a longer-than-/64
     announcement) always fall back to the wrapped per-address LPM, so
     the resolver is exactly equivalent to the callable it wraps.
-
-    ``max_slash64s`` bounds the memo for long-lived processes (a serving
-    worker sees an unbounded stream of distinct /64s over its lifetime):
-    when set, the cache is LRU — the least-recently-queried /64 is
-    evicted once the cap is exceeded.  Eviction only ever forgets a
-    memoized answer, never changes one, so a capped resolver stays
-    exactly equivalent to the uncapped one (pinned in tests).
     """
 
-    __slots__ = (
-        "_origin",
-        "_cache",
-        "_hot",
-        "_max_slash64s",
-        "lpm_calls",
-        "evictions",
-    )
+    __slots__ = ("_origin", "_cache", "_hot", "lpm_calls")
 
     def __init__(
         self,
         origin: Callable[[int], Optional[int]],
         long_prefixes: Iterable = (),
-        max_slash64s: Optional[int] = None,
     ) -> None:
-        if max_slash64s is not None and max_slash64s < 1:
-            raise ValueError(
-                f"max_slash64s must be positive, not {max_slash64s}"
-            )
         self._origin = origin
-        self._max_slash64s = max_slash64s
-        # The uncapped cache stays a plain dict: no recency bookkeeping
-        # on the hot path unless a bound was actually requested.
-        self._cache: Dict[int, Optional[int]] = (
-            OrderedDict() if max_slash64s is not None else {}
-        )
+        self._cache: Dict[int, Optional[int]] = {}
         # Any prefix longer than /64 fixes all 64 high bits, so it lies
         # inside exactly one /64 — that /64 can never be memoized.
         self._hot: Set[int] = {
@@ -155,29 +131,21 @@ class CachedOrigins:
         }
         #: Wrapped-LPM invocations actually performed (profiling aid).
         self.lpm_calls = 0
-        #: Memo entries dropped to honour ``max_slash64s``.
-        self.evictions = 0
 
     @classmethod
-    def from_routing_table(
-        cls, table, max_slash64s: Optional[int] = None
-    ) -> "CachedOrigins":
+    def from_routing_table(cls, table) -> "CachedOrigins":
         """Wrap a :class:`~repro.net.routing.RoutingTable`."""
         return cls(
             table.origin_asn,
             (routed.prefix for routed in table.routed_prefixes()),
-            max_slash64s=max_slash64s,
         )
 
     @classmethod
-    def from_world(
-        cls, world, max_slash64s: Optional[int] = None
-    ) -> "CachedOrigins":
+    def from_world(cls, world) -> "CachedOrigins":
         """Wrap a world's IPv6 origin lookup and its routing table."""
         return cls(
             world.ipv6_origin_asn,
             (routed.prefix for routed in world.routing.routed_prefixes()),
-            max_slash64s=max_slash64s,
         )
 
     @property
@@ -191,21 +159,13 @@ class CachedOrigins:
         if key in self._hot:
             self.lpm_calls += 1
             return self._origin(address)
-        cache = self._cache
-        capped = self._max_slash64s is not None
         try:
-            asn = cache[key]
+            return self._cache[key]
         except KeyError:
             self.lpm_calls += 1
             asn = self._origin(address)
-            cache[key] = asn
-            if capped and len(cache) > self._max_slash64s:
-                cache.popitem(last=False)
-                self.evictions += 1
+            self._cache[key] = asn
             return asn
-        if capped:
-            cache.move_to_end(key)
-        return asn
 
     def slash64_origin(self, key: int) -> Optional[int]:
         """Origin shared by every address of a non-hot /64 ``key``.
@@ -223,15 +183,11 @@ class CachedOrigins:
 
     def cache_info(self) -> Dict[str, int]:
         """Cache shape for profiling: distinct /64s, hot /64s, LPM calls."""
-        info = {
+        return {
             "cached_slash64s": len(self._cache),
             "hot_slash64s": len(self._hot),
             "lpm_calls": self.lpm_calls,
         }
-        if self._max_slash64s is not None:
-            info["max_slash64s"] = self._max_slash64s
-            info["evictions"] = self.evictions
-        return info
 
 
 class CorpusIndex:

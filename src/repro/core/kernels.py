@@ -1,40 +1,41 @@
-"""Columnar analysis kernels: numpy-vectorized, array-module fallback.
+"""Columnar analysis kernels, vectorized with numpy.
 
 The per-address work of a :class:`~repro.core.index.CorpusIndex` build —
 IID entropy, structural pattern code, EUI-64 MAC extraction, lifetime
 and per-IID interval folds — is embarrassingly parallel over columns.
-This module holds the vectorized implementations, with a pure-Python
-fallback path so the pipeline keeps working when :mod:`numpy` is not
-installed (CI's minimal environments).
+This module holds their vectorized implementations.
 
-The contract every kernel honours: **bit-identical results on both
-paths.**  The vectorized entropy kernel reproduces the scalar
-:func:`~repro.addr.entropy.normalized_iid_entropy` sum order exactly
+The contract every kernel honours: **bit-identical results to the
+scalar reference functions.**  The vectorized entropy kernel reproduces
+:func:`~repro.addr.entropy.normalized_iid_entropy`'s sum order exactly
 (per-nibble terms added in first-occurrence order, non-first positions
 contributing an exact ``+0.0``); count sums are exact integer
-arithmetic.  Min/max folds follow the scalar fold's
-keep-the-accumulator-on-ties rule (``AddressCorpus.merge`` replaces a
-value only on a strict ``<``/``>``), so each group takes the *first*
-value equal to its min or max.  numpy's ``minimum``/``maximum`` do not
-promise that: on a tie between ``-0.0`` and ``+0.0`` they may return
-either operand, so the sorted fold (:func:`sorted_record_fold`) settles
-zero extremes explicitly.  The equivalence is pinned by the
-forced-fallback tests in ``tests/core/test_partial_index.py`` and the
+arithmetic.  Min/max folds follow ``AddressCorpus.merge``'s
+keep-the-accumulator-on-ties rule (it replaces a value only on a strict
+``<``/``>``), so each group takes the *first* value equal to its min or
+max.  numpy's ``minimum``/``maximum`` do not promise that: on a tie
+between ``-0.0`` and ``+0.0`` they may return either operand, so the
+sorted fold (:func:`sorted_record_fold`) settles zero extremes
+explicitly.  The equivalence is pinned against the scalar oracles
+(:func:`iid_features` and the :mod:`repro.addr` functions) and by
+fold ≡ rebuild in ``tests/core/test_partial_index.py``, and by the
 signed-zero table in ``tests/serve/test_build.py``.
 
 Columns cross this boundary as :mod:`array` arrays (``'d'``/``'Q'``/
 ``'B'``) plus plain lists for 128-bit values; numpy is an internal
-acceleration detail and never leaks numpy scalars to consumers.  The
-exceptions are the numpy-only kernels the serving layer calls
-(:func:`stack_partial_columns`, :func:`sorted_record_fold`,
-:func:`pair_searchsorted_array`), which stay in ndarrays end to end.
+detail and never leaks numpy scalars to consumers.  The exceptions are
+the kernels the serving layer calls (:func:`stack_partial_columns`,
+:func:`sorted_record_fold`, :func:`pair_searchsorted_array`), which
+stay in ndarrays end to end.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from ..addr.entropy import (
     HIGH_THRESHOLD,
@@ -45,13 +46,7 @@ from ..addr.entropy import (
 from ..addr.eui64 import EUI64_MARKER, iid_to_mac, looks_like_eui64
 from ..addr.patterns import AddressCategory, STRUCTURAL_CODES
 
-try:  # pragma: no cover - exercised via both-path equivalence tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
-    "HAVE_NUMPY",
     "NO_MAC",
     "iid_feature_columns",
     "lifetime_column",
@@ -59,14 +54,8 @@ __all__ = [
     "fold_record_columns",
     "sorted_record_fold",
     "stack_partial_columns",
-    "pair_searchsorted",
     "pair_searchsorted_array",
-    "sorted_contains_u64",
 ]
-
-#: Whether the vectorized (numpy) path is active.  Tests monkeypatch the
-#: private ``_np`` module handle to force the fallback.
-HAVE_NUMPY = _np is not None
 
 #: Sentinel in MAC columns for rows whose IID is not EUI-64 (MACs are
 #: 48-bit, so this 64-bit value can never collide with a real one).
@@ -115,33 +104,8 @@ def iid_features(iid: int) -> Tuple[float, int, int]:
 # -- per-IID feature columns ---------------------------------------------------
 
 
-def _iid_features_scalar(
-    iids: Sequence[int],
-) -> Tuple[array, array, array, Dict[int, float]]:
-    entropies = array("d", bytes(8 * len(iids)))
-    codes = array("B", bytes(len(iids)))
-    macs = array("Q", bytes(8 * len(iids)))
-    # Entropy, pattern class and MAC extraction depend only on the IID;
-    # memoizing per distinct IID collapses repeated IIDs (::1 in
-    # thousands of /64s, EUI-64 IIDs surviving prefix rotation) to one
-    # computation.
-    info_of: Dict[int, Tuple[float, int, int]] = {}
-    info_get = info_of.get
-    for row, iid in enumerate(iids):
-        info = info_get(iid)
-        if info is None:
-            info = iid_features(iid)
-            info_of[iid] = info
-        entropies[row] = info[0]
-        codes[row] = info[1]
-        macs[row] = info[2]
-    return entropies, codes, macs, {
-        iid: info[0] for iid, info in info_of.items()
-    }
-
-
 def _entropy_of_distinct(iids):
-    """Normalized nibble entropy per distinct IID (numpy path).
+    """Normalized nibble entropy per distinct IID.
 
     Reproduces :func:`normalized_iid_entropy` bit-for-bit: the per-count
     terms come from the same ``_NIBBLE_TERMS`` table and are accumulated
@@ -150,7 +114,6 @@ def _entropy_of_distinct(iids):
     positions contribute an exact ``+0.0`` (an exact no-op for the
     non-negative partial sums involved).
     """
-    np = _np
     n = len(iids)
     terms = np.asarray(_NIBBLE_TERMS, dtype=np.float64)
     rows = np.arange(n)
@@ -177,10 +140,16 @@ def _entropy_of_distinct(iids):
     return acc / 4.0
 
 
-def _iid_features_numpy(
+def iid_feature_columns(
     iids: array,
 ) -> Tuple[array, array, array, Dict[int, float]]:
-    np = _np
+    """Per-row ``(entropies, pattern_codes, macs)`` columns plus the
+    distinct-IID entropy map, from a ``'Q'`` column of IIDs.
+
+    Each distinct IID is computed once, so repeated IIDs (``::1`` in
+    thousands of /64s, EUI-64 IIDs surviving prefix rotation) cost one
+    row of work.  Values equal :func:`iid_features` per IID.
+    """
     column = np.frombuffer(iids, dtype=np.uint64)
     distinct, first_row, inverse = np.unique(
         column, return_index=True, return_inverse=True
@@ -227,8 +196,7 @@ def _iid_features_numpy(
     codes.frombytes(code_d[inverse].tobytes())
     macs = array("Q")
     macs.frombytes(np.ascontiguousarray(mac_d[inverse]).tobytes())
-    # Emit the distinct-IID entropy map in first-occurrence order so its
-    # iteration order matches the scalar memo's insertion order.
+    # Emit the distinct-IID entropy map in first-occurrence order.
     occurrence = np.argsort(first_row, kind="stable")
     iid_entropies = dict(
         zip(
@@ -239,32 +207,15 @@ def _iid_features_numpy(
     return entropies, codes, macs, iid_entropies
 
 
-def iid_feature_columns(
-    iids: array,
-) -> Tuple[array, array, array, Dict[int, float]]:
-    """Per-row ``(entropies, pattern_codes, macs)`` columns plus the
-    distinct-IID entropy map, from a ``'Q'`` column of IIDs.
-
-    Vectorized over distinct IIDs when numpy is available; otherwise a
-    memoized scalar loop.  Both paths return identical values.
-    """
-    if _np is not None and len(iids):
-        return _iid_features_numpy(iids)
-    return _iid_features_scalar(iids)
-
-
 # -- interval and lifetime folds -----------------------------------------------
 
 
 def lifetime_column(first: array, last: array) -> List[float]:
     """Per-row lifetimes ``last - first`` (row order preserved)."""
-    if _np is not None and len(first):
-        np = _np
-        deltas = np.frombuffer(last, dtype=np.float64) - np.frombuffer(
-            first, dtype=np.float64
-        )
-        return deltas.tolist()
-    return [last[row] - first[row] for row in range(len(first))]
+    deltas = np.frombuffer(last, dtype=np.float64) - np.frombuffer(
+        first, dtype=np.float64
+    )
+    return deltas.tolist()
 
 
 def _sorted_groups(*keys):
@@ -275,7 +226,6 @@ def _sorted_groups(*keys):
     their input order; ``starts`` are the positions in ``order`` where
     each group begins, groups ascending by key.
     """
-    np = _np
     order = np.lexsort(keys[::-1])
     begins = np.zeros(len(order), dtype=bool)
     begins[:1] = True
@@ -289,14 +239,13 @@ def _first_extreme(extreme, values, starts):
     """Per-group ``extreme.reduceat`` (``np.minimum``/``np.maximum``) that
     keeps the *first* value equal to the group's extreme.
 
-    That is the scalar fold's rule: it replaces its accumulator only on
-    a strict ``<``/``>``.  Finite floats that compare equal have equal
-    bits unless they are ``-0.0`` and ``+0.0``, so only a zero extreme
+    That is ``AddressCorpus.merge``'s rule: it replaces its accumulator
+    only on a strict ``<``/``>``.  Finite floats that compare equal have
+    equal bits unless they are ``-0.0`` and ``+0.0``, so only a zero extreme
     can differ from what the reduction returned; it is replaced by the
     group's first zero.  ``values`` are in group order (see
     :func:`_sorted_groups`).
     """
-    np = _np
     out = extreme.reduceat(values, starts)
     zeros = np.flatnonzero(values == 0.0)
     groups, first_zero = np.unique(
@@ -313,25 +262,9 @@ def iid_interval_map(
     """Per-IID union sighting intervals, keyed in first-occurrence order.
 
     The grouped fold is ``(min(first), max(last))`` per distinct IID,
-    keeping the first of tied values as the scalar running fold does.
+    keeping the first of tied values as a running fold with strict
+    ``<``/``>`` does.
     """
-    if _np is None or not len(iids):
-        intervals: Dict[int, List[float]] = {}
-        get = intervals.get
-        for row, iid in enumerate(iids):
-            existing = get(iid)
-            if existing is None:
-                intervals[iid] = [first[row], last[row]]
-            else:
-                if first[row] < existing[0]:
-                    existing[0] = first[row]
-                if last[row] > existing[1]:
-                    existing[1] = last[row]
-        return {
-            iid: (interval[0], interval[1])
-            for iid, interval in intervals.items()
-        }
-    np = _np
     column = np.frombuffer(iids, dtype=np.uint64)
     order, starts = _sorted_groups(column)
     lows = _first_extreme(
@@ -341,7 +274,7 @@ def iid_interval_map(
         np.maximum, np.frombuffer(last, dtype=np.float64)[order], starts
     )
     # Emit in first-occurrence order so downstream consumers that
-    # iterate the mapping see the same order the scalar fold produces.
+    # iterate the mapping see the same order a running fold produces.
     source = order[starts]
     emit = np.argsort(source)
     return {
@@ -355,46 +288,6 @@ def iid_interval_map(
 
 
 # -- associative record fold (the partial-index merge) -------------------------
-
-
-def _fold_record_columns_scalar(partials):
-    addresses: List[int] = []
-    first = array("d")
-    last = array("d")
-    counts = array("Q")
-    entropies = array("d")
-    codes = array("B")
-    macs = array("Q")
-    row_of: Dict[int, int] = {}
-    get = row_of.get
-    for part in partials:
-        p_hi = part.hi
-        p_lo = part.lo
-        p_first = part.first
-        p_last = part.last
-        p_counts = part.counts
-        p_entropies = part.entropies
-        p_codes = part.codes
-        p_macs = part.macs
-        for i in range(len(p_lo)):
-            address = (p_hi[i] << 64) | p_lo[i]
-            row = get(address)
-            if row is None:
-                row_of[address] = len(addresses)
-                addresses.append(address)
-                first.append(p_first[i])
-                last.append(p_last[i])
-                counts.append(p_counts[i])
-                entropies.append(p_entropies[i])
-                codes.append(p_codes[i])
-                macs.append(p_macs[i])
-            else:
-                if p_first[i] < first[row]:
-                    first[row] = p_first[i]
-                if p_last[i] > last[row]:
-                    last[row] = p_last[i]
-                counts[row] += p_counts[i]
-    return addresses, first, last, counts, entropies, codes, macs
 
 
 #: numpy dtypes of the partial-index columns, in
@@ -416,9 +309,7 @@ def stack_partial_columns(partials):
 
     Returns ``(hi, lo, first, last, counts, entropies, codes, macs)``,
     rows in fold order: partial by partial, each in its own row order.
-    Requires numpy.
     """
-    np = _np
     columns = []
     for name, dtype in _PARTIAL_DTYPES:
         parts = [
@@ -444,9 +335,8 @@ def sorted_record_fold(hi, lo, first, last, counts):
     occurrence (where the first-occurrence columns — entropy, code,
     MAC — are read), then its min ``first``, max ``last`` (the first of
     tied values, as ``AddressCorpus.merge`` keeps) and summed
-    ``counts``.  Requires numpy.
+    ``counts``.
     """
-    np = _np
     order, starts = _sorted_groups(hi, lo)
     source = order[starts]
     return (
@@ -465,16 +355,27 @@ def _to_array(typecode: str, values) -> array:
     return column
 
 
-def _fold_record_columns_numpy(partials):
-    np = _np
+def fold_record_columns(partials):
+    """Fold per-segment partial-index columns into merged index columns.
+
+    ``partials`` is a sequence of objects exposing ``hi``/``lo``/
+    ``first``/``last``/``counts``/``entropies``/``codes``/``macs``
+    columns (:class:`repro.core.index.PartialIndexColumns`).  Rows for
+    the same 128-bit address fold as ``(min(first), max(last),
+    sum(count))`` — the same associative, commutative fold
+    ``AddressCorpus.merge`` applies — and output rows appear in
+    first-occurrence order across the partials, which is exactly the
+    record order of the merged corpus.  Returns ``(addresses, first,
+    last, counts, entropies, codes, macs)``.
+    """
     hi, lo, first, last, counts, entropies, codes, macs = (
         stack_partial_columns(partials)
     )
     source, hi, lo, first, last, counts = sorted_record_fold(
         hi, lo, first, last, counts
     )
-    # The scalar fold emits an address when it first meets it, so its
-    # row order is the argsort of each group's first input row.
+    # The merged corpus meets each address first at its group's first
+    # input row, so its record order is the argsort of those rows.
     emit = np.argsort(source)
     source = source[emit]
     addresses = [
@@ -492,152 +393,48 @@ def _fold_record_columns_numpy(partials):
     )
 
 
-def fold_record_columns(partials):
-    """Fold per-segment partial-index columns into merged index columns.
-
-    ``partials`` is a sequence of objects exposing ``hi``/``lo``/
-    ``first``/``last``/``counts``/``entropies``/``codes``/``macs``
-    columns (:class:`repro.core.index.PartialIndexColumns`).  Rows for
-    the same 128-bit address fold as ``(min(first), max(last),
-    sum(count))`` — the same associative, commutative fold
-    ``AddressCorpus.merge`` applies — and output rows appear in
-    first-occurrence order across the partials, which is exactly the
-    record order of the merged corpus.  Returns ``(addresses, first,
-    last, counts, entropies, codes, macs)``.
-    """
-    live = [part for part in partials if len(part.lo)]
-    if not live:
-        return (
-            [],
-            array("d"),
-            array("d"),
-            array("Q"),
-            array("d"),
-            array("B"),
-            array("Q"),
-        )
-    if _np is not None:
-        return _fold_record_columns_numpy(live)
-    return _fold_record_columns_scalar(live)
-
-
 # -- sorted-column binary search (the serving-index query kernels) -------------
 
-#: Below this batch size the scalar bisect path beats the vectorized one
-#: (per-call numpy setup dominates), so single queries stay cheap even
-#: when numpy is installed.
+#: Below this batch size a per-query bisect beats the vectorized search
+#: (per-call numpy setup dominates), so single queries stay cheap.
 _VECTOR_MIN_QUERIES = 8
 
 
-def _pair_searchsorted_scalar(hi_col, lo_col, q_hi, q_lo, side):
-    if side == "left":
-        inner = bisect_left
-    else:
-        inner = bisect_right
-    out = []
-    append = out.append
-    for qh, ql in zip(q_hi, q_lo):
-        low = bisect_left(hi_col, qh)
-        high = bisect_right(hi_col, qh, low)
-        append(inner(lo_col, ql, low, high))
-    return out
-
-
-def _as_u64_queries(values, count):
-    """Queries as a u64 ndarray: zero-copy when they already are one (a
-    strided view over a received wire payload), fromiter otherwise."""
-    if isinstance(values, _np.ndarray):
-        return values
-    return _np.fromiter(values, dtype=_np.uint64, count=count)
-
-
 def pair_searchsorted_array(hi_col, lo_col, q_hi, q_lo, side="left"):
-    """:func:`pair_searchsorted` returning an int64 **ndarray**.
+    """Insertion points of 128-bit queries in a sorted ``(hi, lo)`` pair
+    of u64 columns, as an int64 ndarray — ``searchsorted`` over a
+    composite key numpy has no dtype for.
 
-    The one deliberate exception to "numpy never leaks": the serving
-    layer's columnar batch path stays in numpy end to end (index lookup
-    through RSB1 reply encode), so forcing a ``tolist`` here would undo
-    the point.  Requires numpy; list-returning callers should use
-    :func:`pair_searchsorted`.
+    ``hi_col``/``lo_col`` are row-aligned u64 ndarrays sorted
+    lexicographically by ``(hi, lo)``; the queries arrive pre-split into
+    u64 ndarrays of hi and lo halves.  ``side`` follows
+    :func:`bisect.bisect_left` / ``bisect_right`` semantics.  The result
+    stays an ndarray because the serving layer's batch path stays in
+    numpy end to end (index lookup through RSB1 reply encode).
     """
-    np = _np
-    hi_arr = np.asarray(hi_col, dtype=np.uint64)
-    lo_arr = np.asarray(lo_col, dtype=np.uint64)
-    count = len(q_hi)
-    qh = _as_u64_queries(q_hi, count)
-    ql = _as_u64_queries(q_lo, count)
+    if len(q_hi) < _VECTOR_MIN_QUERIES:
+        inner = bisect_left if side == "left" else bisect_right
+        out = np.empty(len(q_hi), dtype=np.int64)
+        for row, (qh, ql) in enumerate(zip(q_hi, q_lo)):
+            low = bisect_left(hi_col, qh)
+            out[row] = inner(lo_col, ql, low, bisect_right(hi_col, qh, low))
+        return out
     # The run of rows sharing the query's hi half is [left, right); a
     # batched manual bisection over the lo column inside each run turns
     # the composite 128-bit search into O(log max-run) vector steps.
-    left = np.searchsorted(hi_arr, qh, side="left").astype(np.int64)
-    right = np.searchsorted(hi_arr, qh, side="right").astype(np.int64)
+    left = np.searchsorted(hi_col, q_hi, side="left").astype(np.int64)
+    right = np.searchsorted(hi_col, q_hi, side="right").astype(np.int64)
     take_left = side == "left"
     while True:
         active = left < right
         if not active.any():
             break
         mid = (left + right) >> 1
-        mid_vals = lo_arr[np.where(active, mid, 0)]
+        mid_vals = lo_col[np.where(active, mid, 0)]
         if take_left:
-            go_right = mid_vals < ql
+            go_right = mid_vals < q_lo
         else:
-            go_right = mid_vals <= ql
+            go_right = mid_vals <= q_lo
         left = np.where(active & go_right, mid + 1, left)
         right = np.where(active & ~go_right, mid, right)
     return left
-
-
-def _pair_searchsorted_numpy(hi_col, lo_col, q_hi, q_lo, side):
-    return pair_searchsorted_array(hi_col, lo_col, q_hi, q_lo, side).tolist()
-
-
-def pair_searchsorted(
-    hi_col, lo_col, q_hi: Sequence[int], q_lo: Sequence[int], side="left"
-) -> List[int]:
-    """Insertion points of 128-bit queries in a sorted ``(hi, lo)`` pair
-    of u64 columns — ``searchsorted`` over a composite key numpy has no
-    dtype for.
-
-    ``hi_col``/``lo_col`` are row-aligned columns sorted
-    lexicographically by ``(hi, lo)`` (numpy arrays, ``array('Q')`` or
-    ``memoryview`` casts all work); queries arrive pre-split into hi/lo
-    halves.  ``side`` follows :func:`bisect.bisect_left` /
-    ``bisect_right`` semantics.  Both paths return identical plain-int
-    lists; tiny batches always take the scalar path, where per-query
-    bisect beats vectorization setup.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    if not len(q_hi):
-        return []
-    if _np is None or len(q_hi) < _VECTOR_MIN_QUERIES:
-        return _pair_searchsorted_scalar(hi_col, lo_col, q_hi, q_lo, side)
-    return _pair_searchsorted_numpy(hi_col, lo_col, q_hi, q_lo, side)
-
-
-def sorted_contains_u64(column, queries: Sequence[int]) -> List[bool]:
-    """Membership of each query in a sorted u64 column (plain bools).
-
-    Vectorized ``searchsorted`` + equality check when numpy is
-    available and the batch is big enough to amortize it; scalar bisect
-    otherwise.  Both paths return identical results.
-    """
-    if not len(queries):
-        return []
-    size = len(column)
-    if _np is None or len(queries) < _VECTOR_MIN_QUERIES:
-        out = []
-        append = out.append
-        for query in queries:
-            position = bisect_left(column, query, 0, size)
-            append(position < size and column[position] == query)
-        return out
-    np = _np
-    col = np.asarray(column, dtype=np.uint64)
-    probes = _as_u64_queries(queries, len(queries))
-    positions = np.searchsorted(col, probes)
-    found = positions < size
-    clipped = np.where(found, positions, 0)
-    if size:
-        found &= col[clipped] == probes
-    return found.tolist()

@@ -28,11 +28,7 @@ or, end to end, ``repro serve segments/`` and
 ``await repro.api.connect("host:port")``.
 """
 
-from .engine import (
-    CoalescingEngine,
-    DEFAULT_ORIGIN_CACHE_SLASH64S,
-    QUERY_OPS,
-)
+from .engine import CoalescingEngine, QUERY_OPS
 from .fleet import (
     FleetConfig,
     IndexReloader,
@@ -81,7 +77,6 @@ __all__ = [
     "ColumnarResults",
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_MAX_PIPELINE",
-    "DEFAULT_ORIGIN_CACHE_SLASH64S",
     "FleetConfig",
     "FrameCorruptError",
     "FrameTooLargeError",

@@ -6,45 +6,41 @@ throughput far below what the vectorized kernels can do.  The engine
 below exploits a property of event loops: every query that arrives
 while the loop is busy is *already concurrent*, so deferring the actual
 lookup by one ``call_soon`` tick lets all of them pile into a single
-batch, answered by **one** vectorized kernel call
-(:func:`repro.core.kernels.pair_searchsorted` over the mmap'd columns).
-Each caller still awaits its own future and receives only its own
-results; coalescing changes scheduling, never answers.
+batch, answered by **one**
+:meth:`~repro.serve.format.ServingIndex.columnar_batch` call over the
+mmap'd columns.  Each caller still awaits its own future and receives
+only its own results; coalescing changes scheduling, never answers.
+Requests are validated and split into hi/lo u64 columns before they
+join a batch, so a bad request fails only its own caller.
+
+Every tick computes :class:`~repro.serve.format.ColumnarResults`;
+binary-path waiters (``columnar=True``) get their slice as is, every
+other waiter gets it as a plain list (``to_list()``).
 
 Instrumentation (``repro.obs``): per-op query counters, per-op latency
 histograms (enqueue to answer), batch counters and batch-size
 histograms — the metrics that tell an operator whether coalescing is
 actually happening under their load.
-
-Origin queries prefer the index's flattened origin table.  When the
-index was built without one, an ``origin_resolver`` (typically an
-LRU-capped :class:`~repro.core.CachedOrigins`, see
-:data:`DEFAULT_ORIGIN_CACHE_SLASH64S`) answers instead — capped because
-a serving process lives long enough to meet unboundedly many /64s.
 """
 
 from __future__ import annotations
 
 import asyncio
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import DEFAULT_TIME_BUCKETS, MetricsRegistry, NULL_REGISTRY
-from .format import ColumnarResults, ServingIndex, ServingIndexError
+from .format import ColumnarResults, ServingIndex, _split_addresses
 from .wire import ADDRESS_OPS, AddressBlock, QueryOp, resolve_op
 
 __all__ = [
     "CoalescingEngine",
-    "DEFAULT_ORIGIN_CACHE_SLASH64S",
     "QUERY_OPS",
 ]
 
-#: Default LRU bound for a serving process's fallback origin memo.
-DEFAULT_ORIGIN_CACHE_SLASH64S = 65536
-
 #: Names of the query ops the engine serves — derived from the shared
 #: :data:`~repro.serve.wire.QUERY_OP_TABLE` registry (each an
-#: address-batch method of :class:`~repro.serve.format.ServingIndex`;
+#: address-batch op of :class:`~repro.serve.format.ServingIndex`;
 #: ``stats`` is served by the transport layer, not the engine).
 QUERY_OPS: Tuple[str, ...] = tuple(spec.name for spec in ADDRESS_OPS)
 
@@ -55,48 +51,31 @@ _BATCH_BUCKETS = (
 )
 
 
-def _merge_parts(parts: List[Sequence[int]]) -> Sequence[int]:
-    """One batch out of same-tick request parts.  All-binary parts
-    (zero-copy :class:`~repro.serve.wire.AddressBlock` views) merge as
-    numpy column concatenation — never materialized into Python ints —
-    anything else flattens to a plain int list."""
-    if len(parts) == 1:
-        return parts[0]
-    if all(isinstance(part, AddressBlock) for part in parts):
-        merged = AddressBlock.concat(parts)
-        if merged is not None:
-            return merged
-    args: List[int] = []
-    for part in parts:
-        args.extend(part)
-    return args
-
-
 class _Pending:
     """One op's accumulating batch for the current event-loop tick.
 
-    Requests are held as ``parts`` — each a plain int sequence or a
-    zero-copy :class:`~repro.serve.wire.AddressBlock` — and merged only
-    at flush time by :func:`_merge_parts`.
+    Requests are held as ``parts`` — one
+    :class:`~repro.serve.wire.AddressBlock` each — and merged only at
+    flush time by :meth:`AddressBlock.concat`.
     """
 
     __slots__ = ("parts", "total", "waiters")
 
     def __init__(self) -> None:
-        self.parts: List[Sequence[int]] = []
+        self.parts: List[AddressBlock] = []
         self.total = 0
         # (future, start, count, enqueued_at, columnar) — each waiter
         # owns the slice [start, start + count) of the batch results;
-        # ``columnar`` marks binary-path waiters that accept a
+        # ``columnar`` marks binary-path waiters that take a
         # :class:`~repro.serve.format.ColumnarResults` slice instead of
         # a materialized list.
         self.waiters: List[
             Tuple[asyncio.Future, int, int, float, bool]
         ] = []
 
-    def extend(self, addresses: Sequence[int]) -> None:
-        self.parts.append(addresses)
-        self.total += len(addresses)
+    def extend(self, block: AddressBlock) -> None:
+        self.parts.append(block)
+        self.total += len(block)
 
 
 class CoalescingEngine:
@@ -116,9 +95,6 @@ class CoalescingEngine:
         index: ServingIndex,
         *,
         metrics: Optional[MetricsRegistry] = None,
-        origin_resolver: Optional[
-            Callable[[int], Optional[int]]
-        ] = None,
         coalesce: bool = True,
         max_batch: int = 8192,
     ) -> None:
@@ -128,12 +104,10 @@ class CoalescingEngine:
         self.metrics = NULL_REGISTRY if metrics is None else metrics
         self.coalesce = coalesce
         self.max_batch = max_batch
-        self._origin_resolver = origin_resolver
         self._pending: Dict[int, _Pending] = {}
         self._flush_scheduled = False
         #: Swaps performed via :meth:`swap_index` (live index reloads).
         self.index_swaps = 0
-        self._executors = self._bind_executors(index)
         #: Plain counters mirrored into the registry (cheap to read in
         #: describe() without a registry snapshot).
         self.queries_served = 0
@@ -165,22 +139,6 @@ class CoalescingEngine:
             buckets=_BATCH_BUCKETS,
         )
 
-    def _bind_executors(
-        self, index: ServingIndex
-    ) -> Dict[int, Callable]:
-        # Table-driven off the shared registry, keyed by wire op code:
-        # every addressed op maps to the index batch method of the same
-        # name, except origin, which routes through the table-or-
-        # resolver shim.
-        return {
-            spec.code: (
-                self._origin_exec
-                if spec.name == "origin"
-                else getattr(index, f"{spec.name}_batch")
-            )
-            for spec in ADDRESS_OPS
-        }
-
     def swap_index(self, index: ServingIndex) -> ServingIndex:
         """Atomically swap the serving snapshot; returns the old index.
 
@@ -189,13 +147,13 @@ class CoalescingEngine:
         before the swap but not yet flushed are answered from the new
         snapshot (exactly as if they had arrived just after it), and
         every result the old snapshot produced is already materialized
-        into plain Python objects.  The caller owns closing the
-        returned old index; an mmap still referenced by a live view
-        survives :meth:`ServingIndex.close` until released.
+        (numpy columns copied out of the mapping, or plain Python
+        objects).  The caller owns closing the returned old index; an
+        mmap still referenced by a live view survives
+        :meth:`ServingIndex.close` until released.
         """
         old = self.index
         self.index = index
-        self._executors = self._bind_executors(index)
         self.index_swaps += 1
         return old
 
@@ -208,43 +166,37 @@ class CoalescingEngine:
 
         ``op`` is anything the shared registry resolves — a wire name
         (``"contains"``), a wire op code (the binary server's path), or
-        a :class:`~repro.serve.wire.QueryOp` itself.
+        a :class:`~repro.serve.wire.QueryOp` itself.  Addresses are
+        validated here, before they join a coalesced batch, so a bad
+        request raises to its own caller only.
 
-        ``columnar=True`` (the binary wire path) asks for a
-        :class:`~repro.serve.format.ColumnarResults` instead of a list
-        — identical values, but held as numpy columns ready for
-        zero-loop RSB1 encoding.  It is best-effort: the answer is a
-        plain list whenever the columnar lane is unavailable (no numpy,
-        origin served by a resolver), so callers must accept either.
+        The answer is a plain list, or with ``columnar=True`` (the
+        binary wire path) a :class:`~repro.serve.format.ColumnarResults`
+        — identical values, held as numpy columns ready for zero-loop
+        RSB1 encoding.
         """
         spec = resolve_op(op)
-        executor = self._executors.get(spec.code)
-        if executor is None:
+        if not spec.addressed:
             raise ValueError(
                 f"unknown query op {spec.name!r}; serving ops: "
                 + ", ".join(QUERY_OPS)
             )
         if not len(addresses):
             return []
+        block = AddressBlock(*_split_addresses(addresses))
         if not self.coalesce:
             started = perf_counter()
-            if not isinstance(addresses, (list, AddressBlock)):
-                addresses = list(addresses)
-            results = None
-            if columnar:
-                results = self._execute_columnar(spec, addresses)
-            if results is None:
-                results = self._execute(spec, executor, addresses)
+            results = self._execute_columnar(spec, block)
             self._m_latency[spec.name].observe(perf_counter() - started)
-            return results
+            return results if columnar else results.to_list()
         future = asyncio.get_running_loop().create_future()
         pending = self._pending.get(spec.code)
         if pending is None:
             pending = self._pending[spec.code] = _Pending()
         start = pending.total
-        pending.extend(addresses)
+        pending.extend(block)
         pending.waiters.append(
-            (future, start, len(addresses), perf_counter(), columnar)
+            (future, start, len(block), perf_counter(), columnar)
         )
         if not self._flush_scheduled:
             self._flush_scheduled = True
@@ -263,59 +215,23 @@ class CoalescingEngine:
         info["queries_served"] = self.queries_served
         info["batches_executed"] = self.batches_executed
         info["index_swaps"] = self.index_swaps
-        if self.index.has_origin_table:
-            info["origin_source"] = "table"
-        elif self._origin_resolver is not None:
-            info["origin_source"] = "resolver"
-        else:
-            info["origin_source"] = None
+        info["origin_source"] = (
+            "table" if self.index.has_origin_table else None
+        )
         return info
 
     # -- execution ---------------------------------------------------------------
 
-    def _origin_exec(
-        self, addresses: Sequence[int]
-    ) -> List[Optional[int]]:
-        if self.index.has_origin_table:
-            return self.index.origin_batch(addresses)
-        resolver = self._origin_resolver
-        if resolver is None:
-            raise ServingIndexError(
-                "no origin table in the serving index and no origin "
-                "resolver configured",
-                path=self.index.path,
-            )
-        return [resolver(address) for address in addresses]
-
-    def _execute(
-        self, spec: QueryOp, executor: Callable, args: Sequence[int]
-    ) -> List:
-        results: List = []
-        for start in range(0, len(args), self.max_batch):
-            chunk = args[start : start + self.max_batch]
-            results.extend(executor(chunk))
-            self.batches_executed += 1
-            self._m_batches.inc()
-            self._m_batch_size.observe(len(chunk))
-        self.queries_served += len(args)
-        self._m_queries[spec.name].inc(len(args))
-        return results
-
     def _execute_columnar(
-        self, spec: QueryOp, args: Sequence[int]
-    ) -> Optional[ColumnarResults]:
-        """Column-major execution; None → caller takes the list path."""
+        self, spec: QueryOp, args: AddressBlock
+    ) -> ColumnarResults:
         parts = []
         for start in range(0, len(args), self.max_batch):
             chunk = args[start : start + self.max_batch]
-            part = self.index.columnar_batch(spec.name, chunk)
-            if part is None:
-                return None
-            parts.append(part)
-        for part in parts:
+            parts.append(self.index.columnar_batch(spec.name, chunk))
             self.batches_executed += 1
             self._m_batches.inc()
-            self._m_batch_size.observe(len(part))
+            self._m_batch_size.observe(len(chunk))
         self.queries_served += len(args)
         self._m_queries[spec.name].inc(len(args))
         return ColumnarResults.concat(parts)
@@ -334,7 +250,7 @@ class CoalescingEngine:
             live = [w for w in waiters if not w[0].done()]
             if not live:
                 continue
-            merged = _merge_parts(bucket.parts)
+            merged = AddressBlock.concat(bucket.parts)
             if len(live) == len(waiters):
                 args = merged
             else:
@@ -348,19 +264,9 @@ class CoalescingEngine:
                     pieces.append(merged[start : start + count])
                     total += count
                 live = rebased
-                args = _merge_parts(pieces)
+                args = AddressBlock.concat(pieces)
             try:
-                # Execute columnar when any waiter is on the binary
-                # path; JSON waiters in the same coalesced batch get
-                # their slice materialized below — same values either
-                # way, so mixed-protocol batches still coalesce.
-                results = None
-                if any(w[4] for w in live):
-                    results = self._execute_columnar(spec, args)
-                if results is None:
-                    results = self._execute(
-                        spec, self._executors[code], args
-                    )
+                results = self._execute_columnar(spec, args)
             except Exception as error:
                 for future, _, _, _, _ in live:
                     if not future.done():
@@ -370,10 +276,9 @@ class CoalescingEngine:
             latency = self._m_latency[spec.name]
             for future, start, count, enqueued, columnar in live:
                 if not future.done():
+                    # Binary waiters take the columns as they are;
+                    # everyone else in the same coalesced batch gets
+                    # the same values as a list.
                     piece = results[start : start + count]
-                    if not columnar and isinstance(
-                        piece, ColumnarResults
-                    ):
-                        piece = piece.to_list()
-                    future.set_result(piece)
+                    future.set_result(piece if columnar else piece.to_list())
                     latency.observe(answered - enqueued)

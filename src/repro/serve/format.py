@@ -36,13 +36,12 @@ to ``MANIFEST.json``:
         crc32            u32 over every preceding byte
 
 Readers :func:`mmap.mmap` the file read-only and wrap the column runs in
-``numpy.frombuffer`` views (or ``memoryview.cast`` without numpy) — no
-deserialization, so N worker processes share one page-cache copy.  The
-whole-file CRC check at open means a torn file (a crash mid-copy, a
-partial rsync) is *detected and refused*, never served; rebuilds write a
-temp file and ``os.replace`` it, so an already-mmapped reader keeps its
-old inode — a consistent snapshot — while new opens see the new
-generation.
+``numpy.frombuffer`` views — no deserialization, so N worker processes
+share one page-cache copy.  The whole-file CRC check at open means a
+torn file (a crash mid-copy, a partial rsync) is *detected and
+refused*, never served; rebuilds write a temp file and ``os.replace``
+it, so an already-mmapped reader keeps its old inode — a consistent
+snapshot — while new opens see the new generation.
 
 The origin table is the routing trie flattened to disjoint half-open
 intervals (:func:`flatten_origin_table`): longest-prefix match becomes
@@ -59,6 +58,8 @@ import zlib
 from array import array
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 try:  # POSIX advisory locking for multi-process builder election
     import fcntl
@@ -113,17 +114,6 @@ _ADDRESS_SPACE = 1 << 128
 _SLASH48_HI_MASK = 0xFFFFFFFFFFFF0000
 
 _BIG_ENDIAN = sys.byteorder == "big"
-
-#: Batch size above which gather loops switch to numpy fancy indexing.
-_VECTOR_MIN = 8
-
-
-def _as_u64_array(np, values, count: int):
-    """A u64 ndarray of ``values`` — the value itself when it already is
-    one (the zero-copy wire path's strided view), else a fromiter copy."""
-    if isinstance(values, np.ndarray):
-        return values
-    return np.fromiter(values, dtype=np.uint64, count=count)
 
 
 class ServingIndexError(CorpusFormatError):
@@ -326,10 +316,8 @@ def _pad8(size: int) -> int:
     return (-size) % 8
 
 
-def _split_addresses(
-    addresses: Sequence[int],
-) -> Tuple[Sequence[int], Sequence[int]]:
-    """Hi/lo u64 halves of a batch of addresses, range-checked.
+def _split_addresses(addresses: Sequence[int]) -> Tuple:
+    """Hi/lo u64 ndarray halves of a batch of addresses, range-checked.
 
     A batch that arrives pre-split — an
     :class:`~repro.serve.wire.AddressBlock` wrapping a decoded RSB1
@@ -351,11 +339,11 @@ def _split_addresses(
             raise ValueError(f"address out of range: {address:#x}")
         q_hi.append(address >> 64)
         q_lo.append(address & _U64_MASK)
-    return q_hi, q_lo
+    return np.array(q_hi, dtype=np.uint64), np.array(q_lo, dtype=np.uint64)
 
 
 class ColumnarResults:
-    """Column-major batch answers: the binary wire path's zero-loop lane.
+    """Column-major batch answers: what every serving op computes.
 
     One numpy array per reply column (family-specific order, see below)
     plus a boolean ``mask`` for families where results can be None, with
@@ -363,11 +351,11 @@ class ColumnarResults:
     layout, so :func:`repro.serve.wire.encode_reply` is one ``tobytes``
     per column and byte-identical to encoding the materialized list.
 
-    Behaves enough like the list the ``*_batch`` methods return for the
-    engine to slice coalesced batches per waiter: ``len()``, integer
-    indexing (materializes one Python value) and slicing (a columnar
-    sub-view).  :meth:`to_list` materializes the whole batch into
-    exactly the Python objects the matching list path produces.
+    Behaves enough like a list for the engine to slice coalesced
+    batches per waiter: ``len()``, integer indexing (materializes one
+    Python value) and slicing (a columnar sub-view).  :meth:`to_list`
+    materializes the whole batch into the plain Python values the
+    ``*_batch`` methods and JSON replies carry.
 
     Column order per family: ``bool`` → ``(flags,)`` (np.bool\\_);
     ``f64opt`` → ``(values,)``; ``record`` → ``(first, last, counts)``;
@@ -422,7 +410,7 @@ class ColumnarResults:
         return iter(self.to_list())
 
     def to_list(self) -> List:
-        """The batch as the plain Python list the list path produces."""
+        """The batch as a list of plain Python values (None for misses)."""
         family = self.family
         if family == "bool":
             return self.columns[0].tolist()
@@ -458,7 +446,6 @@ class ColumnarResults:
         """Concatenate chunked results (the engine's max_batch split)."""
         if len(parts) == 1:
             return parts[0]
-        np = _kernels._np
         first = parts[0]
         mask = (
             None
@@ -511,13 +498,8 @@ def build_serving_index(
     writes every column into one buffer of the exact file size, and
     atomically replaces any previous index — bumping its generation and
     stamping the manifest digest it was derived from.  Returns the
-    index path.  Requires numpy: without it, raises :class:`ImportError`.
+    index path.
     """
-    np = _kernels._np
-    if np is None:
-        raise ImportError(
-            "building a serving index requires numpy (pip install numpy)"
-        )
     registry = NULL_REGISTRY if metrics is None else metrics
     directory = Path(directory)
     if directory.name == MANIFEST_NAME:
@@ -607,12 +589,13 @@ class ServingIndex:
     """A read-only, mmap-backed view over one ``SERVING.rsi`` file.
 
     Open with :meth:`open` (or :func:`ensure_serving_index`).  All query
-    methods are batch-shaped — a list of addresses in, a list of plain
-    Python results out — because the serving engine's whole point is
-    answering many concurrent lookups with one vectorized binary search
-    (:func:`repro.core.kernels.pair_searchsorted`).  The mmap means the
-    columns are never copied into the process: the kernel page cache is
-    shared across every worker serving the same file.
+    methods are batch-shaped, because the serving engine's whole point
+    is answering many concurrent lookups with one vectorized binary
+    search (:func:`repro.core.kernels.pair_searchsorted_array`).
+    :meth:`columnar_batch` is the one implementation of every op; the
+    ``*_batch`` methods are its answers as plain Python lists.  The mmap
+    means the columns are never copied into the process: the kernel page
+    cache is shared across every worker serving the same file.
     """
 
     def __init__(
@@ -625,8 +608,6 @@ class ServingIndex:
         self.path = path
         self._stream = stream
         self._mm = mapped
-        self._raw = memoryview(mapped)
-        self._views: List[memoryview] = []
         (
             self.flags,
             self.rows,
@@ -636,28 +617,27 @@ class ServingIndex:
             self.generation,
             self.source_digest,
         ) = header
-        self._numpy = _kernels._np is not None
 
         offset = _HEADER_SIZE
-        self._hi, offset = self._u64(offset, self.rows)
-        self._lo, offset = self._u64(offset, self.rows)
-        self._first, offset = self._f64(offset, self.rows)
-        self._last, offset = self._f64(offset, self.rows)
-        self._counts, offset = self._u64(offset, self.rows)
-        self._entropies, offset = self._f64(offset, self.rows)
-        self._macs, offset = self._u64(offset, self.rows)
-        self._codes, offset = self._u8(offset, self.rows)
+        self._hi, offset = self._view(offset, self.rows, "<u8")
+        self._lo, offset = self._view(offset, self.rows, "<u8")
+        self._first, offset = self._view(offset, self.rows, "<f8")
+        self._last, offset = self._view(offset, self.rows, "<f8")
+        self._counts, offset = self._view(offset, self.rows, "<u8")
+        self._entropies, offset = self._view(offset, self.rows, "<f8")
+        self._macs, offset = self._view(offset, self.rows, "<u8")
+        self._codes, offset = self._view(offset, self.rows, "u1")
         offset += _pad8(self.rows)
-        self._slash48, offset = self._u64(offset, self.slash48_count)
-        self._slash64, offset = self._u64(offset, self.slash64_count)
-        self._origin_hi, offset = self._u64(
-            offset, self.origin_intervals
+        self._slash48, offset = self._view(offset, self.slash48_count, "<u8")
+        self._slash64, offset = self._view(offset, self.slash64_count, "<u8")
+        self._origin_hi, offset = self._view(
+            offset, self.origin_intervals, "<u8"
         )
-        self._origin_lo, offset = self._u64(
-            offset, self.origin_intervals
+        self._origin_lo, offset = self._view(
+            offset, self.origin_intervals, "<u8"
         )
-        self._origin_asn, offset = self._u32(
-            offset, self.origin_intervals
+        self._origin_asn, offset = self._view(
+            offset, self.origin_intervals, "<u4"
         )
         offset += _pad8(4 * self.origin_intervals)
         if offset + _FOOTER_SIZE != len(mapped):
@@ -759,56 +739,29 @@ class ServingIndex:
 
     # -- column views ------------------------------------------------------------
 
-    def _u64(self, offset: int, count: int):
-        return self._wrap(offset, count, 8, "<u8", "Q")
-
-    def _f64(self, offset: int, count: int):
-        return self._wrap(offset, count, 8, "<f8", "d")
-
-    def _u32(self, offset: int, count: int):
-        return self._wrap(offset, count, 4, "<u4", "I")
-
-    def _u8(self, offset: int, count: int):
-        return self._wrap(offset, count, 1, "u1", "B")
-
-    def _wrap(
-        self, offset: int, count: int, width: int, dtype: str, code: str
-    ):
-        end = offset + width * count
+    def _view(self, offset: int, count: int, dtype: str):
+        end = offset + np.dtype(dtype).itemsize * count
         if end + _FOOTER_SIZE > len(self._mm):
             raise ServingIndexError(
                 "serving index columns overrun the file",
                 path=self.path,
                 offset=offset,
             )
-        if self._numpy:
-            np = _kernels._np
-            column = np.frombuffer(
-                self._mm, dtype=dtype, count=count, offset=offset
-            )
-        elif _BIG_ENDIAN:  # pragma: no cover - no big-endian CI platform
-            column = array(code)
-            column.frombytes(self._raw[offset:end].tobytes())
-            column.byteswap()
-        else:
-            column = self._raw[offset:end].cast(code)
-            self._views.append(column)
+        column = np.frombuffer(
+            self._mm, dtype=dtype, count=count, offset=offset
+        )
         return column, end
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
         """Release the mapping (queries are invalid afterwards)."""
-        for view in self._views:
-            view.release()
-        self._views = []
         for attr in (
             "_hi", "_lo", "_first", "_last", "_counts", "_entropies",
             "_macs", "_codes", "_slash48", "_slash64", "_origin_hi",
             "_origin_lo", "_origin_asn",
         ):
             setattr(self, attr, None)
-        self._raw.release()
         try:
             self._mm.close()
         except BufferError:  # pragma: no cover - a caller kept a view
@@ -840,178 +793,8 @@ class ServingIndex:
 
     # -- batch queries -----------------------------------------------------------
 
-    def rows_of(self, addresses: Sequence[int]) -> List[int]:
-        """Row of each address in the sorted columns, -1 when absent."""
-        if not len(addresses):
-            return []
-        q_hi, q_lo = _split_addresses(addresses)
-        positions = _kernels.pair_searchsorted(
-            self._hi, self._lo, q_hi, q_lo, "left"
-        )
-        rows = self.rows
-        if self._numpy and len(positions) >= _VECTOR_MIN and rows:
-            np = _kernels._np
-            count = len(positions)
-            pos = np.fromiter(positions, dtype=np.int64, count=count)
-            qh = _as_u64_array(np, q_hi, count)
-            ql = _as_u64_array(np, q_lo, count)
-            clipped = np.minimum(pos, rows - 1)
-            hit = (
-                (pos < rows)
-                & (self._hi[clipped] == qh)
-                & (self._lo[clipped] == ql)
-            )
-            return np.where(hit, pos, -1).tolist()
-        hi = self._hi
-        lo = self._lo
-        out = []
-        append = out.append
-        for i, position in enumerate(positions):
-            append(
-                position
-                if position < rows
-                and hi[position] == q_hi[i]
-                and lo[position] == q_lo[i]
-                else -1
-            )
-        return out
-
-    def _gather(self, rows: List[int], column, convert):
-        """Per-row column values for located rows (None for misses)."""
-        if self._numpy and len(rows) >= _VECTOR_MIN and self.rows:
-            np = _kernels._np
-            found = np.fromiter(rows, dtype=np.int64, count=len(rows))
-            values = column[np.maximum(found, 0)].tolist()
-            return [
-                None if row < 0 else value
-                for row, value in zip(rows, values)
-            ]
-        return [
-            None if row < 0 else convert(column[row]) for row in rows
-        ]
-
-    def record_batch(
-        self, addresses: Sequence[int]
-    ) -> List[Optional[Tuple[float, float, int]]]:
-        """``(first, last, count)`` per address, None when absent."""
-        rows = self.rows_of(addresses)
-        first = self._gather(rows, self._first, float)
-        last = self._gather(rows, self._last, float)
-        counts = self._gather(rows, self._counts, int)
-        return [
-            None if row < 0 else (first[i], last[i], counts[i])
-            for i, row in enumerate(rows)
-        ]
-
-    def lifetime_batch(
-        self, addresses: Sequence[int]
-    ) -> List[Optional[float]]:
-        """``last - first`` per address, None when absent."""
-        rows = self.rows_of(addresses)
-        if self._numpy and len(rows) >= _VECTOR_MIN and self.rows:
-            np = _kernels._np
-            found = np.fromiter(rows, dtype=np.int64, count=len(rows))
-            clipped = np.maximum(found, 0)
-            deltas = (
-                self._last[clipped] - self._first[clipped]
-            ).tolist()
-            return [
-                None if row < 0 else delta
-                for row, delta in zip(rows, deltas)
-            ]
-        return [
-            None
-            if row < 0
-            else float(self._last[row]) - float(self._first[row])
-            for row in rows
-        ]
-
-    def entropy_batch(
-        self, addresses: Sequence[int]
-    ) -> List[Optional[float]]:
-        """Normalized IID entropy per address, None when absent."""
-        return self._gather(
-            self.rows_of(addresses), self._entropies, float
-        )
-
-    def features_batch(
-        self, addresses: Sequence[int]
-    ) -> List[Optional[Tuple[float, int, Optional[int]]]]:
-        """``(entropy, pattern_code, mac-or-None)`` per address."""
-        rows = self.rows_of(addresses)
-        entropies = self._gather(rows, self._entropies, float)
-        codes = self._gather(rows, self._codes, int)
-        macs = self._gather(rows, self._macs, int)
-        return [
-            None
-            if row < 0
-            else (
-                entropies[i],
-                codes[i],
-                None if macs[i] == _kernels.NO_MAC else macs[i],
-            )
-            for i, row in enumerate(rows)
-        ]
-
-    def contains_batch(self, addresses: Sequence[int]) -> List[bool]:
-        """Whether each address has a row."""
-        return [row >= 0 for row in self.rows_of(addresses)]
-
-    def slash48_batch(self, addresses: Sequence[int]) -> List[bool]:
-        """Whether each address's /48 holds any corpus address."""
-        q_hi, _ = _split_addresses(addresses)
-        if self._numpy and isinstance(q_hi, _kernels._np.ndarray):
-            probes = q_hi & _kernels._np.uint64(_SLASH48_HI_MASK)
-        else:
-            probes = [hi & _SLASH48_HI_MASK for hi in q_hi]
-        return _kernels.sorted_contains_u64(self._slash48, probes)
-
-    def slash64_batch(self, addresses: Sequence[int]) -> List[bool]:
-        """Whether each address's /64 holds any corpus address."""
-        q_hi, _ = _split_addresses(addresses)
-        return _kernels.sorted_contains_u64(self._slash64, q_hi)
-
-    def origin_batch(
-        self, addresses: Sequence[int]
-    ) -> List[Optional[int]]:
-        """LPM origin ASN per address from the flattened origin table."""
-        if not self.has_origin_table:
-            raise ServingIndexError(
-                "serving index was built without an origin table; "
-                "rebuild with routing= to serve origin queries",
-                path=self.path,
-            )
-        if not len(addresses):
-            return []
-        q_hi, q_lo = _split_addresses(addresses)
-        # Rightmost interval start <= address: 'right' insertion - 1.
-        # The table always starts at (0, 0), so the index is >= 0.
-        positions = _kernels.pair_searchsorted(
-            self._origin_hi, self._origin_lo, q_hi, q_lo, "right"
-        )
-        asn_col = self._origin_asn
-        if self._numpy and len(positions) >= _VECTOR_MIN:
-            np = _kernels._np
-            pos = (
-                np.fromiter(
-                    positions, dtype=np.int64, count=len(positions)
-                )
-                - 1
-            )
-            asns = asn_col[pos].tolist()
-            return [None if asn == 0 else asn for asn in asns]
-        return [
-            None
-            if asn_col[position - 1] == 0
-            else int(asn_col[position - 1])
-            for position in positions
-        ]
-
-    # -- columnar queries (the binary wire path's zero-loop lane) ----------------
-
     def _columnar_rows(self, qh, ql, count: int):
         """(row-index, hit) ndarrays; misses index row 0 with hit False."""
-        np = _kernels._np
         if not self.rows:
             zeros = np.zeros(count, dtype=np.int64)
             return zeros, np.zeros(count, dtype=bool)
@@ -1027,13 +810,11 @@ class ServingIndex:
         return np.where(hit, pos, 0), hit
 
     def _columnar_gather(self, hit, rows_idx, column, zero):
-        np = _kernels._np
         if not self.rows:
             return np.zeros(len(hit), dtype=column.dtype)
         return np.where(hit, column[rows_idx], zero)
 
     def _columnar_member(self, column, probes):
-        np = _kernels._np
         size = len(column)
         if not size:
             return np.zeros(len(probes), dtype=bool)
@@ -1045,38 +826,35 @@ class ServingIndex:
 
     def columnar_batch(
         self, op: str, addresses: Sequence[int]
-    ) -> Optional[ColumnarResults]:
-        """Column-major answers for ``op``, or None to use the list path.
+    ) -> ColumnarResults:
+        """Column-major answers for ``op``: the one implementation of
+        every serving op.
 
-        Produces exactly the values the matching ``*_batch`` method
-        would (see :class:`ColumnarResults`) without building per-item
-        Python objects: searchsorted rows, fancy-indexed columns, a hit
-        mask — ready for one-``tobytes``-per-column RSB1 encoding.
-        Returns None when numpy is unavailable, the batch is empty, or
-        ``op == "origin"`` without an origin table (the engine's
-        resolver shim answers those instead).
+        No per-item Python objects: searchsorted rows, fancy-indexed
+        columns, a hit mask — ready for one-``tobytes``-per-column RSB1
+        encoding (see :class:`ColumnarResults`).  An empty batch gives
+        empty columns; ``origin`` on an index built without an origin
+        table raises :class:`ServingIndexError`.
         """
-        if not self._numpy or not len(addresses):
-            return None
-        np = _kernels._np
         count = len(addresses)
+        qh, ql = _split_addresses(addresses)
         if op in ("slash48", "slash64"):
-            q_hi, _ = _split_addresses(addresses)
-            probes = _as_u64_array(np, q_hi, count)
             if op == "slash48":
-                probes = probes & np.uint64(_SLASH48_HI_MASK)
+                probes = qh & np.uint64(_SLASH48_HI_MASK)
                 column = self._slash48
             else:
+                probes = qh
                 column = self._slash64
             return ColumnarResults(
                 "bool", None, (self._columnar_member(column, probes),)
             )
-        q_hi, q_lo = _split_addresses(addresses)
-        qh = _as_u64_array(np, q_hi, count)
-        ql = _as_u64_array(np, q_lo, count)
         if op == "origin":
             if not self.has_origin_table:
-                return None
+                raise ServingIndexError(
+                    "serving index was built without an origin table; "
+                    "rebuild with routing= to serve origin queries",
+                    path=self.path,
+                )
             positions = _kernels.pair_searchsorted_array(
                 self._origin_hi, self._origin_lo, qh, ql, "right"
             )
@@ -1123,6 +901,48 @@ class ServingIndex:
                 ),
             )
         raise ValueError(f"unknown columnar op {op!r}")
+
+    def record_batch(
+        self, addresses: Sequence[int]
+    ) -> List[Optional[Tuple[float, float, int]]]:
+        """``(first, last, count)`` per address, None when absent."""
+        return self.columnar_batch("record", addresses).to_list()
+
+    def lifetime_batch(
+        self, addresses: Sequence[int]
+    ) -> List[Optional[float]]:
+        """``last - first`` per address, None when absent."""
+        return self.columnar_batch("lifetime", addresses).to_list()
+
+    def entropy_batch(
+        self, addresses: Sequence[int]
+    ) -> List[Optional[float]]:
+        """Normalized IID entropy per address, None when absent."""
+        return self.columnar_batch("entropy", addresses).to_list()
+
+    def features_batch(
+        self, addresses: Sequence[int]
+    ) -> List[Optional[Tuple[float, int, Optional[int]]]]:
+        """``(entropy, pattern_code, mac-or-None)`` per address."""
+        return self.columnar_batch("features", addresses).to_list()
+
+    def contains_batch(self, addresses: Sequence[int]) -> List[bool]:
+        """Whether each address has a row."""
+        return self.columnar_batch("contains", addresses).to_list()
+
+    def slash48_batch(self, addresses: Sequence[int]) -> List[bool]:
+        """Whether each address's /48 holds any corpus address."""
+        return self.columnar_batch("slash48", addresses).to_list()
+
+    def slash64_batch(self, addresses: Sequence[int]) -> List[bool]:
+        """Whether each address's /64 holds any corpus address."""
+        return self.columnar_batch("slash64", addresses).to_list()
+
+    def origin_batch(
+        self, addresses: Sequence[int]
+    ) -> List[Optional[int]]:
+        """LPM origin ASN per address from the flattened origin table."""
+        return self.columnar_batch("origin", addresses).to_list()
 
 
 def ensure_serving_index(

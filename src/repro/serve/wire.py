@@ -61,6 +61,8 @@ import struct
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..core import kernels as _kernels
 from .format import (
     ColumnarResults,
@@ -257,10 +259,10 @@ def resolve_op(op: Union["QueryOp", int, str]) -> QueryOp:
 class AddressBlock:
     """A batch of 128-bit addresses as hi/lo u64 columns.
 
-    Decoded request payloads become blocks whose ``hi``/``lo`` columns
-    are **strided views over the received bytes** (numpy path) — the
-    vectorized kernels consume them directly, so a binary request is
-    never materialized into Python ints on the hot path.
+    ``hi``/``lo`` are u64 ndarrays.  Decoded request payloads become
+    blocks whose columns are **strided views over the received bytes**
+    — the vectorized kernels consume them directly, so a binary request
+    is never materialized into Python ints on the hot path.
     ``ServingIndex``'s batch methods detect the pre-split columns by
     the ``hi`` attribute and skip their per-int validation loop;
     addresses from the wire are range-valid by construction.
@@ -277,15 +279,6 @@ class AddressBlock:
         self.lo = lo
 
     @classmethod
-    def from_addresses(cls, addresses: Sequence[int]) -> "AddressBlock":
-        hi: List[int] = []
-        lo: List[int] = []
-        for address in addresses:
-            hi.append(address >> 64)
-            lo.append(address & _U64_MASK)
-        return cls(hi, lo)
-
-    @classmethod
     def from_payload(cls, payload, count: int) -> "AddressBlock":
         """Wrap a request payload's packed u128 column, zero-copy."""
         if len(payload) != 16 * count:
@@ -293,30 +286,15 @@ class AddressBlock:
                 f"address payload is {len(payload)} bytes for "
                 f"{count} addresses (expected {16 * count})"
             )
-        np = _kernels._np
-        if np is not None:
-            words = np.frombuffer(payload, dtype="<u8")
-            return cls(words[1::2], words[0::2])
-        words = array("Q")
-        words.frombytes(bytes(payload))
-        if _BIG_ENDIAN:  # pragma: no cover - no big-endian CI platform
-            words.byteswap()
-        return cls(list(words[1::2]), list(words[0::2]))
+        words = np.frombuffer(payload, dtype="<u8")
+        return cls(words[1::2], words[0::2])
 
     @classmethod
-    def concat(
-        cls, blocks: Sequence["AddressBlock"]
-    ) -> Optional["AddressBlock"]:
+    def concat(cls, blocks: Sequence["AddressBlock"]) -> "AddressBlock":
         """One block holding every input's addresses, in order — numpy
         column concatenation, so the coalescing engine merges same-tick
-        binary requests without materializing their zero-copy payload
-        views into Python ints.  None when the columns are not numpy
-        arrays (the caller flattens to a plain int list instead)."""
-        np = _kernels._np
-        if np is None or not all(
-            isinstance(block.hi, np.ndarray) for block in blocks
-        ):
-            return None
+        requests without materializing their columns into Python
+        ints."""
         if len(blocks) == 1:
             return blocks[0]
         return cls(
@@ -335,9 +313,6 @@ class AddressBlock:
     def __iter__(self):
         for hi, lo in zip(self.hi, self.lo):
             yield (int(hi) << 64) | int(lo)
-
-
-_BIG_ENDIAN = struct.pack("=H", 1) == struct.pack(">H", 1)
 
 
 # -- frame encode --------------------------------------------------------------
@@ -371,31 +346,21 @@ def encode_request(
             f"over the {max_frame_bytes}-byte frame bound",
             request_id=request_id,
         )
-    payload = None
-    np = _kernels._np
-    if np is not None:
-        # Vectorized pack: two fromiter passes beat per-address
-        # int.to_bytes + join severalfold at serving batch sizes.  Any
-        # bad address drops to the scalar path for its exact error.
-        try:
-            lo = np.fromiter(
-                (address & _U64_MASK for address in addresses),
-                dtype=np.uint64,
-                count=count,
-            )
-            hi = np.fromiter(
-                (address >> 64 for address in addresses),
-                dtype=np.uint64,
-                count=count,
-            )
-        except (TypeError, OverflowError):
-            payload = None
-        else:
-            words = np.empty(2 * count, dtype="<u8")
-            words[0::2] = lo
-            words[1::2] = hi
-            payload = words.tobytes()
-    if payload is None:
+    # Vectorized pack: two fromiter passes beat per-address
+    # int.to_bytes + join severalfold at serving batch sizes.  Any bad
+    # address drops to the scalar path for its exact error.
+    try:
+        lo = np.fromiter(
+            (address & _U64_MASK for address in addresses),
+            dtype=np.uint64,
+            count=count,
+        )
+        hi = np.fromiter(
+            (address >> 64 for address in addresses),
+            dtype=np.uint64,
+            count=count,
+        )
+    except (TypeError, OverflowError):
         try:
             payload = b"".join(
                 address.to_bytes(16, "little") for address in addresses
@@ -412,6 +377,11 @@ def encode_request(
                     f"addresses must be ints, not {type(bad).__name__}"
                 ) from None
             raise ValueError(f"address out of range: {bad:#x}") from None
+    else:
+        words = np.empty(2 * count, dtype="<u8")
+        words[0::2] = lo
+        words[1::2] = hi
+        payload = words.tobytes()
     return encode_frame(KIND_REQUEST, spec.code, request_id, count, payload)
 
 
@@ -539,7 +509,6 @@ def _mask_and(results: Sequence) -> bytes:
 
 def _le_column(column, dtype: str) -> bytes:
     """One reply column as little-endian bytes (no-copy when already so)."""
-    np = _kernels._np
     return np.ascontiguousarray(column, dtype=dtype).tobytes()
 
 
@@ -652,15 +621,8 @@ def _check_payload_size(
 def _column(payload, offset: int, count: int, width: int, code: str):
     """Decode one little-endian column to a plain list of Python values."""
     end = offset + width * count
-    np = _kernels._np
-    if np is not None:
-        dtype = {"d": "<f8", "Q": "<u8", "I": "<u4", "B": "u1"}[code]
-        return np.frombuffer(payload[offset:end], dtype=dtype).tolist(), end
-    column = array(code)
-    column.frombytes(bytes(payload[offset:end]))
-    if _BIG_ENDIAN:  # pragma: no cover - no big-endian CI platform
-        column.byteswap()
-    return column.tolist(), end
+    dtype = {"d": "<f8", "Q": "<u8", "I": "<u4", "B": "u1"}[code]
+    return np.frombuffer(payload[offset:end], dtype=dtype).tolist(), end
 
 
 def decode_results(

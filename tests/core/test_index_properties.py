@@ -280,92 +280,3 @@ class TestMergeFastPath:
         target.record(address, 99.0)
         assert source.last_seen(address) == 1.0
         assert target.last_seen(address) == 99.0
-
-
-class TestCachedOriginsLRU:
-    """The LRU cap on the per-/64 memo: forgetting, never wrong answers.
-
-    A serving process lives long enough to meet unboundedly many /64s,
-    so the memo must be boundable — and because eviction only forgets
-    (a re-met /64 is re-resolved through the same trie), a capped cache
-    must answer exactly like an uncapped one on any query stream.
-    """
-
-    @settings(max_examples=40, deadline=None)
-    @given(sightings, st.integers(min_value=1, max_value=8))
-    def test_capped_equals_uncapped_on_any_stream(self, events, cap):
-        table = build_table()
-        uncapped = CachedOrigins.from_routing_table(table)
-        capped = CachedOrigins.from_routing_table(
-            table, max_slash64s=cap
-        )
-        corpus = build_corpus("c", events)
-        # Two passes: the second hits (and reorders) the capped LRU.
-        for _ in range(2):
-            for address in corpus.addresses():
-                assert capped(address) == uncapped(address)
-                assert capped(address) == table.origin_asn(address)
-
-    @settings(max_examples=40, deadline=None)
-    @given(sightings, st.integers(min_value=1, max_value=8))
-    def test_cache_size_never_exceeds_cap(self, events, cap):
-        table = build_table()
-        capped = CachedOrigins.from_routing_table(
-            table, max_slash64s=cap
-        )
-        for address in build_corpus("c", events).addresses():
-            capped(address)
-            assert len(capped._cache) <= cap
-
-    def test_evictions_counted_and_reported(self):
-        table = build_table()
-        capped = CachedOrigins.from_routing_table(table, max_slash64s=2)
-        # BLOCKS[1] carries no longer-than-/64 announcement, so every
-        # /64 below goes through the memo (hot /64s bypass it).
-        slash64s = [BLOCKS[1] | (n << 64) for n in range(4)]
-        for prefix in slash64s:
-            capped(with_iid(prefix, 1))
-        info = capped.cache_info()
-        assert info["max_slash64s"] == 2
-        assert info["evictions"] == 2
-        assert info["cached_slash64s"] == 2
-        # The uncapped memo reports neither key.
-        uncapped = CachedOrigins.from_routing_table(table)
-        uncapped(with_iid(slash64s[0], 1))
-        assert "max_slash64s" not in uncapped.cache_info()
-        assert "evictions" not in uncapped.cache_info()
-
-    def test_lru_order_recency_not_insertion(self):
-        table = build_table()
-        capped = CachedOrigins.from_routing_table(table, max_slash64s=2)
-        first = with_iid(BLOCKS[1], 1)
-        second = with_iid(BLOCKS[1] | (1 << 64), 1)
-        third = with_iid(BLOCKS[1] | (2 << 64), 1)
-        capped(first)
-        capped(second)
-        capped(first)   # refresh: first is now the most recent
-        capped(third)   # evicts second, not first
-        lpm_before = capped.lpm_calls
-        capped(first)
-        assert capped.lpm_calls == lpm_before  # still cached
-        capped(second)
-        assert capped.lpm_calls == lpm_before + 1  # was evicted
-
-    def test_eviction_never_forgets_hot_slash64_correctness(self):
-        """Longer-than-/64 announcements stay per-address under a cap."""
-        table = build_table()
-        capped = CachedOrigins.from_routing_table(table, max_slash64s=1)
-        inside = with_iid(BLOCKS[0], 7)       # under the /80: 65001
-        outside = BLOCKS[0] | (1 << 63)       # past the /80: the /32
-        churn = [with_iid(BLOCKS[1] | (n << 64), 1) for n in range(2)]
-        for _ in range(3):
-            assert capped(inside) == 65001
-            assert capped(outside) == table.origin_asn(outside)
-            for address in churn:  # two /64s through a 1-slot cache
-                capped(address)
-        assert capped.cache_info()["evictions"] >= 1
-
-    def test_bad_cap_rejected(self):
-        table = build_table()
-        with pytest.raises(ValueError, match="max_slash64s"):
-            CachedOrigins.from_routing_table(table, max_slash64s=0)

@@ -14,15 +14,13 @@ Three contracts, each pinned bit-for-bit:
   silently falls back to rescanning the segment, never changing what
   analysis observes.
 
-The kernels behind all of this must agree between their vectorized
-(numpy) and portable (array-module) implementations; the suite forces
-the fallback by nulling :data:`repro.core.kernels._np` and replays the
-same properties.
+The vectorized kernels behind all of this must also agree with the
+scalar reference functions: :func:`~repro.core.kernels.iid_features`
+and the :mod:`repro.addr` functions it calls.
 """
 
 import struct
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,70 +311,26 @@ class TestObserveEqualsRebuild:
         assert_bit_identical(index, CorpusIndex.build(corpus))
 
 
-@pytest.fixture
-def forced_fallback(monkeypatch):
-    """Run the kernels on the portable array-module path."""
-    monkeypatch.setattr(kernels, "_np", None)
-
-
-class TestKernelFallbackEquivalence:
-    """numpy and array-module kernels must agree bit-for-bit.
-
-    Skipped where numpy is absent (CI): there the fallback *is* the
-    only path and every other test in this file already exercises it.
-    """
-
-    pytestmark = pytest.mark.skipif(
-        not kernels.HAVE_NUMPY, reason="numpy unavailable: nothing to compare"
-    )
-
-    @staticmethod
-    def _on_fallback(call):
-        """Run ``call`` with the numpy handle nulled (restored after)."""
-        saved = kernels._np
-        kernels._np = None
-        try:
-            return call()
-        finally:
-            kernels._np = saved
-
-    @settings(max_examples=40, deadline=None)
-    @given(segment_lists)
-    def test_fold_matches_scalar_fold(self, segments):
-        partials = [
-            PartialIndexColumns.from_corpus(build_corpus("prop", events))
-            for events in segments
-        ]
-        fast = kernels.fold_record_columns(partials)
-        slow = self._on_fallback(
-            lambda: kernels.fold_record_columns(partials)
-        )
-        assert fast[0] == slow[0]  # addresses, exact order
-        for fast_col, slow_col in zip(fast[1:], slow[1:]):
-            assert list(fast_col) == list(slow_col)
-            assert [type(v) for v in fast_col] == [type(v) for v in slow_col]
+class TestKernelOracleEquivalence:
+    """The vectorized kernels equal the scalar reference functions."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(IIDS, min_size=0, max_size=60))
     def test_feature_columns_match_scalar(self, iids):
         from array import array
 
-        column = array("Q", iids)
-        fast = kernels.iid_feature_columns(column)
-        slow = self._on_fallback(
-            lambda: kernels.iid_feature_columns(column)
+        entropies, codes, macs, iid_entropies = kernels.iid_feature_columns(
+            array("Q", iids)
         )
-        for fast_col, slow_col in zip(fast[:3], slow[:3]):
-            assert fast_col.tobytes() == slow_col.tobytes()
-        assert _packed_map(fast[3]) == _packed_map(slow[3])
-
-    def test_fallback_build_equals_numpy_build(
-        self, forced_fallback, tmp_path
-    ):
-        segments = [
-            [(BLOCKS[0], 0, 0, 5, 1.0), (BLOCKS[1], 0, 0, 0, 2.0)],
-            [(BLOCKS[0], 0, 0, 5, 3.0)],
-        ]
-        store = write_store(tmp_path, segments)
-        folded = store.reader().build_index()
-        assert_bit_identical(folded, CorpusIndex.build(store.reader().load()))
+        expected = [kernels.iid_features(iid) for iid in iids]
+        assert entropies.tobytes() == array(
+            "d", [entropy for entropy, _, _ in expected]
+        ).tobytes()
+        assert codes.tobytes() == bytes(code for _, code, _ in expected)
+        assert macs.tobytes() == array(
+            "Q", [mac for _, _, mac in expected]
+        ).tobytes()
+        first_seen = {}
+        for iid, (entropy, _, _) in zip(iids, expected):
+            first_seen.setdefault(iid, entropy)
+        assert _packed_map(iid_entropies) == _packed_map(first_seen)

@@ -7,11 +7,10 @@ Pinned contracts:
   with and without an origin table, and an empty committed store.
 * **bounded memory** — the build's traced peak stays within four times
   the size of the file it writes.
-* **ties fold like the scalar fold** — when two segments tie at a
-  signed zero, ``from_partials``, ``CorpusIndex.build`` over the merged
-  corpus and the served record all keep the *earlier* segment's value,
-  on numpy and on the forced fallback (``-0.0 == 0.0``, so values are
-  compared as packed bytes).
+* **ties fold like ``AddressCorpus.merge``** — when two segments tie at
+  a signed zero, ``from_partials``, ``CorpusIndex.build`` over the
+  merged corpus and the served record all keep the *earlier* segment's
+  value (``-0.0 == 0.0``, so values are compared as packed bytes).
 """
 
 import hashlib
@@ -25,7 +24,7 @@ import repro.core.kernels as kernels
 from repro.core.corpus import AddressCorpus
 from repro.core.index import CorpusIndex
 from repro.core.segments import SegmentStore
-from repro.serve import SERVING_INDEX_NAME, ServingIndex, build_serving_index
+from repro.serve import ServingIndex, build_serving_index
 
 from .conftest import make_routing, write_serve_store
 
@@ -66,14 +65,6 @@ def test_build_peak_memory_within_four_file_sizes(tmp_path):
     assert peak <= 4 * path.stat().st_size, (peak, path.stat().st_size)
 
 
-def test_builder_names_numpy_when_it_is_missing(tmp_path, monkeypatch):
-    write_serve_store(tmp_path, per_segment=10, segments=1)
-    monkeypatch.setattr(kernels, "_np", None)
-    with pytest.raises(ImportError, match="numpy"):
-        build_serving_index(tmp_path)
-    assert not (tmp_path / SERVING_INDEX_NAME).exists()
-
-
 TIES = [(-0.0, +0.0), (+0.0, -0.0), (+0.0, +0.0)]
 ADDRESS = (0x2001 << 112) | (1 << 96) | 0x1234
 
@@ -92,10 +83,9 @@ def tie_columns(column, earlier, later):
 
 @pytest.mark.parametrize("earlier,later", TIES)
 @pytest.mark.parametrize("column", ["first", "last"])
-@pytest.mark.parametrize("path", ["numpy", "fallback"])
 class TestSignedZeroTies:
     def test_fold_rebuild_and_served_keep_the_earlier_zero(
-        self, tmp_path, monkeypatch, path, column, earlier, later
+        self, tmp_path, column, earlier, later
     ):
         store = SegmentStore(tmp_path, name="ties")
         metas = []
@@ -113,9 +103,7 @@ class TestSignedZeroTies:
                 )
             )
         store.commit(metas, completed_weeks=2)
-        build_serving_index(tmp_path)  # the builder always runs on numpy
-        if path == "fallback":
-            monkeypatch.setattr(kernels, "_np", None)
+        build_serving_index(tmp_path)
 
         folded = store.reader().build_index()
         rebuilt = CorpusIndex.build(store.reader().load())
@@ -125,6 +113,7 @@ class TestSignedZeroTies:
         assert folded.first.tobytes() == rebuilt.first.tobytes()
         assert folded.last.tobytes() == rebuilt.last.tobytes()
         with ServingIndex.open(tmp_path) as index:
+            # One batch on each side of the search kernel's size cut.
             for batch in ([ADDRESS], [ADDRESS] * 8):
                 for first, last, count in index.record_batch(batch):
                     served = first if column == "first" else last
@@ -132,11 +121,9 @@ class TestSignedZeroTies:
                     assert count == 4
 
     def test_iid_intervals_keep_the_earlier_zero(
-        self, monkeypatch, path, column, earlier, later
+        self, column, earlier, later
     ):
         sightings = tie_columns(column, earlier, later)
-        if path == "fallback":
-            monkeypatch.setattr(kernels, "_np", None)
         intervals = kernels.iid_interval_map(
             array("Q", [5, 5]),
             array("d", [first for first, _ in sightings]),

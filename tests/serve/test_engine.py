@@ -12,7 +12,6 @@ import asyncio
 
 import pytest
 
-from repro.core.index import CachedOrigins
 from repro.obs import DEFAULT_TIME_BUCKETS, MetricsRegistry
 from repro.serve import (
     CoalescingEngine,
@@ -192,25 +191,30 @@ class TestErrors:
         with pytest.raises(ValueError, match="max_batch"):
             CoalescingEngine(served_index, max_batch=0)
 
-    def test_bad_address_fails_every_waiter_in_the_tick(
-        self, served_index, queries
-    ):
-        engine = CoalescingEngine(served_index)
+    def test_bad_address_fails_only_its_caller(self, served_index, queries):
+        """Bad requests coalesced with a good one fail alone: the good
+        caller gets the answer it gets with ``coalesce=False``."""
 
-        async def ask():
-            good = engine.query("contains", queries[0])
-            bad = engine.query("contains", -1)
-            results = await asyncio.gather(
-                good, bad, return_exceptions=True
+        async def ask(engine):
+            return await asyncio.gather(
+                engine.batch("contains", [queries[0]]),
+                engine.batch("contains", [1 << 128]),
+                engine.query("contains", -1),
+                engine.batch("contains", ["2001::1"]),
+                return_exceptions=True,
             )
-            return results
 
-        good_result, bad_result = run(ask())
-        # The whole coalesced batch shares one kernel call, so a bad
-        # address poisons the tick it arrived in -- deliberately: batch
-        # validation happens before any per-op partial answering.
-        assert isinstance(good_result, ValueError)
-        assert isinstance(bad_result, ValueError)
+        for coalesce in (True, False):
+            engine = CoalescingEngine(served_index, coalesce=coalesce)
+            good, too_big, negative, text = run(ask(engine))
+            assert good == [True]
+            for failed, message in (
+                (too_big, "out of range"),
+                (negative, "out of range"),
+                (text, "ints"),
+            ):
+                assert isinstance(failed, ValueError)
+                assert message in str(failed)
 
 
 class TestCancelledWaiters:
@@ -342,32 +346,6 @@ def _commit_extra_segment(store):
 
 
 class TestOriginFallback:
-    def test_resolver_serves_when_index_has_no_table(
-        self, tmp_path, routing
-    ):
-        write_serve_store(tmp_path, per_segment=40, segments=2)
-        build_serving_index(tmp_path)  # no routing: no origin table
-        with ServingIndex.open(tmp_path) as index:
-            assert not index.has_origin_table
-            resolver = CachedOrigins.from_routing_table(
-                routing, max_slash64s=64
-            )
-            engine = CoalescingEngine(index, origin_resolver=resolver)
-            probes = [
-                (0x2001 << 112) | (1 << 96) | (2 << 80) | (1 << 64) | 7,
-                (0x2001 << 112) | (3 << 96),
-                0,
-            ]
-
-            async def ask():
-                return await engine.batch("origin", probes)
-
-            answers = run(ask())
-            assert answers == [
-                routing.origin_asn(probe) for probe in probes
-            ]
-            assert engine.describe()["origin_source"] == "resolver"
-
     def test_no_table_no_resolver_raises_to_the_caller(self, tmp_path):
         write_serve_store(tmp_path, per_segment=10, segments=1)
         build_serving_index(tmp_path)

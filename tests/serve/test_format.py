@@ -4,8 +4,7 @@ Pinned contracts:
 
 * **serving == in-process** — every batch query answers bit-identically
   to a cold :class:`CorpusIndex` over the folded corpus plus
-  :meth:`RoutingTable.origin_asn`, on both the numpy and the portable
-  kernel paths.
+  :meth:`RoutingTable.origin_asn`, for small and large batches alike.
 * **torn is never served** — any flipped byte, truncation or missing
   footer fails the whole-file CRC at open; :func:`ensure_serving_index`
   then rebuilds from the ``.idx`` partials, including after a SIGKILL
@@ -22,7 +21,6 @@ import sys
 
 import pytest
 
-import repro.core.kernels as kernels
 from repro.core.kernels import NO_MAC
 from repro.core.segments import SegmentStore
 from repro.net.prefixes import Prefix
@@ -135,17 +133,6 @@ class TestRoundTrip:
                 assert index.origin_batch([query]) == [
                     expected["origin"][i]
                 ]
-
-    def test_portable_fallback_equals_numpy(
-        self, serve_dir, ground_truth, routing, queries, monkeypatch
-    ):
-        if kernels._np is None:
-            pytest.skip("numpy unavailable; only one path to compare")
-        build_serving_index(serve_dir, routing=routing)
-        monkeypatch.setattr(kernels, "_np", None)
-        with ServingIndex.open(serve_dir) as index:
-            assert not index._numpy
-            assert_index_matches(index, ground_truth, routing, queries)
 
     def test_bad_addresses_rejected(self, serve_dir, routing):
         build_serving_index(serve_dir, routing=routing)
