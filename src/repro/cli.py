@@ -47,7 +47,13 @@ from .core.storage import checkpoint_candidates
 from .core.tracking import TrackingClass
 from .faults import FaultPlan
 from .obs import MetricsRegistry
-from .world import CAMPAIGN_EPOCH, build_world, preset_config, preset_names
+from .world import (
+    CAMPAIGN_EPOCH,
+    build_routing,
+    build_world,
+    preset_config,
+    preset_names,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -350,11 +356,11 @@ def _cmd_serve(args) -> int:
         if args.scale is not None:
             # The synthetic worlds are deterministic in (scale, seed),
             # so the routing table (hence the flattened origin table
-            # baked into the index) is reproducible from the flags.
-            world = build_world(
+            # baked into the index) is reproducible from the flags —
+            # from the world's AS layer alone.
+            routing = build_routing(
                 preset_config(args.scale, seed=args.seed)
             )
-            routing = world.routing
         try:
             index = ensure_serving_index(
                 args.segment_dir,
@@ -595,9 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--scale", choices=sorted(preset_names()), default=None,
-        help="rebuild this preset's routing table and bake its "
-             "flattened LPM origin table into the serving index "
-             "(default: no origin table)",
+        help="rebuild this preset's routing table (from its AS layer "
+             "alone; no world is built) and bake its flattened LPM "
+             "origin table into the serving index (default: no origin "
+             "table)",
     )
     serve.add_argument(
         "--rebuild", action="store_true",

@@ -304,23 +304,32 @@ _PARTIAL_DTYPES = (
 )
 
 
-def stack_partial_columns(partials):
-    """Concatenate partial-index columns, one ndarray per column.
+def stack_partial_columns(partials, rows: int):
+    """Stack partial-index columns, one ndarray per column.
 
+    ``partials`` is any iterable of partials holding ``rows`` rows in
+    all; each is copied into columns allocated once, at that size, and
+    may be dropped as soon as the next is drawn — so a lazy iterable
+    never has every partial in memory beside the stacked columns.
     Returns ``(hi, lo, first, last, counts, entropies, codes, macs)``,
     rows in fold order: partial by partial, each in its own row order.
     """
-    columns = []
-    for name, dtype in _PARTIAL_DTYPES:
-        parts = [
-            np.frombuffer(getattr(part, name), dtype=dtype)
-            for part in partials
-        ]
-        # A store with no segments has no partials to concatenate.
-        columns.append(
-            np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-        )
-    return tuple(columns)
+    columns = tuple(
+        np.empty(rows, dtype=dtype) for _, dtype in _PARTIAL_DTYPES
+    )
+    offset = 0
+    for part in partials:
+        end = offset + len(part)
+        for column, (name, dtype) in zip(columns, _PARTIAL_DTYPES):
+            column[offset:end] = np.frombuffer(
+                getattr(part, name), dtype=dtype
+            )
+        offset = end
+    # Rows past ``rows`` fail to broadcast above; rows short of it
+    # would leave uninitialized values in the columns.
+    if offset != rows:
+        raise ValueError(f"partials hold {offset} rows, not the {rows} given")
+    return columns
 
 
 def sorted_record_fold(hi, lo, first, last, counts):
@@ -369,7 +378,7 @@ def fold_record_columns(partials):
     last, counts, entropies, codes, macs)``.
     """
     hi, lo, first, last, counts, entropies, codes, macs = (
-        stack_partial_columns(partials)
+        stack_partial_columns(partials, sum(len(part) for part in partials))
     )
     source, hi, lo, first, last, counts = sorted_record_fold(
         hi, lo, first, last, counts

@@ -66,7 +66,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..obs import DEFAULT_SIZE_BUCKETS, MetricsRegistry, NULL_REGISTRY
 from .corpus import AddressCorpus
@@ -476,7 +476,7 @@ class SegmentStore:
     def _write_manifest(self, manifest: Manifest) -> None:
         blob = json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"
         data = blob.encode("utf-8")
-        self._atomic_write(self.manifest_path, data)
+        self._atomic_write(self.manifest_path, [data])
         # Prime the cache with what we just wrote: the writing process
         # never pays a re-parse for its own commit.
         try:
@@ -490,11 +490,18 @@ class SegmentStore:
             manifest,
         )
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
+    def _atomic_write(self, path: Path, chunks: Iterable[bytes]) -> None:
+        """Publish the concatenated ``chunks`` at ``path`` atomically.
+
+        The chunks (any bytes-like objects) are written to a temp file
+        as they are produced, so a streamed file is never held whole;
+        only the fsynced temp file is ``os.replace``-d into place.
+        """
         temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
         try:
             with temp.open("wb") as stream:
-                stream.write(data)
+                for chunk in chunks:
+                    stream.write(chunk)
                 stream.flush()
                 os.fsync(stream.fileno())
             os.replace(temp, path)
@@ -539,7 +546,7 @@ class SegmentStore:
         crc = zlib.crc32(data) & 0xFFFFFFFF
         blob = data + _SEGMENT_FOOTER_MAGIC + crc.to_bytes(4, "big")
         filename = f"{segment_id}{SEGMENT_SUFFIX}"
-        self._atomic_write(self.directory / filename, blob)
+        self._atomic_write(self.directory / filename, [blob])
         self._m_flushed.inc()
         self._m_bytes.observe(len(blob))
         self._write_partial_index(segment_id, corpus, crc)
@@ -567,7 +574,7 @@ class SegmentStore:
         crc = zlib.crc32(body) & 0xFFFFFFFF
         blob = body + _PARTIAL_FOOTER_MAGIC + crc.to_bytes(4, "big")
         self._atomic_write(
-            self.directory / f"{segment_id}{PARTIAL_INDEX_SUFFIX}", blob
+            self.directory / f"{segment_id}{PARTIAL_INDEX_SUFFIX}", [blob]
         )
         self._m_partials.inc()
 
@@ -592,7 +599,9 @@ class SegmentStore:
                 path=path,
                 offset=len(data),
             )
-        body = data[:-_PARTIAL_FOOTER_SIZE]
+        # Slices of a view share the file's one buffer: the CRC and the
+        # column loads below read it in place instead of copying it.
+        body = memoryview(data)[:-_PARTIAL_FOOTER_SIZE]
         footer = data[-_PARTIAL_FOOTER_SIZE:]
         if footer[:4] != _PARTIAL_FOOTER_MAGIC:
             raise SegmentError(
@@ -996,7 +1005,7 @@ class SegmentedCorpusReader:
 
     # -- incremental indexing ----------------------------------------------------
 
-    def partial_indexes(self) -> List[PartialIndexColumns]:
+    def iter_partial_indexes(self) -> Iterator[PartialIndexColumns]:
         """One partial index per committed segment, in manifest order.
 
         Sourced from the seal-time ``.idx`` files where possible
@@ -1004,9 +1013,10 @@ class SegmentedCorpusReader:
         whose partial is missing or fails its integrity checks is
         rescanned and summarized on the fly
         (``repro_index_segments_rescanned_total``), so the result is
-        identical either way.
+        identical either way.  Partials are loaded as the iteration
+        reaches them, so a consumer that stacks them as they come holds
+        one at a time.
         """
-        partials: List[PartialIndexColumns] = []
         for meta in self.manifest.segments:
             try:
                 partial = self._store.load_partial_index(meta)
@@ -1016,8 +1026,11 @@ class SegmentedCorpusReader:
                     self._store.load_segment(meta)
                 )
                 self._store._m_index_rescanned.inc()
-            partials.append(partial)
-        return partials
+            yield partial
+
+    def partial_indexes(self) -> List[PartialIndexColumns]:
+        """Every :meth:`iter_partial_indexes` partial, as a list."""
+        return list(self.iter_partial_indexes())
 
     def build_index(
         self,

@@ -19,8 +19,10 @@ Four pieces (DESIGN.md §14–15):
 Typical use::
 
     from repro.serve import ensure_serving_index, CoalescingEngine
+    from repro.world import build_routing, preset_config
 
-    index = ensure_serving_index("segments/", routing=world.routing)
+    routing = build_routing(preset_config("tiny", seed=7))
+    index = ensure_serving_index("segments/", routing=routing)
     engine = CoalescingEngine(index)
     asn = await engine.query("origin", address)
 

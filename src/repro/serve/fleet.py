@@ -41,9 +41,11 @@ import socket
 import time
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from ..net.routing import RoutingTable
 from ..obs import MetricsRegistry, NULL_REGISTRY
+from ..world import build_routing, preset_config
 from .engine import CoalescingEngine
 from .format import (
     ServingIndex,
@@ -87,9 +89,10 @@ _READY_TIMEOUT = 120.0
 class FleetConfig:
     """Everything a serving process (or fleet) needs, picklable.
 
-    ``scale``/``seed`` describe the synthetic world whose routing table
-    backs origin queries; workers rebuild it lazily — only if a live
-    reload actually has to rebuild the index.
+    ``scale``/``seed`` name the synthetic world whose routing table
+    backs origin queries.  Every serving process builds that table from
+    the world's AS layer alone (:func:`repro.world.build_routing`, a few
+    milliseconds), never the whole world.
     """
 
     directory: str
@@ -108,27 +111,11 @@ class FleetConfig:
     json_only: bool = False
 
 
-def _routing_provider(config: FleetConfig) -> Optional[Callable]:
-    """A lazy, memoized routing-table builder (None without ``scale``).
-
-    Passed to :func:`ensure_serving_index` as its callable form: the
-    provider's *presence* demands an origin table, but the (costly)
-    world rebuild runs only when an index build actually happens.
-    """
+def _origin_routing(config: FleetConfig) -> Optional[RoutingTable]:
+    """The routing table behind origin queries (None without ``scale``)."""
     if config.scale is None:
         return None
-    cache: Dict[str, object] = {}
-
-    def provide():
-        if "routing" not in cache:
-            from ..world import build_world, preset_config
-
-            cache["routing"] = build_world(
-                preset_config(config.scale, seed=config.seed)
-            ).routing
-        return cache["routing"]
-
-    return provide
+    return build_routing(preset_config(config.scale, seed=config.seed))
 
 
 def reuseport_socket(host: str, port: int) -> socket.socket:
@@ -174,12 +161,14 @@ class IndexReloader:
     """Watch the manifest; hot-swap the engine's index when it moves.
 
     Each poll compares the manifest's ``(mtime_ns, size, digest)``
-    fingerprint against the last one seen.  A digest change means the
-    segment list the current index was derived from is gone: the
-    reloader rebuilds-or-reuses ``SERVING.rsi`` under the advisory
-    build lock (in a thread, so queries keep flowing off the old
-    snapshot), swaps it into the engine between ticks, and closes the
-    old index — whose mmap stays valid for any still-referenced view.
+    fingerprint against the last one seen; the first poll has none, so
+    it checks the digest against the index the engine serves.  A digest
+    change means the segment list the current index was derived from
+    is gone: the reloader rebuilds-or-reuses ``SERVING.rsi`` under the
+    advisory build lock (in a thread, so queries keep flowing off the
+    old snapshot), swaps it into the engine between ticks, and closes
+    the old index — whose mmap stays valid for any still-referenced
+    view.
     """
 
     def __init__(
@@ -205,7 +194,11 @@ class IndexReloader:
             "repro_serve_index_reloads_total",
             "serving indexes hot-swapped after a manifest change",
         )
-        self._fingerprint = manifest_fingerprint(directory)
+        # No fingerprint yet: the first poll compares the manifest with
+        # the index the engine serves, so a commit that landed after
+        # that index was opened (but before this reloader existed) is
+        # picked up instead of being taken as already seen.
+        self._fingerprint: Optional[Tuple[int, int, int]] = None
 
     async def poll_once(self) -> bool:
         """One poll; True when an index swap happened."""
@@ -325,11 +318,11 @@ async def _serve(
 def run_single(config: FleetConfig) -> int:
     """``repro serve`` without fan-out: one process, reload-capable."""
     registry = MetricsRegistry()
-    provider = _routing_provider(config)
+    routing = _origin_routing(config)
     try:
         index = ensure_serving_index(
             config.directory,
-            routing=provider,
+            routing=routing,
             metrics=registry,
             rebuild=config.rebuild,
             lock=True,
@@ -356,7 +349,7 @@ def run_single(config: FleetConfig) -> int:
                 index,
                 config,
                 registry,
-                routing=provider,
+                routing=routing,
                 on_ready=on_ready,
                 holder=holder,
             )
@@ -382,10 +375,10 @@ def _worker_main(
     """Child-process entry: serve on an own SO_REUSEPORT socket."""
     registry = MetricsRegistry()
     try:
-        provider = _routing_provider(config)
+        routing = _origin_routing(config)
         index = ensure_serving_index(
             config.directory,
-            routing=provider,
+            routing=routing,
             metrics=registry,
             lock=True,
         )
@@ -408,7 +401,7 @@ def _worker_main(
                     config,
                     registry,
                     sock=sock,
-                    routing=provider,
+                    routing=routing,
                     on_ready=on_ready,
                     holder=holder,
                 )
@@ -455,11 +448,11 @@ def run_supervisor(config: FleetConfig) -> int:
     merges the per-worker metrics snapshots into ``metrics_out``.
     """
     registry = MetricsRegistry()
-    provider = _routing_provider(config)
+    routing = _origin_routing(config)
     try:
         index = ensure_serving_index(
             config.directory,
-            routing=provider,
+            routing=routing,
             metrics=registry,
             rebuild=config.rebuild,
             lock=True,

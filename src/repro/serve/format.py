@@ -57,7 +57,7 @@ import sys
 import zlib
 from array import array
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -226,19 +226,6 @@ def serving_build_lock(directory: Union[str, Path]):
             yield
         finally:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-
-def _materialize_routing(routing):
-    """Resolve a lazy routing provider to an actual routing table.
-
-    ``routing`` may be the table itself or a zero-arg callable building
-    one on demand — serving workers pass the callable so the (costly)
-    world rebuild happens only if a reload actually needs the origin
-    table rebuilt.
-    """
-    if routing is None or hasattr(routing, "routed_prefixes"):
-        return routing
-    return routing()
 
 
 def flatten_origin_table(
@@ -482,6 +469,24 @@ def _peek_generation(path: Path) -> int:
     return generation
 
 
+def _sealed_chunks(header: bytes, columns) -> Iterator:
+    """An RSI1 file's bytes, chunk by chunk, ending in its CRC footer.
+
+    Yields the packed header, then each ``(values, dtype)`` column as
+    one little-endian run followed by its zero padding to 8 bytes, then
+    the ``RSIF`` footer, whose CRC is taken over the chunks as they pass.
+    """
+    crc = zlib.crc32(header)
+    yield header
+    for values, dtype in columns:
+        run = np.ascontiguousarray(values, dtype=dtype)
+        padding = bytes(_pad8(run.nbytes))
+        crc = zlib.crc32(padding, zlib.crc32(run, crc))
+        yield run
+        yield padding
+    yield _FOOTER.pack(_FOOTER_MAGIC, crc & 0xFFFFFFFF)
+
+
 def build_serving_index(
     directory: Union[str, Path],
     *,
@@ -490,13 +495,15 @@ def build_serving_index(
 ) -> Path:
     """Derive ``SERVING.rsi`` from a segment store's ``.idx`` partials.
 
-    Folds the seal-time partial indexes (re-reading **zero** sealed
-    ``.seg`` payloads while the partials are intact) in one sorted numpy
-    pass (:func:`repro.core.kernels.sorted_record_fold`), flattens
+    Stacks the seal-time partial indexes one at a time (re-reading
+    **zero** sealed ``.seg`` payloads while the partials are intact)
+    into columns sized from the manifest, folds them in one sorted numpy
+    pass (:func:`repro.core.kernels.sorted_record_fold`), and flattens
     ``routing`` (a :class:`~repro.net.routing.RoutingTable` or anything
-    with ``routed_prefixes()``) into the LPM origin table when given,
-    writes every column into one buffer of the exact file size, and
-    atomically replaces any previous index — bumping its generation and
+    with ``routed_prefixes()``) into the LPM origin table when given.
+    The header, each column and the CRC footer are then streamed
+    through the store's atomic writer — the file is never assembled in
+    memory — replacing any previous index, bumping its generation and
     stamping the manifest digest it was derived from.  Returns the
     index path.
     """
@@ -505,14 +512,14 @@ def build_serving_index(
     if directory.name == MANIFEST_NAME:
         directory = directory.parent
     store = SegmentStore(directory, metrics=registry)
-    manifest = store.load_manifest()
-    if manifest is None:
-        raise FileNotFoundError(
-            f"no {MANIFEST_NAME} in {directory} to index"
-        )
+    # One manifest decides both the rows stacked and the digest stamped.
+    reader = store.reader()
+    manifest = reader.manifest
     with registry.span("serve-index-build"):
         hi, lo, first, last, counts, entropies, codes, macs = (
-            _kernels.stack_partial_columns(store.reader().partial_indexes())
+            _kernels.stack_partial_columns(
+                reader.iter_partial_indexes(), manifest.total_records
+            )
         )
         source, hi, lo, first, last, counts = _kernels.sorted_record_fold(
             hi, lo, first, last, counts
@@ -529,6 +536,18 @@ def build_serving_index(
             )
             flags |= _FLAG_ORIGIN_TABLE
 
+        path = directory / SERVING_INDEX_NAME
+        header = _HEADER.pack(
+            _MAGIC,
+            _VERSION,
+            flags,
+            size,
+            len(slash48),
+            len(slash64),
+            len(origin_asn),
+            _peek_generation(path) + 1,
+            manifest_digest(manifest),
+        )
         # (values, on-disk dtype) in file order; each run is padded to
         # 8 bytes, which only the u8 codes and u32 ASNs ever need.
         columns = (
@@ -546,36 +565,7 @@ def build_serving_index(
             (origin_lo, "<u8"),
             (origin_asn, "<u4"),
         )
-        runs = [
-            len(values) * np.dtype(dtype).itemsize for values, dtype in columns
-        ]
-        image = bytearray(
-            _HEADER_SIZE + sum(run + _pad8(run) for run in runs) + _FOOTER_SIZE
-        )
-        path = directory / SERVING_INDEX_NAME
-        _HEADER.pack_into(
-            image,
-            0,
-            _MAGIC,
-            _VERSION,
-            flags,
-            size,
-            len(slash48),
-            len(slash64),
-            len(origin_asn),
-            _peek_generation(path) + 1,
-            manifest_digest(manifest),
-        )
-        offset = _HEADER_SIZE
-        for (values, dtype), run in zip(columns, runs):
-            np.frombuffer(
-                image, dtype=dtype, count=len(values), offset=offset
-            )[:] = values
-            offset += run + _pad8(run)
-        with memoryview(image) as view:
-            crc = crc32_of(view[:offset])
-        _FOOTER.pack_into(image, offset, _FOOTER_MAGIC, crc)
-        store._atomic_write(path, image)
+        store._atomic_write(path, _sealed_chunks(header, columns))
     registry.counter(
         "repro_serve_index_builds_total", "serving index builds"
     ).inc()
@@ -963,12 +953,13 @@ def ensure_serving_index(
     partials and atomically swapped in.  A torn index is therefore
     *never served*.
 
-    ``routing`` may also be a zero-arg callable returning a routing
-    table; it is invoked only if a build actually happens.  With
-    ``lock=True`` the whole check-or-build runs under
-    :func:`serving_build_lock`, so concurrent workers reacting to one
-    manifest change elect a single builder: the winner rebuilds, the
-    losers block on the lock and then reuse the fresh index.
+    ``routing`` is a routing table, as :func:`build_serving_index`
+    takes it; :func:`repro.world.build_routing` makes a preset's table
+    without building its world.  With ``lock=True`` the whole
+    check-or-build runs under :func:`serving_build_lock`, so concurrent
+    workers reacting to one manifest change elect a single builder: the
+    winner rebuilds, the losers block on the lock and then reuse the
+    fresh index.
     """
     if lock:
         with serving_build_lock(directory):
@@ -1014,7 +1005,5 @@ def ensure_serving_index(
         "serving indexes rebuilt from segment partials",
         labels={"reason": reason},
     ).inc()
-    build_serving_index(
-        directory, routing=_materialize_routing(routing), metrics=registry
-    )
+    build_serving_index(directory, routing=routing, metrics=registry)
     return ServingIndex.open(directory)

@@ -28,6 +28,7 @@ from .population import (
     PAPER_VANTAGE_PLAN,
     WorldBuilder,
     WorldConfig,
+    build_routing,
     build_world,
 )
 from .presets import PRESETS, preset_config, preset_names
@@ -82,6 +83,7 @@ __all__ = [
     "World",
     "WorldBuilder",
     "WorldConfig",
+    "build_routing",
     "build_world",
     "day_index",
     "derive_seed",

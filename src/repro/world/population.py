@@ -55,7 +55,7 @@ from .strategies import (
 )
 from .world import VantagePoint, World
 
-__all__ = ["WorldConfig", "WorldBuilder", "build_world"]
+__all__ = ["WorldConfig", "WorldBuilder", "build_routing", "build_world"]
 
 #: The paper's vantage deployment: 27 servers across 20 countries (§3).
 PAPER_VANTAGE_PLAN: Tuple[Tuple[str, int], ...] = (
@@ -1179,3 +1179,18 @@ def _network_location(country: str, rng) -> GeoPoint:
 def build_world(config: Optional[WorldConfig] = None) -> World:
     """Convenience: build a world from ``config`` (or the defaults)."""
     return WorldBuilder(config or WorldConfig()).build()
+
+
+def build_routing(config: Optional[WorldConfig] = None) -> RoutingTable:
+    """The IPv6 routing table ``build_world(config).routing`` holds.
+
+    Runs only the AS layer, which makes every announcement: no
+    topology, networks or devices are generated, and the registry, IPv4
+    table and geolocation database it fills are thrown away.  This is
+    all a serving index needs of the world for its origin table.
+    """
+    routing = RoutingTable(width=128)
+    WorldBuilder(config or WorldConfig())._build_ases(
+        ASRegistry(), routing, RoutingTable(width=32), GeoDatabase()
+    )
+    return routing

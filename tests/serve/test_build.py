@@ -11,6 +11,9 @@ Pinned contracts:
   a signed zero, ``from_partials``, ``CorpusIndex.build`` over the
   merged corpus and the served record all keep the *earlier* segment's
   value (``-0.0 == 0.0``, so values are compared as packed bytes).
+* **serving builds no world** — ``repro serve --scale`` bakes the
+  preset's origin table from its routing table alone, and answers
+  origins as the full world's routing table does.
 """
 
 import hashlib
@@ -21,10 +24,12 @@ from array import array
 import pytest
 
 import repro.core.kernels as kernels
+from repro import cli
 from repro.core.corpus import AddressCorpus
 from repro.core.index import CorpusIndex
 from repro.core.segments import SegmentStore
 from repro.serve import ServingIndex, build_serving_index
+from repro.world import WorldBuilder, build_world, preset_config
 
 from .conftest import make_routing, write_serve_store
 
@@ -63,6 +68,35 @@ def test_build_peak_memory_within_four_file_sizes(tmp_path):
         if not tracing:
             tracemalloc.stop()
     assert peak <= 4 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_serve_scale_builds_no_world(tmp_path, monkeypatch):
+    reference = build_world(preset_config("tiny", seed=3)).routing
+    # One address inside every announcement, and two in no announced
+    # space, so the origin table has both kinds of answer to give.
+    addresses = [
+        item.prefix.network | 1 for item in reference.routed_prefixes()
+    ] + [0x3FFF << 112, (1 << 128) - 1]
+    corpus = AddressCorpus("origins")
+    for address in addresses:
+        corpus.record(address, 0.0)
+    store = SegmentStore(tmp_path, name="origins")
+    meta = store.write_segment(
+        corpus, segment_id="seg-0", start_day=0, end_day=7
+    )
+    store.commit([meta], completed_weeks=1)
+
+    def no_world(self):
+        raise AssertionError("repro serve built a world")
+
+    monkeypatch.setattr(WorldBuilder, "build", no_world)
+    argv = ["serve", str(tmp_path), "--scale", "tiny", "--seed", "3"]
+    assert cli.main(argv + ["--build-only"]) == 0
+    want = [reference.origin_asn(address) for address in addresses]
+    assert None not in want[:-2] and want[-2:] == [None, None]
+    with ServingIndex.open(tmp_path) as index:
+        assert index.has_origin_table
+        assert index.origin_batch(addresses) == want
 
 
 TIES = [(-0.0, +0.0), (+0.0, -0.0), (+0.0, +0.0)]

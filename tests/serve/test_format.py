@@ -307,11 +307,13 @@ directory = sys.argv[1]
 
 real_atomic = segments.SegmentStore._atomic_write
 
-def dying_atomic(self, path, data):
+def dying_atomic(self, path, chunks):
     # Die inside the temp-file write, before os.replace: the crash
-    # window of the real builder.
+    # window of the real builder, which streams the file as chunks.
+    chunks = list(chunks)
     with open(str(path) + ".tmp-crash", "wb") as stream:
-        stream.write(data[: len(data) // 2])
+        for chunk in chunks[: len(chunks) // 2]:
+            stream.write(chunk)
         stream.flush()
         os.fsync(stream.fileno())
     os.kill(os.getpid(), signal.SIGKILL)

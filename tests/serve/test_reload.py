@@ -162,6 +162,27 @@ class TestReloadUnderLoad:
             == 0
         )
 
+    def test_commit_before_the_reloader_starts_is_served(self, tmp_path):
+        """A commit between opening the index and constructing the
+        reloader (the start-up window of a server, a fleet worker and
+        ``api.connect``) is picked up by the first poll."""
+        store = write_serve_store(tmp_path, per_segment=20, segments=1)
+        engine = CoalescingEngine(ensure_serving_index(tmp_path))
+        fresh = _commit_segment(store, 1)
+        reloader = IndexReloader(engine, tmp_path, interval=0.01)
+
+        async def scenario():
+            assert await engine.batch("contains", fresh) == [False] * 5
+            assert await reloader.poll_once() is True
+            assert await engine.batch("contains", fresh) == [True] * 5
+            assert await reloader.poll_once() is False
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            engine.index.close()
+        assert engine.index_swaps == 1
+
     def test_bad_interval_rejected(self, tmp_path):
         write_serve_store(tmp_path, per_segment=10, segments=1)
         index = ensure_serving_index(tmp_path)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.world import WorldConfig, build_world, preset_config, preset_names
+from repro.serve import flatten_origin_table
+from repro.world import (
+    WorldConfig,
+    build_routing,
+    build_world,
+    preset_config,
+    preset_names,
+)
 from repro.world.presets import PRESETS
 
 
@@ -42,3 +49,21 @@ class TestPresets:
             < small.n_home_networks
             < medium.n_home_networks
         )
+
+
+def _announcements(routing):
+    return [
+        (item.prefix.network, item.prefix.length, item.asn)
+        for item in routing.routed_prefixes()
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize("name", preset_names())
+def test_build_routing_equals_the_worlds_routing(name, seed):
+    routing = build_routing(preset_config(name, seed=seed))
+    world = build_world(preset_config(name, seed=seed)).routing
+    assert _announcements(routing) == _announcements(world)
+    assert flatten_origin_table(
+        routing.routed_prefixes()
+    ) == flatten_origin_table(world.routed_prefixes())
