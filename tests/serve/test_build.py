@@ -14,6 +14,9 @@ Pinned contracts:
 * **serving builds no world** — ``repro serve --scale`` bakes the
   preset's origin table from its routing table alone, and answers
   origins as the full world's routing table does.
+* **a rebuild hands its freed heap back before mapping** — the free
+  pages are released after the build and before the new index is
+  opened beside the old one; a reused index releases nothing.
 """
 
 import hashlib
@@ -24,11 +27,12 @@ from array import array
 import pytest
 
 import repro.core.kernels as kernels
+import repro.serve.format as serve_format
 from repro import cli
 from repro.core.corpus import AddressCorpus
 from repro.core.index import CorpusIndex
 from repro.core.segments import SegmentStore
-from repro.serve import ServingIndex, build_serving_index
+from repro.serve import ServingIndex, build_serving_index, ensure_serving_index
 from repro.world import WorldBuilder, build_world, preset_config
 
 from .conftest import make_routing, write_serve_store
@@ -97,6 +101,28 @@ def test_serve_scale_builds_no_world(tmp_path, monkeypatch):
     with ServingIndex.open(tmp_path) as index:
         assert index.has_origin_table
         assert index.origin_batch(addresses) == want
+
+
+def test_rebuild_releases_free_heap_before_mapping(tmp_path, monkeypatch):
+    write_serve_store(tmp_path)
+    events = []
+    real_open = ServingIndex.open.__func__
+
+    def recording_open(cls, path):
+        events.append("open")
+        return real_open(cls, path)
+
+    monkeypatch.setattr(
+        serve_format, "_release_free_heap", lambda: events.append("release")
+    )
+    monkeypatch.setattr(ServingIndex, "open", classmethod(recording_open))
+    # Missing: the first open fails, the build runs, then the release,
+    # and only then is the new file mapped.
+    ensure_serving_index(tmp_path).close()
+    assert events == ["open", "release", "open"]
+    del events[:]
+    ensure_serving_index(tmp_path).close()
+    assert events == ["open"]
 
 
 TIES = [(-0.0, +0.0), (+0.0, -0.0), (+0.0, +0.0)]
