@@ -42,8 +42,11 @@ from .core import (
     save_corpus,
     verify_release_safety,
 )
-from .core.segments import DEFAULT_SEGMENT_BYTES, MANIFEST_NAME
-from .core.storage import checkpoint_candidates
+from .core.segments import (
+    DEFAULT_SEGMENT_BYTES,
+    MANIFEST_NAME,
+    SegmentStore,
+)
 from .core.tracking import TrackingClass
 from .faults import FaultPlan
 from .obs import MetricsRegistry
@@ -93,50 +96,44 @@ def _study_config(args) -> StudyConfig:
             "--segment-bytes must be >= 1: %d", args.segment_bytes
         )
         raise SystemExit(2)
-    checkpoint = getattr(args, "checkpoint", None)
     segment_dir = getattr(args, "segment_dir", None)
     resume = getattr(args, "resume", False)
-    if checkpoint and segment_dir and not resume:
+    if resume and not segment_dir:
+        logger.error("--resume requires --segment-dir")
+        raise SystemExit(2)
+    # The executor would refuse these two with a ValueError traceback;
+    # refuse them here, naming the flag, before the world is built.
+    manifest = None
+    if segment_dir and Path(segment_dir, MANIFEST_NAME).exists():
+        manifest = SegmentStore(segment_dir).load_manifest()
+    if resume and manifest is None:
+        logger.warning(
+            "no segment manifest in %s; starting fresh", segment_dir
+        )
+    elif resume and manifest.completed_weeks > args.weeks:
         logger.error(
-            "--checkpoint and --segment-dir are mutually exclusive "
-            "persistence modes (combine them only with --resume, which "
-            "imports the checkpoint into the segment store)"
+            "--resume: the manifest in %s already covers %d weeks, past "
+            "--weeks %d; pass --weeks %d or more",
+            segment_dir,
+            manifest.completed_weeks,
+            args.weeks,
+            manifest.completed_weeks,
         )
         raise SystemExit(2)
-    resume_from = None
-    resume_from_segments = False
-    if resume:
-        if not checkpoint and not segment_dir:
-            logger.error("--resume requires --checkpoint or --segment-dir")
-            raise SystemExit(2)
-        if checkpoint:
-            if any(
-                candidate.exists()
-                for candidate in checkpoint_candidates(checkpoint)
-            ):
-                resume_from = checkpoint
-            else:
-                logger.warning(
-                    "no checkpoint at %s; starting fresh", checkpoint
-                )
-        if segment_dir:
-            if Path(segment_dir, MANIFEST_NAME).exists():
-                resume_from_segments = True
-            else:
-                logger.warning(
-                    "no segment manifest in %s; starting fresh", segment_dir
-                )
-        if checkpoint and segment_dir:
-            # Migration: the checkpoint is only a read source here; the
-            # segment store is the sole write target from now on.
-            checkpoint = None
+    elif not resume and manifest is not None and manifest.segments:
+        logger.error(
+            "--segment-dir %s already holds a committed manifest (%d "
+            "weeks); pass --resume to continue it, or point --segment-dir "
+            "at a fresh directory",
+            segment_dir,
+            manifest.completed_weeks,
+        )
+        raise SystemExit(2)
     execution = ExecutionOptions(
         workers=getattr(args, "workers", 1),
-        checkpoint=checkpoint,
-        resume_from=resume_from,
         segment_dir=segment_dir,
         segment_bytes=getattr(args, "segment_bytes", DEFAULT_SEGMENT_BYTES),
-        resume_from_segments=resume_from_segments,
+        resume_from_segments=resume and manifest is not None,
         faults=_fault_plan(args),
         max_shard_retries=getattr(args, "max_shard_retries", 2),
         shard_timeout=shard_timeout,
@@ -419,15 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
                  "(sharded by device; results are identical for any count)",
         )
         subparser.add_argument(
-            "--checkpoint", default=None, metavar="PATH",
-            help="snapshot the NTP corpus atomically to PATH after each "
-                 "collected week",
-        )
-        subparser.add_argument(
             "--resume", action="store_true",
-            help="resume the NTP collection from --checkpoint if it exists "
-                 "(falls back to rotated .1/.2 generations when the newest "
-                 "snapshot is corrupt)",
+            help="continue the NTP collection from --segment-dir's "
+                 "committed manifest watermark (starts fresh when DIR "
+                 "holds no manifest yet)",
         )
         subparser.add_argument(
             "--segment-dir", default=None, metavar="DIR",

@@ -48,15 +48,7 @@ from .release import (
     build_release,
     verify_release_safety,
 )
-from .storage import (
-    CheckpointIntegrityError,
-    CorpusFormatError,
-    load_checkpoint,
-    load_corpus,
-    resolve_resume_checkpoint,
-    save_checkpoint,
-    save_corpus,
-)
+from .storage import CorpusFormatError, load_corpus, save_corpus
 from .study import ExecutionOptions, StudyConfig, StudyResults, run_study
 from .tracking import (
     MACTrack,
@@ -75,7 +67,6 @@ __all__ = [
     "CachedOrigins",
     "CampaignConfig",
     "CaptureModel",
-    "CheckpointIntegrityError",
     "CorpusFormatError",
     "CorpusIndex",
     "DatasetComparison",
@@ -112,14 +103,11 @@ __all__ = [
     "detect_outages",
     "eui64_iid_lifetimes",
     "iid_lifetimes_by_entropy",
-    "load_checkpoint",
     "load_corpus",
     "phone_provider_shares",
-    "resolve_resume_checkpoint",
     "responsiveness_decay",
     "run_campaign_parallel",
     "run_study",
-    "save_checkpoint",
     "save_corpus",
     "top_as_entropy_distributions",
     "verify_release_safety",

@@ -1,4 +1,4 @@
-"""Sharded, multi-process campaign execution with crash-safe checkpoints.
+"""Sharded, multi-process campaign execution with crash-safe resume.
 
 The serial :meth:`NTPCampaign.run` walks every device × day in one
 process; at "Clusters in the Expanse"-scale populations that is
@@ -33,12 +33,13 @@ bytes:
   once, whatever mix of pool/retry/inline produced them, so the
   determinism invariant survives every recovery path.  Each recovery is
   recorded on ``campaign.shard_failures`` as a :class:`ShardFailure`.
-* The campaign proceeds in week windows, and after each completed
-  window the accumulated corpus is snapshotted through
-  :func:`repro.core.storage.save_checkpoint` (atomic replace + CRC32
-  footer + rotated prior generations).  ``resume_from=`` verifies the
-  snapshot's integrity and falls back to the newest prior good
-  generation when the latest is truncated or corrupt.
+* The campaign proceeds in one-week windows.  With a
+  :class:`~repro.core.segments.SegmentStore`, every shard seals its
+  window into segment files and the coordinator commits them to the
+  manifest, moving its completed-week watermark;
+  ``resume_from_segments=True`` restarts at that watermark.  The store
+  is the only persistence: without one the corpus lives in memory and
+  a crash loses the run.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..faults.chaos import maybe_fail_shard
 from ..obs import DEFAULT_SIZE_BUCKETS
@@ -65,7 +65,6 @@ from .segments import (
     SegmentMeta,
     SegmentStore,
 )
-from .storage import resolve_resume_checkpoint, save_checkpoint
 
 __all__ = [
     "ShardSpec",
@@ -258,9 +257,6 @@ def run_campaign_parallel(
     *,
     workers: int = 1,
     shard_count: Optional[int] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-    checkpoint_interval_weeks: int = 1,
-    resume_from: Optional[Union[str, Path]] = None,
     segment_store: Optional[SegmentStore] = None,
     resume_from_segments: bool = False,
     start_week: int = 0,
@@ -270,32 +266,26 @@ def run_campaign_parallel(
     retry_backoff_cap: float = 30.0,
     shard_timeout: Optional[float] = None,
 ) -> AddressCorpus:
-    """Run a campaign sharded across processes, checkpointing as it goes.
+    """Run a campaign sharded across processes, one week window at a time.
 
     The result accumulates into ``campaign.corpus`` (exactly as a serial
     :meth:`NTPCampaign.run` would) and is also returned.
 
     * ``workers`` — process count; 1 runs in-process (no pool) but still
-      honours windowed checkpointing.
+      commits every window to ``segment_store``.
     * ``shard_count`` — device partitions per window; defaults to
       ``workers``.  Any value yields the identical merged corpus.
-    * ``checkpoint`` — path snapshotted atomically after every
-      ``checkpoint_interval_weeks`` completed weeks.
-    * ``resume_from`` — a previous checkpoint; collection restarts at
-      the first week that snapshot had not completed.  Corrupt or
-      truncated generations are skipped (logged) in favour of the
-      newest prior good one.
-    * ``segment_store`` — segmented persistence (mutually exclusive
-      with ``checkpoint``): every shard seals budget-bounded segment
-      files instead of returning a pickled corpus, and the manifest is
-      committed after each completed window, so neither workers nor the
-      coordinator ever hold the whole corpus while collecting.  The
-      final materialized corpus is bit-identical to the monolithic run
-      for any flush budget and shard count.
+    * ``segment_store`` — crash-safe persistence: every shard seals
+      budget-bounded segment files instead of returning a pickled
+      corpus, and the manifest is committed after each completed week,
+      so neither workers nor the coordinator ever hold the whole corpus
+      while collecting.  The final materialized corpus is
+      bit-identical to the monolithic run for any flush budget and
+      shard count.  Without a store the corpus lives only in memory.
     * ``resume_from_segments`` — continue from ``segment_store``'s
-      committed manifest watermark (no corpus load needed).  Combined
-      with ``resume_from``, whichever covers more completed weeks wins;
-      a winning checkpoint is imported into the store as one segment.
+      committed manifest watermark (no corpus load needed); the
+      manifest's telemetry snapshot is folded in, so counters stay
+      cumulative across the resume.
     * ``max_shard_retries`` — failed shards are resubmitted this many
       times (with capped exponential backoff starting at
       ``retry_backoff`` seconds) before degrading to inline execution
@@ -320,11 +310,6 @@ def run_campaign_parallel(
         shard_count = workers
     if shard_count < 1:
         raise ValueError(f"shard_count must be >= 1: {shard_count}")
-    if checkpoint_interval_weeks < 1:
-        raise ValueError(
-            f"checkpoint interval must be >= 1 week: "
-            f"{checkpoint_interval_weeks}"
-        )
     if max_shard_retries < 0:
         raise ValueError(
             f"max_shard_retries must be >= 0: {max_shard_retries}"
@@ -337,11 +322,6 @@ def run_campaign_parallel(
         )
     if shard_timeout is not None and shard_timeout <= 0:
         raise ValueError(f"shard_timeout must be > 0: {shard_timeout}")
-    if segment_store is not None and checkpoint is not None:
-        raise ValueError(
-            "checkpoint= and segment_store= are mutually exclusive "
-            "persistence modes; segmented runs resume from the manifest"
-        )
     if resume_from_segments and segment_store is None:
         raise ValueError("resume_from_segments=True needs a segment_store")
 
@@ -367,9 +347,6 @@ def run_campaign_parallel(
         "repro_shard_timeouts_total",
         "shards killed for overrunning the wall-clock deadline",
     )
-    m_checkpoints = metrics.counter(
-        "repro_checkpoints_saved_total", "checkpoint snapshots written"
-    )
     m_merge = metrics.histogram(
         "repro_shard_merge_records",
         "per-shard corpus sizes at merge time",
@@ -377,102 +354,33 @@ def run_campaign_parallel(
     )
 
     current_week = start_week
-    manifest = None
     if segment_store is not None:
         manifest = segment_store.load_manifest()
-        if (
-            manifest is not None
-            and manifest.segments
-            and not resume_from_segments
-            and resume_from is None
-        ):
+        if resume_from_segments:
+            if manifest is None:
+                raise FileNotFoundError(
+                    f"no segment manifest in {segment_store.directory}"
+                )
+            if manifest.completed_weeks > end_week:
+                raise ValueError(
+                    f"segment manifest is ahead of the requested window: "
+                    f"{manifest.completed_weeks} > {end_week}"
+                )
+            if manifest.metrics is not None:
+                # Cumulative telemetry: the resumed run reports the whole
+                # campaign's counters, not just the post-resume remainder.
+                metrics.merge_snapshot(manifest.metrics)
+            current_week = max(current_week, manifest.completed_weeks)
+        elif manifest is not None and manifest.segments:
             raise ValueError(
                 f"segment directory {segment_store.directory} already holds "
                 "a committed manifest; pass resume_from_segments=True to "
                 "continue it, or point at a fresh directory"
             )
-        if resume_from_segments and manifest is None and resume_from is None:
-            raise FileNotFoundError(
-                f"no segment manifest in {segment_store.directory}"
-            )
-    if resume_from is not None:
-        snapshot, completed_weeks, used, skipped, saved_metrics = (
-            resolve_resume_checkpoint(resume_from, with_metrics=True)
-        )
-        for bad_path, error in skipped:
-            logger.warning(
-                "skipping corrupt checkpoint generation %s: %s",
-                bad_path,
-                error,
-            )
-        if skipped:
-            logger.warning("resuming from fallback checkpoint %s", used)
-        if completed_weeks > end_week:
-            raise ValueError(
-                f"checkpoint is ahead of the requested window: "
-                f"{completed_weeks} > {end_week}"
-            )
-        manifest_weeks = manifest.completed_weeks if manifest is not None else 0
-        if segment_store is not None and completed_weeks <= manifest_weeks:
-            # The store's manifest already covers at least as much of
-            # the campaign as the checkpoint: resume from the manifest
-            # watermark without materializing anything.
-            logger.info(
-                "segment manifest (%d weeks) covers checkpoint %s "
-                "(%d weeks); resuming from the manifest",
-                manifest_weeks,
-                used,
-                completed_weeks,
-            )
-            if manifest.metrics is not None:
-                metrics.merge_snapshot(manifest.metrics)
-            current_week = max(current_week, manifest_weeks)
-        elif segment_store is not None:
-            # Migration import: the checkpoint is further along, so it
-            # becomes the store's single baseline segment, replacing any
-            # shorter segment history (replace= avoids double-counting
-            # overlapped observations).
-            obsolete = list(manifest.segments) if manifest is not None else []
-            imported = segment_store.write_segment(
-                snapshot,
-                segment_id=f"import-w{completed_weeks:04d}",
-                start_day=0,
-                end_day=completed_weeks * 7,
-            )
-            segment_store.commit(
-                [imported],
-                completed_weeks=completed_weeks,
-                metrics=saved_metrics,
-                replace=True,
-            )
-            for old in obsolete:
-                with contextlib.suppress(FileNotFoundError):
-                    segment_store.segment_path(old).unlink()
-            if saved_metrics is not None:
-                metrics.merge_snapshot(saved_metrics)
-            current_week = max(current_week, completed_weeks)
-        else:
-            campaign.corpus.merge(snapshot)
-            if saved_metrics is not None:
-                # Cumulative telemetry: the resumed run reports the whole
-                # campaign's counters, not just the post-resume remainder.
-                metrics.merge_snapshot(saved_metrics)
-            current_week = max(current_week, completed_weeks)
-    elif resume_from_segments and manifest is not None:
-        if manifest.completed_weeks > end_week:
-            raise ValueError(
-                f"segment manifest is ahead of the requested window: "
-                f"{manifest.completed_weeks} > {end_week}"
-            )
-        if manifest.metrics is not None:
-            metrics.merge_snapshot(manifest.metrics)
-        current_week = max(current_week, manifest.completed_weeks)
 
     def windows():
-        week = current_week
-        while week < end_week:
-            yield week, min(week + checkpoint_interval_weeks, end_week)
-            week = week + checkpoint_interval_weeks
+        for week in range(current_week, end_week):
+            yield week, week + 1
 
     outages = _freeze_outages(campaign.world.outages)
 
@@ -506,14 +414,6 @@ def run_campaign_parallel(
         for window_start, window_end in windows():
             with metrics.span("campaign-window"):
                 campaign.run(window_start, window_end)
-            if checkpoint is not None:
-                save_checkpoint(
-                    campaign.corpus,
-                    checkpoint,
-                    window_end,
-                    metrics=metrics.snapshot(),
-                )
-                m_checkpoints.inc()
         return campaign.corpus
 
     segmented = segment_store is not None
@@ -569,12 +469,18 @@ def run_campaign_parallel(
                     )
                     m_attempts.inc()
             except BrokenProcessPool:
-                # The pool died before this round's submissions went
-                # out (e.g. broken by the previous window); rebuild and
-                # resubmit without charging the shards an attempt.
-                pool_box[0] = _rebuild_pool(pool_box[0], workers)
-                m_rebuilds.inc()
-                continue
+                if not futures:
+                    # The pool died before this round's submissions
+                    # went out (e.g. broken by the previous window);
+                    # rebuild and resubmit without charging the shards
+                    # an attempt.
+                    pool_box[0] = _rebuild_pool(pool_box[0], workers)
+                    m_rebuilds.inc()
+                    continue
+                # A shard submitted this round already broke the pool:
+                # its future fails below and is charged as a worker
+                # death; the shards not yet submitted wait, uncharged.
+            unsubmitted = [index for index in pending if index not in futures]
             failed: Dict[int, Tuple[str, str]] = {}
             pool_broken = False
             timed_out = False
@@ -583,7 +489,7 @@ def run_campaign_parallel(
                 if shard_timeout is not None
                 else None
             )
-            for index in pending:
+            for index in futures:
                 try:
                     if deadline is None:
                         completed[index] = futures[index].result()
@@ -664,7 +570,7 @@ def run_campaign_parallel(
                 delay = backoff_delay(max(attempts[i] for i in retry))
                 if delay > 0:
                     time.sleep(delay)
-            pending = retry
+            pending = sorted(retry + unsubmitted)
         # Merge in sorted shard order so both the corpus and the folded
         # telemetry are independent of completion order.
         batch: List[SegmentMeta] = []
@@ -699,14 +605,6 @@ def run_campaign_parallel(
                     completed_weeks=window_end,
                     metrics=metrics.snapshot(),
                 )
-            elif checkpoint is not None:
-                save_checkpoint(
-                    campaign.corpus,
-                    checkpoint,
-                    window_end,
-                    metrics=metrics.snapshot(),
-                )
-                m_checkpoints.inc()
     finally:
         pool_box[0].shutdown()
     if segmented:

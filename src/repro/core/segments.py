@@ -3,9 +3,9 @@
 The paper's headline artifact is a 7.9B-address corpus accumulated
 *passively over seven months* — the corpus outlives any single process
 and outgrows any single machine's RAM long before the campaign ends.
-The monolithic pipeline (one in-memory :class:`AddressCorpus`, one
-whole-corpus checkpoint) therefore bounds campaign length by memory,
-not by hardware.  This module inverts that: collection **flushes
+A monolithic pipeline (one in-memory :class:`AddressCorpus`, rewritten
+whole to disk to survive a crash) would bound campaign length by
+memory, not by hardware.  This module inverts that: collection **flushes
 sealed, append-only segment files** as soon as an in-memory buffer
 crosses a byte budget, and a small atomically-replaced manifest is the
 single source of truth about which segments make up the corpus.
@@ -183,9 +183,8 @@ class Manifest:
     name: str
     completed_weeks: int = 0
     segments: List[SegmentMeta] = field(default_factory=list)
-    #: Cumulative telemetry snapshot at the last commit (or ``None``) —
-    #: the manifest-based analogue of the checkpoint RPCM block, so a
-    #: resumed campaign reports whole-campaign counters.
+    #: Cumulative telemetry snapshot at the last commit (or ``None``),
+    #: so a resumed campaign reports whole-campaign counters.
     metrics: Optional[Dict[str, object]] = None
     #: Completed compaction generations (ids new compactions draw from).
     compactions: int = 0
@@ -434,31 +433,26 @@ class SegmentStore:
         *,
         completed_weeks: Optional[int] = None,
         metrics: Optional[Dict[str, object]] = None,
-        replace: bool = False,
     ) -> Manifest:
-        """Atomically publish segments (and the progress watermark).
+        """Atomically append segments (and move the progress watermark).
 
-        ``replace=True`` swaps the whole segment list (compaction and
-        checkpoint-import use it); the default appends.  The completed
-        week watermark is monotonic — a commit can never move it
-        backwards.  Only call this after every segment in
-        ``new_segments`` is durably on disk: the ordering is what makes
-        "the manifest never references a torn segment" a structural
-        property rather than a hope.
+        Compaction, the one rewrite of the segment list, goes through
+        :meth:`compact` instead.  The completed week watermark is
+        monotonic — a commit can never move it backwards.  Only call
+        this after every segment in ``new_segments`` is durably on disk:
+        the ordering is what makes "the manifest never references a
+        torn segment" a structural property rather than a hope.
         """
         manifest = self.load_manifest()
         if manifest is None:
             manifest = Manifest(name=self.name)
-        if replace:
-            manifest.segments = list(new_segments)
-        else:
-            live = {meta.segment_id for meta in manifest.segments}
-            for meta in new_segments:
-                if meta.segment_id in live:
-                    raise ValueError(
-                        f"segment {meta.segment_id!r} is already committed"
-                    )
-                manifest.segments.append(meta)
+        live = {meta.segment_id for meta in manifest.segments}
+        for meta in new_segments:
+            if meta.segment_id in live:
+                raise ValueError(
+                    f"segment {meta.segment_id!r} is already committed"
+                )
+            manifest.segments.append(meta)
         if completed_weeks is not None:
             if completed_weeks < 0:
                 raise ValueError(

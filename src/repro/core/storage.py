@@ -1,7 +1,7 @@
 """Corpus persistence.
 
-Long campaigns need checkpointing and offline analysis needs to reload
-collected corpora without re-running the world.  Two formats:
+Offline analysis and releases need to reload collected corpora without
+re-running the world.  Two formats:
 
 * **text** (``.corpus.csv``) — one ``address,first,last,count`` line per
   record, human-greppable, with a header carrying the corpus name.
@@ -21,36 +21,21 @@ Malformed or truncated input raises :class:`CorpusFormatError` naming
 the file and byte offset — never a bare ``struct.error`` or a silently
 shorter corpus.
 
-Path-based saves (:func:`save_corpus`, :func:`save_checkpoint`) are
-**atomic**: data is written to a sibling temp file, fsynced, then moved
-over the destination with ``os.replace`` — a crash mid-write leaves the
-previous good file untouched.  Checkpoint files wrap a binary corpus in
-a small header carrying the number of completed campaign weeks and end
-in a CRC32 integrity footer; :func:`save_checkpoint` additionally
-rotates prior generations (``path.1``, ``path.2``) aside so that
-:func:`resolve_resume_checkpoint` can fall back to the newest prior
-good snapshot when the latest one is truncated or corrupt.
+Path-based saves (:func:`save_corpus`) are **atomic**: data is written
+to a sibling temp file, fsynced, then moved over the destination with
+``os.replace`` — a crash mid-write leaves the previous good file
+untouched.  Campaign progress is not persisted here: a collection
+resumes from its segment store (:mod:`repro.core.segments`), whose
+segment files reuse the binary v2 record layout.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
-import json
 import os
 import struct
-import zlib
 from pathlib import Path
-from typing import (
-    BinaryIO,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    TextIO,
-    Tuple,
-    Union,
-)
+from typing import BinaryIO, Iterator, Optional, TextIO, Union
 
 from ..addr.ipv6 import format_address, parse
 from .corpus import AddressCorpus
@@ -58,18 +43,12 @@ from .corpus import AddressCorpus
 __all__ = [
     "BINARY_RECORD_BYTES",
     "CorpusFormatError",
-    "CheckpointIntegrityError",
     "save_corpus_text",
     "load_corpus_text",
     "save_corpus_binary",
     "load_corpus_binary",
     "save_corpus",
     "load_corpus",
-    "save_checkpoint",
-    "load_checkpoint",
-    "load_checkpoint_full",
-    "checkpoint_candidates",
-    "resolve_resume_checkpoint",
 ]
 
 _TEXT_HEADER = "# repro-corpus v1 name="
@@ -83,27 +62,9 @@ _MAX_COUNT = {1: 0xFFFFFFFF, 2: 0xFFFFFFFFFFFFFFFF}
 #: store's flush estimator prices its in-memory buffer with this.
 BINARY_RECORD_BYTES = _RECORD_V2.size
 
-#: Checkpoint container: magic, then uint32 completed-week counter, then
-#: an ordinary binary corpus, then an optional metrics block, then the
-#: integrity footer.
-_CHECKPOINT_MAGIC = b"RPCW"
-#: Optional metrics block between corpus and footer: magic + uint32
-#: length + a UTF-8 JSON metrics snapshot (see ``repro.obs``).  Absent
-#: in pre-PR-4 checkpoints, which still load (metrics come back None);
-#: pre-PR-4 readers in turn ignored trailing body bytes, so the block is
-#: compatible in both directions.
-_CHECKPOINT_METRICS_MAGIC = b"RPCM"
-#: Integrity footer: magic + CRC32 (big-endian) of every prior byte.
-_CHECKPOINT_FOOTER_MAGIC = b"RPCF"
-_CHECKPOINT_FOOTER_SIZE = 8
-
-#: Prior checkpoint generations retained by :func:`save_checkpoint`
-#: (``path.1`` is the previous snapshot, ``path.2`` the one before it).
-CHECKPOINT_GENERATIONS = 2
-
 
 class CorpusFormatError(ValueError):
-    """A corpus or checkpoint file is malformed.
+    """A corpus file is malformed.
 
     Carries the offending ``path`` (when known) and the byte ``offset``
     the problem was detected at, and renders both into the message —
@@ -126,10 +87,6 @@ class CorpusFormatError(ValueError):
         if path is not None:
             message += f" in {path}"
         super().__init__(message)
-
-
-class CheckpointIntegrityError(CorpusFormatError):
-    """A checkpoint failed its CRC32 footer check (corrupt or truncated)."""
 
 
 def _with_path(error: CorpusFormatError, path: Union[str, Path]) -> CorpusFormatError:
@@ -334,276 +291,3 @@ def load_corpus(path: Union[str, Path]) -> AddressCorpus:
             return load_corpus_text(stream)
     except CorpusFormatError as error:
         raise _with_path(error, path) from error
-
-
-def save_checkpoint(
-    corpus: AddressCorpus,
-    path: Union[str, Path],
-    completed_weeks: int,
-    *,
-    metrics: Optional[Dict[str, object]] = None,
-    keep_previous: int = CHECKPOINT_GENERATIONS,
-) -> int:
-    """Atomically snapshot a campaign corpus plus its progress marker.
-
-    ``completed_weeks`` is the number of campaign weeks fully collected
-    into ``corpus`` (i.e. the next run should resume at that week).
-    ``metrics`` is an optional JSON-serializable telemetry snapshot
-    (``MetricsRegistry.snapshot()``) stored alongside the corpus so a
-    resumed campaign reports *cumulative* counters, not just the
-    post-resume remainder.
-    The snapshot ends in a CRC32 footer so a resume can *detect*
-    corruption instead of loading garbage, and up to ``keep_previous``
-    prior generations are rotated aside (``path.1`` newest) so a resume
-    can *survive* it.  The rotation happens only after the new snapshot
-    is fully written and fsynced — a crash at any instant leaves at
-    least one good generation on disk.  Returns the number of corpus
-    records written.
-    """
-    if completed_weeks < 0 or completed_weeks > 0xFFFFFFFF:
-        raise ValueError(f"bad completed week count: {completed_weeks}")
-    if keep_previous < 0:
-        raise ValueError(f"bad generation count: {keep_previous}")
-    path = Path(path)
-    payload = io.BytesIO()
-    payload.write(_CHECKPOINT_MAGIC)
-    payload.write(completed_weeks.to_bytes(4, "big"))
-    written = save_corpus_binary(corpus, payload)
-    if metrics is not None:
-        blob = json.dumps(metrics, sort_keys=True).encode("utf-8")
-        if len(blob) > 0xFFFFFFFF:
-            raise ValueError("metrics snapshot too large for checkpoint")
-        payload.write(_CHECKPOINT_METRICS_MAGIC)
-        payload.write(len(blob).to_bytes(4, "big"))
-        payload.write(blob)
-    data = payload.getvalue()
-    footer = _CHECKPOINT_FOOTER_MAGIC + (
-        zlib.crc32(data) & 0xFFFFFFFF
-    ).to_bytes(4, "big")
-
-    temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    try:
-        with temp.open("wb") as stream:
-            stream.write(data)
-            stream.write(footer)
-            stream.flush()
-            os.fsync(stream.fileno())
-        # Rotate prior generations aside, oldest first, only now that
-        # the replacement is durably on disk.
-        for generation in range(keep_previous, 1, -1):
-            older = Path(f"{path}.{generation - 1}")
-            if older.exists():
-                os.replace(older, f"{path}.{generation}")
-        if keep_previous >= 1 and path.exists():
-            os.replace(path, f"{path}.1")
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            temp.unlink()
-        raise
-    return written
-
-
-def load_checkpoint(path: Union[str, Path]) -> Tuple[AddressCorpus, int]:
-    """Load and integrity-check a checkpoint; ``(corpus, completed_weeks)``.
-
-    Raises :class:`CheckpointIntegrityError` when the footer is missing
-    (truncation) or its CRC32 does not match (corruption), and
-    :class:`CorpusFormatError` for structural damage — always naming the
-    file.
-    """
-    corpus, completed_weeks, _ = load_checkpoint_full(path)
-    return corpus, completed_weeks
-
-
-def load_checkpoint_full(
-    path: Union[str, Path],
-) -> Tuple[AddressCorpus, int, Optional[Dict[str, object]]]:
-    """:func:`load_checkpoint` plus the stored metrics snapshot.
-
-    The third element is the telemetry snapshot saved with the
-    checkpoint, or ``None`` for checkpoints written without one
-    (including every pre-metrics checkpoint).
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    try:
-        return _parse_checkpoint(data)
-    except CorpusFormatError as error:
-        raise _with_path(error, path) from error
-
-
-def _parse_checkpoint(
-    data: bytes,
-) -> Tuple[AddressCorpus, int, Optional[Dict[str, object]]]:
-    if data[:4] != _CHECKPOINT_MAGIC:
-        raise CorpusFormatError(
-            f"not a repro campaign checkpoint: magic {data[:4]!r}", offset=0
-        )
-    if len(data) < 8 + _CHECKPOINT_FOOTER_SIZE:
-        raise CheckpointIntegrityError(
-            f"checkpoint truncated to {len(data)} bytes", offset=len(data)
-        )
-    body, footer = data[:-_CHECKPOINT_FOOTER_SIZE], data[-_CHECKPOINT_FOOTER_SIZE:]
-    if footer[:4] != _CHECKPOINT_FOOTER_MAGIC:
-        raise CheckpointIntegrityError(
-            "checkpoint integrity footer missing (file truncated?)",
-            offset=len(body),
-        )
-    stored = int.from_bytes(footer[4:], "big")
-    computed = zlib.crc32(body) & 0xFFFFFFFF
-    if stored != computed:
-        raise CheckpointIntegrityError(
-            f"checkpoint CRC mismatch: stored {stored:#010x}, "
-            f"computed {computed:#010x}",
-            offset=len(body),
-        )
-    completed_weeks = int.from_bytes(data[4:8], "big")
-    stream = io.BytesIO(body[8:])
-    corpus = load_corpus_binary(stream)
-    metrics = _parse_metrics_block(stream, body_offset=8)
-    return corpus, completed_weeks, metrics
-
-
-def _parse_metrics_block(
-    stream: io.BytesIO, body_offset: int
-) -> Optional[Dict[str, object]]:
-    """The optional RPCM telemetry block after the checkpoint corpus."""
-    magic = stream.read(4)
-    if not magic:
-        return None  # pre-metrics checkpoint
-    offset = body_offset + stream.tell() - len(magic)
-    if magic != _CHECKPOINT_METRICS_MAGIC:
-        # CRC already passed, so this is a version skew, not corruption.
-        raise CorpusFormatError(
-            f"unknown checkpoint trailer magic {magic!r}", offset=offset
-        )
-    length = int.from_bytes(
-        _read_exact(stream, 4, "metrics block length"), "big"
-    )
-    blob = _read_exact(stream, length, "metrics block")
-    try:
-        metrics = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise CorpusFormatError(
-            f"bad checkpoint metrics block: {error}", offset=offset
-        ) from error
-    if not isinstance(metrics, dict):
-        raise CorpusFormatError(
-            "checkpoint metrics block is not a JSON object", offset=offset
-        )
-    return metrics
-
-
-def checkpoint_candidates(path: Union[str, Path]) -> List[Path]:
-    """Resume candidates, newest first: the path, then its generations."""
-    path = Path(path)
-    return [path] + [
-        Path(f"{path}.{generation}")
-        for generation in range(1, CHECKPOINT_GENERATIONS + 1)
-    ]
-
-
-def resolve_resume_checkpoint(
-    path: Optional[Union[str, Path]],
-    *,
-    with_metrics: bool = False,
-    segment_dir: Optional[Union[str, Path]] = None,
-):
-    """Load the best resume source: checkpoint generations or manifest.
-
-    Tries ``path``, then ``path.1``, ``path.2`` … and — when
-    ``segment_dir`` is given — also the segment store's
-    ``MANIFEST.json`` (see :mod:`repro.core.segments`).  Whichever
-    good source covers **more completed days** of the campaign wins.
-    The tie-break is deterministic and pinned by test: when both cover
-    the same number of weeks **the manifest (segment store) is
-    preferred**, because its data is already durably segmented —
-    resuming from it needs no whole-corpus rewrite, while preferring
-    the checkpoint would re-import identical data as a fresh baseline
-    segment.  ``path`` may be ``None`` to consider only the manifest.
-
-    Returns ``(corpus, completed_weeks, used_path, skipped)`` where
-    ``used_path`` is the checkpoint generation or manifest file chosen
-    and ``skipped`` lists the corrupt/truncated candidates passed over
-    — resuming from garbage is never silent.  With
-    ``with_metrics=True`` a fifth element carries the stored telemetry
-    snapshot (or ``None``) so resumed campaigns report cumulative
-    counters.  Raises :class:`CheckpointIntegrityError` when every
-    existing candidate is bad, and ``FileNotFoundError`` when none
-    exists at all.
-    """
-    skipped: List[Tuple[Path, CorpusFormatError]] = []
-    seen_any = False
-    checkpoint_hit = None  # (corpus, weeks, used, metrics)
-    if path is not None:
-        for candidate in checkpoint_candidates(path):
-            if not candidate.exists():
-                continue
-            seen_any = True
-            try:
-                corpus, completed_weeks, metrics = load_checkpoint_full(
-                    candidate
-                )
-            except CorpusFormatError as error:
-                skipped.append((candidate, error))
-                continue
-            checkpoint_hit = (corpus, completed_weeks, candidate, metrics)
-            break
-
-    manifest_hit = None  # (reader, weeks, manifest_path)
-    if segment_dir is not None:
-        from .segments import (
-            MANIFEST_NAME,
-            SegmentError,
-            SegmentedCorpusReader,
-        )
-
-        manifest_path = Path(segment_dir) / MANIFEST_NAME
-        if manifest_path.exists():
-            seen_any = True
-            try:
-                reader = SegmentedCorpusReader.open(segment_dir)
-            except SegmentError as error:
-                skipped.append((manifest_path, error))
-            else:
-                manifest_hit = (
-                    reader,
-                    reader.completed_weeks,
-                    manifest_path,
-                )
-
-    if manifest_hit is not None and (
-        checkpoint_hit is None or manifest_hit[1] >= checkpoint_hit[1]
-    ):
-        reader, completed_weeks, manifest_path = manifest_hit
-        try:
-            corpus = reader.load()
-        except CorpusFormatError as error:
-            # A torn or corrupt referenced segment invalidates the whole
-            # manifest as a resume source; fall back to the checkpoint.
-            skipped.append((manifest_path, error))
-        else:
-            if with_metrics:
-                return (
-                    corpus,
-                    completed_weeks,
-                    manifest_path,
-                    skipped,
-                    reader.manifest.metrics,
-                )
-            return corpus, completed_weeks, manifest_path, skipped
-    if checkpoint_hit is not None:
-        corpus, completed_weeks, candidate, metrics = checkpoint_hit
-        if with_metrics:
-            return corpus, completed_weeks, candidate, skipped, metrics
-        return corpus, completed_weeks, candidate, skipped
-    if seen_any:
-        details = "; ".join(str(error) for _, error in skipped)
-        raise CheckpointIntegrityError(
-            f"no good checkpoint generation to resume from: {details}",
-            path=path if path is not None else segment_dir,
-        )
-    if path is None and segment_dir is not None:
-        raise FileNotFoundError(f"no segment manifest in {segment_dir}")
-    raise FileNotFoundError(f"no checkpoint at {path}")

@@ -12,8 +12,7 @@ Returns the three corpora plus the service objects experiments interrogate
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..faults.plan import FaultPlan
@@ -42,21 +41,14 @@ class ExecutionOptions:
 
     Scale-out, persistence, resume, fault injection, indexing and
     telemetry live here, in one value, so :class:`StudyConfig` keeps
-    only what changes the simulated world's observations.  Two
-    persistence modes are available and mutually exclusive:
-    whole-corpus ``checkpoint`` snapshots, or a streaming
-    ``segment_dir`` store whose memory footprint is bounded by
-    ``segment_bytes`` however long the campaign runs.
+    only what changes the simulated world's observations.  The one
+    persistence mode is a streaming ``segment_dir`` store: its memory
+    footprint is bounded by ``segment_bytes`` however long the
+    campaign runs, and ``resume_from_segments`` continues it.
     """
 
     #: Worker processes for the NTP collection; 1 keeps the serial path.
     workers: int = 1
-    #: Path the NTP campaign snapshots atomically after each completed
-    #: week window (and resumes from via ``resume_from``).
-    checkpoint: Optional[str] = None
-    checkpoint_interval_weeks: int = 1
-    #: Previous checkpoint to resume the NTP collection from.
-    resume_from: Optional[str] = None
     #: Segment-store directory: collection streams sealed segment files
     #: there instead of accumulating one monolithic in-memory corpus.
     segment_dir: Optional[str] = None
@@ -98,40 +90,12 @@ class ExecutionOptions:
             raise ValueError(
                 f"shard_timeout must be > 0: {self.shard_timeout}"
             )
-        if self.checkpoint is not None and self.segment_dir is not None:
-            raise ValueError(
-                "checkpoint= and segment_dir= are mutually exclusive "
-                "persistence modes"
-            )
         if self.resume_from_segments and self.segment_dir is None:
             raise ValueError("resume_from_segments=True needs a segment_dir")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError(
                 f"faults must be a FaultPlan, not {type(self.faults).__name__}"
             )
-
-
-#: Names StudyConfig/run_study accept as deprecated loose keywords.
-_EXECUTION_FIELDS = tuple(
-    spec.name for spec in fields(ExecutionOptions)
-)
-
-_legacy_kwargs_warned = False
-
-
-def _warn_legacy_execution_kwargs(names, where: str) -> None:
-    """One :class:`DeprecationWarning` per process, then silence."""
-    global _legacy_kwargs_warned
-    if _legacy_kwargs_warned:
-        return
-    _legacy_kwargs_warned = True
-    warnings.warn(
-        f"passing execution options to {where} as loose keywords "
-        f"({', '.join(names)}) is deprecated; wrap them in "
-        "ExecutionOptions(...) and pass execution=",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class StudyConfig:
@@ -143,12 +107,6 @@ class StudyConfig:
 
         StudyConfig(start=EPOCH, seed=7,
                     execution=ExecutionOptions(workers=4, segment_dir="seg"))
-
-    The pre-consolidation spelling — execution options as loose
-    keywords (``StudyConfig(start=..., workers=4)``) — still works but
-    emits one :class:`DeprecationWarning` per process, and the old
-    attribute surface (``config.workers`` etc.) remains readable as
-    delegating properties.
     """
 
     def __init__(
@@ -161,7 +119,6 @@ class StudyConfig:
         caida_cycle_days: float = 14.0,
         full_packet_path: bool = True,
         execution: Optional[ExecutionOptions] = None,
-        **legacy_execution,
     ) -> None:
         if weeks < CAIDA_LAST_WEEK:
             raise ValueError(
@@ -174,24 +131,6 @@ class StudyConfig:
         self.hitlist_cpe_seed_fraction = hitlist_cpe_seed_fraction
         self.caida_cycle_days = caida_cycle_days
         self.full_packet_path = full_packet_path
-        if legacy_execution:
-            unknown = sorted(
-                set(legacy_execution) - set(_EXECUTION_FIELDS)
-            )
-            if unknown:
-                raise TypeError(
-                    f"StudyConfig() got unexpected keyword arguments: "
-                    f"{', '.join(unknown)}"
-                )
-            if execution is not None:
-                raise TypeError(
-                    "pass execution options either via execution= or as "
-                    "legacy keywords, not both"
-                )
-            _warn_legacy_execution_kwargs(
-                sorted(legacy_execution), "StudyConfig()"
-            )
-            execution = ExecutionOptions(**legacy_execution)
         self.execution = (
             ExecutionOptions() if execution is None else execution
         )
@@ -201,52 +140,6 @@ class StudyConfig:
             f"StudyConfig(start={self.start!r}, weeks={self.weeks}, "
             f"seed={self.seed}, execution={self.execution!r})"
         )
-
-    # -- read-compat surface of the pre-consolidation dataclass ------------------
-
-    @property
-    def workers(self) -> int:
-        return self.execution.workers
-
-    @property
-    def checkpoint(self) -> Optional[str]:
-        return self.execution.checkpoint
-
-    @property
-    def checkpoint_interval_weeks(self) -> int:
-        return self.execution.checkpoint_interval_weeks
-
-    @property
-    def resume_from(self) -> Optional[str]:
-        return self.execution.resume_from
-
-    @property
-    def segment_dir(self) -> Optional[str]:
-        return self.execution.segment_dir
-
-    @property
-    def segment_bytes(self) -> int:
-        return self.execution.segment_bytes
-
-    @property
-    def resume_from_segments(self) -> bool:
-        return self.execution.resume_from_segments
-
-    @property
-    def faults(self) -> Optional[FaultPlan]:
-        return self.execution.faults
-
-    @property
-    def max_shard_retries(self) -> int:
-        return self.execution.max_shard_retries
-
-    @property
-    def shard_timeout(self) -> Optional[float]:
-        return self.execution.shard_timeout
-
-    @property
-    def build_index(self) -> bool:
-        return self.execution.build_index
 
 
 @dataclass
@@ -290,7 +183,6 @@ def run_study(
     config: StudyConfig,
     *,
     metrics: Optional[MetricsRegistry] = None,
-    **legacy_execution,
 ) -> StudyResults:
     """Run all three campaigns against one world, then index the corpora.
 
@@ -299,23 +191,9 @@ def run_study(
     feeds back into any keyed-RNG decision, so a metered study is
     bit-identical to an unmetered one.
 
-    Execution options come from ``config.execution``.  The deprecated
-    spelling ``run_study(world, config, workers=4, ...)`` still works —
-    the loose keywords override the config's options for this run and
-    emit one :class:`DeprecationWarning` per process.
+    Execution options come from ``config.execution``.
     """
     execution = config.execution
-    if legacy_execution:
-        unknown = sorted(set(legacy_execution) - set(_EXECUTION_FIELDS))
-        if unknown:
-            raise TypeError(
-                f"run_study() got unexpected keyword arguments: "
-                f"{', '.join(unknown)}"
-            )
-        _warn_legacy_execution_kwargs(
-            sorted(legacy_execution), "run_study()"
-        )
-        execution = replace(execution, **legacy_execution)
     registry = metrics if metrics is not None else execution.metrics
     if registry is None:
         registry = MetricsRegistry()
@@ -332,12 +210,7 @@ def run_study(
     )
     segment_store = None
     with registry.span("ntp-collection"):
-        if (
-            execution.workers > 1
-            or execution.checkpoint
-            or execution.resume_from
-            or execution.segment_dir
-        ):
+        if execution.workers > 1 or execution.segment_dir:
             if execution.segment_dir is not None:
                 segment_store = SegmentStore(
                     execution.segment_dir,
@@ -348,9 +221,6 @@ def run_study(
             ntp_corpus = run_campaign_parallel(
                 campaign,
                 workers=execution.workers,
-                checkpoint=execution.checkpoint,
-                checkpoint_interval_weeks=execution.checkpoint_interval_weeks,
-                resume_from=execution.resume_from,
                 segment_store=segment_store,
                 resume_from_segments=execution.resume_from_segments,
                 max_shard_retries=execution.max_shard_retries,

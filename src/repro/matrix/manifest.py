@@ -2,8 +2,9 @@
 
 The manifest is the sweep's single source of truth: one
 :class:`CellRecord` per expanded cell (runnable or rejected), updated
-and rewritten after *every* cell transition.  It follows the same
-durability discipline as checkpoints and the segment store:
+and rewritten after *every* cell transition.  It follows the segment
+store's durability discipline (atomic replace, CRC-checked bytes) and
+adds rotated generations:
 
 * **atomic replace** — written to a temp file, fsynced, then
   ``os.replace``\\ d over the live name, so a reader never sees a

@@ -8,9 +8,9 @@ global state — so instrumented hot loops stay deterministic and cheap.
 Three export surfaces:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-serializable dict, the
-  form carried inside campaign checkpoints and written by the CLI's
-  ``--metrics-out`` (following the ``benchmarks/jsonout.py`` flat-JSON
-  conventions);
+  form carried in a segment store's ``MANIFEST.json`` and written by
+  the CLI's ``--metrics-out`` (following the ``benchmarks/jsonout.py``
+  flat-JSON conventions);
 * :meth:`MetricsRegistry.merge_snapshot` — the inverse: fold a snapshot
   back in, summing counters/histograms/spans, so resumed campaigns and
   worker processes report *cumulative* telemetry;

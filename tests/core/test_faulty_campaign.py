@@ -197,17 +197,18 @@ class TestAvailabilityReporting:
 
     def test_study_report_includes_availability(self, core_world):
         from repro.analysis.report import study_report
-        from repro.core import StudyConfig, run_study
+        from repro.core import ExecutionOptions, StudyConfig, run_study
 
+        plan = FaultPlan(
+            seed=9, vantage_flap_rate=0.5, outage_duration=12 * 3600.0
+        )
         results = run_study(
             core_world,
             StudyConfig(
                 start=CAMPAIGN_EPOCH,
                 weeks=10,
                 seed=31,
-                faults=FaultPlan(
-                    seed=9, vantage_flap_rate=0.5, outage_duration=12 * 3600.0
-                ),
+                execution=ExecutionOptions(faults=plan),
             ),
         )
         text = study_report(core_world, results)

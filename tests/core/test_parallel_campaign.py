@@ -1,4 +1,4 @@
-"""Tests for repro.core.parallel — sharded execution and checkpoints.
+"""Tests for repro.core.parallel — sharded in-memory execution.
 
 The load-bearing invariant: because every capture decision draws from
 ``split_rng(seed, "capture", device_id, day)``, partitioning the device
@@ -14,11 +14,7 @@ import pytest
 from repro.core.campaign import CampaignConfig, NTPCampaign
 from repro.core.corpus import AddressCorpus
 from repro.core.parallel import ShardSpec, run_campaign_parallel, run_shard
-from repro.core.storage import (
-    load_checkpoint,
-    save_checkpoint,
-    save_corpus_binary,
-)
+from repro.core.storage import save_corpus_binary
 from repro.world import CAMPAIGN_EPOCH
 
 
@@ -93,88 +89,6 @@ class TestShardedIdentity:
         assert records(worker_corpus) == records(local.corpus)
 
 
-class TestCheckpointing:
-    def test_checkpoint_written_per_window(self, core_world, tmp_path):
-        path = tmp_path / "ntp.ckpt"
-        campaign = make_campaign(core_world)
-        run_campaign_parallel(campaign, workers=2, checkpoint=path)
-        corpus, completed = load_checkpoint(path)
-        assert completed == 2
-        assert records(corpus) == records(campaign.corpus)
-
-    def test_resume_restarts_at_last_window(
-        self, core_world, serial_corpus, tmp_path
-    ):
-        path = tmp_path / "ntp.ckpt"
-        # Interrupted run: only week 0 completes before the "crash".
-        interrupted = make_campaign(core_world)
-        run_campaign_parallel(
-            interrupted, workers=2, checkpoint=path, end_week=1
-        )
-        _, completed = load_checkpoint(path)
-        assert completed == 1
-        # A fresh process resumes from the snapshot and finishes.
-        resumed = make_campaign(core_world)
-        run_campaign_parallel(
-            resumed, workers=2, checkpoint=path, resume_from=path
-        )
-        assert records(resumed.corpus) == records(serial_corpus)
-        corpus, completed = load_checkpoint(path)
-        assert completed == 2
-        assert records(corpus) == records(serial_corpus)
-
-    def test_resume_serial_path(self, core_world, serial_corpus, tmp_path):
-        path = tmp_path / "ntp.ckpt"
-        run_campaign_parallel(
-            make_campaign(core_world), workers=1, checkpoint=path, end_week=1
-        )
-        resumed = make_campaign(core_world)
-        run_campaign_parallel(resumed, workers=1, resume_from=path)
-        assert records(resumed.corpus) == records(serial_corpus)
-
-    def test_kill_mid_checkpoint_preserves_previous(
-        self, core_world, tmp_path
-    ):
-        path = tmp_path / "ntp.ckpt"
-        campaign = make_campaign(core_world)
-        run_campaign_parallel(
-            campaign, workers=1, checkpoint=path, end_week=1
-        )
-        good = load_checkpoint(path)
-
-        class ExplodingCorpus(AddressCorpus):
-            def items(self):
-                iterator = super().items()
-                yield next(iterator)
-                raise OSError("simulated crash mid-write")
-
-        exploding = ExplodingCorpus("ntp-pool")
-        exploding.merge(campaign.corpus)
-        with pytest.raises(OSError):
-            save_checkpoint(exploding, path, 2)
-        # The interrupted write must not have destroyed the snapshot,
-        # nor left temp litter behind.
-        corpus, completed = load_checkpoint(path)
-        assert completed == good[1]
-        assert records(corpus) == records(good[0])
-        assert list(tmp_path.iterdir()) == [path]
-        # ... and the surviving snapshot is still resumable.
-        resumed = make_campaign(core_world)
-        run_campaign_parallel(resumed, workers=1, resume_from=path)
-        assert records(resumed.corpus) == records(
-            make_campaign(core_world).run()
-        )
-
-    def test_checkpoint_ahead_of_window_rejected(
-        self, core_world, tmp_path
-    ):
-        path = tmp_path / "ntp.ckpt"
-        save_checkpoint(AddressCorpus("ntp-pool"), path, 5)
-        campaign = make_campaign(core_world)
-        with pytest.raises(ValueError):
-            run_campaign_parallel(campaign, resume_from=path, end_week=1)
-
-
 class TestValidation:
     def test_bad_workers(self, core_world):
         with pytest.raises(ValueError):
@@ -184,12 +98,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_campaign_parallel(
                 make_campaign(core_world), workers=2, shard_count=0
-            )
-
-    def test_bad_interval(self, core_world):
-        with pytest.raises(ValueError):
-            run_campaign_parallel(
-                make_campaign(core_world), checkpoint_interval_weeks=0
             )
 
     def test_bad_window(self, core_world):

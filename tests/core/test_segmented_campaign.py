@@ -3,8 +3,8 @@
 Acceptance invariant (ISSUE 5): a segmented campaign — any flush
 budget, serial or sharded (workers 1/2/4), with or without a fault
 plan — produces a corpus **bit-identical** to the monolithic in-memory
-run, and resume restarts from the manifest rather than a whole-corpus
-checkpoint.
+run, and a run resumed from the manifest watermark is bit-identical to
+an uninterrupted one.
 """
 
 import io
@@ -13,12 +13,8 @@ import pytest
 
 from repro.core.campaign import CampaignConfig, NTPCampaign
 from repro.core.parallel import run_campaign_parallel
-from repro.core.segments import MANIFEST_NAME, SegmentStore
-from repro.core.storage import (
-    resolve_resume_checkpoint,
-    save_checkpoint,
-    save_corpus_binary,
-)
+from repro.core.segments import SegmentStore
+from repro.core.storage import save_corpus_binary
 from repro.faults import FaultPlan
 from repro.world import CAMPAIGN_EPOCH
 
@@ -116,17 +112,6 @@ class TestSegmentedIdentity:
         )
         assert retries > 0
 
-    def test_checkpoint_and_segments_are_mutually_exclusive(
-        self, core_world, tmp_path
-    ):
-        store = SegmentStore(tmp_path / "seg")
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_campaign_parallel(
-                make_campaign(core_world),
-                segment_store=store,
-                checkpoint=tmp_path / "ck.bin",
-            )
-
     def test_fresh_run_refuses_existing_manifest(self, core_world, tmp_path):
         store = SegmentStore(tmp_path, name="ntp-pool")
         run_campaign_parallel(
@@ -170,160 +155,75 @@ class TestManifestResume:
                 resume_from_segments=True,
             )
 
-    def test_checkpoint_import_when_checkpoint_is_ahead(
+    def test_serial_resume_from_manifest_watermark(
         self, core_world, serial_bytes, tmp_path
     ):
-        """Mixed resume: a 1-week manifest loses to a 1.5x checkpoint —
-        the checkpoint becomes the store's baseline import segment."""
-        checkpoint = tmp_path / "ck.bin"
-        head = make_campaign(core_world)
-        head.run(0, 1)
-        save_checkpoint(head.corpus, checkpoint, 1)
-
-        seg_dir = tmp_path / "segments"
-        store = SegmentStore(seg_dir, name="ntp-pool", segment_bytes=4096)
-        final = run_campaign_parallel(
-            make_campaign(core_world),
-            workers=2,
-            segment_store=store,
-            resume_from=checkpoint,
-        )
-        assert corpus_bytes(final) == serial_bytes
-        ids = [m.segment_id for m in store.load_manifest().segments]
-        assert "import-w0001" in ids
-
-    def test_manifest_wins_when_it_covers_more_weeks(
-        self, core_world, serial_bytes, tmp_path
-    ):
-        checkpoint = tmp_path / "ck.bin"
-        head = make_campaign(core_world)
-        head.run(0, 1)
-        save_checkpoint(head.corpus, checkpoint, 1)
-
-        seg_dir = tmp_path / "segments"
+        store = SegmentStore(tmp_path, name="ntp-pool", segment_bytes=4096)
         run_campaign_parallel(
             make_campaign(core_world),
-            segment_store=SegmentStore(seg_dir, name="ntp-pool"),
-            end_week=2,
-        )
-        store = SegmentStore(seg_dir, name="ntp-pool")
-        final = run_campaign_parallel(
-            make_campaign(core_world),
+            workers=1,
             segment_store=store,
-            resume_from=checkpoint,
+            end_week=1,
         )
-        assert corpus_bytes(final) == serial_bytes
-        ids = [m.segment_id for m in store.load_manifest().segments]
-        assert not any(name.startswith("import-") for name in ids)
+        assert store.load_manifest().completed_weeks == 1
 
-
-class TestResolveResumeMixedDirectory:
-    """resolve_resume_checkpoint with both a checkpoint and a manifest."""
-
-    def _checkpoint(self, core_world, tmp_path, weeks):
-        campaign = make_campaign(core_world)
-        campaign.run(0, weeks)
-        path = tmp_path / "ck.bin"
-        save_checkpoint(campaign.corpus, path, weeks)
-        return path, campaign.corpus
-
-    def _manifest(self, core_world, tmp_path, weeks):
-        seg_dir = tmp_path / "segments"
-        store = SegmentStore(seg_dir, name="ntp-pool", segment_bytes=4096)
-        corpus = run_campaign_parallel(
-            make_campaign(core_world), segment_store=store, end_week=weeks
-        )
-        return seg_dir, corpus
-
-    def test_manifest_preferred_when_further_along(
-        self, core_world, tmp_path
-    ):
-        ck_path, _ = self._checkpoint(core_world, tmp_path, 1)
-        seg_dir, seg_corpus = self._manifest(core_world, tmp_path, 2)
-        corpus, weeks, used, skipped = resolve_resume_checkpoint(
-            ck_path, segment_dir=seg_dir
-        )
-        assert weeks == 2
-        assert used == seg_dir / MANIFEST_NAME
-        assert corpus_bytes(corpus) == corpus_bytes(seg_corpus)
-        assert skipped == []
-
-    def test_tie_prefers_manifest(self, core_world, tmp_path):
-        # Deterministic tie-break rule: when checkpoint and segment
-        # directory cover the SAME number of weeks, the manifest (the
-        # segment store) wins — its data is already durably segmented,
-        # so resuming from it needs no whole-corpus rewrite.
-        ck_path, ck_corpus = self._checkpoint(core_world, tmp_path, 2)
-        seg_dir, seg_corpus = self._manifest(core_world, tmp_path, 2)
-        corpus, weeks, used, skipped = resolve_resume_checkpoint(
-            ck_path, segment_dir=seg_dir
-        )
-        assert weeks == 2
-        assert used == seg_dir / MANIFEST_NAME
-        assert corpus_bytes(corpus) == corpus_bytes(seg_corpus)
-        # Both sources describe the same campaign prefix, so the pick
-        # is invisible in the data — only in the resume mechanics.
-        assert corpus_bytes(ck_corpus) == corpus_bytes(seg_corpus)
-        assert skipped == []
-
-    def test_tie_resume_does_not_import_checkpoint(
-        self, core_world, serial_bytes, tmp_path
-    ):
-        # The campaign-level resume applies the same rule: on equal
-        # weeks it resumes from the manifest watermark and never
-        # rewrites the checkpoint into an import-w#### segment.
-        checkpoint = tmp_path / "ck.bin"
-        head = make_campaign(core_world)
-        head.run(0, 1)
-        save_checkpoint(head.corpus, checkpoint, 1)
-
-        seg_dir, _ = self._manifest(core_world, tmp_path, 1)
-        store = SegmentStore(seg_dir, name="ntp-pool")
-        final = run_campaign_parallel(
+        resumed = run_campaign_parallel(
             make_campaign(core_world),
-            segment_store=store,
-            resume_from=checkpoint,
+            workers=1,
+            segment_store=SegmentStore(
+                tmp_path, name="ntp-pool", segment_bytes=4096
+            ),
+            resume_from_segments=True,
         )
-        assert corpus_bytes(final) == serial_bytes
-        ids = [m.segment_id for m in store.load_manifest().segments]
-        assert not any(name.startswith("import-") for name in ids)
+        assert corpus_bytes(resumed) == serial_bytes
+        assert store.load_manifest().completed_weeks == WEEKS
 
-    def test_checkpoint_preferred_when_further_along(
-        self, core_world, tmp_path
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_metrics_are_cumulative(
+        self, core_world, workers, tmp_path
     ):
-        ck_path, ck_corpus = self._checkpoint(core_world, tmp_path, 2)
-        seg_dir, _ = self._manifest(core_world, tmp_path, 1)
-        corpus, weeks, used, skipped = resolve_resume_checkpoint(
-            ck_path, segment_dir=seg_dir
+        # An uninterrupted run's counters are the reference; a run
+        # stopped after week 1 and resumed from the manifest must report
+        # the same cumulative totals, not just the post-resume remainder.
+        reference = make_campaign(core_world)
+        run_campaign_parallel(
+            reference,
+            workers=workers,
+            segment_store=SegmentStore(tmp_path / "reference"),
         )
-        assert weeks == 2
-        assert used == ck_path
-        assert corpus_bytes(corpus) == corpus_bytes(ck_corpus)
 
-    def test_torn_manifest_segment_falls_back_to_checkpoint(
-        self, core_world, tmp_path
-    ):
-        ck_path, ck_corpus = self._checkpoint(core_world, tmp_path, 1)
-        seg_dir, _ = self._manifest(core_world, tmp_path, 2)
-        store = SegmentStore(seg_dir, name="ntp-pool")
-        victim = store.load_manifest().segments[0]
-        path = store.segment_path(victim)
-        path.write_bytes(path.read_bytes()[:-6])
-
-        corpus, weeks, used, skipped = resolve_resume_checkpoint(
-            ck_path, segment_dir=seg_dir
+        seg_dir = tmp_path / "resumed"
+        run_campaign_parallel(
+            make_campaign(core_world),
+            workers=workers,
+            segment_store=SegmentStore(seg_dir),
+            end_week=1,
         )
-        assert weeks == 1
-        assert used == ck_path
-        assert corpus_bytes(corpus) == corpus_bytes(ck_corpus)
-        assert any(str(path) in str(error) for _, error in skipped)
-
-    def test_manifest_only_directory_resumes_without_checkpoint(
-        self, core_world, tmp_path
-    ):
-        seg_dir, seg_corpus = self._manifest(core_world, tmp_path, 1)
-        corpus, weeks, used, skipped = resolve_resume_checkpoint(
-            None, segment_dir=seg_dir
+        resumed = make_campaign(core_world)
+        merged = run_campaign_parallel(
+            resumed,
+            workers=workers,
+            segment_store=SegmentStore(seg_dir),
+            resume_from_segments=True,
         )
-        assert weeks == 1
-        assert corpus_bytes(corpus) == corpus_bytes(seg_corpus)
+        assert corpus_bytes(merged) == corpus_bytes(reference.corpus)
+        for name in (
+            "repro_campaign_queries_total",
+            "repro_campaign_captured_total",
+            "repro_campaign_observations_total",
+        ):
+            assert resumed.metrics.counter_value(
+                name
+            ) == reference.metrics.counter_value(name), name
+
+    def test_manifest_ahead_of_window_rejected(self, core_world, tmp_path):
+        run_campaign_parallel(
+            make_campaign(core_world), segment_store=SegmentStore(tmp_path)
+        )
+        with pytest.raises(ValueError, match="ahead of the requested window"):
+            run_campaign_parallel(
+                make_campaign(core_world),
+                segment_store=SegmentStore(tmp_path),
+                resume_from_segments=True,
+                end_week=1,
+            )

@@ -9,10 +9,15 @@ containment).  Every recovery path must still merge to the serial
 corpus exactly.
 """
 
+import io
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.core.campaign import CampaignConfig, NTPCampaign
 from repro.core.parallel import ShardFailure, run_campaign_parallel
+from repro.core.segments import SegmentedCorpusReader, SegmentStore
+from repro.core.storage import save_corpus_binary
 from repro.world import CAMPAIGN_EPOCH
 
 
@@ -24,6 +29,12 @@ def make_campaign(world, weeks=1):
 
 def records(corpus):
     return dict(corpus.items())
+
+
+def corpus_bytes(corpus) -> bytes:
+    buffer = io.BytesIO()
+    save_corpus_binary(corpus, buffer)
+    return buffer.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -113,20 +124,54 @@ class TestKillMode:
         assert any("worker died" in f.error for f in campaign.shard_failures)
         assert all(f.action == "retried" for f in campaign.shard_failures)
 
-    def test_kill_with_checkpointing_still_resumable(
+    def test_death_during_submissions_is_recorded(
+        self, core_world, serial_corpus, chaos, monkeypatch
+    ):
+        # Shard 0's worker dies before shard 1 is submitted, so that
+        # submit() already finds the pool broken: the death must still
+        # be charged to shard 0, and both shards must run again.
+        chaos(1, mode="kill", shard=0)
+        submit = ProcessPoolExecutor.submit
+        waited = []
+
+        def submit_then_wait(pool, fn, spec):
+            future = submit(pool, fn, spec)
+            if not waited:
+                waited.append(spec.shard_index)
+                future.exception(timeout=60)  # fails once the pool broke
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_wait)
+        campaign = make_campaign(core_world)
+        merged = run_campaign_parallel(
+            campaign, workers=2, retry_backoff=0.0
+        )
+        assert records(merged) == records(serial_corpus)
+        assert [
+            (f.shard_index, f.kind, f.action) for f in campaign.shard_failures
+        ] == [(0, "worker-death", "retried")]
+
+    def test_kill_with_segment_store_still_resumable(
         self, core_world, serial_corpus, chaos, tmp_path
     ):
-        from repro.core.storage import load_checkpoint
-
+        # The kill breaks the pool mid-window.  Retried shards rewrite
+        # identical segment files and the manifest names only segments
+        # whose shards returned, so the store still reaches the full
+        # watermark and folds to the serial bytes.
         chaos(1, mode="kill")
-        path = tmp_path / "ntp.ckpt"
         campaign = make_campaign(core_world)
         run_campaign_parallel(
-            campaign, workers=2, checkpoint=path, retry_backoff=0.0
+            campaign,
+            workers=2,
+            segment_store=SegmentStore(
+                tmp_path, name="ntp-pool", segment_bytes=4096
+            ),
+            retry_backoff=0.0,
         )
-        corpus, completed = load_checkpoint(path)
-        assert completed == 1
-        assert records(corpus) == records(serial_corpus)
+        assert any("worker died" in f.error for f in campaign.shard_failures)
+        reader = SegmentedCorpusReader.open(tmp_path)
+        assert reader.completed_weeks == 1
+        assert corpus_bytes(reader.load()) == corpus_bytes(serial_corpus)
 
 
 class TestShardFailureRecords:

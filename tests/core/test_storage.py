@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from repro.core.corpus import AddressCorpus
 from repro.core.storage import (
-    load_checkpoint,
+    CorpusFormatError,
     load_corpus,
     load_corpus_binary,
     load_corpus_text,
-    save_checkpoint,
     save_corpus,
     save_corpus_binary,
     save_corpus_text,
@@ -215,24 +214,31 @@ class TestAtomicSave:
         assert list(tmp_path.iterdir()) == [path]
 
 
-class TestCheckpoints:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "campaign.ckpt"
-        corpus = sample_corpus()
-        save_checkpoint(corpus, path, 17)
-        loaded, completed = load_checkpoint(path)
-        assert completed == 17
-        assert_corpora_equal(corpus, loaded)
+class TestTruncatedCorpus:
+    def test_truncated_binary_corpus_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "sample.corpus.bin"
+        save_corpus(sample_corpus(), path)
+        data = path.read_bytes()
+        cut = len(data) - 7  # mid-record
+        path.write_bytes(data[:cut])
+        with pytest.raises(CorpusFormatError) as excinfo:
+            load_corpus(path)
+        error = excinfo.value
+        assert error.path == path
+        assert error.offset is not None
+        assert str(path) in str(error)
+        assert "byte offset" in str(error)
 
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "campaign.ckpt"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    def test_rejects_bad_week(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_checkpoint(sample_corpus(), tmp_path / "c.ckpt", -1)
+    def test_truncated_header_is_an_error_not_empty(self, tmp_path):
+        # Cutting the file inside the record-count field must raise —
+        # historically a short read here yielded a silently empty corpus.
+        path = tmp_path / "sample.corpus.bin"
+        save_corpus(sample_corpus(), path)
+        count_field = len(b"RPC2") + 2 + len(b"sample")
+        path.write_bytes(path.read_bytes()[: count_field + 4])
+        with pytest.raises(CorpusFormatError) as excinfo:
+            load_corpus(path)
+        assert "record count" in str(excinfo.value)
 
 
 class TestValidationOnLoad:

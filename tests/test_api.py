@@ -1,18 +1,15 @@
-"""Tests for the repro.api facade and the execution-options shim.
+"""Tests for the repro.api facade and the execution-options surface.
 
-Pins the two API promises of ISSUE 5: ``from repro.api import Study``
-round-trips the README quickstart, and the pre-consolidation execution
-keywords (``run_study(world, config, workers=...)`` /
-``StudyConfig(start=..., workers=...)``) still work but emit one
-:class:`DeprecationWarning` per process.
+Pins the two API promises: ``from repro.api import Study`` round-trips
+the README quickstart, and execution options travel only in one
+:class:`ExecutionOptions` value — loose execution keywords
+(``StudyConfig(start=..., workers=...)``) are a ``TypeError``.
 """
 
 import io
-import warnings
 
 import pytest
 
-import repro.core.study as study_module
 from repro.api import Study, open_corpus, release
 from repro.core import (
     AddressCorpus,
@@ -128,60 +125,27 @@ class TestRelease:
         assert release(path).prefix_counts == artifact.prefix_counts
 
 
-class TestLegacyExecutionKwargs:
-    @pytest.fixture(autouse=True)
-    def _reset_once_per_process_flag(self):
-        previous = study_module._legacy_kwargs_warned
-        study_module._legacy_kwargs_warned = False
-        yield
-        study_module._legacy_kwargs_warned = previous
-
-    def test_study_config_legacy_kwargs_warn_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = StudyConfig(
-                start=CAMPAIGN_EPOCH, weeks=10, workers=3, max_shard_retries=1
-            )
+class TestExecutionSurface:
+    def test_study_config_rejects_loose_execution_keywords(self):
+        with pytest.raises(TypeError, match="workers"):
             StudyConfig(start=CAMPAIGN_EPOCH, weeks=10, workers=2)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "workers" in str(deprecations[0].message)
-        assert config.workers == 3
-        assert config.execution.max_shard_retries == 1
 
-    def test_run_study_legacy_kwargs_override_and_warn(self, api_world):
+    def test_run_study_rejects_loose_execution_keywords(self, api_world):
         config = StudyConfig(start=CAMPAIGN_EPOCH, weeks=10, seed=7)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = run_study(api_world, config, build_index=False)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
+        with pytest.raises(TypeError, match="build_index"):
+            run_study(api_world, config, build_index=False)
+
+    def test_study_config_has_no_execution_attributes(self):
+        config = StudyConfig(
+            start=CAMPAIGN_EPOCH,
+            weeks=10,
+            execution=ExecutionOptions(workers=3),
         )
-        assert results.origins is None
-        # The caller's config object is never mutated by the override.
-        assert config.build_index is True
-
-    def test_legacy_and_execution_together_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            StudyConfig(
-                start=CAMPAIGN_EPOCH,
-                weeks=10,
-                workers=2,
-                execution=ExecutionOptions(),
-            )
-
-    def test_unknown_kwargs_still_raise_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            StudyConfig(start=CAMPAIGN_EPOCH, weeks=10, wrokers=2)
+        assert config.execution.workers == 3
+        assert not hasattr(config, "workers")
 
 
 class TestExecutionOptionsValidation:
-    def test_checkpoint_and_segment_dir_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ExecutionOptions(checkpoint="ck.bin", segment_dir="segments")
-
     def test_resume_from_segments_needs_segment_dir(self):
         with pytest.raises(ValueError, match="segment_dir"):
             ExecutionOptions(resume_from_segments=True)

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core import load_corpus
 from repro.core.corpus import AddressCorpus
+from repro.core.segments import SegmentStore
 from repro.core.storage import save_corpus
 
 
@@ -34,16 +35,17 @@ class TestParser:
 
     def test_study_campaign_options(self):
         args = build_parser().parse_args(
-            ["study", "--workers", "4", "--checkpoint", "c.ckpt", "--resume"]
+            ["study", "--workers", "4", "--segment-dir", "seg", "--resume"]
         )
         assert args.workers == 4
-        assert args.checkpoint == "c.ckpt"
+        assert args.segment_dir == "seg"
         assert args.resume is True
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["study", "--checkpoint", "c.ckpt"])
 
     def test_campaign_option_defaults(self):
         args = build_parser().parse_args(["study"])
         assert args.workers == 1
-        assert args.checkpoint is None
         assert args.resume is False
         assert args.faults is None
         assert args.max_shard_retries == 2
@@ -123,10 +125,9 @@ class TestParallelStudyCommand:
     def test_sharded_study_matches_serial_bytes(
         self, study_dir, tmp_path
     ):
-        # Same seed, sharded across 2 workers with checkpointing: the
-        # saved NTP corpus must be byte-identical to the serial run's.
+        # Same seed, sharded across 2 workers: the saved NTP corpus must
+        # be byte-identical to the serial run's.
         output = tmp_path / "parallel"
-        checkpoint = tmp_path / "ntp.ckpt"
         code = main(
             [
                 "study",
@@ -135,18 +136,18 @@ class TestParallelStudyCommand:
                 "--scale", "tiny",
                 "--output-dir", str(output),
                 "--workers", "2",
-                "--checkpoint", str(checkpoint),
             ]
         )
         assert code == 0
         serial = (study_dir / "ntp-pool.corpus.bin").read_bytes()
         sharded = (output / "ntp-pool.corpus.bin").read_bytes()
         assert serial == sharded
-        assert checkpoint.exists()
 
-    def test_resume_without_checkpoint_flag_exits(self, capsys):
-        with pytest.raises(SystemExit):
+    def test_resume_without_segment_dir_exits(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["study", "--resume"])
+        assert excinfo.value.code == 2
+        assert "--resume requires --segment-dir" in capsys.readouterr().err
 
     def test_bad_faults_spec_exits(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -356,18 +357,6 @@ class TestFlagUnification:
         second = build_parser().parse_args(rebuilt)
         assert vars(first) == vars(second)
 
-    def test_checkpoint_with_segment_dir_exits(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "study",
-                    "--checkpoint", str(tmp_path / "ck.bin"),
-                    "--segment-dir", str(tmp_path / "segments"),
-                ]
-            )
-        assert excinfo.value.code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
 
 class TestSegmentedStudyCommand:
     def test_segmented_study_matches_serial_bytes(self, study_dir, tmp_path):
@@ -414,6 +403,80 @@ class TestSegmentedStudyCommand:
         )
         assert code == 0
         assert "prefix,addresses" in release_out.read_text()
+
+
+    def test_resume_continues_to_uninterrupted_bytes(self, tmp_path):
+        """A 10-week store resumed to 12 weeks equals a fresh 12-week run."""
+        seg_dir = tmp_path / "segments"
+        common = ["study", "--seed", "3", "--scale", "tiny", "--workers", "2"]
+        assert main(
+            common + [
+                "--weeks", "10",
+                "--segment-dir", str(seg_dir),
+                "--output-dir", str(tmp_path / "first"),
+            ]
+        ) == 0
+        assert main(
+            common + [
+                "--weeks", "12",
+                "--segment-dir", str(seg_dir),
+                "--resume",
+                "--output-dir", str(tmp_path / "resumed"),
+            ]
+        ) == 0
+        assert main(
+            common + ["--weeks", "12", "--output-dir", str(tmp_path / "fresh")]
+        ) == 0
+        resumed = (tmp_path / "resumed" / "ntp-pool.corpus.bin").read_bytes()
+        fresh = (tmp_path / "fresh" / "ntp-pool.corpus.bin").read_bytes()
+        assert resumed == fresh
+
+
+def committed_store(directory, weeks):
+    """A segment store whose manifest watermark stands at ``weeks``."""
+    corpus = AddressCorpus("ntp-pool")
+    corpus.record(0x2001 << 112 | 1, 100.0)
+    store = SegmentStore(directory, name="ntp-pool")
+    meta = store.write_segment(
+        corpus, segment_id="w0", start_day=0, end_day=7 * weeks
+    )
+    store.commit([meta], completed_weeks=weeks)
+    return directory
+
+
+class TestSegmentStoreRefusals:
+    """Refusals of a --segment-dir run are flag errors, not tracebacks."""
+
+    def test_existing_store_without_resume_exits(self, tmp_path, capsys):
+        seg_dir = committed_store(tmp_path / "segments", weeks=10)
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "study", "--weeks", "10",
+                    "--segment-dir", str(seg_dir),
+                    "--output-dir", str(tmp_path / "out"),
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "already holds a committed manifest" in err
+        assert "--resume" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_resume_past_weeks_exits(self, tmp_path, capsys):
+        seg_dir = committed_store(tmp_path / "segments", weeks=12)
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "report", "--weeks", "10",
+                    "--segment-dir", str(seg_dir),
+                    "--resume",
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "covers 12 weeks" in err
+        assert "--weeks 10" in err
 
 
 class TestMatrixCommand:
