@@ -34,6 +34,7 @@ from .engine import CoalescingEngine, QUERY_OPS
 from .fleet import (
     FleetConfig,
     IndexReloader,
+    fork_index_build,
     reuseport_socket,
     run_single,
     run_supervisor,
@@ -102,6 +103,7 @@ __all__ = [
     "build_serving_index",
     "ensure_serving_index",
     "flatten_origin_table",
+    "fork_index_build",
     "manifest_digest",
     "manifest_fingerprint",
     "reuseport_socket",

@@ -23,6 +23,14 @@ and each worker atomically swaps the new :class:`ServingIndex` into its
 (``repro_serve_index_reloads_total``).  Batches execute synchronously
 within a tick, so no kernel call ever straddles a swap; the replaced
 mmap stays valid until closed, so answers already in flight are safe.
+
+No serving process ever builds an index itself.  Every build — at
+start-up and on reload, in the single process, the supervisor and each
+worker — runs in a child forked by :func:`fork_index_build`, which
+inherits the routing table, and whose numpy temporaries (a few times
+the file size) die with it, so they never set a server's peak memory.
+The server waits on the child's result pipe, merges the metrics it
+sends back, and maps the published file itself.
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ import select
 import signal
 import socket
 import time
-from functools import partial
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -64,6 +71,7 @@ __all__ = [
     "DEFAULT_RELOAD_INTERVAL",
     "FleetConfig",
     "IndexReloader",
+    "fork_index_build",
     "reuseport_socket",
     "run_single",
     "run_supervisor",
@@ -154,6 +162,154 @@ def write_metrics(registry: MetricsRegistry, path: str) -> None:
     logger.info("metrics written to %s", target)
 
 
+# -- serving-index builds in a forked child -----------------------------------
+
+
+def _build_in_child(directory, routing, rebuild: bool, sender) -> None:
+    """Forked builder: ensure the index, report back, exit.
+
+    The report is ``(metrics snapshot, FileNotFoundError or None)``.
+    Any other failure ends the child with its traceback on stderr and
+    no report, as a kill does.
+    """
+    # The fork copied the server's signal set-up: asyncio's wakeup fd (a
+    # socket the server's loop reads) and its no-op C handlers.  Left
+    # alone, a SIGTERM sent to the builder only would be written to that
+    # socket and handled by the server as its own.  With the defaults
+    # back, it stops the builder and nothing else.
+    signal.set_wakeup_fd(-1)
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
+    registry = MetricsRegistry()
+    missing = None
+    try:
+        ensure_serving_index(
+            directory,
+            routing=routing,
+            metrics=registry,
+            rebuild=rebuild,
+            lock=True,
+        ).close()
+    except FileNotFoundError as error:  # no store: the server reports it
+        missing = error
+    with contextlib.suppress(OSError):  # the server is gone: nothing to tell
+        sender.send((registry.snapshot(), missing))
+
+
+class IndexBuild:
+    """One serving-index build running in a forked child.
+
+    :meth:`result` blocks for the child's report (start-up);
+    :meth:`wait` awaits it on the running loop (reload), with no
+    thread.  Either way the server then merges the child's metrics into
+    its own registry and maps the published file with
+    :meth:`ServingIndex.open`, whose whole-file CRC check decides what
+    is served.
+    """
+
+    __slots__ = ("directory", "process", "_receiver")
+
+    def __init__(self, directory: Path, process, receiver) -> None:
+        self.directory = directory
+        self.process = process
+        self._receiver = receiver
+
+    def result(self, metrics: MetricsRegistry) -> ServingIndex:
+        """Collect the child's report and open the index it published.
+
+        A missing store raises the child's :class:`FileNotFoundError`;
+        a child that failed or was killed before reporting raises
+        :class:`ChildProcessError` naming its exit code.
+        """
+        try:
+            report = self._receiver.recv()
+        except EOFError:
+            report = None
+        finally:
+            self._receiver.close()
+            self.process.join()
+        if report is None:
+            raise ChildProcessError(
+                f"serving index builder pid={self.process.pid} exited "
+                f"with code {self.process.exitcode} before reporting"
+            )
+        snapshot, missing = report
+        metrics.merge_snapshot(snapshot)
+        if missing is not None:
+            raise missing
+        index = ServingIndex.open(self.directory)
+        # Merging keeps a gauge that already exists, so the rows gauge
+        # is set here, from the index actually served.
+        metrics.gauge(
+            "repro_serve_index_rows", "rows in the last built serving index"
+        ).set(index.rows)
+        return index
+
+    async def wait(self, metrics: MetricsRegistry) -> ServingIndex:
+        """:meth:`result`, once the child has reported and exited.
+
+        The loop keeps serving meanwhile: it watches the result pipe
+        (the report, or EOF from a child that died), then the process
+        sentinel, so neither the read nor the reap blocks it.
+        Cancelled, it terminates the child (a build killed mid-write
+        leaves only a temp file, which the next build removes).
+        """
+        try:
+            await _readable(self._receiver.fileno())
+            await _readable(self.process.sentinel)
+        except BaseException:
+            self.process.terminate()
+            self.process.join()
+            self._receiver.close()
+            raise
+        return self.result(metrics)
+
+
+async def _readable(fd: int) -> None:
+    """Return once ``fd`` is readable (data or EOF) on the running loop."""
+    loop = asyncio.get_running_loop()
+    readable = loop.create_future()
+    loop.add_reader(
+        fd, lambda: readable.done() or readable.set_result(None)
+    )
+    try:
+        await readable
+    finally:
+        loop.remove_reader(fd)
+
+
+def fork_index_build(
+    directory, *, routing=None, rebuild: bool = False
+) -> IndexBuild:
+    """Fork a child that runs ``ensure_serving_index(lock=True)``.
+
+    The ``fork`` context is explicit: the child inherits ``routing``
+    (and the rest of the server's state) instead of rebuilding it, and
+    the build's temporaries are returned to the OS when it exits.  The
+    serving processes run no threads, which is what makes forking them
+    safe.  The ``flock`` election is unchanged — concurrent builders,
+    one per worker, still elect one writer.  Only the child's report
+    crosses the pipe.
+    """
+    directory = Path(directory)
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    process = context.Process(
+        target=_build_in_child,
+        args=(directory, routing, rebuild, sender),
+        name="repro-serve-builder",
+        daemon=True,
+    )
+    try:
+        process.start()
+    except BaseException:
+        receiver.close()
+        raise
+    finally:
+        sender.close()
+    return IndexBuild(directory, process, receiver)
+
+
 # -- live index reload ---------------------------------------------------------
 
 
@@ -164,11 +320,13 @@ class IndexReloader:
     fingerprint against the last one seen; the first poll has none, so
     it checks the digest against the index the engine serves.  A digest
     change means the segment list the current index was derived from
-    is gone: the reloader rebuilds-or-reuses ``SERVING.rsi`` under the
-    advisory build lock (in a thread, so queries keep flowing off the
-    old snapshot), swaps it into the engine between ticks, and closes
-    the old index — whose mmap stays valid for any still-referenced
-    view.
+    is gone: a forked builder (:func:`fork_index_build`) rebuilds or
+    reuses ``SERVING.rsi`` under the advisory build lock while queries
+    keep flowing off the old snapshot; the reloader awaits its report
+    on the loop, maps the file, swaps it into the engine between ticks,
+    and closes the old index — whose mmap stays valid for any
+    still-referenced view.  A failed or killed build swaps nothing and
+    is retried at the next poll.
     """
 
     def __init__(
@@ -210,22 +368,13 @@ class IndexReloader:
             # but the segment list — hence every answer — is the same.
             self._fingerprint = fingerprint
             return False
-        loop = asyncio.get_running_loop()
-        new_index = await loop.run_in_executor(
-            None,
-            partial(
-                ensure_serving_index,
-                self.directory,
-                routing=self.routing,
-                metrics=self.metrics,
-                lock=True,
-            ),
-        )
+        build = fork_index_build(self.directory, routing=self.routing)
+        new_index = await build.wait(self.metrics)
         old = self.engine.swap_index(new_index)
         # Deferred one tick: any callback already queued ahead of this
         # one still sees a closeable-but-valid mapping (close() keeps
         # the mmap alive while views reference it).
-        loop.call_soon(old.close)
+        asyncio.get_running_loop().call_soon(old.close)
         self._fingerprint = fingerprint
         self._m_reloads.inc()
         logger.info(
@@ -320,13 +469,9 @@ def run_single(config: FleetConfig) -> int:
     registry = MetricsRegistry()
     routing = _origin_routing(config)
     try:
-        index = ensure_serving_index(
-            config.directory,
-            routing=routing,
-            metrics=registry,
-            rebuild=config.rebuild,
-            lock=True,
-        )
+        index = fork_index_build(
+            config.directory, routing=routing, rebuild=config.rebuild
+        ).result(registry)
     except FileNotFoundError as error:
         logger.error("no segment store to serve: %s", error)
         return 2
@@ -376,11 +521,8 @@ def _worker_main(
     registry = MetricsRegistry()
     try:
         routing = _origin_routing(config)
-        index = ensure_serving_index(
-            config.directory,
-            routing=routing,
-            metrics=registry,
-            lock=True,
+        index = fork_index_build(config.directory, routing=routing).result(
+            registry
         )
         sock = reuseport_socket(config.host, config.port)
         holder: dict = {}
@@ -438,8 +580,9 @@ def _drain_pipe(fd: int) -> None:
 def run_supervisor(config: FleetConfig) -> int:
     """Pre-fork ``config.workers`` serving processes and babysit them.
 
-    Builds/validates the serving index once up front (so workers start
-    by mmapping a known-good file), resolves the port by binding a
+    Builds/validates the serving index once up front, in a forked
+    builder (so workers start by mmapping a known-good file), resolves
+    the port by binding a
     placeholder ``SO_REUSEPORT`` socket (held, never listening — the
     port stays reserved across worker restarts), forks the fleet,
     prints ``SERVE READY host port`` once every worker listens,
@@ -450,13 +593,9 @@ def run_supervisor(config: FleetConfig) -> int:
     registry = MetricsRegistry()
     routing = _origin_routing(config)
     try:
-        index = ensure_serving_index(
-            config.directory,
-            routing=routing,
-            metrics=registry,
-            rebuild=config.rebuild,
-            lock=True,
-        )
+        index = fork_index_build(
+            config.directory, routing=routing, rebuild=config.rebuild
+        ).result(registry)
     except FileNotFoundError as error:
         logger.error("no segment store to serve: %s", error)
         return 2

@@ -51,8 +51,8 @@ intervals (:func:`flatten_origin_table`): longest-prefix match becomes
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import mmap
+import os
 import struct
 import sys
 import zlib
@@ -66,13 +66,6 @@ try:  # POSIX advisory locking for multi-process builder election
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
-
-try:  # glibc: hand free heap pages back to the OS (see _release_free_heap)
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-    _malloc_trim.restype = ctypes.c_int
-except (AttributeError, OSError, TypeError):  # pragma: no cover - not glibc
-    _malloc_trim = None
 
 from ..core import kernels as _kernels
 from ..core.segments import (
@@ -452,23 +445,6 @@ class ColumnarResults:
             for i in range(len(first.columns))
         )
         return cls(first.family, mask, columns)
-
-
-def _release_free_heap() -> None:
-    """Return the allocator's free pages to the OS (glibc; else a no-op).
-
-    An index build frees a few file sizes of numpy temporaries at
-    once, but glibc gives an arena's free memory back only from the
-    arena's top: whatever lies below a small chunk that is still live
-    stays resident.  Which chunks those are follows the timing of the
-    requests served beside a reload, so a reloading server kept a
-    varying share of each build (0-10 MiB on a 140k-row index), and
-    its peak varied with it.  ``malloc_trim(0)`` releases every free
-    page in every arena, so after each build the process holds only
-    what is live.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
 
 
 def _peek_generation(path: Path) -> int:
@@ -960,6 +936,29 @@ class ServingIndex:
         return self.columnar_batch("origin", addresses).to_list()
 
 
+def _remove_dead_builders_temp_files(directory: Path) -> None:
+    """Delete ``SERVING.rsi.tmp-<pid>`` files whose writer is dead.
+
+    The store's atomic writer removes its temp file when the write
+    raises, but a SIGKILLed builder raises nothing and leaves one as
+    large as the index.  Called under :func:`serving_build_lock`, when
+    no live elected builder can be writing; a temp file whose pid is
+    still alive (or was reused) is left alone.
+    """
+    prefix = f"{SERVING_INDEX_NAME}.tmp-"
+    for temp in directory.glob(prefix + "*"):
+        pid = temp.name[len(prefix):]
+        if not pid.isdigit() or not int(pid):
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(FileNotFoundError):
+                temp.unlink()
+        except OSError:  # alive, owned by another user
+            pass
+
+
 def ensure_serving_index(
     directory: Union[str, Path],
     *,
@@ -984,10 +983,15 @@ def ensure_serving_index(
     check-or-build runs under :func:`serving_build_lock`, so concurrent
     workers reacting to one manifest change elect a single builder: the
     winner rebuilds, the losers block on the lock and then reuse the
-    fresh index.
+    fresh index.  The lock holder first removes the temp files of
+    builders that died mid-write (:func:`_remove_dead_builders_temp_files`).
     """
+    directory = Path(directory)
+    if directory.name == MANIFEST_NAME:
+        directory = directory.parent
     if lock:
         with serving_build_lock(directory):
+            _remove_dead_builders_temp_files(directory)
             return ensure_serving_index(
                 directory,
                 routing=routing,
@@ -995,9 +999,6 @@ def ensure_serving_index(
                 rebuild=rebuild,
             )
     registry = NULL_REGISTRY if metrics is None else metrics
-    directory = Path(directory)
-    if directory.name == MANIFEST_NAME:
-        directory = directory.parent
     store = SegmentStore(directory, metrics=registry)
     manifest = store.load_manifest()
     if manifest is None:
@@ -1031,7 +1032,4 @@ def ensure_serving_index(
         labels={"reason": reason},
     ).inc()
     build_serving_index(directory, routing=routing, metrics=registry)
-    # The build's temporaries are all freed by now: return their pages
-    # before the new file is mapped (and faulted in) beside the old one.
-    _release_free_heap()
     return ServingIndex.open(directory)
