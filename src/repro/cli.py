@@ -449,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         subparser.add_argument(
             "--shard-timeout", type=float, default=None, metavar="SECONDS",
-            help="wall-clock deadline for one round of collection shards; "
-                 "a hung worker is killed and the shard retried "
-                 "(default: no deadline)",
+            help="wall-clock deadline for each collection shard attempt, "
+                 "counted from its start; a hung shard is killed and "
+                 "retried (default: no deadline)",
         )
         subparser.add_argument(
             "--profile", action="store_true",

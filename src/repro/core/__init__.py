@@ -33,7 +33,7 @@ from .lifetime import (
 )
 from .decay import corpus_decay, responsiveness_decay
 from .outages import ASActivityRecorder, OutageEvent, detect_outages
-from .parallel import ShardFailure, ShardSpec, run_campaign_parallel
+from .parallel import ShardFailure, run_campaign_parallel
 from .segments import (
     PARTIAL_INDEX_SUFFIX,
     Manifest,
@@ -86,7 +86,6 @@ __all__ = [
     "SegmentStore",
     "SegmentedCorpusReader",
     "ShardFailure",
-    "ShardSpec",
     "StudyConfig",
     "StudyResults",
     "TRANSITION_THRESHOLD",

@@ -63,8 +63,8 @@ class ExecutionOptions:
     #: Failed shards are resubmitted this many times before degrading
     #: to inline execution.
     max_shard_retries: int = 2
-    #: Wall-clock seconds one round of shard submissions may take
-    #: before hung workers are killed and the shards retried (``None``
+    #: Wall-clock seconds one shard attempt may take, counted from its
+    #: start, before it is killed and the shard retried (``None``
     #: disables the deadline).
     shard_timeout: Optional[float] = None
     #: Build one columnar :class:`CorpusIndex` per corpus after the

@@ -1,9 +1,10 @@
-"""Environment-driven process chaos for the sharded executor.
+"""Environment-driven process chaos for forked shards and matrix cells.
 
-The retry/containment machinery in :mod:`repro.core.parallel` needs a
-way to make real workers really die — an in-process monkeypatch does
-not cross the ``ProcessPoolExecutor`` boundary.  This module reads a
-small environment protocol at shard entry:
+The retry/containment machinery in :mod:`repro.core.parallel` and
+:mod:`repro.matrix.runner` needs a way to make the real child that runs
+a shard or cell attempt really raise, die or hang, including inside a
+``repro`` command that no test can monkeypatch.  This module reads a
+small environment protocol at shard (or cell) entry:
 
 * ``REPRO_CHAOS_TOKENS`` — a directory of token files; each triggered
   failure atomically consumes one token, so the number of files placed
@@ -11,11 +12,11 @@ small environment protocol at shard entry:
 * ``REPRO_CHAOS_SHARD`` — only shards with this index fail (optional;
   default: any shard);
 * ``REPRO_CHAOS_MODE`` — ``"raise"`` (default) raises
-  :class:`ChaosInjected` inside the worker, exercising the exception
-  path; ``"kill"`` hard-exits the worker process, breaking the pool and
-  exercising crash containment; ``"hang"`` makes the worker sleep
-  (for ``REPRO_CHAOS_HANG_SECONDS``, default one hour), exercising the
-  wall-clock deadline / hung-worker-kill paths.
+  :class:`ChaosInjected` inside the child, exercising the exception
+  path; ``"kill"`` hard-exits the child before it reports, exercising
+  crash containment; ``"hang"`` makes the child sleep (for
+  ``REPRO_CHAOS_HANG_SECONDS``, default one hour), exercising the
+  per-attempt deadline and the kill of a hung child.
 
 With no environment set this is a no-op costing one ``os.environ``
 lookup.  The CI chaos job and ``tests/core/test_shard_retry.py`` drive
@@ -31,7 +32,7 @@ import time
 
 __all__ = ["ChaosInjected", "maybe_fail_shard"]
 
-#: Exit status of a chaos-killed worker (distinctive in pool tracebacks).
+#: Exit status of a chaos-killed child (distinctive in failure records).
 KILL_STATUS = 17
 
 #: Default sleep of a hang-mode worker: long enough that any realistic

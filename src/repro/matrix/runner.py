@@ -1,16 +1,17 @@
 """Fault-tolerant execution of a validated scenario sweep.
 
-Each cell runs in its **own process** (one campaign or full study per
-cell), so a cell that crashes, hangs or is OOM-killed takes down only
-itself.  The coordinating process is a small scheduler:
+Each cell attempt runs in its **own forked process** (one campaign or
+full study per cell), so a cell that crashes, hangs or is OOM-killed
+takes down only itself.  The coordinating process drives the same
+supervisor as the sharded campaign (:func:`repro.core.jobs.run_jobs`):
 
 * up to ``matrix_workers`` cells run concurrently;
-* every cell gets a wall-clock deadline (``cell_timeout``); an
+* every cell attempt gets a wall-clock deadline (``cell_timeout``); an
   overrunning cell's process is killed and the attempt recorded with
   ``kind="timeout"`` — the one failure mode exception-based retry can
   never catch;
 * failed attempts are retried with capped exponential backoff (the
-  shard-retry idiom one level up), and a cell that keeps failing
+  shard-retry policy one level up), and a cell that keeps failing
   degrades to a terminal typed :class:`CellFailure` while the sweep
   continues;
 * the ``MATRIX.json`` manifest is atomically rewritten after *every*
@@ -34,17 +35,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import multiprocessing
-import multiprocessing.connection
 import os
 import signal
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..core.campaign import CampaignConfig, NTPCampaign
+from ..core.jobs import Outcome, backoff_delay, run_jobs
 from ..core.parallel import run_campaign_parallel
 from ..core.storage import save_corpus
 from ..core.study import ExecutionOptions, StudyConfig, run_study
@@ -72,9 +71,6 @@ logger = logging.getLogger(__name__)
 
 #: File a cell process writes (atomically, last) on success.
 RESULT_NAME = "RESULT.json"
-
-#: File a cell process writes its traceback to before dying.
-ERROR_NAME = "ERROR.txt"
 
 
 @dataclass(frozen=True)
@@ -191,58 +187,6 @@ def execute_cell(
     return result
 
 
-def _cell_main(cell_doc: Dict[str, object], cell_dir: str) -> None:
-    """Cell process entry point (must stay module-level: spawn-safe).
-
-    Honours the ``REPRO_CHAOS_*`` protocol keyed on the **cell index**,
-    then runs :func:`execute_cell`.  Any exception is written to
-    ``ERROR.txt`` (so the coordinator can report *why* the cell died)
-    before propagating into a non-zero exit status.
-    """
-    cell = CellSpec.from_json(cell_doc)
-    try:
-        maybe_fail_shard(cell.index)
-        execute_cell(cell, cell_dir)
-    except BaseException:
-        try:
-            Path(cell_dir).mkdir(parents=True, exist_ok=True)
-            (Path(cell_dir) / ERROR_NAME).write_text(
-                traceback.format_exc()
-            )
-        except OSError:
-            pass
-        raise
-
-
-@dataclass
-class _Running:
-    cell: CellSpec
-    process: multiprocessing.Process
-    attempt: int
-    started: float
-    deadline: Optional[float]
-    killed: bool = False
-
-
-@dataclass
-class _Queued:
-    cell: CellSpec
-    attempt: int
-    not_before: float
-
-
-def _error_text(cell_dir: Path, fallback: str) -> str:
-    """The cell's recorded traceback tail, or ``fallback``."""
-    try:
-        text = (cell_dir / ERROR_NAME).read_text().strip()
-    except OSError:
-        return fallback
-    if not text:
-        return fallback
-    last = text.splitlines()[-1]
-    return f"{fallback}: {last}"
-
-
 def run_matrix(
     spec: MatrixSpec,
     directory: Union[str, Path],
@@ -254,14 +198,13 @@ def run_matrix(
     retry_backoff: float = 0.25,
     retry_backoff_cap: float = 30.0,
     metrics: Optional[MetricsRegistry] = None,
-    poll_interval: float = 0.05,
 ) -> MatrixResults:
     """Run (or resume) a scenario sweep under ``directory``.
 
     * Infeasible cells are rejected by validation before any compute
       and recorded with their reasons.
-    * Each runnable cell executes in its own process with a
-      ``cell_timeout`` wall-clock deadline (hung cells are killed) and
+    * Each runnable cell attempt executes in its own forked process with
+      a ``cell_timeout`` wall-clock deadline (hung cells are killed) and
       up to ``max_cell_retries`` capped-backoff retries; a permanently
       failed cell becomes a terminal ``failed``/``timeout`` record and
       the sweep continues.
@@ -353,7 +296,7 @@ def run_matrix(
         spec_digest=spec_digest, spec=spec.to_json()
     )
     failures: List[CellFailure] = []
-    to_run: List[_Queued] = []
+    to_run: Dict[str, CellSpec] = {}
 
     for rejection in rejected:
         manifest.cells[rejection.cell_id] = CellRecord(
@@ -395,116 +338,77 @@ def run_matrix(
                 cell.cell_id,
             )
         manifest.cells[cell.cell_id] = record
-        to_run.append(_Queued(cell=cell, attempt=1, not_before=0.0))
+        to_run[cell.cell_id] = cell
 
     save_manifest(manifest, directory / MATRIX_NAME)
 
-    def backoff_delay(attempt: int) -> float:
-        if retry_backoff <= 0:
-            return 0.0
-        return min(
-            retry_backoff_cap, retry_backoff * (2 ** (attempt - 1))
-        )
+    def cell_attempt(cell_id: str) -> Dict[str, object]:
+        """One cell attempt, in its forked process.
 
-    def launch(item: _Queued) -> _Running:
-        cell_dir = cells_root / item.cell.cell_id
+        Honours the ``REPRO_CHAOS_*`` protocol keyed on the **cell
+        index**, then runs :func:`execute_cell`.
+        """
+        cell = to_run[cell_id]
+        cell_dir = cells_root / cell_id
         cell_dir.mkdir(parents=True, exist_ok=True)
-        for stale in (RESULT_NAME, ERROR_NAME):
-            try:
-                (cell_dir / stale).unlink()
-            except FileNotFoundError:
-                pass
-        process = multiprocessing.Process(
-            target=_cell_main,
-            args=(item.cell.to_json(), str(cell_dir)),
-            name=f"matrix-{item.cell.cell_id}",
-        )
-        process.start()
-        record = manifest.cells[item.cell.cell_id]
+        # A stale commit point must not outlive this attempt's writes.
+        (cell_dir / RESULT_NAME).unlink(missing_ok=True)
+        maybe_fail_shard(cell.index)
+        return execute_cell(cell, cell_dir)
+
+    def started(cell_id: str, attempt: int) -> None:
+        record = manifest.cells[cell_id]
         record.status = "running"
-        record.attempts = item.attempt
+        record.attempts = attempt
         save_manifest(manifest, directory / MATRIX_NAME)
-        now = time.monotonic()
-        return _Running(
-            cell=item.cell,
-            process=process,
-            attempt=item.attempt,
-            started=now,
-            deadline=(
-                now + cell_timeout if cell_timeout is not None else None
-            ),
-        )
 
-    def settle(entry: _Running) -> None:
-        """Classify a finished cell process and advance its record."""
-        cell = entry.cell
-        cell_dir = cells_root / cell.cell_id
-        record = manifest.cells[cell.cell_id]
-        exitcode = entry.process.exitcode
-        entry.process.join()
-        entry.process.close()
-        seconds = time.monotonic() - entry.started
-        h_seconds.observe(seconds)
+    def settle(outcome: Outcome) -> Optional[float]:
+        """Classify a finished cell attempt and advance its record."""
+        cell_id = outcome.key
+        record = manifest.cells[cell_id]
+        h_seconds.observe(outcome.seconds)
+        if outcome.ok:
+            result = outcome.value
+            record.status = "ok"
+            record.kind = None
+            record.error = None
+            record.digest = result["digest"]
+            record.records = result["records"]
+            record.seconds = result["seconds"]
+            m_ok.inc()
+            logger.info(
+                "cell %s ok (%s records, %.2fs, attempt %d)",
+                cell_id,
+                record.records,
+                outcome.seconds,
+                outcome.attempt,
+            )
+            save_manifest(manifest, directory / MATRIX_NAME)
+            return None
 
-        kind: Optional[str] = None
-        error = ""
-        if exitcode == 0:
-            try:
-                result = json.loads((cell_dir / RESULT_NAME).read_text())
-            except (OSError, json.JSONDecodeError) as read_error:
-                kind = "exception"
-                error = (
-                    f"cell exited cleanly but left no readable "
-                    f"{RESULT_NAME}: {read_error}"
-                )
-            else:
-                record.status = "ok"
-                record.kind = None
-                record.error = None
-                record.digest = result.get("digest")
-                record.records = result.get("records")
-                record.seconds = result.get("seconds", seconds)
-                m_ok.inc()
-                logger.info(
-                    "cell %s ok (%s records, %.2fs, attempt %d)",
-                    cell.cell_id,
-                    record.records,
-                    seconds,
-                    entry.attempt,
-                )
-                save_manifest(manifest, directory / MATRIX_NAME)
-                return
-        elif entry.killed:
+        if outcome.timed_out:
             kind = "timeout"
             error = (
                 f"cell overran its {cell_timeout}s wall-clock deadline "
                 "and was killed"
             )
-        elif exitcode is not None and exitcode == -signal.SIGKILL:
+        elif outcome.exitcode == -signal.SIGKILL:
             kind = "oom-kill"
-            error = _error_text(
-                cell_dir, "cell process was killed (SIGKILL, likely OOM)"
-            )
+            error = "cell process was killed (SIGKILL, likely OOM)"
+        elif outcome.error is not None:
+            kind, error = "exception", outcome.error
         else:
             kind = "exception"
-            error = _error_text(
-                cell_dir, f"cell process exited with status {exitcode}"
-            )
-
+            error = f"cell process exited with status {outcome.exitcode}"
         record.kind = kind
         record.error = error
-        if entry.attempt <= max_cell_retries:
+        delay = None
+        if outcome.attempt <= max_cell_retries:
             action = "retried"
             record.status = "pending"
             m_retries.inc()
-            to_run.append(
-                _Queued(
-                    cell=cell,
-                    attempt=entry.attempt + 1,
-                    not_before=(
-                        time.monotonic() + backoff_delay(entry.attempt)
-                    ),
-                )
+            delay = backoff_delay(
+                outcome.attempt, retry_backoff, retry_backoff_cap
             )
         else:
             action = "failed"
@@ -515,66 +419,32 @@ def run_matrix(
                 m_failed.inc()
         failures.append(
             CellFailure(
-                cell_id=cell.cell_id,
+                cell_id=cell_id,
                 kind=kind,
-                attempt=entry.attempt,
+                attempt=outcome.attempt,
                 error=error,
                 action=action,
             )
         )
         logger.warning(
             "cell %s failed (attempt %d, %s): %s -> %s",
-            cell.cell_id,
-            entry.attempt,
+            cell_id,
+            outcome.attempt,
             kind,
             error,
             action,
         )
         save_manifest(manifest, directory / MATRIX_NAME)
+        return delay
 
-    running: Dict[str, _Running] = {}
-    while to_run or running:
-        now = time.monotonic()
-        if len(running) < matrix_workers:
-            ready = [item for item in to_run if item.not_before <= now]
-            for item in ready:
-                if len(running) >= matrix_workers:
-                    break
-                to_run.remove(item)
-                running[item.cell.cell_id] = launch(item)
-        progressed = False
-        for cell_id in list(running):
-            entry = running[cell_id]
-            if entry.process.is_alive():
-                if (
-                    entry.deadline is not None
-                    and time.monotonic() >= entry.deadline
-                    and not entry.killed
-                ):
-                    entry.process.kill()
-                    entry.killed = True
-                continue
-            del running[cell_id]
-            settle(entry)
-            progressed = True
-        if not progressed and (running or to_run):
-            # Wait on the running processes' sentinels so cell exits
-            # wake the scheduler immediately; poll_interval only caps
-            # the wait (deadlines and backoff re-queues need polling).
-            timeout = poll_interval
-            now = time.monotonic()
-            for entry in running.values():
-                if entry.deadline is not None and not entry.killed:
-                    timeout = min(timeout, max(0.0, entry.deadline - now))
-            sentinels = [
-                entry.process.sentinel for entry in running.values()
-            ]
-            if sentinels:
-                multiprocessing.connection.wait(
-                    sentinels, timeout=timeout
-                )
-            else:
-                time.sleep(timeout)
+    run_jobs(
+        list(to_run),
+        cell_attempt,
+        settle,
+        workers=matrix_workers,
+        timeout=cell_timeout,
+        started=started,
+    )
 
     return MatrixResults(
         directory=directory,

@@ -1,0 +1,146 @@
+"""Tests for repro.core.jobs — the fork-per-attempt supervisor.
+
+Campaign shards and matrix cells both run on :func:`run_jobs`; their own
+suites drive it through the chaos hooks.  These tests pin the
+supervisor's neutral contract directly: what each kind of ending looks
+like as an :class:`Outcome`, requeueing after the settle function's
+delay, the worker cap, and that no child outlives the call.
+"""
+
+import multiprocessing
+import os
+import signal
+import time
+
+import pytest
+
+from repro.core.jobs import backoff_delay, run_jobs
+
+
+def run_all(keys, work, **kwargs):
+    outcomes = {}
+
+    def settle(outcome):
+        outcomes[outcome.key] = outcome
+
+    run_jobs(keys, work, settle, **kwargs)
+    return outcomes
+
+
+class TestOutcomes:
+    def test_each_ending_is_reported_neutrally(self):
+        # A nested function: it reaches the child only because the
+        # child is forked, never pickled.
+        def work(key):
+            if key == "return":
+                return {"doubled": 21 * 2}
+            if key == "raise":
+                raise ValueError("boom")
+            if key == "exit":
+                os._exit(3)
+            if key == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)
+
+        keys = ["return", "raise", "exit", "sigkill", "hang"]
+        outcomes = run_all(keys, work, workers=len(keys), timeout=2.0)
+        assert sorted(outcomes) == sorted(keys)
+
+        returned = outcomes["return"]
+        assert returned.ok and returned.value == {"doubled": 42}
+        assert returned.attempt == 1
+
+        raised = outcomes["raise"]
+        assert not raised.ok
+        assert raised.error == "ValueError: boom"
+        assert raised.exitcode is None and not raised.timed_out
+
+        assert outcomes["exit"].exitcode == 3
+        assert outcomes["exit"].error is None
+        assert outcomes["sigkill"].exitcode == -signal.SIGKILL
+
+        hung = outcomes["hang"]
+        assert hung.timed_out and hung.exitcode is None
+        assert 2.0 <= hung.seconds < 30
+        assert multiprocessing.active_children() == []
+
+
+class TestScheduling:
+    def test_settle_requeues_after_its_delay(self, tmp_path):
+        marker = tmp_path / "failed-once"
+
+        def work(key):
+            if not marker.exists():
+                marker.touch()
+                raise RuntimeError("first attempt fails")
+            return key
+
+        events = []
+
+        def settle(outcome):
+            events.append(("settled", outcome.attempt, time.monotonic()))
+            return 0.3 if not outcome.ok else None
+
+        run_jobs(
+            ["job"],
+            work,
+            settle,
+            started=lambda key, attempt: events.append(
+                ("started", attempt, time.monotonic())
+            ),
+        )
+        assert [(kind, attempt) for kind, attempt, _ in events] == [
+            ("started", 1),
+            ("settled", 1),
+            ("started", 2),
+            ("settled", 2),
+        ]
+        assert events[2][2] - events[1][2] >= 0.3
+
+    def test_at_most_workers_children_run_at_once(self):
+        peak = []
+
+        def started(key, attempt):
+            peak.append(len(multiprocessing.active_children()))
+
+        run_jobs(
+            range(6),
+            lambda key: time.sleep(0.2),
+            lambda outcome: None,
+            workers=2,
+            started=started,
+        )
+        assert len(peak) == 6
+        assert max(peak) == 2
+
+    def test_an_error_in_the_parent_kills_and_reaps_children(self):
+        def work(key):
+            if key == "hang":
+                time.sleep(60)
+
+        def settle(outcome):
+            raise RuntimeError(f"settle failed for {outcome.key}")
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="settle failed for quick"):
+            run_jobs(["hang", "quick"], work, settle, workers=2)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_bad_worker_count(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_jobs([1], lambda key: key, lambda outcome: None, workers=0)
+
+
+@pytest.mark.parametrize(
+    "attempt, base, cap, expected",
+    [
+        (1, 0.5, 30.0, 0.5),
+        (2, 0.5, 30.0, 1.0),
+        (3, 0.5, 30.0, 2.0),
+        (10, 0.5, 30.0, 30.0),
+        (1, 0.0, 30.0, 0.0),
+    ],
+)
+def test_backoff_delay(attempt, base, cap, expected):
+    assert backoff_delay(attempt, base, cap) == expected

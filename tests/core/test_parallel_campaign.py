@@ -1,4 +1,4 @@
-"""Tests for repro.core.parallel — sharded in-memory execution.
+"""Tests for repro.core.parallel — sharded execution without a store.
 
 The load-bearing invariant: because every capture decision draws from
 ``split_rng(seed, "capture", device_id, day)``, partitioning the device
@@ -8,13 +8,15 @@ timestamps, same observation counts — for any worker or shard count.
 """
 
 import io
+import tempfile
 
 import pytest
 
 from repro.core.campaign import CampaignConfig, NTPCampaign
 from repro.core.corpus import AddressCorpus
-from repro.core.parallel import ShardSpec, run_campaign_parallel, run_shard
+from repro.core.parallel import run_campaign_parallel
 from repro.core.storage import save_corpus_binary
+from repro.faults import FaultPlan
 from repro.world import CAMPAIGN_EPOCH
 
 
@@ -64,7 +66,7 @@ class TestShardedIdentity:
     def test_in_process_shards_partition_devices(
         self, core_world, serial_corpus
     ):
-        # Shards computed directly (no pool) also merge to the serial run.
+        # Shards computed directly (no children) also merge to the serial run.
         merged = AddressCorpus("merged")
         for index in range(3):
             shard = make_campaign(core_world)
@@ -72,21 +74,33 @@ class TestShardedIdentity:
             merged.merge(shard.corpus)
         assert records(merged) == records(serial_corpus)
 
-    def test_run_shard_matches_in_process(self, core_world):
-        spec = ShardSpec(
-            world_config=core_world.config,
-            campaign_config=CampaignConfig(
-                start=CAMPAIGN_EPOCH, weeks=2, seed=5
-            ),
-            shard_index=0,
-            shard_count=2,
-            start_week=0,
-            end_week=2,
-        )
-        worker_corpus = run_shard(spec)
-        local = make_campaign(core_world)
-        local.run(shard_index=0, shard_count=2)
-        assert records(worker_corpus) == records(local.corpus)
+
+class TestScratchStore:
+    """Without a caller's store, shards seal into a temporary one."""
+
+    @pytest.fixture()
+    def scratch_root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_removed_after_folding(
+        self, core_world, serial_corpus, scratch_root
+    ):
+        merged = run_campaign_parallel(make_campaign(core_world), workers=2)
+        assert records(merged) == records(serial_corpus)
+        assert list(scratch_root.iterdir()) == []
+
+    def test_removed_when_the_campaign_fails(self, core_world, scratch_root):
+        # Every segment write fails, in the children and inline alike.
+        plan = FaultPlan(seed=3, segment_write_failure_rate=1.0)
+        with pytest.raises(OSError, match="injected storage fault"):
+            run_campaign_parallel(
+                make_campaign(core_world, faults=plan),
+                workers=2,
+                max_shard_retries=0,
+                retry_backoff=0.0,
+            )
+        assert list(scratch_root.iterdir()) == []
 
 
 class TestValidation:

@@ -4,13 +4,11 @@ Real failures are injected through the ``REPRO_CHAOS_*`` environment
 protocol (see :mod:`repro.faults.chaos`): token files in a directory,
 each consumed by one induced failure, in either ``raise`` mode (the
 worker raises, exercising the retry path) or ``kill`` mode (the worker
-process hard-exits, breaking the process pool and exercising rebuild
-containment).  Every recovery path must still merge to the serial
-corpus exactly.
+process hard-exits without a report, exercising crash containment).
+Every recovery path must still merge to the serial corpus exactly.
 """
 
 import io
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -80,7 +78,7 @@ class TestRaiseMode:
     def test_repeated_failures_degrade_to_inline(
         self, core_world, serial_corpus, chaos
     ):
-        # Plenty of tokens targeting shard 0: every pool attempt fails,
+        # Plenty of tokens targeting shard 0: every forked attempt fails,
         # so after max_shard_retries the shard is recomputed inline —
         # the campaign must complete rather than abort.
         chaos(10, mode="raise", shard=0)
@@ -111,9 +109,9 @@ class TestKillMode:
     def test_killed_worker_is_contained(
         self, core_world, serial_corpus, chaos
     ):
-        # A worker hard-exiting breaks the whole ProcessPoolExecutor;
-        # the executor must rebuild the pool, retry, and still produce
-        # the exact serial corpus.
+        # A worker hard-exiting without a report is charged a
+        # worker-death and forked again; the campaign still produces the
+        # exact serial corpus.
         chaos(1, mode="kill")
         campaign = make_campaign(core_world)
         merged = run_campaign_parallel(
@@ -124,24 +122,12 @@ class TestKillMode:
         assert any("worker died" in f.error for f in campaign.shard_failures)
         assert all(f.action == "retried" for f in campaign.shard_failures)
 
-    def test_death_during_submissions_is_recorded(
-        self, core_world, serial_corpus, chaos, monkeypatch
+    def test_death_is_charged_to_its_own_shard_only(
+        self, core_world, serial_corpus, chaos
     ):
-        # Shard 0's worker dies before shard 1 is submitted, so that
-        # submit() already finds the pool broken: the death must still
-        # be charged to shard 0, and both shards must run again.
+        # Each attempt is its own process: shard 0's death fails only
+        # shard 0, and shard 1 completes on its first attempt.
         chaos(1, mode="kill", shard=0)
-        submit = ProcessPoolExecutor.submit
-        waited = []
-
-        def submit_then_wait(pool, fn, spec):
-            future = submit(pool, fn, spec)
-            if not waited:
-                waited.append(spec.shard_index)
-                future.exception(timeout=60)  # fails once the pool broke
-            return future
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_wait)
         campaign = make_campaign(core_world)
         merged = run_campaign_parallel(
             campaign, workers=2, retry_backoff=0.0
@@ -154,7 +140,7 @@ class TestKillMode:
     def test_kill_with_segment_store_still_resumable(
         self, core_world, serial_corpus, chaos, tmp_path
     ):
-        # The kill breaks the pool mid-window.  Retried shards rewrite
+        # The kill ends a shard mid-window.  Retried shards rewrite
         # identical segment files and the manifest names only segments
         # whose shards returned, so the store still reaches the full
         # watermark and folds to the serial bytes.

@@ -93,6 +93,23 @@ class TestHappyPath:
         assert manifest.complete
         assert manifest.counts()["ok"] == 1
 
+    def test_sharded_cells_match_their_serial_siblings(self, tmp_path):
+        # A workers=2 cell forks its own shard children from inside its
+        # forked cell process; its corpus must still equal the workers=1
+        # cell's, with faults off and on.
+        spec = micro_spec(workers=(1, 2))
+        result = run_matrix(spec, tmp_path)
+        assert result.counts["ok"] == 4
+        digests = {}
+        for cell in spec.expand():
+            digests.setdefault(cell.faults, {})[cell.workers] = (
+                result.manifest.cells[cell.cell_id].digest
+            )
+        assert sorted(digests, key=str) == sorted([None, FAULTY], key=str)
+        for by_workers in digests.values():
+            assert by_workers[1] == by_workers[2]
+        assert digests[None][1] != digests[FAULTY][1]
+
     def test_matrix_workers_run_cells_concurrently(self, tmp_path):
         result = run_matrix(
             micro_spec(seeds=(0, 1)), tmp_path, matrix_workers=2
