@@ -19,8 +19,10 @@ Runs standalone too (CI perf smoke)::
     PYTHONPATH=src python benchmarks/bench_analysis_index.py \
         --addresses 30000 --check
 
-``--check`` exits non-zero when results diverge or the indexed path is
-slower than the naive one.  Results land in
+``--check`` exits non-zero when results diverge, the indexed path is
+slower than the naive one, or the built index retains more than
+``MAX_INDEX_BYTES_PER_ROW`` heap bytes per row (tracemalloc, measured in
+a separate untimed build).  Results land in
 ``benchmarks/output/BENCH_analysis.json``.
 
 ``--incremental`` benches the segmented path instead: the same corpus is
@@ -39,6 +41,7 @@ import pathlib
 import random
 import sys
 import time
+import tracemalloc
 
 _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:  # standalone invocation without PYTHONPATH
@@ -54,7 +57,7 @@ from repro.core.categories import (
 )
 from repro.core.compare import compare_datasets, phone_provider_shares
 from repro.core.corpus import AddressCorpus
-from repro.core.index import CachedOrigins
+from repro.core.index import CachedOrigins, PartialIndexColumns
 from repro.core.lifetime import (
     address_lifetime_summary,
     eui64_iid_lifetimes,
@@ -72,6 +75,8 @@ COUNTRIES = ("DE", "US", "JP", "FR", "BR", "IN", "GB", "NL")
 #: Average addresses per distinct /64 — the clustering CachedOrigins
 #: exploits (the paper's corpora are similarly /64-heavy).
 CLUSTER = 24
+#: ``--check`` bar on the heap a built index retains, in bytes per row.
+MAX_INDEX_BYTES_PER_ROW = 100
 
 
 def build_routing():
@@ -167,6 +172,25 @@ def run_suite(ntp, active, origin, registry, ipv4_origin, country_of):
         "top_as_entropy": top_as_entropy_distributions(ntp, origin, top=10),
         "tracking": analyze_tracking(ntp, origin, country_of),
     }
+
+
+def index_retained_bytes_per_row(events, table):
+    """Heap bytes per row still held after ``build_index`` (tracemalloc).
+
+    The corpus is built before tracing starts, so only what the index
+    itself keeps alive is counted: its columns and anything they hold.
+    """
+    corpus = build_corpus("ntp-pool", events)
+    origins = CachedOrigins.from_routing_table(table)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus.build_index(origins)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained / len(corpus)
 
 
 def results_match(naive, indexed):
@@ -278,6 +302,9 @@ def run_bench(n_events, seed=11, repeat=2):
         "naive_seconds": round(naive_seconds, 4),
         "indexed_seconds": round(indexed_seconds, 4),
         "index_build_seconds": round(build_seconds, 4),
+        "index_retained_bytes_per_row": round(
+            index_retained_bytes_per_row(events, table), 1
+        ),
         "speedup": round(naive_seconds / indexed_seconds, 2),
         "results_equal": results_match(naive, indexed),
     }
@@ -351,18 +378,10 @@ def run_incremental_bench(n_events, seed=11, repeat=2, segments=24):
             fold_index = result if fold_index is None else fold_index
             fold_seconds = min(fold_seconds, seconds)
 
-        identical = (
-            fold_index.addresses == cold_index.addresses
-            and fold_index.slash48s == cold_index.slash48s
-            and fold_index.slash64s == cold_index.slash64s
-            and all(
-                getattr(fold_index, column).tobytes()
-                == getattr(cold_index, column).tobytes()
-                for column in (
-                    "first", "last", "counts", "iids",
-                    "entropies", "pattern_codes", "macs",
-                )
-            )
+        identical = fold_index.addresses == cold_index.addresses and all(
+            getattr(fold_index, column).tobytes()
+            == getattr(cold_index, column).tobytes()
+            for column, _ in PartialIndexColumns.COLUMN_SPEC
         )
         return {
             "mode": "incremental",
@@ -416,6 +435,8 @@ def render(payload):
             f"indexed: {payload['indexed_seconds']:.2f}s "
             f"(incl. {payload['index_build_seconds']:.2f}s index build, "
             f"{payload['lpm_calls']:,} LPM calls)",
+            f"index heap: {payload['index_retained_bytes_per_row']:.1f} "
+            "B/row retained after the build (tracemalloc)",
             f"speedup: {payload['speedup']:.2f}x end-to-end, "
             f"results identical: {payload['results_equal']}",
         ]
@@ -439,7 +460,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero when results diverge or speedup < --min-speedup",
+        help="exit non-zero when results diverge, speedup < --min-speedup "
+             "or the index retains more than MAX_INDEX_BYTES_PER_ROW",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=None, metavar="X",
@@ -498,6 +520,18 @@ def main(argv=None):
                 file=sys.stderr,
             )
             return 1
+        if (
+            not args.incremental
+            and payload["index_retained_bytes_per_row"]
+            > MAX_INDEX_BYTES_PER_ROW
+        ):
+            print(
+                f"FAIL: the index retains "
+                f"{payload['index_retained_bytes_per_row']:.1f} B/row "
+                f"> {MAX_INDEX_BYTES_PER_ROW}",
+                file=sys.stderr,
+            )
+            return 1
         print(f"OK: {payload['speedup']:.2f}x, results identical")
     return 0
 
@@ -509,6 +543,7 @@ def test_analysis_index_speedup(benchmark):
     write_bench_json("analysis", payload)
     assert payload["results_equal"]
     assert payload["speedup"] > 1.0
+    assert payload["index_retained_bytes_per_row"] <= MAX_INDEX_BYTES_PER_ROW
 
     table, registry, blocks = build_routing()
     macs = [(0x0011_22 << 24) + n for n in range(200)]

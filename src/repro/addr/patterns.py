@@ -237,9 +237,10 @@ class CategoryClassifier:
         """Classify via a columnar corpus index; equals classify_corpus.
 
         ``index`` is a :class:`repro.core.index.CorpusIndex` (duck-typed:
-        only its ``addresses``, ``iids`` and ``pattern_codes`` columns
-        are read).  ``rows`` restricts classification to a row subset
-        (the windowed Fig. 5 variant); ``None`` means all rows.
+        only its ``addresses``, ``hi``, ``lo`` (the IID) and
+        ``pattern_codes`` columns are read).  ``rows`` restricts
+        classification to a row subset (the windowed Fig. 5 variant);
+        ``None`` means all rows.
 
         The same two-pass acceptance rule runs, but structural classes
         come from the precomputed pattern-code column, and candidate
@@ -248,8 +249,8 @@ class CategoryClassifier:
         the counts are exactly those of :meth:`classify_corpus`.
         """
         addresses = index.addresses
-        iids = index.iids
-        codes = index.pattern_codes
+        iids = index.lo.tolist()
+        codes = index.pattern_codes.tolist()
         row_list = (
             range(len(addresses)) if rows is None else list(rows)
         )
@@ -318,21 +319,22 @@ class CategoryClassifier:
         announcement more specific than /64 (a ``hot_slash64s``
         attribute, as :class:`repro.core.index.CachedOrigins` does),
         every other /64 shares one origin across its addresses, so the
-        resolver runs once per distinct /64 key from the index's
-        ``slash64s`` column; hot /64s resolve per address.
+        resolver runs once per distinct /64 key, read from the index's
+        ``hi`` column; hot /64s resolve per address.
         """
         origin = self._ipv6_origin
         if origin is None:
             return [None] * len(row_list)
         addresses = index.addresses
-        slash64s = getattr(index, "slash64s", None)
         hot = getattr(origin, "hot_slash64s", None)
-        if slash64s is None or hot is None:
+        if hot is None:
             return [origin(addresses[row]) for row in row_list]
+        hot = {key >> 64 for key in hot}
+        hi = index.hi.tolist()
         cache: Dict[int, Optional[int]] = {}
         asns: List[Optional[int]] = []
         for row in row_list:
-            key = slash64s[row]
+            key = hi[row]
             if key in hot:
                 asns.append(origin(addresses[row]))
                 continue

@@ -69,7 +69,7 @@ def corpus_entropy_samples(corpus) -> List[float]:
     """
     index = getattr(corpus, "index", None)
     if index is not None:
-        return list(index.entropy_samples())
+        return index.entropies.tolist()
     return [
         normalized_iid_entropy(iid_of(address))
         for address in corpus.addresses()

@@ -55,19 +55,19 @@ def top_as_entropy_distributions(
             rows = range(len(index))
         else:
             rows = index.rows_in_window(*window)
+        addresses = index.addresses
         by_asn_rows: Dict[int, List[int]] = {}
         for row in rows:
-            asn = origin(index.addresses[row])
+            asn = origin(addresses[row])
             if asn is not None:
                 by_asn_rows.setdefault(asn, []).append(row)
         ranked_rows = sorted(
             by_asn_rows.items(), key=lambda item: -len(item[1])
         )[:top]
-        entropies = index.entropies
         result = {}
         for asn, as_rows in ranked_rows:
             label = as_name(asn) if as_name is not None else f"AS{asn}"
-            result[label] = [entropies[row] for row in as_rows]
+            result[label] = index.entropies[as_rows].tolist()
         return result
     if window is None:
         addresses = list(corpus.addresses())

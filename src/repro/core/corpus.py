@@ -13,13 +13,10 @@ the ablation bench (DESIGN.md §6) quantifies why.
 For analysis workloads a corpus can carry a columnar
 :class:`~repro.core.index.CorpusIndex` (see :meth:`AddressCorpus.build_index`);
 while one is attached, the aggregate accessors below answer from its
-memoized columns instead of re-scanning the records.  Appends
-(:meth:`AddressCorpus.record`, :meth:`AddressCorpus.record_interval`,
-:meth:`AddressCorpus.merge`) keep the attached index current via
-:meth:`CorpusIndex.observe <repro.core.index.CorpusIndex.observe>`
-delta maintenance rather than invalidating it; only genuinely
-destructive mutations (clearing the record store, as a segment seal
-does) drop the index and force a rebuild.
+memoized columns instead of re-scanning the records.  An index is never
+patched: any mutation (:meth:`AddressCorpus.record`,
+:meth:`AddressCorpus.record_interval`, :meth:`AddressCorpus.merge`)
+drops it, and the next analysis builds or folds a fresh one.
 """
 
 from __future__ import annotations
@@ -27,6 +24,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..addr.eui64 import extract_mac
 from ..addr.ipv6 import iid_of, slash48_of, slash64_of
@@ -49,9 +48,8 @@ class AddressCorpus:
         self.name = name
         # address -> [first_seen, last_seen, observation_count]
         self._records: Dict[int, List[float]] = {}
-        # Columnar index over the records; None until built.  Appends
-        # maintain it in place (CorpusIndex.observe); destructive
-        # mutations must reset it to None.
+        # Columnar index over the records; None until built, and reset
+        # to None by every mutation.
         self._index = None
 
     # -- columnar index ------------------------------------------------------
@@ -78,8 +76,8 @@ class AddressCorpus:
     def attach_index(self, index) -> None:
         """Attach a prebuilt index (must match this corpus's size).
 
-        The attached index stays live: subsequent appends maintain it
-        via :meth:`CorpusIndex.observe <repro.core.index.CorpusIndex.observe>`.
+        The index answers the aggregate accessors until the corpus is
+        next mutated, which drops it.
         """
         if index is not None and len(index) != len(self._records):
             raise ValueError(
@@ -103,8 +101,7 @@ class AddressCorpus:
             if when > record[1]:
                 record[1] = when
             record[2] += 1
-        if self._index is not None:
-            self._index.observe(address, record[0], record[1], record[2])
+        self._index = None
 
     def record_interval(
         self, address: int, first: float, last: float, count: int = 2
@@ -128,8 +125,7 @@ class AddressCorpus:
             record[0] = min(record[0], first)
             record[1] = max(record[1], last)
             record[2] += count
-        if self._index is not None:
-            self._index.observe(address, record[0], record[1], record[2])
+        self._index = None
 
     @classmethod
     def from_history(
@@ -151,13 +147,13 @@ class AddressCorpus:
         record store directly — the hot path when a sharded campaign
         folds worker snapshots back together.
         """
+        self._index = None
         if not isinstance(other, AddressCorpus):
             for address, (first, last, count) in other.items():
                 self.record_interval(address, first, last, count)
             return
-        index = self._index
         records = self._records
-        if not records and index is None:
+        if not records:
             # Bulk copy: list copies keep the two corpora independent.
             self._records = {
                 address: record.copy()
@@ -167,16 +163,13 @@ class AddressCorpus:
         for address, record in other._records.items():
             mine = records.get(address)
             if mine is None:
-                mine = record.copy()
-                records[address] = mine
+                records[address] = record.copy()
             else:
                 if record[0] < mine[0]:
                     mine[0] = record[0]
                 if record[1] > mine[1]:
                     mine[1] = record[1]
                 mine[2] += record[2]
-            if index is not None:
-                index.observe(address, mine[0], mine[1], mine[2])
 
     # -- basic access ----------------------------------------------------------
 
@@ -294,13 +287,14 @@ class AddressCorpus:
 
     def eui64_addresses(self) -> Iterator[int]:
         """Addresses whose IID carries the EUI-64 marker."""
-        if self._index is not None:
+        index = self._index
+        if index is not None:
             from .index import NO_MAC
 
-            index = self._index
-            for row, mac in enumerate(index.macs):
-                if mac != NO_MAC:
-                    yield index.addresses[row]
+            rows = np.flatnonzero(index.macs != np.uint64(NO_MAC))
+            addresses = index.addresses
+            for row in rows.tolist():
+                yield addresses[row]
             return
         for address in self._records:
             if extract_mac(address) is not None:

@@ -12,21 +12,22 @@ property of an address exactly once, resolve origin once per distinct
 The heavy per-IID work (entropy, pattern class, MAC extraction) and the
 column folds live in :mod:`repro.core.kernels`, vectorized with numpy and
 bit-identical to the scalar reference functions.
-An index is **incrementally maintainable**: corpus appends call
-:meth:`CorpusIndex.observe` to update columns in place instead of
-invalidating the index, and a segmented corpus is indexed by folding
-seal-time :class:`PartialIndexColumns` (one per segment) with
-:meth:`CorpusIndex.from_partials` — no segment rescan.
+An index is built once — by one scan of a corpus
+(:meth:`CorpusIndex.build`) or by one fold of seal-time
+:class:`PartialIndexColumns`, one per segment
+(:meth:`CorpusIndex.from_partials`, no segment rescan) — and is never
+patched: a corpus that changes drops its index.
 
 Three classes implement that:
 
 * :class:`CorpusIndex` — a one-pass columnar materialization of an
-  :class:`~repro.core.corpus.AddressCorpus`: parallel columns for
-  address, first/last/count, /48 key, /64 key, IID, normalized IID
-  entropy, structural pattern class and extracted EUI-64 MAC, plus
-  lazily-memoized aggregate views (prefix sets, lifetimes, IID
-  intervals, per-MAC groupings, origin-AS counts) shared by every
-  consumer.
+  :class:`~repro.core.corpus.AddressCorpus`: eight row-aligned numpy
+  columns in the ``.idx`` row layout (the address as ``hi``/``lo`` u64
+  halves, first/last/count, normalized IID entropy, structural pattern
+  code and extracted EUI-64 MAC), plus lazily-memoized aggregate views
+  (prefix sets, lifetimes, IID intervals, per-MAC groupings, origin-AS
+  counts) shared by every consumer.  The IID is ``lo``, the /64 key is
+  ``hi`` and the /48 key is ``hi`` with its low 16 bits cleared.
 * :class:`PartialIndexColumns` — one sealed segment's columnar summary,
   built at seal time and persisted next to the segment; any set of
   partials folds associatively into a full :class:`CorpusIndex`.
@@ -38,35 +39,21 @@ Three classes implement that:
   single /64, so the resolver precomputes that "hot" /64 set and falls
   back to per-address LPM inside it.
 
-Columns use :mod:`array` storage where the element width permits
-(timestamps, counts, 64-bit IIDs/MACs, entropy, pattern codes); 128-bit
-addresses and prefix keys stay in plain lists.
+Aggregate views hand out Python ints, floats, lists and dicts, never
+numpy scalars: ``np.uint64`` fails :func:`json.dumps`, and the ``repr``
+of ``np.float64`` differs from a float's.
 """
 
 from __future__ import annotations
 
-from array import array
+import time
 from collections import Counter
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-import sys
+import numpy as np
 
 from ..addr.ipv6 import IID_MASK, PREFIX_MASK
-from ..addr.patterns import (
-    AddressCategory,
-    CATEGORY_BY_CODE,
-    STRUCTURAL_CODES,
-)
+from ..addr.patterns import STRUCTURAL_CODES
 from . import kernels as _kernels
 from .kernels import NO_MAC
 
@@ -78,27 +65,47 @@ __all__ = [
     "STRUCTURAL_CODES",
 ]
 
-_SLASH48_MASK = ~((1 << 80) - 1)
+#: The /48 key of an address, as a mask over its ``hi`` half.
+_SLASH48_HI_MASK = np.uint64(0xFFFF_FFFF_FFFF_0000)
 
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _column_le_bytes(column: array) -> bytes:
-    """Serialize an :mod:`array` column as little-endian bytes."""
-    if _BIG_ENDIAN:  # pragma: no cover - no big-endian CI platform
-        swapped = array(column.typecode, column)
-        swapped.byteswap()
-        return swapped.tobytes()
-    return column.tobytes()
+_RECORD_DTYPE = np.dtype(
+    [("first", "<f8"), ("last", "<f8"), ("counts", "<u8")]
+)
 
 
-def _column_from_le(typecode: str, data: bytes) -> array:
-    """Deserialize a little-endian byte run into an :mod:`array` column."""
-    column = array(typecode)
-    column.frombytes(data)
-    if _BIG_ENDIAN:  # pragma: no cover
-        column.byteswap()
-    return column
+def _record_columns(corpus):
+    """``(addresses, hi, lo, first, last, counts)`` in ``corpus`` record
+    order, from one scan: the address list and five ndarrays."""
+    size = len(corpus)
+    addresses: List[int] = []
+    keep = addresses.append
+
+    def records():
+        for address, record in corpus.items():
+            keep(address)
+            yield record
+
+    table = np.fromiter(records(), dtype=_RECORD_DTYPE, count=size)
+    hi = np.fromiter(
+        (address >> 64 for address in addresses), dtype="<u8", count=size
+    )
+    lo = np.fromiter(
+        (address & IID_MASK for address in addresses), dtype="<u8", count=size
+    )
+    return (
+        addresses,
+        hi,
+        lo,
+        *(np.ascontiguousarray(table[name]) for name in _RECORD_DTYPE.names),
+    )
+
+
+def _distinct_rows(keys):
+    """First row and row count of each distinct value of ``keys``, in
+    first-occurrence order."""
+    _, first, sizes = np.unique(keys, return_index=True, return_counts=True)
+    emit = np.argsort(first)
+    return first[emit], sizes[emit]
 
 
 class CachedOrigins:
@@ -200,24 +207,25 @@ class CorpusIndex:
     lifetime vectors) are exactly equal to their naive per-consumer
     recomputations.
 
-    Aggregate accessors return internal memoized objects; treat them as
-    read-only (``AddressCorpus`` delegation hands out copies).
+    The columns are the :attr:`PartialIndexColumns.COLUMN_SPEC` eight,
+    as ndarrays.  Aggregate accessors return internal memoized objects;
+    treat them as read-only (``AddressCorpus`` delegation hands out
+    copies).
     """
 
     __slots__ = (
         "name",
-        "addresses",
+        "hi",
+        "lo",
         "first",
         "last",
         "counts",
-        "slash48s",
-        "slash64s",
-        "iids",
         "entropies",
         "pattern_codes",
         "macs",
         "origins",
         "build_seconds",
+        "_addresses",
         "_slash48_set",
         "_slash64_set",
         "_slash64_counts",
@@ -226,43 +234,40 @@ class CorpusIndex:
         "_iid_entropies",
         "_eui64_rows",
         "_eui64_intervals",
-        "_row_of",
     )
 
     def __init__(
         self,
         name: str,
-        addresses: List[int],
-        first: array,
-        last: array,
-        counts: array,
-        slash48s: List[int],
-        slash64s: List[int],
-        iids: array,
-        entropies: array,
-        pattern_codes: array,
-        macs: array,
+        hi: np.ndarray,
+        lo: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+        counts: np.ndarray,
+        entropies: np.ndarray,
+        pattern_codes: np.ndarray,
+        macs: np.ndarray,
         origins: Optional[CachedOrigins] = None,
         build_seconds: float = 0.0,
+        addresses: Optional[List[int]] = None,
     ) -> None:
-        size = len(addresses)
-        for column in (first, last, counts, slash48s, slash64s, iids,
-                       entropies, pattern_codes, macs):
-            if len(column) != size:
-                raise ValueError("index columns must have equal lengths")
+        columns = (hi, lo, first, last, counts, entropies, pattern_codes, macs)
+        if addresses is not None:
+            columns += (addresses,)
+        if any(len(column) != len(hi) for column in columns):
+            raise ValueError("index columns must have equal lengths")
         self.name = name
-        self.addresses = addresses
+        self.hi = hi
+        self.lo = lo
         self.first = first
         self.last = last
         self.counts = counts
-        self.slash48s = slash48s
-        self.slash64s = slash64s
-        self.iids = iids
         self.entropies = entropies
         self.pattern_codes = pattern_codes
         self.macs = macs
         self.origins = origins
         self.build_seconds = build_seconds
+        self._addresses = addresses
         self._slash48_set: Optional[Set[int]] = None
         self._slash64_set: Optional[Set[int]] = None
         self._slash64_counts: Optional[Dict[int, int]] = None
@@ -271,7 +276,6 @@ class CorpusIndex:
         self._iid_entropies: Optional[Dict[int, float]] = None
         self._eui64_rows: Optional[Dict[int, List[int]]] = None
         self._eui64_intervals: Optional[Dict[int, Tuple[float, float]]] = None
-        self._row_of: Optional[Dict[int, int]] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -294,51 +298,21 @@ class CorpusIndex:
         ``repro_index_full_rebuilds_total`` so rebuild churn is
         observable.
         """
-        import time
-
         t0 = time.perf_counter()
-        size = len(corpus)
-        addresses: List[int] = []
-        first = array("d", bytes(8 * size))
-        last = array("d", bytes(8 * size))
-        counts = array("Q", bytes(8 * size))
-        slash48s: List[int] = []
-        slash64s: List[int] = []
-        iids = array("Q", bytes(8 * size))
-        add_address = addresses.append
-        add_slash48 = slash48s.append
-        add_slash64 = slash64s.append
-        row = 0
-        for address, (first_seen, last_seen, count) in corpus.items():
-            add_address(address)
-            first[row] = first_seen
-            last[row] = last_seen
-            counts[row] = count
-            add_slash48(address & _SLASH48_MASK)
-            add_slash64(address & PREFIX_MASK)
-            iids[row] = address & IID_MASK
-            row += 1
+        addresses, hi, lo, first, last, counts = _record_columns(corpus)
         # Entropy, pattern class and MAC extraction depend only on the
-        # IID column — computed by the vectorized kernels (one pass over
-        # the distinct IIDs, numpy when available).
-        entropies, pattern_codes, macs, iid_entropies = (
-            _kernels.iid_feature_columns(iids)
-        )
+        # IID column: one vectorized pass over the distinct IIDs.
         index = cls(
             corpus.name,
-            addresses,
+            hi,
+            lo,
             first,
             last,
             counts,
-            slash48s,
-            slash64s,
-            iids,
-            entropies,
-            pattern_codes,
-            macs,
+            *_kernels.iid_feature_columns(lo),
             origins=origins,
+            addresses=addresses,
         )
-        index._iid_entropies = iid_entropies
         index.build_seconds = time.perf_counter() - t0
         if metrics is not None:
             metrics.counter(
@@ -351,232 +325,132 @@ class CorpusIndex:
     def from_partials(
         cls,
         name: str,
-        partials: Sequence["PartialIndexColumns"],
+        partials: Iterable["PartialIndexColumns"],
+        rows: int,
         origins: Optional[CachedOrigins] = None,
     ) -> "CorpusIndex":
         """Fold per-segment partial indexes into one full index.
 
-        The record fold is the associative, commutative ``(min first,
-        max last, summed count)`` every reader applies, and output rows
-        are in first-occurrence order across ``partials`` — exactly the
+        ``partials`` is any iterable of partials holding ``rows`` rows
+        in all; each is stacked as it is drawn
+        (:meth:`PartialIndexColumns.stack`), so a lazy iterable never
+        has every partial in memory.  The record fold is the
+        associative, commutative ``(min first, max last, summed
+        count)`` every reader applies, and output rows are in
+        first-occurrence order across ``partials`` — exactly the
         record order of the corpus
         :meth:`~repro.core.segments.SegmentedCorpusReader.load`
         materializes from the same segments.  The result is therefore
         bit-identical to ``CorpusIndex.build`` over that folded corpus
         (property-test pinned) without re-reading any segment file.
         """
-        import time
-
         t0 = time.perf_counter()
-        (
-            addresses,
-            first,
-            last,
-            counts,
-            entropies,
-            pattern_codes,
-            macs,
-        ) = _kernels.fold_record_columns(partials)
-        slash48s = [address & _SLASH48_MASK for address in addresses]
-        slash64s = [address & PREFIX_MASK for address in addresses]
-        iids = array("Q", bytes(8 * len(addresses)))
-        for row, address in enumerate(addresses):
-            iids[row] = address & IID_MASK
+        hi, lo, first, last, counts, entropies, codes, macs = (
+            PartialIndexColumns.stack(partials, rows)
+        )
+        source, hi, lo, first, last, counts = _kernels.sorted_record_fold(
+            hi, lo, first, last, counts
+        )
+        # The merged corpus meets each address first at its group's first
+        # input row, so its record order is the argsort of those rows.
+        emit = np.argsort(source)
+        source = source[emit]
         index = cls(
             name,
-            addresses,
-            first,
-            last,
-            counts,
-            slash48s,
-            slash64s,
-            iids,
-            entropies,
-            pattern_codes,
-            macs,
+            hi[emit],
+            lo[emit],
+            first[emit],
+            last[emit],
+            counts[emit],
+            entropies[source],
+            codes[source],
+            macs[source],
             origins=origins,
         )
         index.build_seconds = time.perf_counter() - t0
         return index
 
-    # -- append-aware delta maintenance ----------------------------------------
-
-    def _rows(self) -> Dict[int, int]:
-        """Address → row mapping (built lazily, maintained by appends)."""
-        if self._row_of is None:
-            self._row_of = {
-                address: row for row, address in enumerate(self.addresses)
-            }
-        return self._row_of
-
-    def observe(
-        self, address: int, first_seen: float, last_seen: float, count: int
-    ) -> None:
-        """Apply one record mutation in place: the append-aware path.
-
-        ``(first_seen, last_seen, count)`` is the address's record
-        *after* the mutation (the corpus's fold already applied).  A new
-        address appends a row — derived columns computed via the same
-        kernels a rebuild uses — and an existing address overwrites its
-        row.  Materialized aggregate memos are updated in place with the
-        same min/max folds a rebuild applies, so an index maintained by
-        ``observe`` stays bit-identical to a freshly built one
-        (property-test pinned).  Unmaterialized memos stay lazy.
-        """
-        row = self._rows().get(address)
-        if row is not None:
-            self.first[row] = first_seen
-            self.last[row] = last_seen
-            self.counts[row] = count
-            if self._lifetimes is not None:
-                self._lifetimes[row] = last_seen - first_seen
-            if self._iid_intervals is not None:
-                self._touch_interval(
-                    self._iid_intervals, self.iids[row], first_seen, last_seen
-                )
-            if self._eui64_intervals is not None:
-                mac = self.macs[row]
-                if mac != NO_MAC:
-                    self._touch_interval(
-                        self._eui64_intervals, mac, first_seen, last_seen
-                    )
-            return
-        row = len(self.addresses)
-        self._row_of[address] = row
-        slash48 = address & _SLASH48_MASK
-        slash64 = address & PREFIX_MASK
-        iid = address & IID_MASK
-        entropy, code, mac = _kernels.iid_features(iid)
-        if (
-            self._iid_entropies is not None
-            and iid not in self._iid_entropies
-        ):
-            self._iid_entropies[iid] = entropy
-        self.addresses.append(address)
-        self.first.append(first_seen)
-        self.last.append(last_seen)
-        self.counts.append(count)
-        self.slash48s.append(slash48)
-        self.slash64s.append(slash64)
-        self.iids.append(iid)
-        self.entropies.append(entropy)
-        self.pattern_codes.append(code)
-        self.macs.append(mac)
-        if self._slash48_set is not None:
-            self._slash48_set.add(slash48)
-        if self._slash64_set is not None:
-            self._slash64_set.add(slash64)
-        if self._slash64_counts is not None:
-            self._slash64_counts[slash64] = (
-                self._slash64_counts.get(slash64, 0) + 1
-            )
-        if self._lifetimes is not None:
-            self._lifetimes.append(last_seen - first_seen)
-        if self._iid_intervals is not None:
-            self._touch_interval(
-                self._iid_intervals, iid, first_seen, last_seen
-            )
-        if mac != NO_MAC:
-            if self._eui64_rows is not None:
-                rows = self._eui64_rows.get(mac)
-                if rows is None:
-                    self._eui64_rows[mac] = [row]
-                else:
-                    rows.append(row)
-            if self._eui64_intervals is not None:
-                self._touch_interval(
-                    self._eui64_intervals, mac, first_seen, last_seen
-                )
-
-    @staticmethod
-    def _touch_interval(
-        intervals: Dict[int, Tuple[float, float]],
-        key: int,
-        first_seen: float,
-        last_seen: float,
-    ) -> None:
-        """Fold one sighting interval into a memoized interval mapping."""
-        existing = intervals.get(key)
-        if existing is None:
-            intervals[key] = (first_seen, last_seen)
-            return
-        lo, hi = existing
-        if first_seen < lo:
-            lo = first_seen
-        if last_seen > hi:
-            hi = last_seen
-        intervals[key] = (lo, hi)
-
     def __len__(self) -> int:
-        return len(self.addresses)
+        return len(self.hi)
 
-    def structural_category(self, row: int) -> AddressCategory:
-        """The row's structural pattern class (no IPv4-embedding verdict)."""
-        return CATEGORY_BY_CODE[self.pattern_codes[row]]
+    @property
+    def addresses(self) -> List[int]:
+        """128-bit addresses in row order (a memoized list of ints)."""
+        if self._addresses is None:
+            self._addresses = [
+                (high << 64) | low
+                for high, low in zip(self.hi.tolist(), self.lo.tolist())
+            ]
+        return self._addresses
 
     # -- memoized aggregate views ------------------------------------------------
 
     def slash48_set(self) -> Set[int]:
         """Distinct /48 prefix keys (shared memoized set)."""
         if self._slash48_set is None:
-            self._slash48_set = set(self.slash48s)
+            keys = self.hi & _SLASH48_HI_MASK
+            rows, _ = _distinct_rows(keys)
+            self._slash48_set = {key << 64 for key in keys[rows].tolist()}
         return self._slash48_set
 
     def slash64_set(self) -> Set[int]:
         """Distinct /64 prefix keys (shared memoized set)."""
         if self._slash64_set is None:
-            self._slash64_set = set(self.slash64s)
+            self._slash64_set = set(self.slash64_address_counts())
         return self._slash64_set
 
     def slash64_address_counts(self) -> Dict[int, int]:
         """Address count per distinct /64 (shared memoized mapping)."""
         if self._slash64_counts is None:
-            counts: Dict[int, int] = {}
-            for key in self.slash64s:
-                counts[key] = counts.get(key, 0) + 1
-            self._slash64_counts = counts
+            rows, sizes = _distinct_rows(self.hi)
+            self._slash64_counts = {
+                key << 64: size
+                for key, size in zip(self.hi[rows].tolist(), sizes.tolist())
+            }
         return self._slash64_counts
 
     def lifetimes(self) -> List[float]:
         """Per-address lifetimes in row order (shared memoized list)."""
         if self._lifetimes is None:
-            self._lifetimes = _kernels.lifetime_column(self.first, self.last)
+            self._lifetimes = (self.last - self.first).tolist()
         return self._lifetimes
 
     def iid_intervals(self) -> Dict[int, Tuple[float, float]]:
         """Per-IID union sighting intervals (shared memoized mapping)."""
         if self._iid_intervals is None:
-            self._iid_intervals = _kernels.iid_interval_map(
-                self.iids, self.first, self.last
+            self._iid_intervals = _kernels.interval_map(
+                self.lo, self.first, self.last
             )
         return self._iid_intervals
 
     def iid_entropies(self) -> Dict[int, float]:
-        """Normalized entropy per distinct IID (shared memoized mapping)."""
+        """Normalized entropy per distinct IID, in first-occurrence order
+        (shared memoized mapping)."""
         if self._iid_entropies is None:
-            entropies = self.entropies
-            self._iid_entropies = {
-                iid: entropies[row] for row, iid in enumerate(self.iids)
-            }
+            rows, _ = _distinct_rows(self.lo)
+            self._iid_entropies = dict(
+                zip(self.lo[rows].tolist(), self.entropies[rows].tolist())
+            )
         return self._iid_entropies
 
-    def entropy_samples(self) -> Sequence[float]:
-        """Per-address normalized IID entropy, row order (the Fig. 1 input)."""
-        return self.entropies
+    def _eui64_row_numbers(self) -> np.ndarray:
+        """Rows whose IID embeds a MAC, ascending."""
+        return np.flatnonzero(self.macs != np.uint64(NO_MAC))
 
     def eui64_rows(self) -> Dict[int, List[int]]:
         """Embedded MAC → row indices, in row order (shared memoized)."""
         if self._eui64_rows is None:
-            groups: Dict[int, List[int]] = {}
-            for row, mac in enumerate(self.macs):
-                if mac == NO_MAC:
-                    continue
-                rows = groups.get(mac)
-                if rows is None:
-                    groups[mac] = [row]
-                else:
-                    rows.append(row)
-            self._eui64_rows = groups
+            rows = self._eui64_row_numbers()
+            macs = self.macs[rows]
+            order, starts = _kernels._sorted_groups(macs)
+            grouped = rows[order].tolist()
+            bounds = starts.tolist() + [len(grouped)]
+            keys = macs[order[starts]].tolist()
+            # Groups ascend by MAC; emit them in first-occurrence order.
+            self._eui64_rows = {
+                keys[group]: grouped[bounds[group]:bounds[group + 1]]
+                for group in np.argsort(order[starts]).tolist()
+            }
         return self._eui64_rows
 
     def eui64_mac_addresses(self) -> Dict[int, List[int]]:
@@ -590,26 +464,17 @@ class CorpusIndex:
     def eui64_mac_intervals(self) -> Dict[int, Tuple[float, float]]:
         """Embedded MAC → union sighting interval over its addresses."""
         if self._eui64_intervals is None:
-            first = self.first
-            last = self.last
-            self._eui64_intervals = {
-                mac: (
-                    min(first[row] for row in rows),
-                    max(last[row] for row in rows),
-                )
-                for mac, rows in self.eui64_rows().items()
-            }
+            rows = self._eui64_row_numbers()
+            self._eui64_intervals = _kernels.interval_map(
+                self.macs[rows], self.first[rows], self.last[rows]
+            )
         return self._eui64_intervals
 
     def rows_in_window(self, start: float, end: float) -> List[int]:
         """Rows whose sighting interval intersects ``[start, end)``."""
-        first = self.first
-        last = self.last
-        return [
-            row
-            for row in range(len(self.addresses))
-            if first[row] < end and last[row] >= start
-        ]
+        return np.flatnonzero(
+            (self.first < end) & (self.last >= start)
+        ).tolist()
 
     # -- origin aggregation -------------------------------------------------------
 
@@ -637,9 +502,12 @@ class CorpusIndex:
                     continue
                 counts[resolver.slash64_origin(key)] += n
             if live_hot:
-                for row, key in enumerate(self.slash64s):
-                    if key in live_hot:
-                        counts[resolver(self.addresses[row])] += 1
+                hot_hi = np.array(
+                    sorted(key >> 64 for key in live_hot), dtype=np.uint64
+                )
+                addresses = self.addresses
+                for row in np.flatnonzero(np.isin(self.hi, hot_hi)).tolist():
+                    counts[resolver(addresses[row])] += 1
         else:
             for address in self.addresses:
                 counts[resolver(address)] += 1
@@ -660,12 +528,12 @@ class CorpusIndex:
 class PartialIndexColumns:
     """Per-segment partial index: seal-time columns ready to fold.
 
-    One instance summarizes one sealed segment's corpus: record columns
-    (address split into 64-bit halves, first/last/count) plus the
-    per-row derived columns (``entropies``/``codes``/``macs``) that are
-    pure functions of the IID, in the segment's record order.  The low
-    address half **is** the IID, so no separate IID column is stored.
-    Folding any set of partials with
+    One instance summarizes one sealed segment's corpus in the eight
+    :attr:`COLUMN_SPEC` columns, in ascending address order: the
+    address split into 64-bit halves, first/last/count, and the per-row
+    derived columns (entropy, pattern code, MAC) that are pure functions
+    of the IID.  The low address half **is** the IID, so no separate IID
+    column is stored.  Folding any set of partials with
     :meth:`CorpusIndex.from_partials` reproduces ``CorpusIndex.build``
     over the folded segments bit-for-bit.
 
@@ -683,46 +551,44 @@ class PartialIndexColumns:
         "last",
         "counts",
         "entropies",
-        "codes",
+        "pattern_codes",
         "macs",
     )
 
-    #: Serialized column order and typecodes.
+    #: The eight columns of a partial and of a :class:`CorpusIndex`, in
+    #: serialized order, with their on-disk numpy dtypes.
     COLUMN_SPEC: Tuple[Tuple[str, str], ...] = (
-        ("hi", "Q"),
-        ("lo", "Q"),
-        ("first", "d"),
-        ("last", "d"),
-        ("counts", "Q"),
-        ("entropies", "d"),
-        ("codes", "B"),
-        ("macs", "Q"),
+        ("hi", "<u8"),
+        ("lo", "<u8"),
+        ("first", "<f8"),
+        ("last", "<f8"),
+        ("counts", "<u8"),
+        ("entropies", "<f8"),
+        ("pattern_codes", "u1"),
+        ("macs", "<u8"),
     )
 
     def __init__(
         self,
-        hi: array,
-        lo: array,
-        first: array,
-        last: array,
-        counts: array,
-        entropies: array,
-        codes: array,
-        macs: array,
+        hi: np.ndarray,
+        lo: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+        counts: np.ndarray,
+        entropies: np.ndarray,
+        pattern_codes: np.ndarray,
+        macs: np.ndarray,
     ) -> None:
-        size = len(hi)
-        for column in (lo, first, last, counts, entropies, codes, macs):
-            if len(column) != size:
-                raise ValueError(
-                    "partial index columns must have equal lengths"
-                )
+        columns = (hi, lo, first, last, counts, entropies, pattern_codes, macs)
+        if any(len(column) != len(hi) for column in columns):
+            raise ValueError("partial index columns must have equal lengths")
         self.hi = hi
         self.lo = lo
         self.first = first
         self.last = last
         self.counts = counts
         self.entropies = entropies
-        self.codes = codes
+        self.pattern_codes = pattern_codes
         self.macs = macs
 
     def __len__(self) -> int:
@@ -739,41 +605,68 @@ class PartialIndexColumns:
         first-occurrence order matches a segment-by-segment merge of
         the files on disk.
         """
-        size = len(corpus)
-        hi = array("Q", bytes(8 * size))
-        lo = array("Q", bytes(8 * size))
-        first = array("d", bytes(8 * size))
-        last = array("d", bytes(8 * size))
-        counts = array("Q", bytes(8 * size))
-        row = 0
-        for address, (first_seen, last_seen, count) in sorted(corpus.items()):
-            hi[row] = address >> 64
-            lo[row] = address & IID_MASK
-            first[row] = first_seen
-            last[row] = last_seen
-            counts[row] = count
-            row += 1
-        entropies, codes, macs, _ = _kernels.iid_feature_columns(lo)
-        return cls(hi, lo, first, last, counts, entropies, codes, macs)
+        _, hi, lo, first, last, counts = _record_columns(corpus)
+        order = np.lexsort((lo, hi))
+        lo = lo[order]
+        return cls(
+            hi[order],
+            lo,
+            first[order],
+            last[order],
+            counts[order],
+            *_kernels.iid_feature_columns(lo),
+        )
+
+    @classmethod
+    def stack(cls, partials: Iterable["PartialIndexColumns"], rows: int):
+        """Stack partials' columns, one ndarray per :attr:`COLUMN_SPEC`
+        column.
+
+        ``partials`` is any iterable of partials holding ``rows`` rows in
+        all; each is copied into columns allocated once, at that size,
+        and may be dropped as soon as the next is drawn — so a lazy
+        iterable never has every partial in memory beside the stacked
+        columns.  Rows are in fold order: partial by partial, each in
+        its own row order.
+        """
+        columns = tuple(
+            np.empty(rows, dtype=dtype) for _, dtype in cls.COLUMN_SPEC
+        )
+        offset = 0
+        for part in partials:
+            end = offset + len(part)
+            for column, (name, _) in zip(columns, cls.COLUMN_SPEC):
+                column[offset:end] = getattr(part, name)
+            offset = end
+        # Rows past ``rows`` fail to broadcast above; rows short of it
+        # would leave uninitialized values in the columns.
+        if offset != rows:
+            raise ValueError(
+                f"partials hold {offset} rows, not the {rows} given"
+            )
+        return columns
 
     def to_payload(self) -> bytes:
-        """Serialize all columns (little-endian, :data:`COLUMN_SPEC` order)."""
+        """Serialize all columns (little-endian, :attr:`COLUMN_SPEC` order)."""
         return b"".join(
-            _column_le_bytes(getattr(self, name))
-            for name, _ in self.COLUMN_SPEC
+            getattr(self, name).astype(dtype, copy=False).tobytes()
+            for name, dtype in self.COLUMN_SPEC
         )
 
     @classmethod
     def payload_size(cls, rows: int) -> int:
         """Exact byte length of a ``rows``-row payload."""
-        return sum(
-            rows * array(typecode).itemsize
-            for _, typecode in cls.COLUMN_SPEC
+        return rows * sum(
+            np.dtype(dtype).itemsize for _, dtype in cls.COLUMN_SPEC
         )
 
     @classmethod
-    def from_payload(cls, data: bytes, rows: int) -> "PartialIndexColumns":
-        """Inverse of :meth:`to_payload` for a known row count."""
+    def from_payload(cls, data, rows: int) -> "PartialIndexColumns":
+        """Inverse of :meth:`to_payload` for a known row count.
+
+        The columns are read-only views over ``data`` (any buffer), not
+        copies.
+        """
         if len(data) != cls.payload_size(rows):
             raise ValueError(
                 f"partial index payload is {len(data)} bytes; "
@@ -781,10 +674,10 @@ class PartialIndexColumns:
             )
         columns = []
         offset = 0
-        for _, typecode in cls.COLUMN_SPEC:
-            width = rows * array(typecode).itemsize
-            columns.append(
-                _column_from_le(typecode, data[offset:offset + width])
+        for _, dtype in cls.COLUMN_SPEC:
+            column = np.frombuffer(
+                data, dtype=dtype, count=rows, offset=offset
             )
-            offset += width
+            columns.append(column)
+            offset += column.nbytes
         return cls(*columns)

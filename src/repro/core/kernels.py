@@ -1,9 +1,9 @@
 """Columnar analysis kernels, vectorized with numpy.
 
 The per-address work of a :class:`~repro.core.index.CorpusIndex` build —
-IID entropy, structural pattern code, EUI-64 MAC extraction, lifetime
-and per-IID interval folds — is embarrassingly parallel over columns.
-This module holds their vectorized implementations.
+IID entropy, structural pattern code, EUI-64 MAC extraction and the
+per-IID and per-MAC interval folds — is embarrassingly parallel over
+columns.  This module holds their vectorized implementations.
 
 The contract every kernel honours: **bit-identical results to the
 scalar reference functions.**  The vectorized entropy kernel reproduces
@@ -21,19 +21,16 @@ explicitly.  The equivalence is pinned against the scalar oracles
 fold ≡ rebuild in ``tests/core/test_partial_index.py``, and by the
 signed-zero table in ``tests/serve/test_build.py``.
 
-Columns cross this boundary as :mod:`array` arrays (``'d'``/``'Q'``/
-``'B'``) plus plain lists for 128-bit values; numpy is an internal
-detail and never leaks numpy scalars to consumers.  The exceptions are
-the kernels the serving layer calls (:func:`stack_partial_columns`,
-:func:`sorted_record_fold`, :func:`pair_searchsorted_array`), which
-stay in ndarrays end to end.
+Kernels take and return row-aligned ndarrays (u64 IIDs, MACs and
+address halves, f8 timestamps and entropies, u1 pattern codes); only
+the interval maps answer in Python dicts, for the consumers that
+iterate them.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -49,11 +46,8 @@ from ..addr.patterns import AddressCategory, STRUCTURAL_CODES
 __all__ = [
     "NO_MAC",
     "iid_feature_columns",
-    "lifetime_column",
-    "iid_interval_map",
-    "fold_record_columns",
+    "interval_map",
     "sorted_record_fold",
-    "stack_partial_columns",
     "pair_searchsorted_array",
 ]
 
@@ -141,19 +135,16 @@ def _entropy_of_distinct(iids):
 
 
 def iid_feature_columns(
-    iids: array,
-) -> Tuple[array, array, array, Dict[int, float]]:
-    """Per-row ``(entropies, pattern_codes, macs)`` columns plus the
-    distinct-IID entropy map, from a ``'Q'`` column of IIDs.
+    iids: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row ``(entropies, pattern_codes, macs)`` columns (f8, u1, u8)
+    from a u64 column of IIDs.
 
     Each distinct IID is computed once, so repeated IIDs (``::1`` in
     thousands of /64s, EUI-64 IIDs surviving prefix rotation) cost one
     row of work.  Values equal :func:`iid_features` per IID.
     """
-    column = np.frombuffer(iids, dtype=np.uint64)
-    distinct, first_row, inverse = np.unique(
-        column, return_index=True, return_inverse=True
-    )
+    distinct, inverse = np.unique(iids, return_inverse=True)
     inverse = inverse.reshape(-1)  # numpy 2.x may return the input shape
     entropy_d = _entropy_of_distinct(distinct)
 
@@ -190,32 +181,10 @@ def iid_feature_columns(
         is_eui64, (high << np.uint64(24)) | low, np.uint64(NO_MAC)
     )
 
-    entropies = array("d")
-    entropies.frombytes(entropy_d[inverse].tobytes())
-    codes = array("B")
-    codes.frombytes(code_d[inverse].tobytes())
-    macs = array("Q")
-    macs.frombytes(np.ascontiguousarray(mac_d[inverse]).tobytes())
-    # Emit the distinct-IID entropy map in first-occurrence order.
-    occurrence = np.argsort(first_row, kind="stable")
-    iid_entropies = dict(
-        zip(
-            distinct[occurrence].tolist(),
-            entropy_d[occurrence].tolist(),
-        )
-    )
-    return entropies, codes, macs, iid_entropies
+    return entropy_d[inverse], code_d[inverse], mac_d[inverse]
 
 
-# -- interval and lifetime folds -----------------------------------------------
-
-
-def lifetime_column(first: array, last: array) -> List[float]:
-    """Per-row lifetimes ``last - first`` (row order preserved)."""
-    deltas = np.frombuffer(last, dtype=np.float64) - np.frombuffer(
-        first, dtype=np.float64
-    )
-    return deltas.tolist()
+# -- interval folds ------------------------------------------------------------
 
 
 def _sorted_groups(*keys):
@@ -256,23 +225,19 @@ def _first_extreme(extreme, values, starts):
     return out
 
 
-def iid_interval_map(
-    iids: array, first: array, last: array
+def interval_map(
+    keys: np.ndarray, first: np.ndarray, last: np.ndarray
 ) -> Dict[int, Tuple[float, float]]:
-    """Per-IID union sighting intervals, keyed in first-occurrence order.
+    """Per-key union sighting intervals, keyed in first-occurrence order.
 
-    The grouped fold is ``(min(first), max(last))`` per distinct IID,
+    ``keys`` (IIDs, MACs) is row-aligned with ``first``/``last``.  The
+    grouped fold is ``(min(first), max(last))`` per distinct key,
     keeping the first of tied values as a running fold with strict
     ``<``/``>`` does.
     """
-    column = np.frombuffer(iids, dtype=np.uint64)
-    order, starts = _sorted_groups(column)
-    lows = _first_extreme(
-        np.minimum, np.frombuffer(first, dtype=np.float64)[order], starts
-    )
-    highs = _first_extreme(
-        np.maximum, np.frombuffer(last, dtype=np.float64)[order], starts
-    )
+    order, starts = _sorted_groups(keys)
+    lows = _first_extreme(np.minimum, first[order], starts)
+    highs = _first_extreme(np.maximum, last[order], starts)
     # Emit in first-occurrence order so downstream consumers that
     # iterate the mapping see the same order a running fold produces.
     source = order[starts]
@@ -280,7 +245,7 @@ def iid_interval_map(
     return {
         key: (low, high)
         for key, low, high in zip(
-            column[source[emit]].tolist(),
+            keys[source[emit]].tolist(),
             lows[emit].tolist(),
             highs[emit].tolist(),
         )
@@ -290,61 +255,20 @@ def iid_interval_map(
 # -- associative record fold (the partial-index merge) -------------------------
 
 
-#: numpy dtypes of the partial-index columns, in
-#: :attr:`~repro.core.index.PartialIndexColumns.COLUMN_SPEC` order.
-_PARTIAL_DTYPES = (
-    ("hi", "u8"),
-    ("lo", "u8"),
-    ("first", "f8"),
-    ("last", "f8"),
-    ("counts", "u8"),
-    ("entropies", "f8"),
-    ("codes", "u1"),
-    ("macs", "u8"),
-)
-
-
-def stack_partial_columns(partials, rows: int):
-    """Stack partial-index columns, one ndarray per column.
-
-    ``partials`` is any iterable of partials holding ``rows`` rows in
-    all; each is copied into columns allocated once, at that size, and
-    may be dropped as soon as the next is drawn — so a lazy iterable
-    never has every partial in memory beside the stacked columns.
-    Returns ``(hi, lo, first, last, counts, entropies, codes, macs)``,
-    rows in fold order: partial by partial, each in its own row order.
-    """
-    columns = tuple(
-        np.empty(rows, dtype=dtype) for _, dtype in _PARTIAL_DTYPES
-    )
-    offset = 0
-    for part in partials:
-        end = offset + len(part)
-        for column, (name, dtype) in zip(columns, _PARTIAL_DTYPES):
-            column[offset:end] = np.frombuffer(
-                getattr(part, name), dtype=dtype
-            )
-        offset = end
-    # Rows past ``rows`` fail to broadcast above; rows short of it
-    # would leave uninitialized values in the columns.
-    if offset != rows:
-        raise ValueError(f"partials hold {offset} rows, not the {rows} given")
-    return columns
-
-
 def sorted_record_fold(hi, lo, first, last, counts):
     """Fold rows that share a 128-bit address, in ascending address order.
 
     The one implementation of the record fold for analysis
-    (:func:`fold_record_columns`) and serving (the ``RSI1`` builder).
-    Inputs are row-aligned ndarrays (u64, u64, f64, f64, u64) in fold
-    order, as :func:`stack_partial_columns` returns them.  Per distinct
-    address, sorted by ``(hi, lo)``, returns ``(source, hi, lo, first,
-    last, counts)``: ``source`` is the input row of the address's first
-    occurrence (where the first-occurrence columns — entropy, code,
-    MAC — are read), then its min ``first``, max ``last`` (the first of
-    tied values, as ``AddressCorpus.merge`` keeps) and summed
-    ``counts``.
+    (:meth:`~repro.core.index.CorpusIndex.from_partials`) and serving
+    (the ``RSI1`` builder).  Inputs are row-aligned ndarrays (u64, u64,
+    f64, f64, u64) in fold order, as
+    :meth:`~repro.core.index.PartialIndexColumns.stack` returns them.
+    Per distinct address, sorted by ``(hi, lo)``, returns ``(source,
+    hi, lo, first, last, counts)``: ``source`` is the input row of the
+    address's first occurrence (where the first-occurrence columns —
+    entropy, code, MAC — are read), then its min ``first``, max
+    ``last`` (the first of tied values, as ``AddressCorpus.merge``
+    keeps) and summed ``counts``.
     """
     order, starts = _sorted_groups(hi, lo)
     source = order[starts]
@@ -355,50 +279,6 @@ def sorted_record_fold(hi, lo, first, last, counts):
         _first_extreme(np.minimum, first[order], starts),
         _first_extreme(np.maximum, last[order], starts),
         np.add.reduceat(counts[order], starts),
-    )
-
-
-def _to_array(typecode: str, values) -> array:
-    column = array(typecode)
-    column.frombytes(values.tobytes())
-    return column
-
-
-def fold_record_columns(partials):
-    """Fold per-segment partial-index columns into merged index columns.
-
-    ``partials`` is a sequence of objects exposing ``hi``/``lo``/
-    ``first``/``last``/``counts``/``entropies``/``codes``/``macs``
-    columns (:class:`repro.core.index.PartialIndexColumns`).  Rows for
-    the same 128-bit address fold as ``(min(first), max(last),
-    sum(count))`` — the same associative, commutative fold
-    ``AddressCorpus.merge`` applies — and output rows appear in
-    first-occurrence order across the partials, which is exactly the
-    record order of the merged corpus.  Returns ``(addresses, first,
-    last, counts, entropies, codes, macs)``.
-    """
-    hi, lo, first, last, counts, entropies, codes, macs = (
-        stack_partial_columns(partials, sum(len(part) for part in partials))
-    )
-    source, hi, lo, first, last, counts = sorted_record_fold(
-        hi, lo, first, last, counts
-    )
-    # The merged corpus meets each address first at its group's first
-    # input row, so its record order is the argsort of those rows.
-    emit = np.argsort(source)
-    source = source[emit]
-    addresses = [
-        (high << 64) | low
-        for high, low in zip(hi[emit].tolist(), lo[emit].tolist())
-    ]
-    return (
-        addresses,
-        _to_array("d", first[emit]),
-        _to_array("d", last[emit]),
-        _to_array("Q", counts[emit]),
-        _to_array("d", entropies[source]),
-        _to_array("B", codes[source]),
-        _to_array("Q", macs[source]),
     )
 
 

@@ -1022,10 +1022,6 @@ class SegmentedCorpusReader:
                 self._store._m_index_rescanned.inc()
             yield partial
 
-    def partial_indexes(self) -> List[PartialIndexColumns]:
-        """Every :meth:`iter_partial_indexes` partial, as a list."""
-        return list(self.iter_partial_indexes())
-
     def build_index(
         self,
         origins: Optional[CachedOrigins] = None,
@@ -1037,12 +1033,14 @@ class SegmentedCorpusReader:
         seal-time partial is intact, **no sealed segment file is
         re-read** — the index comes entirely from the ``.idx``
         summaries, bit-identical to ``CorpusIndex.build`` over
-        :meth:`load` (property-test pinned).
+        :meth:`load` (property-test pinned).  The partials stream into
+        columns sized from the manifest, one partial held at a time.
         """
         with self._store.metrics.span("index-fold"):
             return CorpusIndex.from_partials(
                 name or self.manifest.name,
-                self.partial_indexes(),
+                self.iter_partial_indexes(),
+                self.manifest.total_records,
                 origins=origins,
             )
 
@@ -1062,12 +1060,15 @@ class SegmentedCorpusReader:
         """
         index = self.build_index(origins=origins, name=name)
         corpus = AddressCorpus(name or self.manifest.name)
-        records = corpus._records
-        first = index.first
-        last = index.last
-        counts = index.counts
-        for row, address in enumerate(index.addresses):
-            records[address] = [first[row], last[row], counts[row]]
+        corpus._records = {
+            address: [first, last, count]
+            for address, first, last, count in zip(
+                index.addresses,
+                index.first.tolist(),
+                index.last.tolist(),
+                index.counts.tolist(),
+            )
+        }
         corpus.attach_index(index)
         self._folded = corpus
         return corpus

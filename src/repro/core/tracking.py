@@ -109,20 +109,22 @@ def build_mac_tracks(
     index = getattr(corpus, "index", None)
     tracks: Dict[int, MACTrack] = {}
     if index is not None:
-        groups = (
-            (mac, rows) for mac, rows in index.eui64_rows().items()
-        )
+        groups = index.eui64_rows().items()
+        addresses = index.addresses
+        first = index.first.tolist()
+        last = index.last.tolist()
+        hi = index.hi.tolist()
     else:
         groups = iter(corpus.eui64_mac_addresses().items())
     for mac, sightings in groups:
         if index is not None:
             # Rows are in record order, so this stable sort matches the
             # naive sorted(addresses, key=corpus.first_seen) exactly.
-            rows = sorted(sightings, key=index.first.__getitem__)
-            ordered = [index.addresses[row] for row in rows]
-            firsts = [index.first[row] for row in rows]
-            prefix64s = [index.slash64s[row] for row in rows]
-            last_seen = max(index.last[row] for row in rows)
+            rows = sorted(sightings, key=first.__getitem__)
+            ordered = [addresses[row] for row in rows]
+            firsts = [first[row] for row in rows]
+            prefix64s = [hi[row] << 64 for row in rows]
+            last_seen = max(last[row] for row in rows)
         else:
             ordered = sorted(sightings, key=corpus.first_seen)
             firsts = [corpus.first_seen(address) for address in ordered]

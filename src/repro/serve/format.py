@@ -68,6 +68,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 from ..core import kernels as _kernels
+from ..core.index import PartialIndexColumns
 from ..core.segments import (
     MANIFEST_NAME,
     Manifest,
@@ -518,7 +519,7 @@ def build_serving_index(
     manifest = reader.manifest
     with registry.span("serve-index-build"):
         hi, lo, first, last, counts, entropies, codes, macs = (
-            _kernels.stack_partial_columns(
+            PartialIndexColumns.stack(
                 reader.iter_partial_indexes(), manifest.total_records
             )
         )

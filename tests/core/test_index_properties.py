@@ -27,7 +27,12 @@ from repro.core.categories import (
 )
 from repro.core.compare import compare_datasets
 from repro.core.corpus import AddressCorpus
-from repro.core.index import NO_MAC, CachedOrigins, CorpusIndex
+from repro.core.index import (
+    NO_MAC,
+    CachedOrigins,
+    CorpusIndex,
+    PartialIndexColumns,
+)
 from repro.core.lifetime import eui64_iid_lifetimes, iid_lifetimes_by_entropy
 from repro.core.tracking import analyze_tracking
 from repro.net.prefixes import Prefix
@@ -100,8 +105,9 @@ def naive_aggregates(corpus, origin):
         "asn_counts": corpus.asn_counts(origin),
         "asn_set": corpus.asn_set(origin),
         "lifetimes": corpus.lifetimes(),
-        "iid_intervals": corpus.iid_intervals(),
-        "eui64_macs": corpus.eui64_mac_addresses(),
+        # Mappings as item lists: first-occurrence order is compared too.
+        "iid_intervals": list(corpus.iid_intervals().items()),
+        "eui64_macs": list(corpus.eui64_mac_addresses().items()),
         "eui64_addresses": list(corpus.eui64_addresses()),
         "eui64_lifetimes": eui64_iid_lifetimes(corpus),
         "iid_lifetimes": iid_lifetimes_by_entropy(corpus),
@@ -218,24 +224,29 @@ class TestLongerThanSlash64Announcements:
 
 
 class TestIndexLifecycle:
-    def test_mutation_maintains_index(self):
-        # Appends no longer invalidate: the attached index is kept
-        # current in place and stays equal to a from-scratch rebuild.
+    def test_mutation_drops_index(self):
+        # An index is never patched: every kind of mutation drops it,
+        # and rebuilding yields exactly a fresh build.
         corpus = build_corpus("c", [(BLOCKS[0], 0, 0, 5, 1.0)])
-        index = corpus.build_index()
-        corpus.record(with_iid(BLOCKS[1], 9), 2.0)
-        assert corpus.index is index
-        corpus.record_interval(with_iid(BLOCKS[2], 9), 1.0, 2.0)
-        assert corpus.index is index
-        corpus.merge(build_corpus("d", [(BLOCKS[3], 1, 1, 7, 4.0)]))
-        assert corpus.index is index
-        rebuilt = CorpusIndex.build(corpus)
-        assert index.addresses == rebuilt.addresses
-        assert index.first.tobytes() == rebuilt.first.tobytes()
-        assert index.last.tobytes() == rebuilt.last.tobytes()
-        assert index.counts.tobytes() == rebuilt.counts.tobytes()
-        assert index.entropies.tobytes() == rebuilt.entropies.tobytes()
-        assert index.macs.tobytes() == rebuilt.macs.tobytes()
+        mutations = [
+            lambda: corpus.record(with_iid(BLOCKS[1], 9), 2.0),
+            lambda: corpus.record_interval(with_iid(BLOCKS[2], 9), 1.0, 2.0),
+            lambda: corpus.merge(
+                build_corpus("d", [(BLOCKS[3], 1, 1, 7, 4.0)])
+            ),
+        ]
+        for mutate in mutations:
+            corpus.build_index()
+            mutate()
+            assert corpus.index is None
+        rebuilt = corpus.build_index()
+        fresh = CorpusIndex.build(corpus)
+        assert rebuilt.addresses == fresh.addresses
+        for name, _ in PartialIndexColumns.COLUMN_SPEC:
+            assert (
+                getattr(rebuilt, name).tobytes()
+                == getattr(fresh, name).tobytes()
+            ), name
 
     def test_attach_index_rejects_size_mismatch(self):
         corpus = build_corpus(

@@ -21,6 +21,7 @@ and the :mod:`repro.addr` functions it calls.
 
 import struct
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,31 +88,25 @@ def write_store(directory, segments, metrics=None):
     return store
 
 
-# array.array columns compared bit-for-bit; slash48s/slash64s are plain
-# integer lists in both construction paths and compare by value.
-ARRAY_COLUMNS = (
-    "first",
-    "last",
-    "counts",
-    "iids",
-    "entropies",
-    "pattern_codes",
-    "macs",
-)
-
-
 def assert_bit_identical(folded, rebuilt):
     """Every column, aggregate and emission *order* matches exactly."""
     assert folded.addresses == rebuilt.addresses
-    assert folded.slash48s == rebuilt.slash48s
-    assert folded.slash64s == rebuilt.slash64s
-    for column in ARRAY_COLUMNS:
-        assert (
-            getattr(folded, column).tobytes()
-            == getattr(rebuilt, column).tobytes()
-        ), column
-    # Float aggregates compared through struct.pack: bit-for-bit, not
-    # approximately, and including dict iteration order.
+    for column, dtype in PartialIndexColumns.COLUMN_SPEC:
+        left, right = getattr(folded, column), getattr(rebuilt, column)
+        assert isinstance(left, np.ndarray), column
+        assert left.dtype == right.dtype, column
+        assert left.dtype.newbyteorder("<") == np.dtype(dtype), column
+        assert left.tobytes() == right.tobytes(), column
+    # Sets and mappings compared in iteration order too; float
+    # aggregates through struct.pack: bit-for-bit, not approximately.
+    assert list(folded.slash48_set()) == list(rebuilt.slash48_set())
+    assert list(folded.slash64_set()) == list(rebuilt.slash64_set())
+    assert list(folded.slash64_address_counts().items()) == list(
+        rebuilt.slash64_address_counts().items()
+    )
+    assert list(folded.eui64_rows().items()) == list(
+        rebuilt.eui64_rows().items()
+    )
     assert _packed(folded.lifetimes()) == _packed(rebuilt.lifetimes())
     assert list(folded.iid_intervals().items()) == list(
         rebuilt.iid_intervals().items()
@@ -288,49 +283,31 @@ class TestPartialFallback:
         assert store.partial_index_path(meta).suffix == PARTIAL_INDEX_SUFFIX
 
 
-class TestObserveEqualsRebuild:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(sighting, min_size=1, max_size=30),
-        st.lists(sighting, min_size=0, max_size=30),
-    )
-    def test_appends_keep_index_equal_to_rebuild(self, base, extra):
-        corpus = build_corpus("prop", base)
-        index = corpus.build_index()
-        # Materialize every memo first: observe() must maintain them
-        # in place, not just the raw columns.
-        index.lifetimes()
-        index.iid_intervals()
-        index.iid_entropies()
-        index.eui64_mac_intervals()
-        for block, s48, s64, iid, when in extra:
-            corpus.record(
-                with_iid(block | (s48 << 80) | (s64 << 64), iid), when
-            )
-        assert corpus.index is index
-        assert_bit_identical(index, CorpusIndex.build(corpus))
-
-
 class TestKernelOracleEquivalence:
     """The vectorized kernels equal the scalar reference functions."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(IIDS, min_size=0, max_size=60))
     def test_feature_columns_match_scalar(self, iids):
-        from array import array
-
-        entropies, codes, macs, iid_entropies = kernels.iid_feature_columns(
-            array("Q", iids)
+        entropies, codes, macs = kernels.iid_feature_columns(
+            np.array(iids, dtype=np.uint64)
         )
         expected = [kernels.iid_features(iid) for iid in iids]
-        assert entropies.tobytes() == array(
-            "d", [entropy for entropy, _, _ in expected]
+        assert entropies.tobytes() == np.array(
+            [entropy for entropy, _, _ in expected], dtype=np.float64
         ).tobytes()
         assert codes.tobytes() == bytes(code for _, code, _ in expected)
-        assert macs.tobytes() == array(
-            "Q", [mac for _, _, mac in expected]
+        assert macs.tobytes() == np.array(
+            [mac for _, _, mac in expected], dtype=np.uint64
         ).tobytes()
+        # One row per IID (each in its own /64, so IIDs may repeat): the
+        # index's entropy map is keyed in first-occurrence order.
+        corpus = AddressCorpus("iids")
+        for row, iid in enumerate(iids):
+            corpus.record((row << 64) | iid, 0.0)
         first_seen = {}
         for iid, (entropy, _, _) in zip(iids, expected):
             first_seen.setdefault(iid, entropy)
-        assert _packed_map(iid_entropies) == _packed_map(first_seen)
+        assert _packed_map(
+            CorpusIndex.build(corpus).iid_entropies()
+        ) == _packed_map(first_seen)

@@ -16,11 +16,17 @@ cut — through ``columnar_batch(...).to_list()``, through RSB1 request
 and reply frames, and through a JSON round trip.  The answers must
 equal :class:`CorpusIndex`, :meth:`RoutingTable.origin_asn` and the
 scalar :func:`repro.core.kernels.iid_features`.
+
+The oracle itself is pinned row by row too: each stored address's
+columns, in a cold :meth:`CorpusIndex.build` and in the partial-index
+fold, equal the address's own bits, the scalar features and the
+recorded sighting, and the aggregate views hand out plain Python values.
 """
 
 import ipaddress
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import kernels
@@ -68,6 +74,12 @@ ANNOUNCED = [
 ]
 
 
+def recorded(number):
+    """The ``(first, last, count)`` stored for ``STORED[number]``."""
+    first = 86400.0 * number
+    return first, first + 3600.5, number + 1
+
+
 def _routing():
     table = RoutingTable()
     for text, asn in ANNOUNCED:
@@ -89,8 +101,7 @@ def store_dir(tmp_path_factory, routing):
     store = SegmentStore(directory, name="edges")
     corpus = AddressCorpus("edges")
     for number, address in enumerate(STORED):
-        first = 86400.0 * number
-        corpus.record_interval(address, first, first + 3600.5, number + 1)
+        corpus.record_interval(address, *recorded(number))
     meta = store.write_segment(
         corpus, segment_id="seg-000", start_day=0, end_day=7
     )
@@ -108,6 +119,11 @@ def index(store_dir):
 @pytest.fixture(scope="module")
 def ground_truth(store_dir):
     return CorpusIndex.build(SegmentedCorpusReader.open(store_dir).load())
+
+
+@pytest.fixture(scope="module")
+def folded(store_dir):
+    return SegmentedCorpusReader.open(store_dir).build_index()
 
 
 def expected_answer(op, address, ground_truth, routing):
@@ -210,3 +226,39 @@ def test_every_op_matches_the_oracle(
                 spec.name,
                 [hex(probe) for probe in batch],
             )
+
+
+@pytest.mark.parametrize("name,text", EDGES)
+@pytest.mark.parametrize("how", ["build", "fold"])
+def test_index_row_columns(ground_truth, folded, how, name, text):
+    index = ground_truth if how == "build" else folded
+    address = int(ipaddress.IPv6Address(text))
+    row = index.addresses.index(address)
+    hi, lo = index.hi[row].item(), index.lo[row].item()
+    assert (hi, lo) == (address >> 64, address & _IID_MASK)
+    slash48 = (index.hi[row] & np.uint64(0xFFFF_FFFF_FFFF_0000)).item()
+    assert slash48 << 64 == address & ~((1 << 80) - 1)
+    assert hi << 64 == address & ~_IID_MASK
+    assert slash48 << 64 in index.slash48_set()
+    assert hi << 64 in index.slash64_set()
+    features = (
+        index.entropies[row].item(),
+        index.pattern_codes[row].item(),
+        index.macs[row].item(),
+    )
+    assert features == kernels.iid_features(lo)
+    record = (
+        index.first[row].item(),
+        index.last[row].item(),
+        index.counts[row].item(),
+    )
+    assert record == recorded(STORED.index(address))
+    # No numpy scalar leaks out of the aggregate views.
+    json.dumps(
+        [
+            index.lifetimes(),
+            list(index.iid_intervals().items()),
+            sorted(index.slash48_set()),
+            index.eui64_mac_addresses(),
+        ]
+    )

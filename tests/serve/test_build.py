@@ -5,6 +5,8 @@ Pinned contracts:
 * **the RSI1 bytes do not move** — the sha256 of a freshly built index
   (generation 1) is fixed for three stores: the shared serving store
   with and without an origin table, and an empty committed store.
+* **the sealed bytes do not move** — the sha256 of every ``.seg``
+  segment and ``.idx`` partial the shared serving store seals is fixed.
 * **bounded memory** — the build's traced peak stays within four times
   the size of the file it writes.
 * **ties fold like ``AddressCorpus.merge``** — when two segments tie at
@@ -19,8 +21,8 @@ Pinned contracts:
 import hashlib
 import struct
 import tracemalloc
-from array import array
 
+import numpy as np
 import pytest
 
 import repro.core.kernels as kernels
@@ -38,6 +40,27 @@ PINNED_SHA256 = {
     "bare": "08a897233182918d844b0dcb6e2824764e83dea4f91370d33df790b79cd61afb",
     "empty": "0bc267ee9ed1505ec4f165f605f3df947886fe857414ec0abe34461c4af70463",
 }
+
+
+#: sha256 of each file :func:`write_serve_store` seals.
+PINNED_SEALED_SHA256 = {
+    "seg-000.seg": "330bb898dfd3818213a6fe27411414838962dccf3a076bc42f15b332f992e3e5",
+    "seg-000.idx": "83b090c8281bda430dba19304eb897eccff377639e1c8530ebf83c23c8cba52b",
+    "seg-001.seg": "bc333748c311c878047df941da92b435fc7eb233083ffd6b12902de523888e5c",
+    "seg-001.idx": "adf9ef2883c771633bfe636ad279dece7061121e84e0e88c8650fff37254daf4",
+    "seg-002.seg": "dfef69a4eab2222c1be39d7b8828d647241204a3207d6e95c94457831abe998e",
+    "seg-002.idx": "063c10704ec5036e141a203c9ccdb7c1464edd27e7748891f6069f027e34254f",
+}
+
+
+def test_sealed_segment_and_partial_bytes_are_pinned(tmp_path):
+    write_serve_store(tmp_path)
+    sealed = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+        if path.suffix in (".seg", ".idx")
+    }
+    assert sealed == PINNED_SEALED_SHA256
 
 
 @pytest.mark.parametrize("store,digest", sorted(PINNED_SHA256.items()))
@@ -158,10 +181,10 @@ class TestSignedZeroTies:
         self, column, earlier, later
     ):
         sightings = tie_columns(column, earlier, later)
-        intervals = kernels.iid_interval_map(
-            array("Q", [5, 5]),
-            array("d", [first for first, _ in sightings]),
-            array("d", [last for _, last in sightings]),
+        intervals = kernels.interval_map(
+            np.array([5, 5], dtype=np.uint64),
+            np.array([first for first, _ in sightings]),
+            np.array([last for _, last in sightings]),
         )
         low, high = intervals[5]
         assert packed(low if column == "first" else high) == packed(earlier)
