@@ -49,7 +49,7 @@ from .core.segments import (
 )
 from .core.tracking import TrackingClass
 from .faults import FaultPlan
-from .obs import MetricsRegistry
+from .obs import MetricsRegistry, write_metrics
 from .world import (
     CAMPAIGN_EPOCH,
     build_routing,
@@ -150,17 +150,6 @@ def _print_profile(stage_seconds) -> None:
     logger.info("per-stage timings:\n%s", format_timings(stage_seconds))
 
 
-def _write_metrics(registry: MetricsRegistry, path: str) -> None:
-    """Export the study's telemetry: JSON snapshot by default, the
-    Prometheus text exposition for ``.prom``/``.txt`` paths."""
-    target = Path(path)
-    if target.suffix in {".prom", ".txt"}:
-        target.write_text(registry.render_prometheus())
-    else:
-        target.write_text(registry.to_json())
-    logger.info("metrics written to %s", target)
-
-
 def _cmd_study(args) -> int:
     study_config = _study_config(args)
     world = build_world(_world_config(args))
@@ -180,7 +169,7 @@ def _cmd_study(args) -> int:
             count = save_corpus(corpus, path)
             print(f"saved {count:,} records to {path}")
     if args.metrics_out:
-        _write_metrics(results.metrics, args.metrics_out)
+        write_metrics(results.metrics, args.metrics_out)
     if args.profile:
         _print_profile(results.stage_seconds)
     return 0
@@ -204,7 +193,7 @@ def _cmd_analyze(args) -> int:
             f"{int(rescanned):,} segments rescanned"
         )
     if args.metrics_out:
-        _write_metrics(registry, args.metrics_out)
+        write_metrics(registry, args.metrics_out)
     summary = address_lifetime_summary(corpus)
     print(
         f"lifetimes: {100 * summary.seen_once_fraction:.1f}% seen once, "
@@ -241,7 +230,7 @@ def _cmd_report(args) -> int:
     else:
         print(text)
     if args.metrics_out:
-        _write_metrics(results.metrics, args.metrics_out)
+        write_metrics(results.metrics, args.metrics_out)
     if args.profile:
         _print_profile(results.stage_seconds)
     return 0
@@ -279,7 +268,7 @@ def _cmd_matrix(args) -> int:
     else:
         print(text)
     if args.metrics_out:
-        _write_metrics(registry, args.metrics_out)
+        write_metrics(registry, args.metrics_out)
     counts = results.counts
     logger.info(
         "sweep finished: %d ok, %d failed, %d timeout, %d rejected, "
@@ -371,7 +360,7 @@ def _cmd_serve(args) -> int:
             return 2
         index.close()
         if args.metrics_out:
-            _write_metrics(registry, args.metrics_out)
+            write_metrics(registry, args.metrics_out)
         print(f"serving index ready at {index.path}")
         return 0
 

@@ -21,7 +21,7 @@ Three invariants carry the design:
   serial, sharded and compacted layouts against one monolithic run).
 * **Sealed segments are immutable** — a segment file is written to a
   sibling temp file, fsynced, then atomically renamed into place, and
-  carries a CRC32 footer.  A crash mid-flush leaves at most a stray
+  carries a CRC32 footer (both from :mod:`repro.core.durable`).  A crash mid-flush leaves at most a stray
   temp file; the manifest can never reference a torn segment because
   it is only rewritten (atomically, via :func:`os.replace`) *after*
   its segments are durably on disk.
@@ -66,9 +66,10 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..obs import DEFAULT_SIZE_BUCKETS, MetricsRegistry, NULL_REGISTRY
+from . import durable
 from .corpus import AddressCorpus
 from .index import CachedOrigins, CorpusIndex, PartialIndexColumns
 from .storage import (
@@ -108,17 +109,6 @@ SEGMENT_SUFFIX = ".seg"
 #: Suffix of per-segment partial index files.
 PARTIAL_INDEX_SUFFIX = ".idx"
 
-_SEGMENT_MAGIC = b"RPS1"
-_SEGMENT_FOOTER_MAGIC = b"RPSF"
-_SEGMENT_FOOTER_SIZE = 8
-
-_PARTIAL_MAGIC = b"RPI1"
-_PARTIAL_FOOTER_MAGIC = b"RPIF"
-#: Fixed bytes before the columns: magic + segment crc32 + uint64 rows.
-_PARTIAL_HEADER_SIZE = 16
-_PARTIAL_FOOTER_SIZE = 8
-#: Fixed bytes before the embedded corpus: magic + two uint32 day bounds.
-_SEGMENT_HEADER_SIZE = 12
 #: Conservative per-segment overhead used by the flush estimator
 #: (header + corpus header + footer); exactness does not matter, only
 #: determinism — the same record stream always seals at the same points.
@@ -135,6 +125,16 @@ MANIFEST_CACHE_MAX_ENTRIES = 64
 
 class SegmentError(CorpusFormatError):
     """A segment file or manifest is torn, corrupt, or inconsistent."""
+
+
+#: A segment's header is its magic and two uint32 day bounds; a
+#: partial's is its magic, the segment's crc32 and a uint64 row count.
+_SEGMENT_SEAL = durable.Seal(
+    b"RPS1", b"RPSF", "big", 12, "segment", SegmentError
+)
+_PARTIAL_SEAL = durable.Seal(
+    b"RPI1", b"RPIF", "big", 16, "partial index", SegmentError
+)
 
 
 @dataclass(frozen=True)
@@ -305,9 +305,9 @@ class SegmentStore:
     Worker processes use a store purely as a **segment writer** (they
     never touch the manifest — only the coordinating process commits);
     the coordinator additionally owns :meth:`commit`, :meth:`compact`
-    and :meth:`reader`.  All writes are atomic (temp + fsync +
-    ``os.replace``), so any instant of crash leaves the previous
-    manifest and every committed segment intact.
+    and :meth:`reader`.  All writes are atomic
+    (:func:`repro.core.durable.atomic_write`), so any instant of crash
+    leaves the previous manifest and every committed segment intact.
     """
 
     def __init__(
@@ -470,7 +470,7 @@ class SegmentStore:
     def _write_manifest(self, manifest: Manifest) -> None:
         blob = json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"
         data = blob.encode("utf-8")
-        self._atomic_write(self.manifest_path, [data])
+        durable.atomic_write(self.manifest_path, [data])
         # Prime the cache with what we just wrote: the writing process
         # never pays a re-parse for its own commit.
         try:
@@ -483,26 +483,6 @@ class SegmentStore:
             zlib.crc32(data),
             manifest,
         )
-
-    def _atomic_write(self, path: Path, chunks: Iterable[bytes]) -> None:
-        """Publish the concatenated ``chunks`` at ``path`` atomically.
-
-        The chunks (any bytes-like objects) are written to a temp file
-        as they are produced, so a streamed file is never held whole;
-        only the fsynced temp file is ``os.replace``-d into place.
-        """
-        temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        try:
-            with temp.open("wb") as stream:
-                for chunk in chunks:
-                    stream.write(chunk)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(temp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                temp.unlink()
-            raise
 
     # -- segment I/O -------------------------------------------------------------
 
@@ -532,17 +512,17 @@ class SegmentStore:
         if "/" in segment_id or segment_id.startswith("."):
             raise ValueError(f"bad segment id: {segment_id!r}")
         payload = io.BytesIO()
-        payload.write(_SEGMENT_MAGIC)
+        payload.write(_SEGMENT_SEAL.head_magic)
         payload.write(start_day.to_bytes(4, "big"))
         payload.write(end_day.to_bytes(4, "big"))
         records = save_corpus_binary(corpus, payload)
-        data = payload.getvalue()
-        crc = zlib.crc32(data) & 0xFFFFFFFF
-        blob = data + _SEGMENT_FOOTER_MAGIC + crc.to_bytes(4, "big")
+        size = payload.tell() + durable.TRAILER_SIZE
         filename = f"{segment_id}{SEGMENT_SUFFIX}"
-        self._atomic_write(self.directory / filename, [blob])
+        crc = _SEGMENT_SEAL.write(
+            self.directory / filename, [payload.getbuffer()]
+        )
         self._m_flushed.inc()
-        self._m_bytes.observe(len(blob))
+        self._m_bytes.observe(size)
         self._write_partial_index(segment_id, corpus, crc)
         return SegmentMeta(
             segment_id=segment_id,
@@ -550,7 +530,7 @@ class SegmentStore:
             start_day=start_day,
             end_day=end_day,
             records=records,
-            size_bytes=len(blob),
+            size_bytes=size,
             crc32=crc,
         )
 
@@ -560,15 +540,13 @@ class SegmentStore:
         """Seal the segment's partial index next to its ``.seg`` file."""
         partial = PartialIndexColumns.from_corpus(corpus)
         header = (
-            _PARTIAL_MAGIC
+            _PARTIAL_SEAL.head_magic
             + segment_crc.to_bytes(4, "big")
             + len(partial).to_bytes(8, "big")
         )
-        body = header + partial.to_payload()
-        crc = zlib.crc32(body) & 0xFFFFFFFF
-        blob = body + _PARTIAL_FOOTER_MAGIC + crc.to_bytes(4, "big")
-        self._atomic_write(
-            self.directory / f"{segment_id}{PARTIAL_INDEX_SUFFIX}", [blob]
+        _PARTIAL_SEAL.write(
+            self.directory / f"{segment_id}{PARTIAL_INDEX_SUFFIX}",
+            [header, partial.to_payload()],
         )
         self._m_partials.inc()
 
@@ -583,35 +561,7 @@ class SegmentStore:
         """
         path = self.partial_index_path(meta)
         data = path.read_bytes()
-        if data[:4] != _PARTIAL_MAGIC:
-            raise SegmentError(
-                f"not a partial index: magic {data[:4]!r}", path=path, offset=0
-            )
-        if len(data) < _PARTIAL_HEADER_SIZE + _PARTIAL_FOOTER_SIZE:
-            raise SegmentError(
-                f"partial index truncated to {len(data)} bytes",
-                path=path,
-                offset=len(data),
-            )
-        # Slices of a view share the file's one buffer: the CRC and the
-        # column loads below read it in place instead of copying it.
-        body = memoryview(data)[:-_PARTIAL_FOOTER_SIZE]
-        footer = data[-_PARTIAL_FOOTER_SIZE:]
-        if footer[:4] != _PARTIAL_FOOTER_MAGIC:
-            raise SegmentError(
-                "partial index integrity footer missing (torn write?)",
-                path=path,
-                offset=len(body),
-            )
-        stored = int.from_bytes(footer[4:], "big")
-        computed = zlib.crc32(body) & 0xFFFFFFFF
-        if stored != computed:
-            raise SegmentError(
-                f"partial index CRC mismatch: stored {stored:#010x}, "
-                f"computed {computed:#010x}",
-                path=path,
-                offset=len(body),
-            )
+        body = _PARTIAL_SEAL.check(data, path)
         segment_crc = int.from_bytes(data[4:8], "big")
         if segment_crc != meta.crc32:
             raise SegmentError(
@@ -627,8 +577,9 @@ class SegmentStore:
                 path=path,
             )
         try:
+            # A view: the columns read the file's one buffer in place.
             return PartialIndexColumns.from_payload(
-                body[_PARTIAL_HEADER_SIZE:], rows
+                memoryview(data)[_PARTIAL_SEAL.header_size : body], rows
             )
         except ValueError as error:
             raise SegmentError(str(error), path=path) from error
@@ -648,10 +599,15 @@ class SegmentStore:
                 f"manifest references a missing segment {meta.segment_id!r}",
                 path=path,
             ) from error
+        body = _SEGMENT_SEAL.check(data, path)
         try:
-            corpus, start_day, end_day = _parse_segment(data)
+            corpus = load_corpus_binary(
+                io.BytesIO(memoryview(data)[_SEGMENT_SEAL.header_size : body])
+            )
         except CorpusFormatError as error:
             raise SegmentError(error.reason, path=path, offset=error.offset) from error
+        start_day = int.from_bytes(data[4:8], "big")
+        end_day = int.from_bytes(data[8:12], "big")
         if (start_day, end_day) != (meta.start_day, meta.end_day):
             raise SegmentError(
                 f"segment day range [{start_day}, {end_day}) does not match "
@@ -738,35 +694,6 @@ class SegmentStore:
                 with contextlib.suppress(FileNotFoundError):
                     self.partial_index_path(meta).unlink()
         return manifest
-
-
-def _parse_segment(data: bytes) -> Tuple[AddressCorpus, int, int]:
-    if data[:4] != _SEGMENT_MAGIC:
-        raise CorpusFormatError(
-            f"not a repro corpus segment: magic {data[:4]!r}", offset=0
-        )
-    if len(data) < _SEGMENT_HEADER_SIZE + _SEGMENT_FOOTER_SIZE:
-        raise CorpusFormatError(
-            f"segment truncated to {len(data)} bytes (torn flush?)",
-            offset=len(data),
-        )
-    body, footer = data[:-_SEGMENT_FOOTER_SIZE], data[-_SEGMENT_FOOTER_SIZE:]
-    if footer[:4] != _SEGMENT_FOOTER_MAGIC:
-        raise CorpusFormatError(
-            "segment integrity footer missing (torn flush?)", offset=len(body)
-        )
-    stored = int.from_bytes(footer[4:], "big")
-    computed = zlib.crc32(body) & 0xFFFFFFFF
-    if stored != computed:
-        raise CorpusFormatError(
-            f"segment CRC mismatch: stored {stored:#010x}, "
-            f"computed {computed:#010x}",
-            offset=len(body),
-        )
-    start_day = int.from_bytes(data[4:8], "big")
-    end_day = int.from_bytes(data[8:12], "big")
-    corpus = load_corpus_binary(io.BytesIO(body[_SEGMENT_HEADER_SIZE:]))
-    return corpus, start_day, end_day
 
 
 class SegmentBufferedCorpus(AddressCorpus):

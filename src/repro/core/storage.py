@@ -21,23 +21,23 @@ Malformed or truncated input raises :class:`CorpusFormatError` naming
 the file and byte offset — never a bare ``struct.error`` or a silently
 shorter corpus.
 
-Path-based saves (:func:`save_corpus`) are **atomic**: data is written
-to a sibling temp file, fsynced, then moved over the destination with
-``os.replace`` — a crash mid-write leaves the previous good file
-untouched.  Campaign progress is not persisted here: a collection
-resumes from its segment store (:mod:`repro.core.segments`), whose
-segment files reuse the binary v2 record layout.
+Path-based saves (:func:`save_corpus`) are **atomic**
+(:func:`repro.core.durable.atomic_file`): a crash mid-write leaves the
+previous good file untouched.  Campaign progress is not persisted
+here: a collection resumes from its segment store
+(:mod:`repro.core.segments`), whose segment files reuse the binary v2
+record layout.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
+import io
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional, TextIO, Union
+from typing import BinaryIO, Optional, TextIO, Union
 
 from ..addr.ipv6 import format_address, parse
+from . import durable
 from .corpus import AddressCorpus
 
 __all__ = [
@@ -247,37 +247,17 @@ def load_corpus_binary(stream: BinaryIO) -> AddressCorpus:
     return corpus
 
 
-@contextlib.contextmanager
-def _atomic_stream(path: Path, binary: bool) -> Iterator:
-    """A write stream that atomically replaces ``path`` on clean exit.
-
-    Data goes to a sibling temp file; only after a successful flush and
-    fsync is it moved over the destination with ``os.replace``, so a
-    crash (or exception) mid-write never destroys the previous file.
-    """
-    temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    stream = temp.open("wb" if binary else "w")
-    try:
-        yield stream
-        stream.flush()
-        os.fsync(stream.fileno())
-        stream.close()
-        os.replace(temp, path)
-    except BaseException:
-        stream.close()
-        with contextlib.suppress(FileNotFoundError):
-            temp.unlink()
-        raise
-
-
 def save_corpus(corpus: AddressCorpus, path: Union[str, Path]) -> int:
     """Atomically save to a path; format chosen by suffix (``.bin`` → binary)."""
     path = Path(path)
-    if path.suffix == ".bin":
-        with _atomic_stream(path, binary=True) as stream:
+    with durable.atomic_file(path) as stream:
+        if path.suffix == ".bin":
             return save_corpus_binary(corpus, stream)
-    with _atomic_stream(path, binary=False) as stream:
-        return save_corpus_text(corpus, stream)
+        # open()'s text defaults: the locale's encoding, "\n" → os.linesep.
+        text = io.TextIOWrapper(stream)
+        written = save_corpus_text(corpus, text)
+        text.detach()
+        return written
 
 
 def load_corpus(path: Union[str, Path]) -> AddressCorpus:

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
+
+from ..core import durable
 
 __all__ = [
     "MATRIX_NAME",
@@ -216,14 +217,9 @@ def save_manifest(
     doc = manifest.to_json()
     doc["crc32"] = _document_crc(doc)
     payload = json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
-    temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    with open(temp, "wb") as stream:
-        stream.write(payload)
-        stream.flush()
-        os.fsync(stream.fileno())
-    if path.exists():
-        os.replace(path, path.with_name(f"{path.name}.1"))
-    os.replace(temp, path)
+    durable.atomic_write(
+        path, [payload], previous=path.with_name(f"{path.name}.1")
+    )
     return path
 
 

@@ -35,13 +35,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..core import durable
 from ..core.campaign import CampaignConfig, NTPCampaign
 from ..core.jobs import Outcome, backoff_delay, run_jobs
 from ..core.parallel import run_campaign_parallel
@@ -112,16 +112,6 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write_json(path: Path, doc: Dict[str, object]) -> None:
-    temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    payload = json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
-    with open(temp, "wb") as stream:
-        stream.write(payload)
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(temp, path)
-
-
 def execute_cell(
     cell: CellSpec,
     cell_dir: Union[str, Path],
@@ -131,11 +121,11 @@ def execute_cell(
 
     Builds the cell's world, runs its pipeline (the NTP collection, or
     the full study for ``pipeline="study"``), saves the resulting
-    corpus to ``<cell_dir>/corpus.bin`` and — only once everything else
-    is durably on disk — atomically writes ``RESULT.json``.  The result
-    file's presence is therefore the cell's commit point: a process
-    that died mid-cell left no ``RESULT.json`` and the scheduler counts
-    the attempt failed.
+    corpus to ``<cell_dir>/corpus.bin`` and then atomically writes
+    ``RESULT.json``, the cell's on-disk record (the only one of its
+    metrics snapshot).  The cell commits when its attempt reports the
+    returned result on its result pipe (:func:`repro.core.jobs.run_jobs`):
+    an attempt that dies first reports nothing and is counted failed.
     """
     cell_dir = Path(cell_dir)
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -183,7 +173,10 @@ def execute_cell(
         "seconds": time.perf_counter() - started,
         "metrics": registry.snapshot(),
     }
-    _atomic_write_json(cell_dir / RESULT_NAME, result)
+    durable.atomic_write(
+        cell_dir / RESULT_NAME,
+        [json.dumps(result, sort_keys=True, indent=1).encode("utf-8")],
+    )
     return result
 
 
@@ -351,7 +344,7 @@ def run_matrix(
         cell = to_run[cell_id]
         cell_dir = cells_root / cell_id
         cell_dir.mkdir(parents=True, exist_ok=True)
-        # A stale commit point must not outlive this attempt's writes.
+        # A stale record must not outlive this attempt's writes.
         (cell_dir / RESULT_NAME).unlink(missing_ok=True)
         maybe_fail_shard(cell.index)
         return execute_cell(cell, cell_dir)

@@ -134,25 +134,6 @@ class CellSpec:
             return None
         return FaultPlan.parse(self.faults)
 
-    def to_json(self) -> Dict[str, object]:
-        doc = self.params
-        doc["index"] = self.index
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: Dict[str, object]) -> "CellSpec":
-        faults = doc.get("faults")
-        return cls(
-            index=int(doc["index"]),
-            preset=str(doc["preset"]),
-            overrides=_freeze_overrides(doc.get("overrides") or {}),
-            faults=None if faults is None else str(faults),
-            weeks=int(doc["weeks"]),
-            workers=int(doc["workers"]),
-            seed=int(doc["seed"]),
-            pipeline=str(doc.get("pipeline", "campaign")),
-        )
-
 
 @dataclass(frozen=True)
 class CellRejected:

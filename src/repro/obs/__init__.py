@@ -15,6 +15,10 @@ bit-identical to one run with :data:`NULL_REGISTRY` (test-pinned, like
 ``FaultPlan.none()``).
 """
 
+import logging
+from pathlib import Path
+from typing import Union
+
 from .registry import (
     DEFAULT_SIZE_BUCKETS,
     DEFAULT_TIME_BUCKETS,
@@ -37,4 +41,18 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_REGISTRY",
     "SpanStats",
+    "write_metrics",
 ]
+
+logger = logging.getLogger(__name__)
+
+
+def write_metrics(registry: MetricsRegistry, path: Union[str, Path]) -> None:
+    """Export ``registry`` to ``path``: the JSON snapshot by default, the
+    Prometheus text exposition for ``.prom``/``.txt`` paths."""
+    target = Path(path)
+    if target.suffix in {".prom", ".txt"}:
+        target.write_text(registry.render_prometheus())
+    else:
+        target.write_text(registry.to_json())
+    logger.info("metrics written to %s", target)

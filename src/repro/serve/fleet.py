@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..net.routing import RoutingTable
-from ..obs import MetricsRegistry, NULL_REGISTRY
+from ..obs import MetricsRegistry, NULL_REGISTRY, write_metrics
 from ..world import build_routing, preset_config
 from .engine import CoalescingEngine
 from .format import (
@@ -150,16 +150,6 @@ def reuseport_socket(host: str, port: int) -> socket.socket:
         sock.close()
         raise
     return sock
-
-
-def write_metrics(registry: MetricsRegistry, path: str) -> None:
-    """JSON snapshot by default, Prometheus text for .prom/.txt."""
-    target = Path(path)
-    if target.suffix in {".prom", ".txt"}:
-        target.write_text(registry.render_prometheus())
-    else:
-        target.write_text(registry.to_json())
-    logger.info("metrics written to %s", target)
 
 
 # -- serving-index builds in a forked child -----------------------------------

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import contextlib
 import mmap
-import os
 import struct
 import sys
 import zlib
@@ -67,6 +66,7 @@ try:  # POSIX advisory locking for multi-process builder election
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
+from ..core import durable
 from ..core import kernels as _kernels
 from ..core.index import PartialIndexColumns
 from ..core.segments import (
@@ -84,7 +84,6 @@ __all__ = [
     "ServingIndex",
     "ServingIndexError",
     "build_serving_index",
-    "crc32_of",
     "ensure_serving_index",
     "flatten_origin_table",
     "le_bytes",
@@ -101,15 +100,11 @@ SERVING_INDEX_NAME = "SERVING.rsi"
 #: Advisory lock file electing one builder among concurrent workers.
 SERVING_LOCK_NAME = "SERVING.rsi.lock"
 
-_MAGIC = b"RSI1"
-_FOOTER_MAGIC = b"RSIF"
 _VERSION = 1
 _FLAG_ORIGIN_TABLE = 1
 
 _HEADER = struct.Struct("<4sHHQQQQQI12x")
 _HEADER_SIZE = _HEADER.size  # 64
-_FOOTER = struct.Struct("<4sI")
-_FOOTER_SIZE = _FOOTER.size  # 8
 
 _U64_MASK = (1 << 64) - 1
 _ADDRESS_SPACE = 1 << 128
@@ -122,15 +117,13 @@ class ServingIndexError(CorpusFormatError):
     """A serving index file is torn, corrupt, or inconsistent."""
 
 
+_SEAL = durable.Seal(
+    b"RSI1", b"RSIF", "little", _HEADER_SIZE, "serving index",
+    ServingIndexError,
+)
+
+
 # -- shared binary-format helpers (RSI1 files and RSB1 wire frames) ------------
-
-
-def crc32_of(*chunks) -> int:
-    """CRC32 over a sequence of byte chunks, without concatenating them."""
-    value = 0
-    for chunk in chunks:
-        value = zlib.crc32(chunk, value)
-    return value & 0xFFFFFFFF
 
 
 def pack_uvarint(value: int) -> bytes:
@@ -466,27 +459,22 @@ def _peek_generation(path: Path) -> int:
         magic, version, _, _, _, _, _, generation, _ = _HEADER.unpack(head)
     except struct.error:  # pragma: no cover - fixed-size read
         return 0
-    if magic != _MAGIC or version != _VERSION:
+    if magic != _SEAL.head_magic or version != _VERSION:
         return 0
     return generation
 
 
-def _sealed_chunks(header: bytes, columns) -> Iterator:
-    """An RSI1 file's bytes, chunk by chunk, ending in its CRC footer.
+def _file_chunks(header: bytes, columns) -> Iterator:
+    """An RSI1 file's bytes before its trailer, chunk by chunk.
 
     Yields the packed header, then each ``(values, dtype)`` column as
-    one little-endian run followed by its zero padding to 8 bytes, then
-    the ``RSIF`` footer, whose CRC is taken over the chunks as they pass.
+    one little-endian run followed by its zero padding to 8 bytes.
     """
-    crc = zlib.crc32(header)
     yield header
     for values, dtype in columns:
         run = np.ascontiguousarray(values, dtype=dtype)
-        padding = bytes(_pad8(run.nbytes))
-        crc = zlib.crc32(padding, zlib.crc32(run, crc))
         yield run
-        yield padding
-    yield _FOOTER.pack(_FOOTER_MAGIC, crc & 0xFFFFFFFF)
+        yield bytes(_pad8(run.nbytes))
 
 
 def build_serving_index(
@@ -504,7 +492,7 @@ def build_serving_index(
     ``routing`` (a :class:`~repro.net.routing.RoutingTable` or anything
     with ``routed_prefixes()``) into the LPM origin table when given.
     The header, each column and the CRC footer are then streamed
-    through the store's atomic writer — the file is never assembled in
+    through the durable writer — the file is never assembled in
     memory — replacing any previous index, bumping its generation and
     stamping the manifest digest it was derived from.  Returns the
     index path.
@@ -540,7 +528,7 @@ def build_serving_index(
 
         path = directory / SERVING_INDEX_NAME
         header = _HEADER.pack(
-            _MAGIC,
+            _SEAL.head_magic,
             _VERSION,
             flags,
             size,
@@ -567,7 +555,7 @@ def build_serving_index(
             (origin_lo, "<u8"),
             (origin_asn, "<u4"),
         )
-        store._atomic_write(path, _sealed_chunks(header, columns))
+        _SEAL.write(path, _file_chunks(header, columns))
     registry.counter(
         "repro_serve_index_builds_total", "serving index builds"
     ).inc()
@@ -632,7 +620,7 @@ class ServingIndex:
             offset, self.origin_intervals, "<u4"
         )
         offset += _pad8(4 * self.origin_intervals)
-        if offset + _FOOTER_SIZE != len(mapped):
+        if offset + durable.TRAILER_SIZE != len(mapped):
             raise ServingIndexError(
                 "serving index size disagrees with its header counts",
                 path=path,
@@ -679,13 +667,9 @@ class ServingIndex:
     def _validate(
         cls, path: Path, stream, mapped: mmap.mmap
     ) -> "ServingIndex":
-        total = len(mapped)
-        if total < _HEADER_SIZE + _FOOTER_SIZE:
-            raise ServingIndexError(
-                f"serving index truncated to {total} bytes", path=path
-            )
+        _SEAL.check(mapped, path)
         (
-            magic,
+            _,
             version,
             flags,
             rows,
@@ -695,32 +679,11 @@ class ServingIndex:
             generation,
             digest,
         ) = _HEADER.unpack_from(mapped, 0)
-        if magic != _MAGIC:
-            raise ServingIndexError(
-                f"bad serving index magic {magic!r}", path=path, offset=0
-            )
         if version != _VERSION:
             raise ServingIndexError(
                 f"unsupported serving index version {version}",
                 path=path,
                 offset=4,
-            )
-        footer_magic, stored_crc = _FOOTER.unpack_from(
-            mapped, total - _FOOTER_SIZE
-        )
-        if footer_magic != _FOOTER_MAGIC:
-            raise ServingIndexError(
-                "serving index footer missing (torn write?)",
-                path=path,
-                offset=total - _FOOTER_SIZE,
-            )
-        with memoryview(mapped) as view:
-            actual_crc = crc32_of(view[: total - _FOOTER_SIZE])
-        if actual_crc != stored_crc:
-            raise ServingIndexError(
-                f"serving index CRC mismatch: stored {stored_crc:#010x}, "
-                f"actual {actual_crc:#010x}",
-                path=path,
             )
         return cls(
             path,
@@ -733,7 +696,7 @@ class ServingIndex:
 
     def _view(self, offset: int, count: int, dtype: str):
         end = offset + np.dtype(dtype).itemsize * count
-        if end + _FOOTER_SIZE > len(self._mm):
+        if end + durable.TRAILER_SIZE > len(self._mm):
             raise ServingIndexError(
                 "serving index columns overrun the file",
                 path=self.path,
@@ -937,29 +900,6 @@ class ServingIndex:
         return self.columnar_batch("origin", addresses).to_list()
 
 
-def _remove_dead_builders_temp_files(directory: Path) -> None:
-    """Delete ``SERVING.rsi.tmp-<pid>`` files whose writer is dead.
-
-    The store's atomic writer removes its temp file when the write
-    raises, but a SIGKILLed builder raises nothing and leaves one as
-    large as the index.  Called under :func:`serving_build_lock`, when
-    no live elected builder can be writing; a temp file whose pid is
-    still alive (or was reused) is left alone.
-    """
-    prefix = f"{SERVING_INDEX_NAME}.tmp-"
-    for temp in directory.glob(prefix + "*"):
-        pid = temp.name[len(prefix):]
-        if not pid.isdigit() or not int(pid):
-            continue
-        try:
-            os.kill(int(pid), 0)
-        except ProcessLookupError:
-            with contextlib.suppress(FileNotFoundError):
-                temp.unlink()
-        except OSError:  # alive, owned by another user
-            pass
-
-
 def ensure_serving_index(
     directory: Union[str, Path],
     *,
@@ -985,14 +925,17 @@ def ensure_serving_index(
     workers reacting to one manifest change elect a single builder: the
     winner rebuilds, the losers block on the lock and then reuse the
     fresh index.  The lock holder first removes the temp files of
-    builders that died mid-write (:func:`_remove_dead_builders_temp_files`).
+    builders that died mid-write, each as large as the index
+    (:func:`repro.core.durable.remove_dead_writers_temp_files`).
     """
     directory = Path(directory)
     if directory.name == MANIFEST_NAME:
         directory = directory.parent
     if lock:
         with serving_build_lock(directory):
-            _remove_dead_builders_temp_files(directory)
+            durable.remove_dead_writers_temp_files(
+                directory / SERVING_INDEX_NAME
+            )
             return ensure_serving_index(
                 directory,
                 routing=routing,

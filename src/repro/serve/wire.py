@@ -64,9 +64,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core import kernels as _kernels
+from ..core.durable import crc32_of
 from .format import (
     ColumnarResults,
-    crc32_of,
     le_bytes,
     pack_uvarint,
     unpack_uvarint,

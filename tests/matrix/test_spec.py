@@ -96,20 +96,6 @@ class TestJson:
         with pytest.raises(ValueError, match="not valid JSON"):
             MatrixSpec.from_file(path)
 
-    def test_cell_spec_round_trips(self):
-        original = cell(
-            index=3,
-            overrides=(("n_home_networks", 30),),
-            faults="flap=0.2",
-            weeks=2,
-            seed=7,
-        )
-        clone = CellSpec.from_json(
-            json.loads(json.dumps(original.to_json()))
-        )
-        assert clone == original
-        assert clone.cell_id == original.cell_id
-
 
 class TestValidation:
     def test_feasible_cell_passes(self):

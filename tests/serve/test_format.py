@@ -300,14 +300,12 @@ with open(path, "wb") as stream:
 
 CRASH_BUILD_SCRIPT = """
 import os, signal, sys
-import repro.core.segments as segments
+import repro.core.durable as durable
 from repro.serve import build_serving_index
 
 directory = sys.argv[1]
 
-real_atomic = segments.SegmentStore._atomic_write
-
-def dying_atomic(self, path, chunks):
+def dying_atomic(path, chunks):
     # Die inside the temp-file write, before os.replace: the crash
     # window of the real builder, which streams the file as chunks.
     chunks = list(chunks)
@@ -318,7 +316,7 @@ def dying_atomic(self, path, chunks):
         os.fsync(stream.fileno())
     os.kill(os.getpid(), signal.SIGKILL)
 
-segments.SegmentStore._atomic_write = dying_atomic
+durable.atomic_write = dying_atomic
 build_serving_index(directory)
 """
 

@@ -22,9 +22,10 @@ import time
 
 import pytest
 
+from repro.core import durable
 from repro.core.corpus import AddressCorpus
 from repro.core.index import CorpusIndex
-from repro.core.segments import SegmentStore, SegmentedCorpusReader
+from repro.core.segments import SegmentedCorpusReader
 from repro.obs import MetricsRegistry
 from repro import api
 from repro.serve import (
@@ -238,16 +239,16 @@ def _hook_index_write(monkeypatch, token, then):
     """Make the next ``SERVING.rsi`` write stop halfway through.
 
     In the style of ``CRASH_BUILD_SCRIPT`` (``test_format.py``): the
-    store's atomic writer is patched before the builder forks, so the
-    child inherits it.  The write that finds ``token`` consumes it,
+    durable writer is patched before the builder forks, so the child
+    inherits it.  The write that finds ``token`` consumes it,
     writes half the chunks to the real temp file and then calls
     ``then(pid)`` inside the builder; later writes are untouched.
     """
-    real_atomic = SegmentStore._atomic_write
+    real_atomic = durable.atomic_write
 
-    def hooked(self, path, chunks):
+    def hooked(path, chunks):
         if path.name != SERVING_INDEX_NAME or not token.exists():
-            return real_atomic(self, path, chunks)
+            return real_atomic(path, chunks)
         token.unlink()
         chunks = list(chunks)
         temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
@@ -256,9 +257,9 @@ def _hook_index_write(monkeypatch, token, then):
                 stream.write(chunk)
             stream.flush()
         then(os.getpid())
-        return real_atomic(self, path, chunks)
+        return real_atomic(path, chunks)
 
-    monkeypatch.setattr(SegmentStore, "_atomic_write", hooked)
+    monkeypatch.setattr(durable, "atomic_write", hooked)
 
 
 def _temp_files(directory):
