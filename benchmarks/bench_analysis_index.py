@@ -4,9 +4,9 @@ Every analysis in the report pipeline (Table 1 comparison, phone-provider
 shares, entropy CDF, lifetimes, addressing categories, per-AS entropy,
 EUI-64 tracking) used to re-scan the corpus and re-resolve one LPM origin
 per address.  The :class:`repro.core.index.CorpusIndex` materializes the
-shared per-address columns once and :class:`repro.core.index.CachedOrigins`
-memoizes origin resolution per distinct /64, so the whole suite reads the
-same pass.
+shared per-address columns once and resolves each row's origin once
+(:meth:`~repro.core.index.CorpusIndex.row_origins`), so the whole suite
+reads the same pass.
 
 This bench builds a synthetic clustered corpus (few distinct /64s, ~60
 origin ASes, IIDs drawn from the paper's pattern families, announcements
@@ -57,7 +57,7 @@ from repro.core.categories import (
 )
 from repro.core.compare import compare_datasets, phone_provider_shares
 from repro.core.corpus import AddressCorpus
-from repro.core.index import CachedOrigins, PartialIndexColumns
+from repro.core.index import PartialIndexColumns
 from repro.core.lifetime import (
     address_lifetime_summary,
     eui64_iid_lifetimes,
@@ -72,8 +72,8 @@ from jsonout import publish_text, write_bench_json
 
 NUM_AS = 60
 COUNTRIES = ("DE", "US", "JP", "FR", "BR", "IN", "GB", "NL")
-#: Average addresses per distinct /64 — the clustering CachedOrigins
-#: exploits (the paper's corpora are similarly /64-heavy).
+#: Average addresses per distinct /64 (the paper's corpora are similarly
+#: /64-heavy).
 CLUSTER = 24
 #: ``--check`` bar on the heap a built index retains, in bytes per row.
 MAX_INDEX_BYTES_PER_ROW = 100
@@ -110,8 +110,9 @@ def build_routing():
             Prefix(blocks[n] | (2 << 80) | (1 << 64), 64),
             64500 + (n + 2) % NUM_AS,
         )
-    # Announcements more specific than /64: the memoization edge case.
-    # Each /80 covers the IIDs of its /64 whose top 16 bits are zero.
+    # Announcements more specific than /64: addresses of one /64 need
+    # not share an origin.  Each /80 covers the IIDs of its /64 whose
+    # top 16 bits are zero.
     for n in (0, 5, 11):
         table.announce(Prefix(blocks[n] | (3 << 80), 80), 65100 + n)
     return table, registry, blocks
@@ -174,18 +175,17 @@ def run_suite(ntp, active, origin, registry, ipv4_origin, country_of):
     }
 
 
-def index_retained_bytes_per_row(events, table):
+def index_retained_bytes_per_row(events):
     """Heap bytes per row still held after ``build_index`` (tracemalloc).
 
     The corpus is built before tracing starts, so only what the index
     itself keeps alive is counted: its columns and anything they hold.
     """
     corpus = build_corpus("ntp-pool", events)
-    origins = CachedOrigins.from_routing_table(table)
     gc.collect()
     tracemalloc.start()
     try:
-        corpus.build_index(origins)
+        corpus.build_index()
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
@@ -263,24 +263,24 @@ def run_bench(n_events, seed=11, repeat=2):
         naive_seconds = min(naive_seconds, seconds)
 
     # Indexed: one columnar pass per corpus (timed — the speedup is
-    # end-to-end, including the index build), /64-memoized origins
-    # shared by every analysis.  A fresh resolver per round keeps the
-    # cache cold so the LPM cost is not amortized across rounds.
+    # end-to-end, including the index build), each row's origin
+    # resolved once per index and shared by every analysis.  Fresh
+    # indexes per round keep the origin views cold, so the LPM cost is
+    # not amortized across rounds.
     indexed = None
     indexed_seconds = float("inf")
     build_seconds = float("inf")
-    origins = None
     for _ in range(repeat):
         ntp = build_corpus("ntp-pool", events)
         active = build_corpus("ipv6-hitlist", active_events)
-        origins = CachedOrigins.from_routing_table(table)
+        origin = table.origin_asn
 
         def indexed_run():
-            ntp.build_index(origins)
-            active.build_index(origins)
+            ntp.build_index()
+            active.build_index()
             return run_suite(
-                ntp, active, origins, registry, ipv4_origin,
-                country_getter(origins),
+                ntp, active, origin, registry, ipv4_origin,
+                country_getter(origin),
             )
 
         result, seconds = isolated(indexed_run)
@@ -291,19 +291,16 @@ def run_bench(n_events, seed=11, repeat=2):
                 ntp.index.build_seconds + active.index.build_seconds
             )
 
-    info = origins.cache_info()
     return {
         "events": n_events,
         "repeat": repeat,
         "addresses": len(ntp),
         "distinct_slash64s": len(ntp.slash64_set()),
-        "hot_slash64s": info["hot_slash64s"],
-        "lpm_calls": info["lpm_calls"],
         "naive_seconds": round(naive_seconds, 4),
         "indexed_seconds": round(indexed_seconds, 4),
         "index_build_seconds": round(build_seconds, 4),
         "index_retained_bytes_per_row": round(
-            index_retained_bytes_per_row(events, table), 1
+            index_retained_bytes_per_row(events), 1
         ),
         "speedup": round(naive_seconds / indexed_seconds, 2),
         "results_equal": results_match(naive, indexed),
@@ -428,13 +425,12 @@ def render(payload):
             "Analysis suite: naive per-figure scans vs columnar index",
             "",
             f"addresses: {payload['addresses']:,} "
-            f"({payload['distinct_slash64s']:,} /64s, "
-            f"{payload['hot_slash64s']} hot)",
+            f"({payload['distinct_slash64s']:,} /64s)",
             f"naive:   {payload['naive_seconds']:.2f}s "
             "(per-address LPM, per-analysis re-scan)",
             f"indexed: {payload['indexed_seconds']:.2f}s "
             f"(incl. {payload['index_build_seconds']:.2f}s index build, "
-            f"{payload['lpm_calls']:,} LPM calls)",
+            "one LPM per row)",
             f"index heap: {payload['index_retained_bytes_per_row']:.1f} "
             "B/row retained after the build (tracemalloc)",
             f"speedup: {payload['speedup']:.2f}x end-to-end, "
@@ -545,14 +541,13 @@ def test_analysis_index_speedup(benchmark):
     assert payload["speedup"] > 1.0
     assert payload["index_retained_bytes_per_row"] <= MAX_INDEX_BYTES_PER_ROW
 
-    table, registry, blocks = build_routing()
+    _, _, blocks = build_routing()
     macs = [(0x0011_22 << 24) + n for n in range(200)]
     events = generate_events(10_000, 11, blocks, macs)
 
     def indexed_round():
         corpus = build_corpus("ntp-pool", events)
-        origins = CachedOrigins.from_routing_table(table)
-        corpus.build_index(origins)
+        corpus.build_index()
         return iid_lifetimes_by_entropy(corpus)
 
     benchmark.pedantic(indexed_round, rounds=3, iterations=1)

@@ -237,8 +237,8 @@ class CategoryClassifier:
         """Classify via a columnar corpus index; equals classify_corpus.
 
         ``index`` is a :class:`repro.core.index.CorpusIndex` (duck-typed:
-        only its ``addresses``, ``hi``, ``lo`` (the IID) and
-        ``pattern_codes`` columns are read).  ``rows`` restricts
+        only its ``addresses``, ``lo`` (the IID) and ``pattern_codes``
+        columns and its ``row_origins`` view are read).  ``rows`` restricts
         classification to a row subset (the windowed Fig. 5 variant);
         ``None`` means all rows.
 
@@ -313,38 +313,13 @@ class CategoryClassifier:
         return counts
 
     def _resolve_rows(self, index, row_list) -> List[Optional[int]]:
-        """Origin ASN per row of ``row_list``, memoized per /64.
-
-        When the IPv6 origin resolver advertises which /64s contain an
-        announcement more specific than /64 (a ``hot_slash64s``
-        attribute, as :class:`repro.core.index.CachedOrigins` does),
-        every other /64 shares one origin across its addresses, so the
-        resolver runs once per distinct /64 key, read from the index's
-        ``hi`` column; hot /64s resolve per address.
-        """
+        """Origin ASN per row of ``row_list``, from the index's per-row
+        origin view (each row resolved once per index)."""
         origin = self._ipv6_origin
         if origin is None:
             return [None] * len(row_list)
-        addresses = index.addresses
-        hot = getattr(origin, "hot_slash64s", None)
-        if hot is None:
-            return [origin(addresses[row]) for row in row_list]
-        hot = {key >> 64 for key in hot}
-        hi = index.hi.tolist()
-        cache: Dict[int, Optional[int]] = {}
-        asns: List[Optional[int]] = []
-        for row in row_list:
-            key = hi[row]
-            if key in hot:
-                asns.append(origin(addresses[row]))
-                continue
-            try:
-                asns.append(cache[key])
-            except KeyError:
-                asn = origin(addresses[row])
-                cache[key] = asn
-                asns.append(asn)
-        return asns
+        origins = index.row_origins(origin)
+        return [origins[row] for row in row_list]
 
     def _accepted_ipv4_ases(self, addresses: List[int]) -> set:
         """First pass: the set of ASes whose IPv4-embeddings are trusted."""

@@ -34,15 +34,15 @@ def study_report(world, results, geolocation_min_pairs: int = 12) -> str:
     """Render the complete findings report for one study run.
 
     When the study built columnar indexes (the default), every section
-    reads the shared index columns and the study's /64-memoized origin
-    resolver; otherwise each analysis falls back to scanning the
-    corpora with the world's raw LPM lookup.
+    reads the shared index columns, each corpus resolving its rows'
+    origins once; otherwise each analysis falls back to scanning the
+    corpora.
     """
     from ..core.compare import compare_datasets, phone_provider_shares
     from ..core.lifetime import address_lifetime_summary
     from ..core.tracking import analyze_tracking
 
-    origin = getattr(results, "origins", None) or world.ipv6_origin_asn
+    origin = world.ipv6_origin_asn
     sections: List[str] = []
 
     # 1. Dataset comparison (Table 1).

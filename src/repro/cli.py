@@ -155,10 +155,11 @@ def _cmd_study(args) -> int:
     world = build_world(_world_config(args))
     logger.info("world: %s", world.stats())
     results = run_study(world, study_config)
-    origin = results.origins or world.ipv6_origin_asn
     with results.metrics.span("table1-comparison"):
         comparison = compare_datasets(
-            results.ntp, [results.hitlist, results.caida], origin
+            results.ntp,
+            [results.hitlist, results.caida],
+            world.ipv6_origin_asn,
         )
     print(comparison.render())
     output_dir = Path(args.output_dir)

@@ -24,7 +24,7 @@ from .compare import (
     phone_provider_shares,
 )
 from .corpus import AddressCorpus
-from .index import CachedOrigins, CorpusIndex, PartialIndexColumns
+from .index import CorpusIndex, PartialIndexColumns
 from .lifetime import (
     LifetimeSummary,
     address_lifetime_summary,
@@ -64,7 +64,6 @@ __all__ = [
     "AddressCorpus",
     "BackscanCampaign",
     "BackscanReport",
-    "CachedOrigins",
     "CampaignConfig",
     "CaptureModel",
     "CorpusFormatError",

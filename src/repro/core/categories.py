@@ -49,16 +49,16 @@ def top_as_entropy_distributions(
         raise ValueError("top must be >= 1")
     index = getattr(corpus, "index", None)
     if index is not None:
-        # Group precomputed entropy rows by (memoized) origin instead of
-        # re-walking the trie and re-deriving entropy per address.
+        # Group precomputed entropy rows by the index's per-row origins
+        # instead of resolving and re-deriving entropy per address.
         if window is None:
             rows = range(len(index))
         else:
             rows = index.rows_in_window(*window)
-        addresses = index.addresses
+        origins = index.row_origins(origin)
         by_asn_rows: Dict[int, List[int]] = {}
         for row in rows:
-            asn = origin(addresses[row])
+            asn = origins[row]
             if asn is not None:
                 by_asn_rows.setdefault(asn, []).append(row)
         ranked_rows = sorted(

@@ -59,18 +59,16 @@ class AddressCorpus:
         """The attached :class:`CorpusIndex`, or ``None``."""
         return self._index
 
-    def build_index(self, origins=None, metrics=None):
+    def build_index(self, metrics=None):
         """Build, attach and return a columnar index over the records.
 
-        ``origins`` is an optional :class:`~repro.core.index.CachedOrigins`
-        resolver the index's origin aggregations default to.
         ``metrics`` is an optional :class:`~repro.obs.MetricsRegistry`
         on which the full scan is counted
         (``repro_index_full_rebuilds_total``).
         """
         from .index import CorpusIndex
 
-        self._index = CorpusIndex.build(self, origins=origins, metrics=metrics)
+        self._index = CorpusIndex.build(self, metrics=metrics)
         return self._index
 
     def attach_index(self, index) -> None:

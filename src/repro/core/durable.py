@@ -76,16 +76,15 @@ def atomic_write(
             stream.write(chunk)
 
 
-def remove_dead_writers_temp_files(path: PathLike) -> None:
-    """Delete the ``<path>.tmp-<pid>`` files of dead (SIGKILLed) writers.
+def remove_dead_writers_temp_files(directory: PathLike) -> None:
+    """Delete the ``<name>.tmp-<pid>`` files in ``directory`` whose
+    writer died (was SIGKILLed) mid-write.
 
-    Call it where no live writer of ``path`` can be mid-write (under a
-    lock); a temp file whose pid is alive (or was reused) is kept.
+    A temp file whose pid is alive (or was reused) is kept: its writer
+    may still be writing it.
     """
-    path = Path(path)
-    prefix = f"{path.name}.tmp-"
-    for temp in path.parent.glob(prefix + "*"):
-        pid = temp.name[len(prefix):]
+    for temp in Path(directory).glob("*.tmp-*"):
+        pid = temp.name.rpartition(".tmp-")[2]
         if not pid.isdigit() or not int(pid):
             continue
         try:

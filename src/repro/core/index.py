@@ -1,13 +1,11 @@
-"""Single-pass columnar corpus index with cached LPM origin resolution.
+"""Single-pass columnar corpus index.
 
 The paper's entire analysis section (§4–§5) is aggregate queries over one
-7.9B-address corpus.  Re-walking the corpus once per figure — and walking
-the 128-bit routing trie once per address per consumer — makes analysis
-cost O(figures × addresses × trie-depth).  Addresses cluster under few
-prefixes ("Clusters in the Expanse"; this paper's /48- and /64-level
-aggregation), so the right shape is the opposite: resolve each structural
-property of an address exactly once, resolve origin once per distinct
-/64, and let every figure and table read precomputed columns.
+7.9B-address corpus.  Re-walking the corpus once per figure — and
+resolving the origin of every address once per consumer — makes analysis
+cost O(figures × addresses).  The right shape is the opposite: resolve
+each structural property of an address exactly once, resolve each row's
+origin once, and let every figure and table read precomputed columns.
 
 The heavy per-IID work (entropy, pattern class, MAC extraction) and the
 column folds live in :mod:`repro.core.kernels`, vectorized with numpy and
@@ -18,26 +16,19 @@ An index is built once — by one scan of a corpus
 (:meth:`CorpusIndex.from_partials`, no segment rescan) — and is never
 patched: a corpus that changes drops its index.
 
-Three classes implement that:
+Two classes implement that:
 
 * :class:`CorpusIndex` — a one-pass columnar materialization of an
   :class:`~repro.core.corpus.AddressCorpus`: eight row-aligned numpy
   columns in the ``.idx`` row layout (the address as ``hi``/``lo`` u64
   halves, first/last/count, normalized IID entropy, structural pattern
   code and extracted EUI-64 MAC), plus lazily-memoized aggregate views
-  (prefix sets, lifetimes, IID intervals, per-MAC groupings, origin-AS
-  counts) shared by every consumer.  The IID is ``lo``, the /64 key is
+  (prefix sets, lifetimes, IID intervals, per-MAC groupings, per-row
+  origins) shared by every consumer.  The IID is ``lo``, the /64 key is
   ``hi`` and the /48 key is ``hi`` with its low 16 bits cleared.
 * :class:`PartialIndexColumns` — one sealed segment's columnar summary,
   built at seal time and persisted next to the segment; any set of
   partials folds associatively into a full :class:`CorpusIndex`.
-* :class:`CachedOrigins` — a longest-prefix-match memoizer: origin ASN
-  is computed once per distinct /64 rather than once per address per
-  consumer.  **Correctness condition**: all addresses of a /64 share an
-  origin only when no announcement *longer* than /64 intersects that
-  /64.  Any announcement with length > 64 is wholly contained in a
-  single /64, so the resolver precomputes that "hot" /64 set and falls
-  back to per-address LPM inside it.
 
 Aggregate views hand out Python ints, floats, lists and dicts, never
 numpy scalars: ``np.uint64`` fails :func:`json.dumps`, and the ``repr``
@@ -52,13 +43,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..addr.ipv6 import IID_MASK, PREFIX_MASK
+from ..addr.ipv6 import IID_MASK
 from ..addr.patterns import STRUCTURAL_CODES
 from . import kernels as _kernels
 from .kernels import NO_MAC
 
 __all__ = [
-    "CachedOrigins",
     "CorpusIndex",
     "PartialIndexColumns",
     "NO_MAC",
@@ -108,99 +98,10 @@ def _distinct_rows(keys):
     return first[emit], sizes[emit]
 
 
-class CachedOrigins:
-    """Memoizing origin-ASN resolver: one LPM walk per distinct /64.
-
-    Wraps any ``address -> Optional[int]`` origin callable (a
-    :meth:`~repro.net.routing.RoutingTable.origin_asn` bound method,
-    ``world.ipv6_origin_asn``, …).  Lookups inside a /64 that contains
-    no announcement longer than /64 are answered from a per-/64 cache;
-    lookups inside "hot" /64s (those containing a longer-than-/64
-    announcement) always fall back to the wrapped per-address LPM, so
-    the resolver is exactly equivalent to the callable it wraps.
-    """
-
-    __slots__ = ("_origin", "_cache", "_hot", "lpm_calls")
-
-    def __init__(
-        self,
-        origin: Callable[[int], Optional[int]],
-        long_prefixes: Iterable = (),
-    ) -> None:
-        self._origin = origin
-        self._cache: Dict[int, Optional[int]] = {}
-        # Any prefix longer than /64 fixes all 64 high bits, so it lies
-        # inside exactly one /64 — that /64 can never be memoized.
-        self._hot: Set[int] = {
-            prefix.network & PREFIX_MASK
-            for prefix in long_prefixes
-            if prefix.length > 64
-        }
-        #: Wrapped-LPM invocations actually performed (profiling aid).
-        self.lpm_calls = 0
-
-    @classmethod
-    def from_routing_table(cls, table) -> "CachedOrigins":
-        """Wrap a :class:`~repro.net.routing.RoutingTable`."""
-        return cls(
-            table.origin_asn,
-            (routed.prefix for routed in table.routed_prefixes()),
-        )
-
-    @classmethod
-    def from_world(cls, world) -> "CachedOrigins":
-        """Wrap a world's IPv6 origin lookup and its routing table."""
-        return cls(
-            world.ipv6_origin_asn,
-            (routed.prefix for routed in world.routing.routed_prefixes()),
-        )
-
-    @property
-    def hot_slash64s(self) -> Set[int]:
-        """/64 keys containing an announcement more specific than /64."""
-        return self._hot
-
-    def __call__(self, address: int) -> Optional[int]:
-        """Origin ASN of ``address`` (memoized per /64 where sound)."""
-        key = address & PREFIX_MASK
-        if key in self._hot:
-            self.lpm_calls += 1
-            return self._origin(address)
-        try:
-            return self._cache[key]
-        except KeyError:
-            self.lpm_calls += 1
-            asn = self._origin(address)
-            self._cache[key] = asn
-            return asn
-
-    def slash64_origin(self, key: int) -> Optional[int]:
-        """Origin shared by every address of a non-hot /64 ``key``.
-
-        ``key`` must be a /64 prefix key (low 64 bits zero) that is not
-        hot; calling this for a hot /64 raises, because its addresses do
-        not share a single origin.
-        """
-        if key in self._hot:
-            raise ValueError(
-                f"/64 {key:#x} contains a longer-than-/64 announcement; "
-                "resolve its addresses individually"
-            )
-        return self(key)
-
-    def cache_info(self) -> Dict[str, int]:
-        """Cache shape for profiling: distinct /64s, hot /64s, LPM calls."""
-        return {
-            "cached_slash64s": len(self._cache),
-            "hot_slash64s": len(self._hot),
-            "lpm_calls": self.lpm_calls,
-        }
-
-
 class CorpusIndex:
     """One-pass columnar materialization of an address corpus.
 
-    Build once per corpus (``CorpusIndex.build(corpus, origins)``), then
+    Build once per corpus (``CorpusIndex.build(corpus)``), then
     every figure/table consumer reads shared columns and memoized
     aggregates instead of re-scanning the corpus.  Rows are in corpus
     record order, so order-sensitive derivations (per-MAC address lists,
@@ -223,7 +124,6 @@ class CorpusIndex:
         "entropies",
         "pattern_codes",
         "macs",
-        "origins",
         "build_seconds",
         "_addresses",
         "_slash48_set",
@@ -234,6 +134,7 @@ class CorpusIndex:
         "_iid_entropies",
         "_eui64_rows",
         "_eui64_intervals",
+        "_row_origins",
     )
 
     def __init__(
@@ -247,7 +148,6 @@ class CorpusIndex:
         entropies: np.ndarray,
         pattern_codes: np.ndarray,
         macs: np.ndarray,
-        origins: Optional[CachedOrigins] = None,
         build_seconds: float = 0.0,
         addresses: Optional[List[int]] = None,
     ) -> None:
@@ -265,7 +165,6 @@ class CorpusIndex:
         self.entropies = entropies
         self.pattern_codes = pattern_codes
         self.macs = macs
-        self.origins = origins
         self.build_seconds = build_seconds
         self._addresses = addresses
         self._slash48_set: Optional[Set[int]] = None
@@ -276,16 +175,12 @@ class CorpusIndex:
         self._iid_entropies: Optional[Dict[int, float]] = None
         self._eui64_rows: Optional[Dict[int, List[int]]] = None
         self._eui64_intervals: Optional[Dict[int, Tuple[float, float]]] = None
+        self._row_origins: Dict[Callable, List[Optional[int]]] = {}
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        corpus,
-        origins: Optional[CachedOrigins] = None,
-        metrics=None,
-    ) -> "CorpusIndex":
+    def build(cls, corpus, metrics=None) -> "CorpusIndex":
         """Materialize all columns from ``corpus`` with a full scan.
 
         This is the cold path: one pass over every record.  Analysis
@@ -310,7 +205,6 @@ class CorpusIndex:
             last,
             counts,
             *_kernels.iid_feature_columns(lo),
-            origins=origins,
             addresses=addresses,
         )
         index.build_seconds = time.perf_counter() - t0
@@ -327,7 +221,6 @@ class CorpusIndex:
         name: str,
         partials: Iterable["PartialIndexColumns"],
         rows: int,
-        origins: Optional[CachedOrigins] = None,
     ) -> "CorpusIndex":
         """Fold per-segment partial indexes into one full index.
 
@@ -365,7 +258,6 @@ class CorpusIndex:
             entropies[source],
             codes[source],
             macs[source],
-            origins=origins,
         )
         index.build_seconds = time.perf_counter() - t0
         return index
@@ -478,47 +370,30 @@ class CorpusIndex:
 
     # -- origin aggregation -------------------------------------------------------
 
-    def asn_counts(
-        self, origin: Optional[Callable[[int], Optional[int]]] = None
-    ) -> Counter:
-        """Address count per origin ASN (``None`` for unrouted).
+    def row_origins(
+        self, origin: Callable[[int], Optional[int]]
+    ) -> List[Optional[int]]:
+        """Origin ASN of every row, in row order (``None`` for unrouted).
 
-        With a :class:`CachedOrigins` resolver (the attached one by
-        default) the tally runs over *distinct /64s* instead of
-        addresses, resolving each non-hot /64 exactly once; hot /64s
-        (containing a longer-than-/64 announcement) are resolved
-        per-address, preserving exact equivalence with the naive loop.
+        Resolved once per ``origin`` callable — equal bound methods share
+        one view — and memoized with the index (shared list; read-only).
+        ``origin`` must answer the same for the index's lifetime.
         """
-        resolver = self.origins if origin is None else origin
-        if resolver is None:
-            raise ValueError("no origin resolver attached or supplied")
-        counts: Counter = Counter()
-        if isinstance(resolver, CachedOrigins):
-            hot = resolver.hot_slash64s
-            per_slash64 = self.slash64_address_counts()
-            live_hot = hot.intersection(per_slash64) if hot else ()
-            for key, n in per_slash64.items():
-                if key in live_hot:
-                    continue
-                counts[resolver.slash64_origin(key)] += n
-            if live_hot:
-                hot_hi = np.array(
-                    sorted(key >> 64 for key in live_hot), dtype=np.uint64
-                )
-                addresses = self.addresses
-                for row in np.flatnonzero(np.isin(self.hi, hot_hi)).tolist():
-                    counts[resolver(addresses[row])] += 1
-        else:
-            for address in self.addresses:
-                counts[resolver(address)] += 1
-        return counts
+        view = self._row_origins.get(origin)
+        if view is None:
+            view = [origin(address) for address in self.addresses]
+            self._row_origins[origin] = view
+        return view
 
-    def asn_set(
-        self, origin: Optional[Callable[[int], Optional[int]]] = None
-    ) -> Set[int]:
+    def asn_counts(self, origin: Callable[[int], Optional[int]]) -> Counter:
+        """Address count per origin ASN (``None`` for unrouted), keys in
+        first-occurrence row order."""
+        return Counter(self.row_origins(origin))
+
+    def asn_set(self, origin: Callable[[int], Optional[int]]) -> Set[int]:
         """Distinct origin ASNs (unrouted addresses are skipped)."""
         return {
-            asn for asn in self.asn_counts(origin) if asn is not None
+            asn for asn in self.row_origins(origin) if asn is not None
         }
 
     def __repr__(self) -> str:

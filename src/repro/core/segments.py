@@ -71,7 +71,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from ..obs import DEFAULT_SIZE_BUCKETS, MetricsRegistry, NULL_REGISTRY
 from . import durable
 from .corpus import AddressCorpus
-from .index import CachedOrigins, CorpusIndex, PartialIndexColumns
+from .index import CorpusIndex, PartialIndexColumns
 from .storage import (
     BINARY_RECORD_BYTES,
     CorpusFormatError,
@@ -197,11 +197,6 @@ class Manifest:
     @property
     def total_bytes(self) -> int:
         return sum(meta.size_bytes for meta in self.segments)
-
-    @property
-    def completed_days(self) -> int:
-        """Collection days durably covered (the resume watermark)."""
-        return self.completed_weeks * 7
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -441,7 +436,10 @@ class SegmentStore:
         monotonic — a commit can never move it backwards.  Only call
         this after every segment in ``new_segments`` is durably on disk:
         the ordering is what makes "the manifest never references a
-        torn segment" a structural property rather than a hope.
+        torn segment" a structural property rather than a hope.  Each
+        commit then deletes the temp files that writers killed
+        mid-write left in the directory
+        (:func:`repro.core.durable.remove_dead_writers_temp_files`).
         """
         manifest = self.load_manifest()
         if manifest is None:
@@ -465,6 +463,7 @@ class SegmentStore:
             manifest.metrics = metrics
         self._write_manifest(manifest)
         self._m_commits.inc()
+        durable.remove_dead_writers_temp_files(self.directory)
         return manifest
 
     def _write_manifest(self, manifest: Manifest) -> None:
@@ -949,11 +948,7 @@ class SegmentedCorpusReader:
                 self._store._m_index_rescanned.inc()
             yield partial
 
-    def build_index(
-        self,
-        origins: Optional[CachedOrigins] = None,
-        name: Optional[str] = None,
-    ) -> CorpusIndex:
+    def build_index(self, name: Optional[str] = None) -> CorpusIndex:
         """Fold the partial indexes into a full :class:`CorpusIndex`.
 
         This is the incremental analysis path: when every segment's
@@ -968,14 +963,9 @@ class SegmentedCorpusReader:
                 name or self.manifest.name,
                 self.iter_partial_indexes(),
                 self.manifest.total_records,
-                origins=origins,
             )
 
-    def load_indexed(
-        self,
-        origins: Optional[CachedOrigins] = None,
-        name: Optional[str] = None,
-    ) -> AddressCorpus:
+    def load_indexed(self, name: Optional[str] = None) -> AddressCorpus:
         """Materialize the folded corpus *from the partial indexes*.
 
         Reconstructs the record store from the folded index columns —
@@ -985,7 +975,7 @@ class SegmentedCorpusReader:
         ``.seg`` file when the partials are intact.  The result is
         cached as the reader's folded corpus.
         """
-        index = self.build_index(origins=origins, name=name)
+        index = self.build_index(name=name)
         corpus = AddressCorpus(name or self.manifest.name)
         corpus._records = {
             address: [first, last, count]

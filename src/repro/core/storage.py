@@ -4,12 +4,14 @@ Offline analysis and releases need to reload collected corpora without
 re-running the world.  Two formats:
 
 * **text** (``.corpus.csv``) — one ``address,first,last,count`` line per
-  record, human-greppable, with a header carrying the corpus name.
+  record, human-greppable, with a header carrying the corpus name;
+  UTF-8 with ``\n`` line endings whatever the host's locale.
 * **binary** (``.corpus.bin``) — fixed-size records (16-byte address,
   two float64 timestamps, observation count) behind a magic/version
   header; ~3x smaller and ~5x faster to load than text.  The current
   **v2** record carries a uint64 count; the original v1 record used a
-  uint32 count and overflowed at 2^32−1 sightings — v1 files still load.
+  uint32 count and overflowed at 2^32−1 sightings — v1 files still load,
+  but only v2 is written.
 
 Records are written in ascending address order, so two corpora with the
 same contents serialize to identical bytes regardless of the order the
@@ -56,7 +58,7 @@ _BINARY_MAGIC_V1 = b"RPC1"
 _BINARY_MAGIC_V2 = b"RPC2"
 _RECORD_V1 = struct.Struct(">16s d d I")
 _RECORD_V2 = struct.Struct(">16s d d Q")
-_MAX_COUNT = {1: 0xFFFFFFFF, 2: 0xFFFFFFFFFFFFFFFF}
+_MAX_COUNT = 0xFFFFFFFFFFFFFFFF
 
 #: Serialized size of one current-format (v2) record — the segment
 #: store's flush estimator prices its in-memory buffer with this.
@@ -166,42 +168,29 @@ def load_corpus_text(stream: TextIO) -> AddressCorpus:
     return corpus
 
 
-def save_corpus_binary(
-    corpus: AddressCorpus, stream: BinaryIO, version: int = 2
-) -> int:
-    """Write the binary format; returns the number of records written.
+def save_corpus_binary(corpus: AddressCorpus, stream: BinaryIO) -> int:
+    """Write the binary format (v2); returns the number of records written.
 
-    ``version`` selects the record layout: 2 (default, uint64 count) or
-    1 (the legacy uint32 layout, kept so compatibility tests can produce
-    old-style files).  Counts outside the selected layout's range raise
-    ``ValueError`` instead of a bare ``struct.error``.
+    Counts beyond the uint64 record field raise ``ValueError`` instead
+    of a bare ``struct.error``.
     """
-    if version == 2:
-        magic, record = _BINARY_MAGIC_V2, _RECORD_V2
-    elif version == 1:
-        magic, record = _BINARY_MAGIC_V1, _RECORD_V1
-    else:
-        raise ValueError(f"unknown binary corpus version: {version}")
-    max_count = _MAX_COUNT[version]
     name_bytes = corpus.name.encode("utf-8")
     if len(name_bytes) > 0xFFFF:
         raise ValueError("corpus name too long for the binary header")
-    stream.write(magic)
+    stream.write(_BINARY_MAGIC_V2)
     stream.write(len(name_bytes).to_bytes(2, "big"))
     stream.write(name_bytes)
     stream.write(len(corpus).to_bytes(8, "big"))
     written = 0
     for address, (first, last, count) in sorted(corpus.items()):
-        if count > max_count:
+        if count > _MAX_COUNT:
             raise ValueError(
                 f"observation count {count:,} of "
-                f"{format_address(address)} exceeds the uint"
-                f"{32 if version == 1 else 64} range of binary format "
-                f"v{version}"
-                + ("; save as v2 instead" if version == 1 else "")
+                f"{format_address(address)} exceeds the uint64 range of "
+                "binary format v2"
             )
         stream.write(
-            record.pack(address.to_bytes(16, "big"), first, last, count)
+            _RECORD_V2.pack(address.to_bytes(16, "big"), first, last, count)
         )
         written += 1
     return written
@@ -253,8 +242,8 @@ def save_corpus(corpus: AddressCorpus, path: Union[str, Path]) -> int:
     with durable.atomic_file(path) as stream:
         if path.suffix == ".bin":
             return save_corpus_binary(corpus, stream)
-        # open()'s text defaults: the locale's encoding, "\n" → os.linesep.
-        text = io.TextIOWrapper(stream)
+        # The same bytes on every host: UTF-8, "\n" line endings.
+        text = io.TextIOWrapper(stream, encoding="utf-8", newline="\n")
         written = save_corpus_text(corpus, text)
         text.detach()
         return written
@@ -267,7 +256,7 @@ def load_corpus(path: Union[str, Path]) -> AddressCorpus:
         if path.suffix == ".bin":
             with path.open("rb") as stream:
                 return load_corpus_binary(stream)
-        with path.open("r") as stream:
+        with path.open("r", encoding="utf-8") as stream:
             return load_corpus_text(stream)
     except CorpusFormatError as error:
         raise _with_path(error, path) from error

@@ -23,7 +23,6 @@ from ..world.clock import WEEK
 from ..world.world import World
 from .campaign import CampaignConfig, NTPCampaign
 from .corpus import AddressCorpus
-from .index import CachedOrigins, CorpusIndex
 from .parallel import run_campaign_parallel
 from .segments import DEFAULT_SEGMENT_BYTES, SegmentStore
 
@@ -152,10 +151,6 @@ class StudyResults:
     campaign: NTPCampaign
     hitlist_service: HitlistService
     caida_campaign: CAIDACampaign
-    #: The study's shared /64-memoized origin resolver (``None`` when
-    #: indexing was disabled); analyses should prefer it over the
-    #: world's raw per-address LPM lookup.
-    origins: Optional[CachedOrigins] = None
     #: The study-wide telemetry registry: every stage span, campaign
     #: counter and fault counter recorded while the study ran.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -169,13 +164,6 @@ class StudyResults:
     def corpora(self):
         """The three datasets in the paper's Table 1 order."""
         return [self.ntp, self.hitlist, self.caida]
-
-    def index_for(self, name: str) -> Optional[CorpusIndex]:
-        """The columnar index of the corpus called ``name``, if built."""
-        for corpus in self.corpora():
-            if corpus.name == name:
-                return corpus.index
-        raise KeyError(f"no dataset named {name!r}")
 
 
 def run_study(
@@ -254,24 +242,20 @@ def run_study(
         )
     caida_corpus = AddressCorpus.from_history("caida-routed-48", caida_history)
 
-    origins: Optional[CachedOrigins] = None
     if execution.build_index:
         with registry.span("corpus-index"):
-            origins = CachedOrigins.from_world(world)
             if segment_store is not None:
                 # Incremental path: fold the seal-time partial indexes
                 # instead of rescanning every sealed segment the
                 # campaign just wrote (repro_index_segments_reused_total
                 # counts the segments answered without a re-read).
                 ntp_corpus.attach_index(
-                    segment_store.reader().build_index(
-                        origins, name=ntp_corpus.name
-                    )
+                    segment_store.reader().build_index(name=ntp_corpus.name)
                 )
             else:
-                ntp_corpus.build_index(origins, metrics=registry)
+                ntp_corpus.build_index(metrics=registry)
             for corpus in (hitlist_corpus, caida_corpus):
-                corpus.build_index(origins, metrics=registry)
+                corpus.build_index(metrics=registry)
 
     return StudyResults(
         ntp=ntp_corpus,
@@ -280,6 +264,5 @@ def run_study(
         campaign=campaign,
         hitlist_service=hitlist_service,
         caida_campaign=caida_campaign,
-        origins=origins,
         metrics=registry,
     )

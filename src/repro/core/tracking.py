@@ -103,8 +103,9 @@ def build_mac_tracks(
 
     With a :class:`~repro.core.index.CorpusIndex` attached to the
     corpus, sightings are read straight from the MAC / first-seen /
-    /64 columns; otherwise each EUI-64 address is re-derived from the
-    record store.  Both paths produce identical tracks.
+    /64 columns and the per-row origins; otherwise each EUI-64 address
+    is re-derived from the record store.  Both paths produce identical
+    tracks.
     """
     index = getattr(corpus, "index", None)
     tracks: Dict[int, MACTrack] = {}
@@ -114,6 +115,7 @@ def build_mac_tracks(
         first = index.first.tolist()
         last = index.last.tolist()
         hi = index.hi.tolist()
+        origins = index.row_origins(origin)
     else:
         groups = iter(corpus.eui64_mac_addresses().items())
     for mac, sightings in groups:
@@ -124,11 +126,13 @@ def build_mac_tracks(
             ordered = [addresses[row] for row in rows]
             firsts = [first[row] for row in rows]
             prefix64s = [hi[row] << 64 for row in rows]
+            origin_asns = [origins[row] for row in rows]
             last_seen = max(last[row] for row in rows)
         else:
             ordered = sorted(sightings, key=corpus.first_seen)
             firsts = [corpus.first_seen(address) for address in ordered]
             prefix64s = [slash64_of(address) for address in ordered]
+            origin_asns = [origin(address) for address in ordered]
             last_seen = max(
                 corpus.last_seen(address) for address in ordered
             )
@@ -136,14 +140,15 @@ def build_mac_tracks(
         transitions = 0
         timeline: List[Tuple[float, int, Optional[int]]] = []
         previous64: Optional[int] = None
-        for position, address in enumerate(ordered):
-            prefix64 = prefix64s[position]
+        for position, prefix64 in enumerate(prefix64s):
             if prefix64 not in slash64s:
                 slash64s.append(prefix64)
             if previous64 is not None and prefix64 != previous64:
                 transitions += 1
             previous64 = prefix64
-            timeline.append((firsts[position], prefix64, origin(address)))
+            timeline.append(
+                (firsts[position], prefix64, origin_asns[position])
+            )
         asns = tuple(
             sorted({asn for _, _, asn in timeline if asn is not None})
         )

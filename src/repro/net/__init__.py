@@ -2,7 +2,8 @@
 
 Prefix tries and longest-prefix matching (:mod:`repro.net.prefixes`),
 AS records with ASdb-style categories (:mod:`repro.net.asn`), routed
-prefix tables (:mod:`repro.net.routing`), country-level geolocation
+prefix tables answering from flattened origin intervals
+(:mod:`repro.net.routing`), country-level geolocation
 (:mod:`repro.net.geodb`) and the AS-level topology with router-interface
 addressing that active tracing discovers (:mod:`repro.net.topology`).
 """

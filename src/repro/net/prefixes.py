@@ -1,15 +1,13 @@
 """Binary prefix trie with longest-prefix matching.
 
-The numbering substrate everything else stands on: routing tables
-(:mod:`repro.net.routing`), geolocation (:mod:`repro.net.geodb`) and alias
-lists all need "which announced prefix covers this address?" answered
-quickly.  The trie is generic over the address width, so one implementation
-serves both IPv6 (width 128) and IPv4 (width 32 — needed for the paper's
-IPv4-embedded-address validation, §4.3).
-
-A linear-scan fallback with the same interface
-(:class:`LinearPrefixTable`) exists for the LPM ablation bench
-(DESIGN.md §6).
+The numbering substrate everything else stands on: geolocation
+(:mod:`repro.net.geodb`) and alias lists need "which stored prefix covers
+this address?" answered quickly.  The trie is generic over the address
+width (IPv6 128, IPv4 32).  Routing tables (:mod:`repro.net.routing`)
+answer origin lookups from flattened intervals instead; the trie and the
+linear-scan baseline with the same interface (:class:`LinearPrefixTable`)
+are their independent references in the tests and the LPM ablation
+bench (DESIGN.md §6).
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ from .format import (
     ServingIndexError,
     build_serving_index,
     ensure_serving_index,
-    flatten_origin_table,
     manifest_digest,
     manifest_fingerprint,
     serving_build_lock,
@@ -102,7 +101,6 @@ __all__ = [
     "ServingIndexError",
     "build_serving_index",
     "ensure_serving_index",
-    "flatten_origin_table",
     "fork_index_build",
     "manifest_digest",
     "manifest_fingerprint",

@@ -50,6 +50,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from ..core.jobs import backoff_delay
 from ..net.routing import RoutingTable
 from ..obs import MetricsRegistry, NULL_REGISTRY, write_metrics
 from ..world import build_routing, preset_config
@@ -608,10 +609,7 @@ def run_supervisor(config: FleetConfig) -> int:
     worker_config = dataclasses.replace(
         config, host=host, port=port, rebuild=False
     )
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
+    context = multiprocessing.get_context("fork")
 
     stop: Dict[str, Optional[int]] = {"signal": None}
     wake_r, wake_w = os.pipe()
@@ -677,9 +675,8 @@ def run_supervisor(config: FleetConfig) -> int:
                     if lived >= _RESTART_RESET_SECONDS
                     else slot.failures + 1
                 )
-                delay = min(
-                    _RESTART_BACKOFF_CAP,
-                    _RESTART_BACKOFF_BASE * (2 ** (failures - 1)),
+                delay = backoff_delay(
+                    failures, _RESTART_BACKOFF_BASE, _RESTART_BACKOFF_CAP
                 )
                 logger.warning(
                     "serve worker %d exited code=%s after %.1fs; "

@@ -43,9 +43,10 @@ refused*, never served; rebuilds write a temp file and ``os.replace``
 it, so an already-mmapped reader keeps its old inode — a consistent
 snapshot — while new opens see the new generation.
 
-The origin table is the routing trie flattened to disjoint half-open
-intervals (:func:`flatten_origin_table`): longest-prefix match becomes
-"rightmost interval start <= address", one composite binary search.
+The origin table is the routing table's own flattened form
+(:meth:`~repro.net.routing.RoutingTable.origin_columns`): disjoint
+half-open intervals, so longest-prefix match is "rightmost interval
+start <= address", one composite binary search.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ __all__ = [
     "ServingIndexError",
     "build_serving_index",
     "ensure_serving_index",
-    "flatten_origin_table",
     "le_bytes",
     "manifest_digest",
     "manifest_fingerprint",
@@ -221,68 +221,6 @@ def serving_build_lock(directory: Union[str, Path]):
             yield
         finally:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-
-def flatten_origin_table(
-    routed,
-) -> Tuple[List[int], List[int], List[int]]:
-    """Flatten announcements to disjoint LPM intervals.
-
-    ``routed`` iterates :class:`~repro.net.routing.RoutedPrefix`-shaped
-    objects (``.prefix.network``/``.prefix.length``/``.asn``).  Returns
-    ``(starts_hi, starts_lo, asns)``: interval starts sorted ascending,
-    each interval running to the next start, ``asns[i]`` the origin of
-    every address at or past ``starts[i]`` (0 = unrouted — valid ASNs
-    are positive).  The answer for any address is the entry at the
-    rightmost start <= address, which one composite binary search finds;
-    nesting is resolved here, at build time, with a sweep over the
-    prefixes sorted by (network, length).
-    """
-    entries = sorted(
-        (
-            (item.prefix.network, item.prefix.length, item.asn)
-            for item in routed
-        ),
-        key=lambda entry: (entry[0], entry[1]),
-    )
-    # Sweep: entering a prefix opens its interval; leaving it restores
-    # whatever shorter prefix still covers the space (or unrouted).
-    boundaries: List[Tuple[int, int]] = [(0, 0)]
-    stack: List[Tuple[int, int]] = []  # (end_exclusive, asn)
-    for network, length, asn in entries:
-        end = network + (1 << (128 - length))
-        while stack and stack[-1][0] <= network:
-            popped_end, _ = stack.pop()
-            boundaries.append(
-                (popped_end, stack[-1][1] if stack else 0)
-            )
-        boundaries.append((network, asn))
-        stack.append((end, asn))
-    while stack:
-        popped_end, _ = stack.pop()
-        boundaries.append((popped_end, stack[-1][1] if stack else 0))
-
-    # Same-start boundaries: the later entry (the more specific prefix
-    # entered at that address) wins.  Then merge equal-ASN runs.  A /0
-    # announcement ends at 2**128 — unreachable by any query, drop it.
-    deduped: List[List[int]] = []
-    for start, asn in boundaries:
-        if start >= _ADDRESS_SPACE:
-            continue
-        if deduped and deduped[-1][0] == start:
-            deduped[-1][1] = asn
-        else:
-            deduped.append([start, asn])
-    starts_hi: List[int] = []
-    starts_lo: List[int] = []
-    asns: List[int] = []
-    for start, asn in deduped:
-        if asns and asns[-1] == asn:
-            continue
-        starts_hi.append(start >> 64)
-        starts_lo.append(start & _U64_MASK)
-        asns.append(asn)
-    return starts_hi, starts_lo, asns
 
 
 def le_bytes(column: array) -> bytes:
@@ -488,9 +426,10 @@ def build_serving_index(
     Stacks the seal-time partial indexes one at a time (re-reading
     **zero** sealed ``.seg`` payloads while the partials are intact)
     into columns sized from the manifest, folds them in one sorted numpy
-    pass (:func:`repro.core.kernels.sorted_record_fold`), and flattens
-    ``routing`` (a :class:`~repro.net.routing.RoutingTable` or anything
-    with ``routed_prefixes()``) into the LPM origin table when given.
+    pass (:func:`repro.core.kernels.sorted_record_fold`), and writes
+    the flattened intervals of ``routing`` (a
+    :class:`~repro.net.routing.RoutingTable`) as the LPM origin table
+    when given.
     The header, each column and the CRC footer are then streamed
     through the durable writer — the file is never assembled in
     memory — replacing any previous index, bumping its generation and
@@ -521,9 +460,7 @@ def build_serving_index(
         flags = 0
         origin_hi = origin_lo = origin_asn = ()
         if routing is not None:
-            origin_hi, origin_lo, origin_asn = flatten_origin_table(
-                routing.routed_prefixes()
-            )
+            origin_hi, origin_lo, origin_asn = routing.origin_columns()
             flags |= _FLAG_ORIGIN_TABLE
 
         path = directory / SERVING_INDEX_NAME
@@ -925,7 +862,8 @@ def ensure_serving_index(
     workers reacting to one manifest change elect a single builder: the
     winner rebuilds, the losers block on the lock and then reuse the
     fresh index.  The lock holder first removes the temp files of
-    builders that died mid-write, each as large as the index
+    writers that died mid-write in the directory, a builder's each as
+    large as the index
     (:func:`repro.core.durable.remove_dead_writers_temp_files`).
     """
     directory = Path(directory)
@@ -933,9 +871,7 @@ def ensure_serving_index(
         directory = directory.parent
     if lock:
         with serving_build_lock(directory):
-            durable.remove_dead_writers_temp_files(
-                directory / SERVING_INDEX_NAME
-            )
+            durable.remove_dead_writers_temp_files(directory)
             return ensure_serving_index(
                 directory,
                 routing=routing,

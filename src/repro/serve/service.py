@@ -60,10 +60,6 @@ __all__ = [
 #: ``SERVE READY <host> <port>`` — parseable by benchmarks and CI.
 READY_PREFIX = "SERVE READY"
 
-#: Backwards-compatible alias: the per-line/per-frame size bound is the
-#: wire module's ``DEFAULT_MAX_FRAME_BYTES`` (``--max-frame-bytes``).
-MAX_LINE_BYTES = DEFAULT_MAX_FRAME_BYTES
-
 #: Default per-connection in-flight request cap.  A client pipelining
 #: faster than the engine answers (or not reading its replies) would
 #: otherwise grow the per-request task set and the queued reply bytes
@@ -169,11 +165,6 @@ class HitlistServer:
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
 
     async def aclose(
         self, drain_timeout: Optional[float] = None

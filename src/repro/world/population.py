@@ -376,7 +376,6 @@ class WorldBuilder:
         self.config = config
         self._seed = config.seed
         self._next_device_id = 1
-        self._next_network_id = 1
         # Intended (pre-slack) customer counts per ASN; delegations carry
         # extra free slots so movers/commuters can be given fresh prefixes.
         self._intended_counts: Dict[int, int] = {}
@@ -681,11 +680,6 @@ class WorldBuilder:
         return preferential_attachment_topology(asns, rng, links_per_as=2)
 
     # -- networks and devices -----------------------------------------------
-
-    def _new_network_id(self) -> int:
-        network_id = self._next_network_id
-        self._next_network_id += 1
-        return network_id
 
     def _new_device_id(self) -> int:
         device_id = self._next_device_id

@@ -242,10 +242,6 @@ class World:
         """All devices in id order."""
         return iter(self.devices.values())
 
-    def network_of_id(self, network_id: int) -> CustomerNetwork:
-        """Network lookup by id."""
-        return self.networks[network_id]
-
     def stats(self) -> Dict[str, int]:
         """Coarse inventory counters, for reports and sanity checks."""
         return {

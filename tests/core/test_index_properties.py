@@ -2,9 +2,11 @@
 
 Every aggregate a :class:`CorpusIndex` (or an index-carrying corpus)
 serves must be *exactly* equal to the naive per-figure recomputation over
-the raw record store — including origin resolution through
-:class:`CachedOrigins` against a routing table that announces prefixes
-more specific than /64 (the memoization's correctness edge case).
+the raw record store — including the index's per-row origins, resolved
+by the :class:`RoutingTable` under test, against a :class:`PrefixTrie`
+holding the same announcements as the independent reference, with
+prefixes more specific than /64 announced (addresses of one /64 then
+need not share an origin).
 
 The strategy builds corpora the way the study produces them: a few
 routed /32s carrying /48 and /64 sub-announcements (plus occasional /80
@@ -27,15 +29,10 @@ from repro.core.categories import (
 )
 from repro.core.compare import compare_datasets
 from repro.core.corpus import AddressCorpus
-from repro.core.index import (
-    NO_MAC,
-    CachedOrigins,
-    CorpusIndex,
-    PartialIndexColumns,
-)
+from repro.core.index import NO_MAC, CorpusIndex, PartialIndexColumns
 from repro.core.lifetime import eui64_iid_lifetimes, iid_lifetimes_by_entropy
 from repro.core.tracking import analyze_tracking
-from repro.net.prefixes import Prefix
+from repro.net.prefixes import Prefix, PrefixTrie
 from repro.net.routing import RoutingTable
 
 # A handful of /32 blocks the generator announces and draws /64s from.
@@ -92,6 +89,14 @@ def build_table():
     return table
 
 
+def reference_lpm(table):
+    """An independent LPM over ``table``'s announcements: a trie walk."""
+    trie = PrefixTrie()
+    for routed in table.routed_prefixes():
+        trie.insert(routed.prefix, routed.asn)
+    return trie.lookup
+
+
 def ipv4_origin(value):
     """Deterministic IPv4 origin stub for the embedding acceptance rule."""
     return 64500 + (value % 4)
@@ -125,13 +130,12 @@ class TestIndexEquivalence:
     def test_index_aggregates_equal_naive(self, events):
         table = build_table()
         naive_corpus = build_corpus("naive", events)
-        naive = naive_aggregates(naive_corpus, table.origin_asn)
+        naive = naive_aggregates(naive_corpus, reference_lpm(table))
 
         indexed_corpus = build_corpus("naive", events)
-        origins = CachedOrigins.from_routing_table(table)
-        indexed_corpus.build_index(origins)
+        indexed_corpus.build_index()
         assert indexed_corpus.index is not None
-        indexed = naive_aggregates(indexed_corpus, origins)
+        indexed = naive_aggregates(indexed_corpus, table.origin_asn)
 
         assert naive == indexed
 
@@ -139,13 +143,12 @@ class TestIndexEquivalence:
     @given(sightings)
     def test_cached_origins_matches_raw_lpm_per_address(self, events):
         table = build_table()
-        corpus = build_corpus("c", events)
-        origins = CachedOrigins.from_routing_table(table)
-        for address in corpus.addresses():
-            assert origins(address) == table.origin_asn(address)
-        # Second pass answers from the /64 cache, identically.
-        for address in corpus.addresses():
-            assert origins(address) == table.origin_asn(address)
+        lookup = reference_lpm(table)
+        index = build_corpus("c", events).build_index()
+        origins = index.row_origins(table.origin_asn)
+        assert origins == [lookup(address) for address in index.addresses]
+        # Resolved once: an equal bound method gets the same view back.
+        assert index.row_origins(table.origin_asn) is origins
 
     @settings(max_examples=40, deadline=None)
     @given(sightings, sightings)
@@ -157,11 +160,11 @@ class TestIndexEquivalence:
             ntp = build_corpus("ntp-pool", ntp_events)
             other = build_corpus("ipv6-hitlist", other_events)
             if indexed:
-                origin = CachedOrigins.from_routing_table(table)
-                ntp.build_index(origin)
-                other.build_index(origin)
-            else:
                 origin = table.origin_asn
+                ntp.build_index()
+                other.build_index()
+            else:
+                origin = reference_lpm(table)
 
             def country_of(address):
                 asn = origin(address)
@@ -181,7 +184,8 @@ class TestIndexEquivalence:
 
 
 class TestLongerThanSlash64Announcements:
-    """The CachedOrigins correctness condition, pinned deterministically."""
+    """A /64 holding a longer-than-/64 announcement: its addresses do not
+    share one origin, so each row resolves its own."""
 
     def test_hot_slash64_resolves_per_address(self):
         table = RoutingTable()
@@ -190,37 +194,25 @@ class TestLongerThanSlash64Announcements:
         # An /80 announcement inside one /64: addresses of that /64 no
         # longer share an origin.
         table.announce(Prefix(block, 80), 65001)
-        origins = CachedOrigins.from_routing_table(table)
-        assert origins.hot_slash64s == {block}
 
         inside_80 = with_iid(block, 0x1234)            # covered by the /80
         outside_80 = with_iid(block, 1 << 60)          # only by the /32
-        assert origins(inside_80) == 65001
-        assert origins(outside_80) == 64500
-        with pytest.raises(ValueError):
-            origins.slash64_origin(block)
-
         corpus = AddressCorpus("hot")
         corpus.record(inside_80, 1.0)
         corpus.record(outside_80, 2.0)
-        sibling64 = with_iid(block | (7 << 64), 5)     # cold /64, same /48
+        sibling64 = with_iid(block | (7 << 64), 5)     # another /64, same /48
         corpus.record(sibling64, 3.0)
 
         naive = AddressCorpus("hot")
         for address, (first, last, count) in corpus.items():
             naive.record_interval(address, first, last, count)
 
-        corpus.build_index(origins)
-        assert corpus.asn_counts(origins) == naive.asn_counts(table.origin_asn)
-        assert corpus.asn_counts(origins) == {65001: 1, 64500: 2}
-
-    def test_slash112_hot_set_detection(self):
-        table = build_table()
-        origins = CachedOrigins.from_routing_table(table)
-        # Both the /80 and the /112 land inside /64s of BLOCKS[0]; the
-        # hot set keys them by their containing /64.
-        assert BLOCKS[0] in origins.hot_slash64s
-        assert all(key & ((1 << 64) - 1) == 0 for key in origins.hot_slash64s)
+        index = corpus.build_index()
+        assert index.row_origins(table.origin_asn) == [65001, 64500, 64500]
+        assert corpus.asn_counts(table.origin_asn) == naive.asn_counts(
+            reference_lpm(table)
+        )
+        assert corpus.asn_counts(table.origin_asn) == {65001: 1, 64500: 2}
 
 
 class TestIndexLifecycle:

@@ -1,7 +1,11 @@
 """Tests for repro.core.storage — corpus persistence."""
 
 import io
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -158,12 +162,14 @@ class TestBinaryVersions:
         }
 
     def test_v1_writer_roundtrip(self):
+        # Only v2 is written; v1 bytes are packed here, with struct.
         corpus = sample_corpus()
-        stream = io.BytesIO()
-        assert save_corpus_binary(corpus, stream, version=1) == 3
-        assert stream.getvalue().startswith(b"RPC1")
-        stream.seek(0)
-        assert_corpora_equal(corpus, load_corpus_binary(stream))
+        data = v1_corpus_bytes(
+            corpus.name,
+            [(address, *record) for address, record in corpus.items()],
+        )
+        assert data.startswith(b"RPC1")
+        assert_corpora_equal(corpus, load_corpus_binary(io.BytesIO(data)))
 
     def test_v2_is_default_magic(self):
         stream = io.BytesIO()
@@ -179,15 +185,10 @@ class TestBinaryVersions:
         loaded = load_corpus_binary(stream)
         assert loaded.observation_count(9) == (1 << 32) + 5
 
-    def test_v1_overflow_raises_clear_error(self):
-        corpus = AddressCorpus("busy")
-        corpus.record_interval(9, 1.0, 2.0, (1 << 32) + 5)
-        with pytest.raises(ValueError, match="uint32.*v1"):
-            save_corpus_binary(corpus, io.BytesIO(), version=1)
-
     def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            save_corpus_binary(sample_corpus(), io.BytesIO(), version=3)
+        data = v1_corpus_bytes("future", [])
+        with pytest.raises(CorpusFormatError, match="magic"):
+            load_corpus_binary(io.BytesIO(b"RPC3" + data[4:]))
 
 
 class ExplodingCorpus(AddressCorpus):
@@ -305,3 +306,41 @@ class TestPropertyRoundtrip:
         save_corpus_binary(corpus, binary)
         binary.seek(0)
         assert_corpora_equal(corpus, load_corpus_binary(binary))
+
+
+#: Saves and reloads a ``.csv`` corpus with a non-ASCII name (escaped, so
+#: the script text itself is ASCII under any locale).
+CSV_ROUND_TRIP = """
+import sys
+from repro.core.corpus import AddressCorpus
+from repro.core.storage import load_corpus, save_corpus
+
+name = "hitlist \\u00e9t\\u00e9"
+corpus = AddressCorpus(name)
+corpus.record_interval(1, 0.5, 1.5, 2)
+save_corpus(corpus, sys.argv[1])
+loaded = load_corpus(sys.argv[1])
+assert loaded.name == name, ascii(loaded.name)
+assert dict(loaded.items()) == dict(corpus.items())
+"""
+
+
+def test_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "c.corpus.csv"
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": str(src),
+    }
+    process = subprocess.run(
+        [sys.executable, "-c", CSV_ROUND_TRIP, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert process.returncode == 0, process.stderr
+    header = path.read_bytes().split(b"\n")[0]
+    assert header.endswith("hitlist été".encode("utf-8"))

@@ -1,13 +1,28 @@
-"""Tests for repro.net.routing and repro.net.geodb."""
+"""Tests for repro.net.routing and repro.net.geodb.
 
+The routing table answers longest-prefix match from its flattened
+interval table; a :class:`PrefixTrie` and a :class:`LinearPrefixTable`
+holding the same announcements are the independent references.
+"""
+
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.addr import ipv6
 from repro.net.geodb import GeoDatabase, country_histogram, top_country_share
-from repro.net.prefixes import parse_ipv4_prefix, parse_prefix
-from repro.net.routing import RoutedPrefix, RoutingTable
+from repro.net.prefixes import (
+    LinearPrefixTable,
+    Prefix,
+    PrefixTrie,
+    parse_ipv4_prefix,
+    parse_prefix,
+)
+from repro.net.routing import RoutedPrefix, RoutingTable, flatten_origin_table
+from repro.world import build_routing, preset_config
 
 
 class TestRoutedPrefix:
@@ -42,14 +57,6 @@ class TestRoutingTable:
         table.announce(parse_prefix("2001:db8:1::/48"), 64497)
         assert table.origin_asn(ipv6.parse("2001:db8:1::1")) == 64497
         assert table.origin_asn(ipv6.parse("2001:db8:2::1")) == 64496
-
-    def test_covering_prefix(self):
-        table = RoutingTable()
-        table.announce(parse_prefix("2001:db8::/32"), 64496)
-        assert table.covering_prefix(ipv6.parse("2001:db8::1")) == parse_prefix(
-            "2001:db8::/32"
-        )
-        assert table.covering_prefix(ipv6.parse("2001:db9::1")) is None
 
     def test_reannouncement_replaces(self):
         table = RoutingTable()
@@ -89,6 +96,126 @@ class TestRoutingTable:
         table = RoutingTable()
         table.announce(parse_prefix("2001:db8::/32"), 64496)
         assert list(table.items()) == [(parse_prefix("2001:db8::/32"), 64496)]
+
+
+def _lookup(starts, asns, address):
+    """The flattened table's answer: the rightmost start <= address."""
+    return asns[bisect_right(starts, address) - 1] or None
+
+
+class TestFlattenedOrigins:
+    def test_matches_trie_over_dense_probes(self):
+        routing = build_routing(preset_config("tiny", seed=3))
+        trie = PrefixTrie()
+        for routed in routing.routed_prefixes():
+            trie.insert(routed.prefix, routed.asn)
+        starts, asns = flatten_origin_table(routing.routed_prefixes())
+        assert starts[0] == 0
+        # Starts strictly increase; runs of equal ASN are merged.
+        assert starts == sorted(set(starts))
+        assert all(a != b for a, b in zip(asns, asns[1:]))
+        assert routing.origin_columns() == (
+            [start >> 64 for start in starts],
+            [start & ((1 << 64) - 1) for start in starts],
+            asns,
+        )
+        # Probe densely around every interval boundary.
+        probes = set()
+        for start in starts:
+            for delta in (-2, -1, 0, 1, 2):
+                if 0 <= start + delta < (1 << 128):
+                    probes.add(start + delta)
+        for probe in sorted(probes):
+            want = trie.lookup(probe)
+            assert _lookup(starts, asns, probe) == want, hex(probe)
+            assert routing.origin_asn(probe) == want, hex(probe)
+
+    def test_nested_and_sibling_prefixes(self):
+        table = RoutingTable()
+        base = 0x2001 << 112
+        table.announce(Prefix(base, 16), 1)
+        table.announce(Prefix(base, 32), 2)  # same start, longer
+        table.announce(Prefix(base | (5 << 80), 48), 3)  # nested
+        starts, asns = flatten_origin_table(table.routed_prefixes())
+        for probe, want in [
+            (0, None),
+            (base, 2),  # most specific same-start wins
+            (base | (5 << 80), 3),
+            (base | (5 << 80) + (1 << 80) - 1, 3),
+            (base | (6 << 80), 2),  # back to the /32
+            (base + (1 << 96), 1),  # past the /32, inside the /16
+            (base + (1 << 112), None),  # past everything
+        ]:
+            assert _lookup(starts, asns, probe) == want, hex(probe)
+            assert table.origin_asn(probe) == want, hex(probe)
+
+
+@st.composite
+def announcements(draw, width):
+    """Nested announcements of one width: few anchors (so prefixes nest
+    and share starts), /0 and full-length prefixes, repeated prefixes
+    (a re-announcement to a new ASN) and few ASNs (equal adjacent runs)."""
+    top = (1 << width) - 1
+    anchors = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, top),
+                st.integers(0, 15).map(lambda n: n << (width - 4)),
+                st.sampled_from([0, top]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    lengths = st.one_of(
+        st.sampled_from([0, 1, width // 2, width - 1, width]),
+        st.integers(0, width),
+    )
+    drawn = draw(
+        st.lists(
+            st.tuples(st.sampled_from(anchors), lengths, st.integers(1, 3)),
+            max_size=12,
+        )
+    )
+    return [
+        (
+            Prefix(
+                anchor >> (width - length) << (width - length), length, width
+            ),
+            asn,
+        )
+        for anchor, length, asn in drawn
+    ]
+
+
+class TestFlattenedLPMProperties:
+    @pytest.mark.parametrize("width", [128, 32])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_flattened_lpm_equals_linear_scan(self, width, data):
+        announced = data.draw(announcements(width))
+        table = RoutingTable(width)
+        linear = LinearPrefixTable(width)
+        for prefix, asn in announced:
+            table.announce(prefix, asn)
+            linear.insert(prefix, asn)
+        starts, asns = flatten_origin_table(table.routed_prefixes(), width)
+        assert starts[0] == 0
+        assert starts == sorted(set(starts))
+        assert all(a != b for a, b in zip(asns, asns[1:]))
+
+        top = (1 << width) - 1
+        edges = {0, top, *starts}
+        for prefix, _ in announced:
+            edges.update((prefix.first_address, prefix.last_address))
+        probes = {
+            edge + delta
+            for edge in edges
+            for delta in (-1, 0, 1)
+            if 0 <= edge + delta <= top
+        }
+        for probe in sorted(probes):
+            assert table.origin_asn(probe) == linear.lookup(probe), hex(probe)
 
 
 class TestGeoDatabase:

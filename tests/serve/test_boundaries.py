@@ -14,8 +14,9 @@ Every op is asked about each address and its in-range ±1 neighbours
 of at least 8 — one batch on each side of the search kernel's size
 cut — through ``columnar_batch(...).to_list()``, through RSB1 request
 and reply frames, and through a JSON round trip.  The answers must
-equal :class:`CorpusIndex`, :meth:`RoutingTable.origin_asn` and the
-scalar :func:`repro.core.kernels.iid_features`.
+equal :class:`CorpusIndex`, a :class:`PrefixTrie` holding the announced
+prefixes (independent of the routing table's flattened intervals the
+index stores) and the scalar :func:`repro.core.kernels.iid_features`.
 
 The oracle itself is pinned row by row too: each stored address's
 columns, in a cold :meth:`CorpusIndex.build` and in the partial-index
@@ -33,7 +34,7 @@ from repro.core import kernels
 from repro.core.corpus import AddressCorpus
 from repro.core.index import CorpusIndex
 from repro.core.segments import SegmentStore, SegmentedCorpusReader
-from repro.net.prefixes import Prefix
+from repro.net.prefixes import Prefix, PrefixTrie
 from repro.net.routing import RoutingTable
 from repro.serve import ServingIndex, build_serving_index
 from repro.serve import wire
@@ -80,19 +81,27 @@ def recorded(number):
     return first, first + 3600.5, number + 1
 
 
-def _routing():
-    table = RoutingTable()
+def _announced():
     for text, asn in ANNOUNCED:
         network = ipaddress.IPv6Network(text)
-        table.announce(
-            Prefix(int(network.network_address), network.prefixlen), asn
-        )
-    return table
+        yield Prefix(int(network.network_address), network.prefixlen), asn
 
 
 @pytest.fixture(scope="module")
 def routing():
-    return _routing()
+    table = RoutingTable()
+    for prefix, asn in _announced():
+        table.announce(prefix, asn)
+    return table
+
+
+@pytest.fixture(scope="module")
+def lpm():
+    """The reference origin lookup: a trie walk over ``ANNOUNCED``."""
+    trie = PrefixTrie()
+    for prefix, asn in _announced():
+        trie.insert(prefix, asn)
+    return trie.lookup
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +135,7 @@ def folded(store_dir):
     return SegmentedCorpusReader.open(store_dir).build_index()
 
 
-def expected_answer(op, address, ground_truth, routing):
+def expected_answer(op, address, ground_truth, lpm):
     """The oracle's answer: CorpusIndex, LPM, and the scalar kernel."""
     stored = ground_truth.addresses
     row = {a: r for r, a in enumerate(stored)}.get(address)
@@ -137,7 +146,7 @@ def expected_answer(op, address, ground_truth, routing):
     if op == "slash64":
         return any(a >> 64 == address >> 64 for a in stored)
     if op == "origin":
-        return routing.origin_asn(address)
+        return lpm(address)
     if row is None:
         return None
     if op == "record":
@@ -213,13 +222,13 @@ def test_edge_table_is_what_it_claims():
     "path", [columnar_path, rsb1_path, json_path], ids=lambda f: f.__name__
 )
 def test_every_op_matches_the_oracle(
-    index, ground_truth, routing, path, name, text
+    index, ground_truth, lpm, path, name, text
 ):
     address = int(ipaddress.IPv6Address(text))
     for spec in wire.ADDRESS_OPS:
         for batch in batches_of(address):
             want = [
-                expected_answer(spec.name, probe, ground_truth, routing)
+                expected_answer(spec.name, probe, ground_truth, lpm)
                 for probe in batch
             ]
             assert path(index, spec, batch) == want, (

@@ -23,8 +23,6 @@ import pytest
 
 from repro.core.kernels import NO_MAC
 from repro.core.segments import SegmentStore
-from repro.net.prefixes import Prefix
-from repro.net.routing import RoutingTable
 from repro.obs import MetricsRegistry
 from repro.serve import (
     SERVING_INDEX_NAME,
@@ -32,7 +30,6 @@ from repro.serve import (
     ServingIndexError,
     build_serving_index,
     ensure_serving_index,
-    flatten_origin_table,
     manifest_digest,
 )
 
@@ -165,58 +162,6 @@ class TestRoundTrip:
             assert not index.has_origin_table
             with pytest.raises(ServingIndexError, match="origin table"):
                 index.origin_batch([1])
-
-
-class TestFlattenedOrigins:
-    def test_matches_trie_over_dense_probes(self, routing):
-        starts_hi, starts_lo, asns = flatten_origin_table(
-            routing.routed_prefixes()
-        )
-        assert starts_hi[0] == 0 and starts_lo[0] == 0
-        # Starts strictly increase; runs of equal ASN are merged.
-        starts = [
-            (hi << 64) | lo for hi, lo in zip(starts_hi, starts_lo)
-        ]
-        assert starts == sorted(set(starts))
-        assert all(a != b for a, b in zip(asns, asns[1:]))
-        # Probe densely around every interval boundary.
-        probes = set()
-        for start in starts:
-            for delta in (-2, -1, 0, 1, 2):
-                if 0 <= start + delta < (1 << 128):
-                    probes.add(start + delta)
-        import bisect
-
-        for probe in sorted(probes):
-            position = bisect.bisect_right(starts, probe) - 1
-            flat = asns[position] or None
-            assert flat == routing.origin_asn(probe), hex(probe)
-
-    def test_nested_and_sibling_prefixes(self):
-        table = RoutingTable()
-        base = 0x2001 << 112
-        table.announce(Prefix(base, 16), 1)
-        table.announce(Prefix(base, 32), 2)  # same start, longer
-        table.announce(Prefix(base | (5 << 80), 48), 3)  # nested
-        starts_hi, starts_lo, asns = flatten_origin_table(
-            table.routed_prefixes()
-        )
-        starts = [
-            (hi << 64) | lo for hi, lo in zip(starts_hi, starts_lo)
-        ]
-        import bisect
-
-        for probe, want in [
-            (0, None),
-            (base, 2),  # most specific same-start wins
-            (base | (5 << 80), 3),
-            (base | (5 << 80) + (1 << 80) - 1, 3),
-            (base | (6 << 80), 2),  # back to the /32
-            (base + (1 << 96), 1),  # past the /32, inside the /16
-            (base + (1 << 112), None),  # past everything
-        ]:
-            position = bisect.bisect_right(starts, probe) - 1
-            assert (asns[position] or None) == want, hex(probe)
 
 
 class TestFailureModel:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve import flatten_origin_table
+from repro.net.routing import flatten_origin_table
 from repro.world import (
     WorldConfig,
     build_routing,
