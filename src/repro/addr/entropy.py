@@ -24,7 +24,7 @@ from collections import Counter
 from enum import Enum
 from typing import Iterable, List, Sequence
 
-from .ipv6 import IID_MASK, nibbles_of_iid
+from .ipv6 import IID_MASK
 
 __all__ = [
     "EntropyClass",

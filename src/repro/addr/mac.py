@@ -11,7 +11,6 @@ EUI-64 requires, and the arithmetic used by the offset-inference step.
 from __future__ import annotations
 
 import re
-from typing import Tuple
 
 __all__ = [
     "MAX_MAC",

@@ -22,7 +22,7 @@ least ``MIN_AS_INSTANCES`` such addresses and (ii) they exceed
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = ["ECDF"]
 

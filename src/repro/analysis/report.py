@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List
 
 from ..addr.ipv6 import format_address
-from ..addr.oui_db import UNLISTED, manufacturer_counts
+from ..addr.oui_db import manufacturer_counts
 from ..geo.ipvseeyou import geolocate_corpus
 from ..net.geodb import country_histogram, top_country_share
 from .distributions import ECDF

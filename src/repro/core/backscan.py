@@ -20,11 +20,11 @@ The experiment answers three questions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from ..addr.entropy import normalized_iid_entropy
 from ..addr.ipv6 import iid_of, random_iid_address, slash64_of
-from ..world.clock import DAY, MINUTE
+from ..world.clock import MINUTE
 from ..world.rng import split_rng
 from ..world.world import World
 from .campaign import NTPCampaign

@@ -20,14 +20,14 @@ Two layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..addr.ipv6 import format_address
 from ..faults.injector import FaultInjector
 from ..faults.monitor import AvailabilityTimeline
 from ..faults.plan import FaultPlan
-from ..ntp.client import TimeSource, build_request
+from ..ntp.client import build_request
 from ..obs import MetricsRegistry
 from ..ntp.packet import NTPPacket
 from ..ntp.pool import NTPPool

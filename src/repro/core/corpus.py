@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 

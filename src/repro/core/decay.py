@@ -11,7 +11,7 @@ NTP corpus's majority) rust almost immediately.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..scan.hitlist_service import WeeklySnapshot
 from ..world.clock import WEEK

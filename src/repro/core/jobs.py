@@ -1,13 +1,18 @@
-"""One-shot work in forked children: the one process supervisor.
+"""Work in forked children: one fork step, and the one-shot supervisor.
 
-Campaign shards (:func:`repro.core.parallel.run_campaign_parallel`) and
-scenario-matrix cells (:func:`repro.matrix.run_matrix`) both run on
-:func:`run_jobs`.  Every attempt of a job is its own child process, so a
+:class:`Forked` is the one place the package forks a child: campaign
+shards and scenario-matrix cells (both through :func:`run_jobs`),
+serving-index builders and serving-fleet workers
+(:mod:`repro.serve.fleet`).  It forks with the explicit ``fork``
+context, so the child inherits the parent's state (a built world, a
+routing table) instead of rebuilding it; the parent must run no threads
+while it forks.  The child reports on a one-way pipe, and starts with
+the default SIGINT and SIGTERM actions and no wakeup fd, so a handler
+inherited from the parent never catches a signal meant for the child.
+
+:func:`run_jobs` runs one-shot jobs, each attempt in its own child, so a
 child that raises, dies or hangs takes down only that attempt:
 
-* children are forked with the explicit ``fork`` context, so each one
-  inherits the parent's state (a built world, say) instead of rebuilding
-  it; the parent must run no threads while it forks;
 * at most ``workers`` children run at once, and each attempt has its own
   deadline, counted from its fork;
 * the parent waits on the children's result pipes and sentinels with
@@ -25,12 +30,93 @@ re-raising, so no child outlives the call.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import Callable, Hashable, Iterable, List, Optional
+from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
-__all__ = ["Outcome", "backoff_delay", "run_jobs"]
+__all__ = ["Forked", "Outcome", "backoff_delay", "run_jobs"]
+
+_CHILD_DEFAULT_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+def _forked_main(mask, target, sender, args) -> None:
+    """Forked child: default SIGINT/SIGTERM, no wakeup fd, then run."""
+    signal.set_wakeup_fd(-1)
+    for signum in _CHILD_DEFAULT_SIGNALS:
+        signal.signal(signum, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    target(sender, *args)
+
+
+class Forked:
+    """One child forked with the ``fork`` context, reporting on a pipe.
+
+    The child runs ``target(sender, *args)``, ``sender`` being the write
+    end of a one-way pipe; what it sends lands, in order, in
+    :attr:`messages`.  The parent waits on :attr:`receiver` and
+    :attr:`sentinel`.  ``started`` is the monotonic time of the fork.
+    """
+
+    def __init__(
+        self, target: Callable[..., None], *args, name: str
+    ) -> None:
+        context = multiprocessing.get_context("fork")
+        self.receiver, sender = context.Pipe(duplex=False)
+        # Blocked until the child has its default actions back, so a
+        # signal sent right after the fork is neither lost nor caught
+        # by a handler the child inherited.
+        mask = signal.pthread_sigmask(
+            signal.SIG_BLOCK, _CHILD_DEFAULT_SIGNALS
+        )
+        try:
+            self.process = context.Process(
+                target=_forked_main,
+                args=(mask, target, sender, args),
+                name=name,
+            )
+            self.process.start()
+        except BaseException:
+            self.receiver.close()
+            raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            sender.close()
+        self.sentinel = self.process.sentinel
+        self.started = time.monotonic()
+        self.messages: List[object] = []
+
+    def receive(self) -> bool:
+        """Move every message that has arrived into :attr:`messages`.
+
+        Blocks only to finish a message that has begun to arrive.
+        False at end of file: the child, and anything it forked, closed
+        the write end.
+        """
+        try:
+            while self.receiver.poll():
+                self.messages.append(self.receiver.recv())
+        except EOFError:
+            return False
+        return True
+
+    def reap(self, *, kill: bool = False) -> Optional[int]:
+        """Read what the child sent (or SIGKILL it), join it, return its
+        exit code.  Call it once the pipe or sentinel is ready.
+
+        The read polls first: after the child exits, a grandchild may
+        still hold the write end open, and ``recv()`` would block.
+        """
+        try:
+            if kill:
+                self.process.kill()
+            else:
+                self.receive()
+        finally:
+            self.receiver.close()
+        self.process.join()
+        return self.process.exitcode
 
 
 @dataclass(frozen=True)
@@ -76,17 +162,7 @@ class _Queued:
     not_before: float
 
 
-@dataclass
-class _Child:
-    key: Hashable
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    receiver: multiprocessing.connection.Connection
-    started: float
-    deadline: Optional[float]
-
-
-def _child_main(work, key, sender) -> None:
+def _attempt_main(sender, work, key) -> None:
     """Forked child: run one attempt and report it on the pipe.
 
     Anything other than an :class:`Exception` (a kill, ``SystemExit``)
@@ -120,72 +196,34 @@ def run_jobs(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
-    context = multiprocessing.get_context("fork")
     queue = [_Queued(key, 1, 0.0) for key in keys]
-    running: List[_Child] = []
+    running: Dict[Forked, _Queued] = {}
 
     def launch(item: _Queued) -> None:
-        receiver, sender = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_child_main,
-            args=(work, item.key, sender),
-            name=f"repro-job-{item.key}",
+        child = Forked(
+            _attempt_main, work, item.key, name=f"repro-job-{item.key}"
         )
-        try:
-            process.start()
-        except BaseException:
-            receiver.close()
-            raise
-        finally:
-            sender.close()
-        now = time.monotonic()
-        running.append(
-            _Child(
-                key=item.key,
-                attempt=item.attempt,
-                process=process,
-                receiver=receiver,
-                started=now,
-                deadline=None if timeout is None else now + timeout,
-            )
-        )
+        running[child] = item
         if started is not None:
             started(item.key, item.attempt)
 
-    def finish(child: _Child, *, killed: bool) -> None:
-        report = None
-        try:
-            if killed:
-                child.process.kill()
-            # poll() first: after a sentinel wake-up a grandchild may
-            # still hold the write end open, and recv() would block.
-            elif child.receiver.poll():
-                report = child.receiver.recv()
-        except EOFError:  # the child died before reporting
-            pass
-        finally:
-            child.receiver.close()
-        child.process.join()
-        running.remove(child)
-        value, error = (None, None) if report is None else report
+    def finish(child: Forked, *, killed: bool) -> None:
+        item = running.pop(child)
+        exitcode = child.reap(kill=killed)
+        value, error = child.messages[0] if child.messages else (None, None)
         outcome = Outcome(
-            key=child.key,
-            attempt=child.attempt,
+            key=item.key,
+            attempt=item.attempt,
             seconds=time.monotonic() - child.started,
             value=value,
             error=error,
-            exitcode=(
-                child.process.exitcode
-                if report is None and not killed
-                else None
-            ),
+            exitcode=None if child.messages or killed else exitcode,
             timed_out=killed,
         )
-        child.process.close()
         delay = settle(outcome)
         if delay is not None:
             queue.append(
-                _Queued(child.key, child.attempt + 1, time.monotonic() + delay)
+                _Queued(item.key, item.attempt + 1, time.monotonic() + delay)
             )
 
     try:
@@ -196,29 +234,27 @@ def run_jobs(
                     break
                 queue.remove(item)
                 launch(item)
-            wake = [
-                child.deadline
-                for child in running
-                if child.deadline is not None
-            ]
+            wake = (
+                []
+                if timeout is None
+                else [child.started + timeout for child in running]
+            )
             if len(running) < workers:
                 wake.extend(item.not_before for item in queue)
             ready = set(
                 wait(
                     [child.receiver for child in running]
-                    + [child.process.sentinel for child in running],
+                    + [child.sentinel for child in running],
                     max(0.0, min(wake) - time.monotonic()) if wake else None,
                 )
             )
             now = time.monotonic()
             for child in list(running):
-                if child.receiver in ready or child.process.sentinel in ready:
+                if child.receiver in ready or child.sentinel in ready:
                     finish(child, killed=False)
-                elif child.deadline is not None and now >= child.deadline:
+                elif timeout is not None and now >= child.started + timeout:
                     finish(child, killed=True)
     except BaseException:
         for child in running:
-            child.process.kill()
-            child.process.join()
-            child.receiver.close()
+            child.reap(kill=True)
         raise

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, TextIO, Tuple
+from typing import Dict, List, TextIO
 
 from ..addr.eui64 import extract_mac
 from ..addr.ipv6 import format_address, slash48_of

@@ -14,7 +14,7 @@ That gives the two properties the campaign's determinism tests demand:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 __all__ = ["FaultPlan"]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from ..addr.mac import mac_offset, nic_of, oui_of
 

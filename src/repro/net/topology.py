@@ -20,7 +20,7 @@ AS-level forwarding paths.  This module models:
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .prefixes import Prefix
 

@@ -11,7 +11,6 @@ logic is what makes the corpus client-rich yet Android-poor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 

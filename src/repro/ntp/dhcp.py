@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Union
 
 __all__ = [
     "OPTION_NTP_SERVER",

@@ -15,7 +15,7 @@ a clear error, as the pool's own answers repeat the owner name).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .dhcp import encode_fqdn, parse_fqdn

@@ -14,7 +14,7 @@ paper records nothing beyond source addresses and timing).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 __all__ = ["Mode", "LeapIndicator", "NTPPacket", "PACKET_LENGTH", "NTP_VERSION"]

@@ -14,7 +14,7 @@ seen times per discovered address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..net.prefixes import Prefix

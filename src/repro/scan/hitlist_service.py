@@ -22,14 +22,14 @@ against: servers, routers, CPE — very few ephemeral clients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..net.prefixes import Prefix, PrefixTrie
 from ..obs import MetricsRegistry
 from ..world.clock import WEEK
 from ..world.devices import DeviceType
-from ..world.rng import keyed_uniform, split_rng
+from ..world.rng import keyed_uniform
 from ..world.world import World
 from .alias import AliasDetector
 from .probes import Protocol

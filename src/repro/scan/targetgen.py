@@ -20,7 +20,7 @@ predictable, low-entropy addresses — the bias the paper quantifies.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Set
+from typing import Dict, Iterable, Iterator, Set
 
 from ..addr.ipv6 import iid_of, prefix_of, slash48_of
 

@@ -14,11 +14,11 @@ low-IID-entropy composition (paper Fig. 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Set, Tuple
 
 from ..world.rng import split_rng
-from ..world.world import ResponderKind, World
+from ..world.world import World
 
 __all__ = ["TraceResult", "Yarrp"]
 

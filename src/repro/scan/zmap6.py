@@ -8,7 +8,7 @@ only once, and per-scan statistics mirror ZMap's hit-rate summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..obs import MetricsRegistry, NULL_REGISTRY

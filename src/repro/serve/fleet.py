@@ -6,11 +6,14 @@ process builds (or validates) ``SERVING.rsi`` once, then forks N worker
 processes that each open the same file mmap-read-only — one page-cache
 copy for the whole fleet — and each bind their own ``SO_REUSEPORT``
 socket to the shared port, so the kernel spreads incoming connections
-across workers with no userspace proxy.  The supervisor restarts
-crashed workers with capped exponential backoff
-(``repro_serve_worker_restarts_total``), propagates SIGTERM (each
-worker drains in-flight requests before exiting), and aggregates the
-per-worker ``--metrics-out`` snapshots into one document on shutdown.
+across workers with no userspace proxy.  Every worker reports on its
+pipe to the supervisor: ``ready`` once it listens, and its metrics
+snapshot when it exits.  The supervisor prints ``SERVE READY`` once
+every worker is ready, restarts exited workers with capped exponential
+backoff (``repro_serve_worker_restarts_total``), propagates SIGTERM
+(each worker drains in-flight requests before exiting), and on shutdown
+merges the snapshot of every worker it ran, restarted ones included,
+into one ``--metrics-out`` document.
 
 The index, meanwhile, stays **live**: every worker polls the
 ``(mtime_ns, size, digest)`` fingerprint of ``MANIFEST.json`` (the
@@ -30,7 +33,8 @@ worker — runs in a child forked by :func:`fork_index_build`, which
 inherits the routing table, and whose numpy temporaries (a few times
 the file size) die with it, so they never set a server's peak memory.
 The server waits on the child's result pipe, merges the metrics it
-sends back, and maps the published file itself.
+sends back, and maps the published file itself.  Builders and workers
+alike are forked by :class:`repro.core.jobs.Forked`.
 """
 
 from __future__ import annotations
@@ -38,19 +42,16 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
-import json
 import logging
-import multiprocessing
 import multiprocessing.connection
 import os
-import select
 import signal
 import socket
 import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.jobs import backoff_delay
+from ..core.jobs import Forked, backoff_delay
 from ..net.routing import RoutingTable
 from ..obs import MetricsRegistry, NULL_REGISTRY, write_metrics
 from ..world import build_routing, preset_config
@@ -156,21 +157,13 @@ def reuseport_socket(host: str, port: int) -> socket.socket:
 # -- serving-index builds in a forked child -----------------------------------
 
 
-def _build_in_child(directory, routing, rebuild: bool, sender) -> None:
+def _build_in_child(sender, directory, routing, rebuild: bool) -> None:
     """Forked builder: ensure the index, report back, exit.
 
     The report is ``(metrics snapshot, FileNotFoundError or None)``.
     Any other failure ends the child with its traceback on stderr and
     no report, as a kill does.
     """
-    # The fork copied the server's signal set-up: asyncio's wakeup fd (a
-    # socket the server's loop reads) and its no-op C handlers.  Left
-    # alone, a SIGTERM sent to the builder only would be written to that
-    # socket and handled by the server as its own.  With the defaults
-    # back, it stops the builder and nothing else.
-    signal.set_wakeup_fd(-1)
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, signal.SIG_DFL)
     registry = MetricsRegistry()
     missing = None
     try:
@@ -187,7 +180,7 @@ def _build_in_child(directory, routing, rebuild: bool, sender) -> None:
         sender.send((registry.snapshot(), missing))
 
 
-class IndexBuild:
+class IndexBuild(Forked):
     """One serving-index build running in a forked child.
 
     :meth:`result` blocks for the child's report (start-up);
@@ -198,12 +191,15 @@ class IndexBuild:
     is served.
     """
 
-    __slots__ = ("directory", "process", "_receiver")
-
-    def __init__(self, directory: Path, process, receiver) -> None:
-        self.directory = directory
-        self.process = process
-        self._receiver = receiver
+    def __init__(self, directory, routing, rebuild: bool) -> None:
+        self.directory = Path(directory)
+        super().__init__(
+            _build_in_child,
+            self.directory,
+            routing,
+            rebuild,
+            name="repro-serve-builder",
+        )
 
     def result(self, metrics: MetricsRegistry) -> ServingIndex:
         """Collect the child's report and open the index it published.
@@ -212,19 +208,14 @@ class IndexBuild:
         a child that failed or was killed before reporting raises
         :class:`ChildProcessError` naming its exit code.
         """
-        try:
-            report = self._receiver.recv()
-        except EOFError:
-            report = None
-        finally:
-            self._receiver.close()
-            self.process.join()
-        if report is None:
+        self.receiver.poll(None)  # the report, or EOF
+        exitcode = self.reap()
+        if not self.messages:
             raise ChildProcessError(
                 f"serving index builder pid={self.process.pid} exited "
-                f"with code {self.process.exitcode} before reporting"
+                f"with code {exitcode} before reporting"
             )
-        snapshot, missing = report
+        snapshot, missing = self.messages[0]
         metrics.merge_snapshot(snapshot)
         if missing is not None:
             raise missing
@@ -242,16 +233,14 @@ class IndexBuild:
         The loop keeps serving meanwhile: it watches the result pipe
         (the report, or EOF from a child that died), then the process
         sentinel, so neither the read nor the reap blocks it.
-        Cancelled, it terminates the child (a build killed mid-write
-        leaves only a temp file, which the next build removes).
+        Cancelled, it kills the child (a build killed mid-write leaves
+        only a temp file, which the next build removes).
         """
         try:
-            await _readable(self._receiver.fileno())
-            await _readable(self.process.sentinel)
+            await _readable(self.receiver.fileno())
+            await _readable(self.sentinel)
         except BaseException:
-            self.process.terminate()
-            self.process.join()
-            self._receiver.close()
+            self.reap(kill=True)
             raise
         return self.result(metrics)
 
@@ -274,31 +263,14 @@ def fork_index_build(
 ) -> IndexBuild:
     """Fork a child that runs ``ensure_serving_index(lock=True)``.
 
-    The ``fork`` context is explicit: the child inherits ``routing``
-    (and the rest of the server's state) instead of rebuilding it, and
-    the build's temporaries are returned to the OS when it exits.  The
-    serving processes run no threads, which is what makes forking them
-    safe.  The ``flock`` election is unchanged — concurrent builders,
-    one per worker, still elect one writer.  Only the child's report
-    crosses the pipe.
+    The child inherits ``routing`` (and the rest of the server's state)
+    instead of rebuilding it, and the build's temporaries are returned
+    to the OS when it exits.  The serving processes run no threads,
+    which is what makes forking them safe.  The ``flock`` election is
+    unchanged — concurrent builders, one per worker, still elect one
+    writer.  Only the child's report crosses the pipe.
     """
-    directory = Path(directory)
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_build_in_child,
-        args=(directory, routing, rebuild, sender),
-        name="repro-serve-builder",
-        daemon=True,
-    )
-    try:
-        process.start()
-    except BaseException:
-        receiver.close()
-        raise
-    finally:
-        sender.close()
-    return IndexBuild(directory, process, receiver)
+    return IndexBuild(directory, routing, rebuild)
 
 
 # -- live index reload ---------------------------------------------------------
@@ -500,15 +472,16 @@ def run_single(config: FleetConfig) -> int:
 
 # -- worker processes ----------------------------------------------------------
 
+#: What a worker sends on its pipe once it listens.
+_READY = "ready"
 
-def _worker_metrics_path(metrics_out: str, worker_id: int) -> Path:
-    return Path(f"{metrics_out}.w{worker_id}")
 
+def _worker_main(sender, config: FleetConfig, worker_id: int) -> None:
+    """Forked worker: serve on an own SO_REUSEPORT socket.
 
-def _worker_main(
-    config: FleetConfig, worker_id: int, ready_event
-) -> None:
-    """Child-process entry: serve on an own SO_REUSEPORT socket."""
+    Sends :data:`_READY` on its pipe once it listens, and its registry
+    snapshot when it exits (short of a kill).
+    """
     registry = MetricsRegistry()
     try:
         routing = _origin_routing(config)
@@ -525,7 +498,7 @@ def _worker_main(
                 os.getpid(),
                 port,
             )
-            ready_event.set()
+            sender.send(_READY)
 
         try:
             asyncio.run(
@@ -543,29 +516,11 @@ def _worker_main(
             engine = holder.get("engine")
             (engine.index if engine is not None else index).close()
     finally:
-        if config.metrics_out:
-            with contextlib.suppress(OSError):
-                _worker_metrics_path(
-                    config.metrics_out, worker_id
-                ).write_text(registry.to_json(worker=worker_id))
+        with contextlib.suppress(OSError):  # the supervisor is gone
+            sender.send(registry.snapshot())
 
 
 # -- the supervisor ------------------------------------------------------------
-
-
-class _WorkerSlot:
-    __slots__ = ("process", "ready", "failures", "started_at")
-
-    def __init__(self, process, ready) -> None:
-        self.process = process
-        self.ready = ready
-        self.failures = 0
-        self.started_at = time.monotonic()
-
-
-def _drain_pipe(fd: int) -> None:
-    with contextlib.suppress(OSError, BlockingIOError):
-        os.read(fd, 4096)
 
 
 def run_supervisor(config: FleetConfig) -> int:
@@ -573,13 +528,15 @@ def run_supervisor(config: FleetConfig) -> int:
 
     Builds/validates the serving index once up front, in a forked
     builder (so workers start by mmapping a known-good file), resolves
-    the port by binding a
-    placeholder ``SO_REUSEPORT`` socket (held, never listening — the
-    port stays reserved across worker restarts), forks the fleet,
-    prints ``SERVE READY host port`` once every worker listens,
-    restarts crashed workers with capped backoff, and on SIGTERM/SIGINT
-    forwards the signal so each worker drains before exiting, then
-    merges the per-worker metrics snapshots into ``metrics_out``.
+    the port by binding a placeholder ``SO_REUSEPORT`` socket (held,
+    never listening — the port stays reserved across worker restarts),
+    forks the fleet, prints ``SERVE READY host port`` once every worker
+    has sent ``ready``, restarts exited workers with capped backoff,
+    and on SIGTERM/SIGINT forwards the signal so each worker drains
+    before exiting.  One wait covers every worker's pipe and sentinel
+    and the signal wake-up pipe; it times out only at the next restart
+    or the ready deadline.  The last snapshot of every worker it ran,
+    restarted ones included, is merged into ``metrics_out``.
     """
     registry = MetricsRegistry()
     routing = _origin_routing(config)
@@ -592,13 +549,6 @@ def run_supervisor(config: FleetConfig) -> int:
         return 2
     info = index.describe()
     index.close()
-    logger.info(
-        "supervisor: serving index ready (%s rows, generation %s); "
-        "forking %d workers",
-        info["rows"],
-        info["generation"],
-        config.workers,
-    )
     m_restarts = registry.counter(
         "repro_serve_worker_restarts_total",
         "crashed serve workers restarted by the supervisor",
@@ -609,7 +559,6 @@ def run_supervisor(config: FleetConfig) -> int:
     worker_config = dataclasses.replace(
         config, host=host, port=port, rebuild=False
     )
-    context = multiprocessing.get_context("fork")
 
     stop: Dict[str, Optional[int]] = {"signal": None}
     wake_r, wake_w = os.pipe()
@@ -624,30 +573,68 @@ def run_supervisor(config: FleetConfig) -> int:
         signum: signal.signal(signum, on_signal)
         for signum in (signal.SIGINT, signal.SIGTERM)
     }
+    logger.info(
+        "supervisor: serving index ready (%s rows, generation %s); "
+        "forking %d workers",
+        info["rows"],
+        info["generation"],
+        config.workers,
+    )
 
-    def spawn(worker_id: int) -> _WorkerSlot:
-        ready = context.Event()
-        process = context.Process(
-            target=_worker_main,
-            args=(worker_config, worker_id, ready),
-            name=f"repro-serve-w{worker_id}",
-        )
-        process.start()
-        return _WorkerSlot(process, ready)
-
-    slots = [spawn(worker_id) for worker_id in range(config.workers)]
+    workers: Dict[int, Forked] = {}
+    # Worker id -> monotonic time of its next fork.
+    due = {worker_id: 0.0 for worker_id in range(config.workers)}
+    failures = [0] * config.workers
+    snapshots = []
     ready_printed = False
     ready_deadline = time.monotonic() + _READY_TIMEOUT
     exit_code = 0
+
+    def reap_exited(timeout: Optional[float]) -> List[Tuple[int, Forked]]:
+        """Read what the workers sent; reap and return those that exited."""
+        children = list(workers.values())
+        woken = set(
+            multiprocessing.connection.wait(
+                [child.receiver for child in children]
+                + [child.sentinel for child in children]
+                + [wake_r],
+                timeout,
+            )
+        )
+        if wake_r in woken:
+            os.read(wake_r, 4096)
+        exited = []
+        for worker_id, child in list(workers.items()):
+            # End of file on the pipe: the worker closed it by exiting.
+            if child.sentinel in woken or (
+                child.receiver in woken and not child.receive()
+            ):
+                del workers[worker_id]
+                child.reap()
+                if child.messages and child.messages[-1] != _READY:
+                    snapshots.append(child.messages[-1])
+                exited.append((worker_id, child))
+        return exited
+
     try:
         while stop["signal"] is None:
-            if not ready_printed:
-                if all(slot.ready.is_set() for slot in slots):
-                    print(
-                        f"{READY_PREFIX} {host} {port}", flush=True
+            now = time.monotonic()
+            for worker_id, when in list(due.items()):
+                if when <= now:
+                    del due[worker_id]
+                    workers[worker_id] = Forked(
+                        _worker_main,
+                        worker_config,
+                        worker_id,
+                        name=f"repro-serve-w{worker_id}",
                     )
+            if not ready_printed:
+                if not due and all(
+                    _READY in child.messages for child in workers.values()
+                ):
+                    print(f"{READY_PREFIX} {host} {port}", flush=True)
                     ready_printed = True
-                elif time.monotonic() > ready_deadline:
+                elif now > ready_deadline:
                     logger.error(
                         "serve workers not ready within %.0fs; "
                         "shutting down",
@@ -655,89 +642,50 @@ def run_supervisor(config: FleetConfig) -> int:
                     )
                     exit_code = 1
                     break
-            sentinels = [
-                slot.process.sentinel for slot in slots
-            ] + [wake_r]
-            woken = multiprocessing.connection.wait(
-                sentinels, timeout=0.5
-            )
-            if wake_r in woken:
-                _drain_pipe(wake_r)
-            if stop["signal"] is not None:
-                break
-            for worker_id, slot in enumerate(slots):
-                if slot.process.is_alive():
-                    continue
-                slot.process.join(timeout=1)
-                lived = time.monotonic() - slot.started_at
-                failures = (
-                    1
-                    if lived >= _RESTART_RESET_SECONDS
-                    else slot.failures + 1
-                )
+            wake = list(due.values())
+            if not ready_printed:
+                wake.append(ready_deadline)
+            for worker_id, child in reap_exited(
+                max(0.0, min(wake) - now) if wake else None
+            ):
+                lived = time.monotonic() - child.started
+                if lived >= _RESTART_RESET_SECONDS:
+                    failures[worker_id] = 0
+                failures[worker_id] += 1
                 delay = backoff_delay(
-                    failures, _RESTART_BACKOFF_BASE, _RESTART_BACKOFF_CAP
+                    failures[worker_id],
+                    _RESTART_BACKOFF_BASE,
+                    _RESTART_BACKOFF_CAP,
                 )
                 logger.warning(
                     "serve worker %d exited code=%s after %.1fs; "
                     "restarting in %.2fs",
                     worker_id,
-                    slot.process.exitcode,
+                    child.process.exitcode,
                     lived,
                     delay,
                 )
                 m_restarts.inc()
-                # Interruptible backoff: a SIGTERM mid-wait still
-                # shuts the fleet down promptly.
-                readable, _, _ = select.select([wake_r], [], [], delay)
-                if readable:
-                    _drain_pipe(wake_r)
-                if stop["signal"] is not None:
-                    break
-                replacement = spawn(worker_id)
-                replacement.failures = failures
-                slots[worker_id] = replacement
+                due[worker_id] = time.monotonic() + delay
     finally:
-        for slot in slots:
-            if slot.process.is_alive():
-                with contextlib.suppress(ProcessLookupError, OSError):
-                    os.kill(slot.process.pid, signal.SIGTERM)
+        for child in workers.values():
+            child.process.terminate()
         deadline = time.monotonic() + config.drain_timeout + 10.0
-        for slot in slots:
-            slot.process.join(
-                timeout=max(0.1, deadline - time.monotonic())
+        while workers and time.monotonic() < deadline:
+            reap_exited(deadline - time.monotonic())
+        for child in workers.values():  # pragma: no cover - hung worker
+            logger.warning(
+                "killing unresponsive serve worker pid=%d",
+                child.process.pid,
             )
-        for slot in slots:
-            if slot.process.is_alive():  # pragma: no cover - hung worker
-                logger.warning(
-                    "killing unresponsive serve worker pid=%d",
-                    slot.process.pid,
-                )
-                slot.process.kill()
-                slot.process.join(timeout=5)
+            child.reap(kill=True)
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
         os.close(wake_r)
         os.close(wake_w)
         placeholder.close()
         if config.metrics_out:
-            for worker_id in range(config.workers):
-                partial_path = _worker_metrics_path(
-                    config.metrics_out, worker_id
-                )
-                if not partial_path.exists():
-                    continue
-                try:
-                    registry.merge_snapshot(
-                        json.loads(partial_path.read_text())
-                    )
-                except (OSError, ValueError) as error:
-                    logger.warning(
-                        "skipping unreadable worker metrics %s: %s",
-                        partial_path,
-                        error,
-                    )
-                with contextlib.suppress(OSError):
-                    partial_path.unlink()
+            for snapshot in snapshots:
+                registry.merge_snapshot(snapshot)
             write_metrics(registry, config.metrics_out)
     return exit_code

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..addr.mac import with_nic
 from ..addr.oui_db import (
     DEFAULT_UNLISTED_OUIS,
-    OUIDatabase,
     default_oui_database,
 )
 from ..geo.bssid_db import BSSIDDatabase, GeoPoint

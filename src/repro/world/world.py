@@ -19,7 +19,7 @@ churn effect the paper cites for backscan misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 

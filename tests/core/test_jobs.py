@@ -1,20 +1,24 @@
-"""Tests for repro.core.jobs — the fork-per-attempt supervisor.
+"""Tests for repro.core.jobs — the one fork step and the supervisor.
 
 Campaign shards and matrix cells both run on :func:`run_jobs`; their own
 suites drive it through the chaos hooks.  These tests pin the
 supervisor's neutral contract directly: what each kind of ending looks
 like as an :class:`Outcome`, requeueing after the settle function's
-delay, the worker cap, and that no child outlives the call.
+delay, the worker cap, and that no child outlives the call.  They also
+pin the :class:`Forked` handle every child is forked by: messages
+arrive in order, a reap never blocks on a pipe a grandchild holds, and
+a signal sent to a child reaches it whatever handler its parent runs.
 """
 
 import multiprocessing
 import os
 import signal
 import time
+from multiprocessing.connection import wait
 
 import pytest
 
-from repro.core.jobs import backoff_delay, run_jobs
+from repro.core.jobs import Forked, backoff_delay, run_jobs
 
 
 def run_all(keys, work, **kwargs):
@@ -130,6 +134,72 @@ class TestScheduling:
     def test_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
             run_jobs([1], lambda key: key, lambda outcome: None, workers=0)
+
+
+class TestForked:
+    def test_messages_arrive_in_order(self):
+        def target(sender, count):
+            for number in range(count):
+                sender.send({"number": number})
+
+        child = Forked(target, 5, name="repro-test-messages")
+        assert wait([child.sentinel], 30) == [child.sentinel]
+        assert child.reap() == 0
+        assert child.messages == [{"number": n} for n in range(5)]
+
+    def test_a_child_that_dies_unreported_yields_its_exit_code(self):
+        child = Forked(lambda sender: os._exit(7), name="repro-test-exit")
+        assert wait([child.sentinel], 30) == [child.sentinel]
+        assert child.reap() == 7
+        assert child.messages == []
+
+    def test_a_grandchild_holding_the_pipe_does_not_block_the_reap(self):
+        def target(sender):
+            grandchild = os.fork()
+            if grandchild == 0:  # inherits the write end, and keeps it
+                time.sleep(60)
+                os._exit(0)
+            sender.send(grandchild)
+
+        child = Forked(target, name="repro-test-grandchild")
+        # Not join(timeout) or the sentinel: the grandchild holds both.
+        assert child.receiver.poll(30)
+        start = time.monotonic()
+        try:
+            assert child.reap() == 0
+            assert time.monotonic() - start < 5
+        finally:
+            for grandchild in child.messages:
+                os.kill(grandchild, signal.SIGKILL)
+        assert len(child.messages) == 1
+
+
+class TestSignals:
+    def test_sigterm_reaches_a_child_despite_the_parents_handler(self):
+        caught = []
+        previous = signal.signal(
+            signal.SIGTERM, lambda signum, frame: caught.append(signum)
+        )
+
+        def started(key, attempt):
+            # At once, before the child can have reset anything.
+            for child in multiprocessing.active_children():
+                if child.name == "repro-job-sleeper":
+                    os.kill(child.pid, signal.SIGTERM)
+
+        try:
+            outcomes = run_all(
+                ["sleeper"],
+                lambda key: time.sleep(60),
+                timeout=3.0,
+                started=started,
+            )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        sleeper = outcomes["sleeper"]
+        assert sleeper.exitcode == -signal.SIGTERM
+        assert not sleeper.timed_out
+        assert caught == []
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,10 @@ Two contracts: **identity** — N workers SO_REUSEPORT-sharing a port are
 observationally one server (bit-identical answers on every connection,
 wherever the kernel lands it); and **supervision** — a SIGKILLed worker
 is replaced (counted in ``repro_serve_worker_restarts_total``) while
-the port keeps answering, and SIGTERM drains the whole fleet to a clean
-exit with the per-worker metrics merged into one snapshot.
+the port keeps answering, SIGTERM drains the whole fleet to a clean
+exit with the per-worker metrics merged into one snapshot (restarted
+workers' counters included), and a SIGTERM during start-up stops the
+fleet at once.
 """
 
 import asyncio
@@ -210,3 +212,99 @@ class TestSupervision:
         assert counters.get("repro_serve_requests_total", 0) >= 1
         # ...and the per-worker partials were cleaned up.
         assert not list(tmp_path.glob("fleet-metrics.json.w*"))
+
+    def test_restarted_workers_counters_reach_metrics_out(self, tmp_path):
+        write_serve_store(tmp_path, per_segment=40, segments=2)
+        ground_truth = CorpusIndex.build(
+            SegmentedCorpusReader.open(tmp_path).load()
+        )
+        present = ground_truth.addresses[0]
+        metrics_path = tmp_path / "fleet-metrics.json"
+        connections, lookups = 8, 5
+
+        fleet = _Fleet(
+            tmp_path,
+            "--serve-workers",
+            "2",
+            "--reload-interval",
+            "0",
+            "--metrics-out",
+            str(metrics_path),
+        )
+        try:
+            deadline = time.monotonic() + STARTUP_TIMEOUT
+            while len(fleet.worker_pids()) < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+
+            async def lookup():
+                for _ in range(connections):
+                    client = await RemoteHitlistClient.connect(
+                        fleet.host, fleet.port
+                    )
+                    async with client:
+                        for _ in range(lookups):
+                            assert await client.contains(present) is True
+
+            asyncio.run(lookup())
+            # Both original workers drain and exit; each is replaced.
+            for _, pid in fleet.worker_pids():
+                os.kill(pid, signal.SIGTERM)
+            while len(fleet.worker_pids()) < 4:
+                assert time.monotonic() < deadline, (
+                    "".join(fleet.stderr_lines)
+                )
+                time.sleep(0.05)
+            fleet.stop()
+        finally:
+            fleet.kill()
+
+        counters = json.loads(metrics_path.read_text())["counters"]
+        assert counters["repro_serve_worker_restarts_total"] == 2
+        # Every lookup, plus the hello each connection opens with.
+        assert counters["repro_serve_requests_total"] == (
+            connections * (lookups + 1)
+        )
+
+    def test_sigterm_during_start_up_stops_the_fleet_promptly(
+        self, tmp_path
+    ):
+        write_serve_store(tmp_path, per_segment=40, segments=2)
+        drain_timeout = 5.0
+        process = subprocess.Popen(
+            CLI
+            + [
+                "serve",
+                str(tmp_path),
+                "--serve-workers",
+                "2",
+                "--reload-interval",
+                "0",
+                "--drain-timeout",
+                str(drain_timeout),
+            ],
+            env=CLI_ENV,
+            cwd=REPO_ROOT,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            lines = []
+            for line in process.stderr:
+                lines.append(line)
+                if "forking 2 workers" in line:
+                    break
+            sent = time.monotonic()
+            process.send_signal(signal.SIGTERM)
+            _, rest = process.communicate(timeout=STARTUP_TIMEOUT)
+            elapsed = time.monotonic() - sent
+        finally:
+            if process.poll() is None:  # pragma: no cover - cleanup
+                process.kill()
+                process.wait(timeout=30)
+        log = "".join(lines) + rest
+        assert "forking 2 workers" in log, log
+        assert elapsed < drain_timeout, log
+        assert "killing unresponsive serve worker" not in log, log
+        assert process.returncode == 0, log
