@@ -1,12 +1,13 @@
-"""Analysis throughput — naive per-figure scans vs the columnar index.
+"""Analysis throughput — naive per-address scans vs the columnar index.
 
 Every analysis in the report pipeline (Table 1 comparison, phone-provider
 shares, entropy CDF, lifetimes, addressing categories, per-AS entropy,
-EUI-64 tracking) used to re-scan the corpus and re-resolve one LPM origin
-per address.  The :class:`repro.core.index.CorpusIndex` materializes the
-shared per-address columns once and resolves each row's origin once
-(:meth:`~repro.core.index.CorpusIndex.row_origins`), so the whole suite
-reads the same pass.
+EUI-64 tracking) reads one :class:`repro.core.index.CorpusIndex` per
+corpus, which materializes the shared per-address columns once and
+resolves each row's origin once
+(:meth:`~repro.core.index.CorpusIndex.row_origins`).  The naive side is
+``tests/naive_analysis.py``, the test suite's oracle: every analysis
+re-scans the records and resolves one LPM origin per address.
 
 This bench builds a synthetic clustered corpus (few distinct /64s, ~60
 origin ASes, IIDs drawn from the paper's pattern families, announcements
@@ -42,10 +43,13 @@ import random
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
-_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-if str(_SRC) not in sys.path:  # standalone invocation without PYTHONPATH
-    sys.path.insert(0, str(_SRC))
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+# The package, and the repo root for the tests' naive oracle.
+for _path in (_ROOT / "src", _ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.addr.eui64 import mac_to_iid
 from repro.addr.ipv6 import with_iid
@@ -67,6 +71,7 @@ from repro.core.tracking import analyze_tracking
 from repro.net.asn import ASCategory, ASRecord, ASRegistry, ISPSubtype
 from repro.net.prefixes import Prefix
 from repro.net.routing import RoutingTable
+from tests import naive_analysis
 
 from jsonout import publish_text, write_bench_json
 
@@ -156,27 +161,48 @@ def build_corpus(name, events):
     return corpus
 
 
-def run_suite(ntp, active, origin, registry, ipv4_origin, country_of):
-    """The corpus-bound analyses the full report runs, in report order."""
-    comparison = compare_datasets(ntp, [active], origin)
+#: The package's analyses, as the indexed side of the suite.
+INDEXED = SimpleNamespace(
+    compare_datasets=compare_datasets,
+    phone_provider_shares=phone_provider_shares,
+    corpus_entropy_samples=corpus_entropy_samples,
+    address_lifetime_summary=address_lifetime_summary,
+    iid_lifetimes_by_entropy=iid_lifetimes_by_entropy,
+    eui64_iid_lifetimes=eui64_iid_lifetimes,
+    category_composition=category_composition,
+    top_as_entropy_distributions=top_as_entropy_distributions,
+    analyze_tracking=analyze_tracking,
+)
+
+
+def run_suite(
+    analyses, ntp, active, origin, registry, ipv4_origin, country_of
+):
+    """The corpus-bound analyses the full report runs, in report order,
+    from ``analyses``: :data:`INDEXED` or the naive oracle module."""
+    comparison = analyses.compare_datasets(ntp, [active], origin)
     return {
         "table1": comparison.render(),
-        "phone_shares": phone_provider_shares([ntp, active], registry, origin),
-        "entropy_median": ECDF(corpus_entropy_samples(ntp)).median,
-        "lifetimes": address_lifetime_summary(ntp),
-        "iid_lifetimes": iid_lifetimes_by_entropy(ntp),
-        "eui64_lifetimes": eui64_iid_lifetimes(ntp),
-        "categories": category_composition(
+        "phone_shares": analyses.phone_provider_shares(
+            [ntp, active], registry, origin
+        ),
+        "entropy_median": ECDF(analyses.corpus_entropy_samples(ntp)).median,
+        "lifetimes": analyses.address_lifetime_summary(ntp),
+        "iid_lifetimes": analyses.iid_lifetimes_by_entropy(ntp),
+        "eui64_lifetimes": analyses.eui64_iid_lifetimes(ntp),
+        "categories": analyses.category_composition(
             ntp, origin, ipv4_origin,
             min_as_instances=2, min_as_fraction=0.001,
         ),
-        "top_as_entropy": top_as_entropy_distributions(ntp, origin, top=10),
-        "tracking": analyze_tracking(ntp, origin, country_of),
+        "top_as_entropy": analyses.top_as_entropy_distributions(
+            ntp, origin, top=10
+        ),
+        "tracking": analyses.analyze_tracking(ntp, origin, country_of),
     }
 
 
 def index_retained_bytes_per_row(events):
-    """Heap bytes per row still held after ``build_index`` (tracemalloc).
+    """Heap bytes per row still held after the index build (tracemalloc).
 
     The corpus is built before tracing starts, so only what the index
     itself keeps alive is counted: its columns and anything they hold.
@@ -185,7 +211,7 @@ def index_retained_bytes_per_row(events):
     gc.collect()
     tracemalloc.start()
     try:
-        corpus.build_index()
+        corpus.index  # built on first read
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
@@ -246,7 +272,8 @@ def run_bench(n_events, seed=11, repeat=2):
     # (scheduler noise and cache pollution only ever add time); the
     # equality check compares the first round's results.
 
-    # Naive: raw per-address LPM, every analysis re-scans the records.
+    # Naive: the oracle's per-address LPM, every analysis re-scans the
+    # records.
     naive = None
     naive_seconds = float("inf")
     for _ in range(repeat):
@@ -255,18 +282,18 @@ def run_bench(n_events, seed=11, repeat=2):
         origin = table.origin_asn
         result, seconds = isolated(
             lambda: run_suite(
-                ntp, active, origin, registry, ipv4_origin,
+                naive_analysis, ntp, active, origin, registry, ipv4_origin,
                 country_getter(origin),
             )
         )
         naive = result if naive is None else naive
         naive_seconds = min(naive_seconds, seconds)
 
-    # Indexed: one columnar pass per corpus (timed — the speedup is
-    # end-to-end, including the index build), each row's origin
-    # resolved once per index and shared by every analysis.  Fresh
-    # indexes per round keep the origin views cold, so the LPM cost is
-    # not amortized across rounds.
+    # Indexed: one columnar pass per corpus, built on the first read
+    # (timed — the speedup is end-to-end, including the index build),
+    # each row's origin resolved once per index and shared by every
+    # analysis.  Fresh corpora per round keep the origin views cold, so
+    # the LPM cost is not amortized across rounds.
     indexed = None
     indexed_seconds = float("inf")
     build_seconds = float("inf")
@@ -274,16 +301,12 @@ def run_bench(n_events, seed=11, repeat=2):
         ntp = build_corpus("ntp-pool", events)
         active = build_corpus("ipv6-hitlist", active_events)
         origin = table.origin_asn
-
-        def indexed_run():
-            ntp.build_index()
-            active.build_index()
-            return run_suite(
-                ntp, active, origin, registry, ipv4_origin,
+        result, seconds = isolated(
+            lambda: run_suite(
+                INDEXED, ntp, active, origin, registry, ipv4_origin,
                 country_getter(origin),
             )
-
-        result, seconds = isolated(indexed_run)
+        )
         indexed = result if indexed is None else indexed
         if seconds < indexed_seconds:
             indexed_seconds = seconds
@@ -546,9 +569,7 @@ def test_analysis_index_speedup(benchmark):
     events = generate_events(10_000, 11, blocks, macs)
 
     def indexed_round():
-        corpus = build_corpus("ntp-pool", events)
-        corpus.build_index()
-        return iid_lifetimes_by_entropy(corpus)
+        return iid_lifetimes_by_entropy(build_corpus("ntp-pool", events))
 
     benchmark.pedantic(indexed_round, rounds=3, iterations=1)
 

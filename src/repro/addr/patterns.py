@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .entropy import EntropyClass, entropy_class, normalized_iid_entropy
-from .ipv6 import IID_MASK, iid_of
+from .ipv6 import IID_MASK
 
 __all__ = [
     "AddressCategory",
@@ -199,42 +199,11 @@ class CategoryClassifier:
         self._min_instances = min_as_instances
         self._min_fraction = min_as_fraction
 
-    def _candidate_matches_asn(self, address: int, asn: int) -> bool:
-        """True when any embedded-IPv4 candidate originates in ``asn``."""
-        assert self._ipv4_origin is not None
-        for candidate in embedded_ipv4_candidates(iid_of(address)).values():
-            if self._ipv4_origin(candidate) == asn:
-                return True
-        return False
-
-    def classify_corpus(
-        self, addresses: Iterable[int]
-    ) -> Dict[AddressCategory, int]:
-        """Classify a corpus; returns counts per category.
-
-        Runs the two-pass algorithm: the first pass tallies, per AS, how
-        many addresses carry a same-AS embedded IPv4 candidate; the second
-        pass accepts the IPV4_MAPPED label only inside ASes that clear
-        both thresholds.
-        """
-        addresses = list(addresses)
-        accepted_ases = self._accepted_ipv4_ases(addresses)
-        counts: Dict[AddressCategory, int] = {
-            category: 0 for category in AddressCategory
-        }
-        for address in addresses:
-            embedded = False
-            if accepted_ases and self._ipv6_origin is not None:
-                asn = self._ipv6_origin(address)
-                if asn in accepted_ases:
-                    embedded = self._candidate_matches_asn(address, asn)
-            counts[classify_iid_structurally(iid_of(address), embedded)] += 1
-        return counts
-
     def classify_index(
         self, index, rows: Optional[Iterable[int]] = None
     ) -> Dict[AddressCategory, int]:
-        """Classify via a columnar corpus index; equals classify_corpus.
+        """Classify the rows of a columnar corpus index; returns counts
+        per category.
 
         ``index`` is a :class:`repro.core.index.CorpusIndex` (duck-typed:
         only its ``addresses``, ``lo`` (the IID) and ``pattern_codes``
@@ -242,11 +211,13 @@ class CategoryClassifier:
         classification to a row subset (the windowed Fig. 5 variant);
         ``None`` means all rows.
 
-        The same two-pass acceptance rule runs, but structural classes
-        come from the precomputed pattern-code column, and candidate
-        decoding / IPv4-origin probes are memoized per distinct
-        ``(IID, ASN)`` pair — both pure functions of their inputs, so
-        the counts are exactly those of :meth:`classify_corpus`.
+        Runs the two-pass algorithm: the first pass tallies, per AS, how
+        many addresses carry a same-AS embedded IPv4 candidate; the
+        second accepts the IPV4_MAPPED label only inside ASes that clear
+        both thresholds.  Structural classes come from the precomputed
+        pattern-code column, and candidate decoding / IPv4-origin probes
+        are memoized per distinct ``(IID, ASN)`` pair — both pure
+        functions of their inputs.
         """
         addresses = index.addresses
         iids = index.lo.tolist()
@@ -320,33 +291,6 @@ class CategoryClassifier:
             return [None] * len(row_list)
         origins = index.row_origins(origin)
         return [origins[row] for row in row_list]
-
-    def _accepted_ipv4_ases(self, addresses: List[int]) -> set:
-        """First pass: the set of ASes whose IPv4-embeddings are trusted."""
-        if self._ipv6_origin is None or self._ipv4_origin is None:
-            return set()
-        per_as_total: Counter = Counter()
-        per_as_embedded: Counter = Counter()
-        for address in addresses:
-            asn = self._ipv6_origin(address)
-            if asn is None:
-                continue
-            per_as_total[asn] += 1
-            iid = iid_of(address)
-            # Structural categories 1-3 can never be IPv4-embedded.
-            if iid <= 0xFFFF:
-                continue
-            if self._candidate_matches_asn(address, asn):
-                per_as_embedded[asn] += 1
-        accepted = set()
-        for asn, embedded_count in per_as_embedded.items():
-            total = per_as_total[asn]
-            if (
-                embedded_count >= self._min_instances
-                and embedded_count > self._min_fraction * total
-            ):
-                accepted.add(asn)
-        return accepted
 
 
 def category_fractions(

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..addr.entropy import normalized_iid_entropy
-from ..addr.ipv6 import iid_of
 from .distributions import ECDF
 
 __all__ = [
@@ -61,19 +59,9 @@ def _render_grid(
 
 
 def corpus_entropy_samples(corpus) -> List[float]:
-    """Per-address normalized IID entropy of a corpus (the Fig. 1 input).
-
-    Reads the precomputed entropy column when a
-    :class:`~repro.core.index.CorpusIndex` is attached to the corpus;
-    otherwise recomputes entropy per address.
-    """
-    index = getattr(corpus, "index", None)
-    if index is not None:
-        return index.entropies.tolist()
-    return [
-        normalized_iid_entropy(iid_of(address))
-        for address in corpus.addresses()
-    ]
+    """Per-address normalized IID entropy of a corpus (the Fig. 1 input),
+    read from its index's entropy column."""
+    return corpus.index.entropies.tolist()
 
 
 def render_entropy_cdf(

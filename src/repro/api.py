@@ -26,6 +26,7 @@ from typing import Optional, Tuple, Union
 
 from .core import (
     AddressCorpus,
+    CorpusIndex,
     ExecutionOptions,
     ReleaseArtifact,
     SegmentedCorpusReader,
@@ -160,7 +161,7 @@ def open_corpus(
         return reader.load()
     corpus = load_corpus(path)
     if indexed:
-        corpus.build_index(metrics=metrics)
+        corpus.attach_index(CorpusIndex.build(corpus, metrics=metrics))
     return corpus
 
 

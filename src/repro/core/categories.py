@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..addr.entropy import normalized_iid_entropy
-from ..addr.ipv6 import iid_of
 from ..addr.patterns import (
     AddressCategory,
     CategoryClassifier,
@@ -47,45 +45,25 @@ def top_as_entropy_distributions(
     """
     if top < 1:
         raise ValueError("top must be >= 1")
-    index = getattr(corpus, "index", None)
-    if index is not None:
-        # Group precomputed entropy rows by the index's per-row origins
-        # instead of resolving and re-deriving entropy per address.
-        if window is None:
-            rows = range(len(index))
-        else:
-            rows = index.rows_in_window(*window)
-        origins = index.row_origins(origin)
-        by_asn_rows: Dict[int, List[int]] = {}
-        for row in rows:
-            asn = origins[row]
-            if asn is not None:
-                by_asn_rows.setdefault(asn, []).append(row)
-        ranked_rows = sorted(
-            by_asn_rows.items(), key=lambda item: -len(item[1])
-        )[:top]
-        result = {}
-        for asn, as_rows in ranked_rows:
-            label = as_name(asn) if as_name is not None else f"AS{asn}"
-            result[label] = index.entropies[as_rows].tolist()
-        return result
+    # Group precomputed entropy rows by the index's per-row origins.
+    index = corpus.index
     if window is None:
-        addresses = list(corpus.addresses())
+        rows = range(len(index))
     else:
-        addresses = list(corpus.addresses_in_window(*window))
-    by_asn: Dict[int, List[int]] = {}
-    for address in addresses:
-        asn = origin(address)
+        rows = index.rows_in_window(*window)
+    origins = index.row_origins(origin)
+    by_asn_rows: Dict[int, List[int]] = {}
+    for row in rows:
+        asn = origins[row]
         if asn is not None:
-            by_asn.setdefault(asn, []).append(address)
-    ranked = sorted(by_asn.items(), key=lambda item: -len(item[1]))[:top]
+            by_asn_rows.setdefault(asn, []).append(row)
+    ranked = sorted(
+        by_asn_rows.items(), key=lambda item: -len(item[1])
+    )[:top]
     result = {}
-    for asn, as_addresses in ranked:
+    for asn, as_rows in ranked:
         label = as_name(asn) if as_name is not None else f"AS{asn}"
-        result[label] = [
-            normalized_iid_entropy(iid_of(address))
-            for address in as_addresses
-        ]
+        result[label] = index.entropies[as_rows].tolist()
     return result
 
 
@@ -109,15 +87,9 @@ def category_composition(
         min_as_instances=min_as_instances,
         min_as_fraction=min_as_fraction,
     )
-    index = getattr(corpus, "index", None)
-    if index is not None:
-        rows = None if window is None else index.rows_in_window(*window)
-        return category_fractions(classifier.classify_index(index, rows))
-    if window is None:
-        addresses = corpus.addresses()
-    else:
-        addresses = corpus.addresses_in_window(*window)
-    return category_fractions(classifier.classify_corpus(addresses))
+    index = corpus.index
+    rows = None if window is None else index.rows_in_window(*window)
+    return category_fractions(classifier.classify_index(index, rows))
 
 
 def compare_category_compositions(

@@ -103,15 +103,13 @@ class DatasetComparison:
 def _aggregates(
     corpus: AddressCorpus, origin: Callable[[int], Optional[int]]
 ):
-    """(origin-AS set, /48 set) — from the columnar index when attached.
+    """(origin-AS set, /48 set), from the corpus's index.
 
     The index's sets are memoized and shared; they are only read here
     (intersections and ``len``), never mutated.
     """
-    index = getattr(corpus, "index", None)
-    if index is not None:
-        return index.asn_set(origin), index.slash48_set()
-    return corpus.asn_set(origin), corpus.slash48_set()
+    index = corpus.index
+    return index.asn_set(origin), index.slash48_set()
 
 
 def _build_row(
@@ -169,29 +167,9 @@ def phone_provider_shares(
     The paper: 14% of the NTP corpus vs 2% of the Hitlist originates in
     "Phone Provider" ASes.
     """
-    shares = {}
-    for corpus in corpora:
-        index = getattr(corpus, "index", None)
-        if index is not None:
-            # Weight the per-AS address counts (one memoized origin
-            # resolution per distinct /64) instead of streaming one
-            # origin lookup per address.
-            counts = index.asn_counts(origin)
-            total = sum(counts.values())
-            if total == 0:
-                raise ValueError(
-                    "cannot compute a fraction of zero addresses"
-                )
-            phone = 0
-            for asn, count in counts.items():
-                if asn is None:
-                    continue
-                record = registry.lookup(asn)
-                if record is not None and record.is_phone_provider:
-                    phone += count
-            shares[corpus.name] = phone / total
-        else:
-            shares[corpus.name] = registry.phone_provider_fraction(
-                origin(address) for address in corpus.addresses()
-            )
-    return shares
+    return {
+        corpus.name: registry.phone_provider_fraction(
+            corpus.index.asn_counts(origin)
+        )
+        for corpus in corpora
+    }

@@ -10,25 +10,23 @@ Storage is deliberately compact (one ``[first, last, count]`` record per
 address): the paper itself compacts raw request logs the same way, and
 the ablation bench (DESIGN.md §6) quantifies why.
 
-For analysis workloads a corpus can carry a columnar
-:class:`~repro.core.index.CorpusIndex` (see :meth:`AddressCorpus.build_index`);
-while one is attached, the aggregate accessors below answer from its
-memoized columns instead of re-scanning the records.  An index is never
-patched: any mutation (:meth:`AddressCorpus.record`,
+Every aggregate accessor below answers from the corpus's columnar
+:class:`~repro.core.index.CorpusIndex` (:attr:`AddressCorpus.index`),
+built and attached on first read or attached prebuilt by a fold.  An
+index is never patched: any mutation (:meth:`AddressCorpus.record`,
 :meth:`AddressCorpus.record_interval`, :meth:`AddressCorpus.merge`)
-drops it, and the next analysis builds or folds a fresh one.
+drops it, and the next read builds a fresh one.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..addr.eui64 import extract_mac
-from ..addr.ipv6 import iid_of, slash48_of, slash64_of
+from .index import NO_MAC, CorpusIndex
 
 __all__ = ["AddressCorpus"]
 
@@ -48,36 +46,31 @@ class AddressCorpus:
         self.name = name
         # address -> [first_seen, last_seen, observation_count]
         self._records: Dict[int, List[float]] = {}
-        # Columnar index over the records; None until built, and reset
-        # to None by every mutation.
-        self._index = None
+        # Columnar index over the records; None until first read, and
+        # reset to None by every mutation.
+        self._index: Optional[CorpusIndex] = None
 
     # -- columnar index ------------------------------------------------------
 
     @property
-    def index(self):
-        """The attached :class:`CorpusIndex`, or ``None``."""
-        return self._index
+    def index(self) -> CorpusIndex:
+        """The columnar :class:`CorpusIndex` over the records.
 
-    def build_index(self, metrics=None):
-        """Build, attach and return a columnar index over the records.
-
-        ``metrics`` is an optional :class:`~repro.obs.MetricsRegistry`
-        on which the full scan is counted
-        (``repro_index_full_rebuilds_total``).
+        Built by one scan and attached on first read, unless a prebuilt
+        one was attached (:meth:`attach_index`); every aggregate below
+        reads it.
         """
-        from .index import CorpusIndex
-
-        self._index = CorpusIndex.build(self, metrics=metrics)
+        if self._index is None:
+            self._index = CorpusIndex.build(self)
         return self._index
 
-    def attach_index(self, index) -> None:
+    def attach_index(self, index: CorpusIndex) -> None:
         """Attach a prebuilt index (must match this corpus's size).
 
         The index answers the aggregate accessors until the corpus is
         next mutated, which drops it.
         """
-        if index is not None and len(index) != len(self._records):
+        if len(index) != len(self._records):
             raise ValueError(
                 f"index has {len(index)} rows for {len(self._records)} records"
             )
@@ -207,51 +200,33 @@ class AddressCorpus:
 
     def lifetimes(self) -> List[float]:
         """Observed lifetimes of all addresses (Fig. 2a input)."""
-        if self._index is not None:
-            return list(self._index.lifetimes())
-        return [record[1] - record[0] for record in self._records.values()]
+        return list(self.index.lifetimes())
 
     def slash48_set(self) -> Set[int]:
         """Distinct /48 prefixes covering the corpus."""
-        if self._index is not None:
-            return set(self._index.slash48_set())
-        return {slash48_of(address) for address in self._records}
+        return set(self.index.slash48_set())
 
     def slash64_set(self) -> Set[int]:
         """Distinct /64 prefixes covering the corpus."""
-        if self._index is not None:
-            return set(self._index.slash64_set())
-        return {slash64_of(address) for address in self._records}
+        return set(self.index.slash64_set())
 
     def asn_set(
         self, origin: Callable[[int], Optional[int]]
     ) -> Set[int]:
         """Distinct origin ASNs (unrouted addresses are skipped)."""
-        if self._index is not None:
-            return self._index.asn_set(origin)
-        asns = set()
-        for address in self._records:
-            asn = origin(address)
-            if asn is not None:
-                asns.add(asn)
-        return asns
+        return self.index.asn_set(origin)
 
     def asn_counts(
         self, origin: Callable[[int], Optional[int]]
     ) -> Counter:
         """Address count per origin ASN (``None`` for unrouted)."""
-        if self._index is not None:
-            return self._index.asn_counts(origin)
-        counts: Counter = Counter()
-        for address in self._records:
-            counts[origin(address)] += 1
-        return counts
+        return self.index.asn_counts(origin)
 
     def addresses_in_window(self, start: float, end: float) -> Iterator[int]:
         """Addresses whose sighting interval intersects ``[start, end)``."""
-        for address, record in self._records.items():
-            if record[0] < end and record[1] >= start:
-                yield address
+        index = self.index
+        addresses = index.addresses
+        return (addresses[row] for row in index.rows_in_window(start, end))
 
     def common_addresses(self, other: "AddressCorpus") -> Set[int]:
         """Addresses present in both corpora."""
@@ -267,47 +242,18 @@ class AddressCorpus:
 
     def iid_intervals(self) -> Dict[int, Tuple[float, float]]:
         """Per-IID sighting intervals across all addresses (Fig. 2b)."""
-        if self._index is not None:
-            return dict(self._index.iid_intervals())
-        intervals: Dict[int, List[float]] = {}
-        for address, record in self._records.items():
-            iid = iid_of(address)
-            existing = intervals.get(iid)
-            if existing is None:
-                intervals[iid] = [record[0], record[1]]
-            else:
-                existing[0] = min(existing[0], record[0])
-                existing[1] = max(existing[1], record[1])
-        return {
-            iid: (interval[0], interval[1])
-            for iid, interval in intervals.items()
-        }
+        return dict(self.index.iid_intervals())
 
     def eui64_addresses(self) -> Iterator[int]:
         """Addresses whose IID carries the EUI-64 marker."""
-        index = self._index
-        if index is not None:
-            from .index import NO_MAC
-
-            rows = np.flatnonzero(index.macs != np.uint64(NO_MAC))
-            addresses = index.addresses
-            for row in rows.tolist():
-                yield addresses[row]
-            return
-        for address in self._records:
-            if extract_mac(address) is not None:
-                yield address
+        index = self.index
+        addresses = index.addresses
+        rows = np.flatnonzero(index.macs != np.uint64(NO_MAC))
+        return (addresses[row] for row in rows.tolist())
 
     def eui64_mac_addresses(self) -> Dict[int, List[int]]:
         """Embedded MAC → list of addresses exposing it (§5 input)."""
-        if self._index is not None:
-            return self._index.eui64_mac_addresses()
-        by_mac: Dict[int, List[int]] = defaultdict(list)
-        for address in self._records:
-            mac = extract_mac(address)
-            if mac is not None:
-                by_mac[mac].append(address)
-        return dict(by_mac)
+        return self.index.eui64_mac_addresses()
 
     def __repr__(self) -> str:
         return f"AddressCorpus({self.name!r}, {len(self):,} addresses)"

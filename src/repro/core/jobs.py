@@ -9,6 +9,10 @@ routing table) instead of rebuilding it; the parent must run no threads
 while it forks.  The child reports on a one-way pipe, and starts with
 the default SIGINT and SIGTERM actions and no wakeup fd, so a handler
 inherited from the parent never catches a signal meant for the child.
+A grandchild forked through :class:`Forked` closes the write end of its
+parent's report pipe that the fork handed it, so the grandparent reads
+end of file as soon as the parent dies, whatever the grandchild is
+still doing.
 
 :func:`run_jobs` runs one-shot jobs, each attempt in its own child, so a
 child that raises, dies or hangs takes down only that attempt:
@@ -40,9 +44,23 @@ __all__ = ["Forked", "Outcome", "backoff_delay", "run_jobs"]
 
 _CHILD_DEFAULT_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
+#: The report-pipe write end this process was handed by :class:`Forked`
+#: (``None`` in a process that was not forked by it).
+_sender = None
+
 
 def _forked_main(mask, target, sender, args) -> None:
-    """Forked child: default SIGINT/SIGTERM, no wakeup fd, then run."""
+    """Forked child: close the report pipe inherited from a parent that
+    was itself forked, default SIGINT/SIGTERM, no wakeup fd, then run.
+
+    Holding the parent's write end would keep that pipe open after the
+    parent dies, so its own parent would see the death only when this
+    child exits.
+    """
+    global _sender
+    if _sender is not None:
+        _sender.close()
+    _sender = sender
     signal.set_wakeup_fd(-1)
     for signum in _CHILD_DEFAULT_SIGNALS:
         signal.signal(signum, signal.SIG_DFL)
@@ -91,8 +109,8 @@ class Forked:
         """Move every message that has arrived into :attr:`messages`.
 
         Blocks only to finish a message that has begun to arrive.
-        False at end of file: the child, and anything it forked, closed
-        the write end.
+        False at end of file: the child, and anything it forked other
+        than through :class:`Forked`, closed the write end.
         """
         try:
             while self.receiver.poll():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..addr.entropy import EntropyClass, entropy_class, normalized_iid_entropy
+from ..addr.entropy import EntropyClass, entropy_class
 from ..analysis.distributions import ECDF
 from ..world.clock import DAY, WEEK
 from .corpus import AddressCorpus
@@ -72,17 +72,12 @@ def iid_lifetimes_by_entropy(
     buckets: Dict[EntropyClass, List[float]] = {
         cls: [] for cls in EntropyClass
     }
-    index = getattr(corpus, "index", None)
-    if index is not None:
-        # Entropy was computed once per distinct IID in the index build
-        # pass; read it instead of re-deriving it per interval.
-        entropies = index.iid_entropies()
-        for iid, (first, last) in index.iid_intervals().items():
-            buckets[entropy_class(entropies[iid])].append(last - first)
-        return buckets
-    for iid, (first, last) in corpus.iid_intervals().items():
-        cls = entropy_class(normalized_iid_entropy(iid))
-        buckets[cls].append(last - first)
+    # Entropy was computed once per distinct IID in the index build
+    # pass; read it instead of re-deriving it per interval.
+    index = corpus.index
+    entropies = index.iid_entropies()
+    for iid, (first, last) in index.iid_intervals().items():
+        buckets[entropy_class(entropies[iid])].append(last - first)
     return buckets
 
 
@@ -92,15 +87,7 @@ def eui64_iid_lifetimes(corpus: AddressCorpus) -> List[float]:
     Computed per embedded MAC: the union interval over every address
     exposing that MAC.
     """
-    index = getattr(corpus, "index", None)
-    if index is not None:
-        return [
-            last - first
-            for first, last in index.eui64_mac_intervals().values()
-        ]
-    lifetimes = []
-    for addresses in corpus.eui64_mac_addresses().values():
-        first = min(corpus.first_seen(address) for address in addresses)
-        last = max(corpus.last_seen(address) for address in addresses)
-        lifetimes.append(last - first)
-    return lifetimes
+    return [
+        last - first
+        for first, last in corpus.index.eui64_mac_intervals().values()
+    ]

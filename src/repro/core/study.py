@@ -23,6 +23,7 @@ from ..world.clock import WEEK
 from ..world.world import World
 from .campaign import CampaignConfig, NTPCampaign
 from .corpus import AddressCorpus
+from .index import CorpusIndex
 from .parallel import run_campaign_parallel
 from .segments import DEFAULT_SEGMENT_BYTES, SegmentStore
 
@@ -38,12 +39,12 @@ CAIDA_LAST_WEEK = 10
 class ExecutionOptions:
     """How a study *executes* — everything orthogonal to the science.
 
-    Scale-out, persistence, resume, fault injection, indexing and
-    telemetry live here, in one value, so :class:`StudyConfig` keeps
-    only what changes the simulated world's observations.  The one
-    persistence mode is a streaming ``segment_dir`` store: its memory
-    footprint is bounded by ``segment_bytes`` however long the
-    campaign runs, and ``resume_from_segments`` continues it.
+    Scale-out, persistence, resume, fault injection and telemetry live
+    here, in one value, so :class:`StudyConfig` keeps only what changes
+    the simulated world's observations.  The one persistence mode is a
+    streaming ``segment_dir`` store: its memory footprint is bounded by
+    ``segment_bytes`` however long the campaign runs, and
+    ``resume_from_segments`` continues it.
     """
 
     #: Worker processes for the NTP collection; 1 keeps the serial path.
@@ -66,10 +67,6 @@ class ExecutionOptions:
     #: start, before it is killed and the shard retried (``None``
     #: disables the deadline).
     shard_timeout: Optional[float] = None
-    #: Build one columnar :class:`CorpusIndex` per corpus after the
-    #: campaigns finish; every downstream analysis then reads shared
-    #: columns instead of re-scanning the corpora.
-    build_index: bool = True
     #: Telemetry registry shared by every study stage (a fresh one is
     #: created per run when ``None``).
     metrics: Optional[MetricsRegistry] = None
@@ -242,20 +239,20 @@ def run_study(
         )
     caida_corpus = AddressCorpus.from_history("caida-routed-48", caida_history)
 
-    if execution.build_index:
-        with registry.span("corpus-index"):
-            if segment_store is not None:
-                # Incremental path: fold the seal-time partial indexes
-                # instead of rescanning every sealed segment the
-                # campaign just wrote (repro_index_segments_reused_total
-                # counts the segments answered without a re-read).
-                ntp_corpus.attach_index(
-                    segment_store.reader().build_index(name=ntp_corpus.name)
-                )
-            else:
-                ntp_corpus.build_index(metrics=registry)
-            for corpus in (hitlist_corpus, caida_corpus):
-                corpus.build_index(metrics=registry)
+    with registry.span("corpus-index"):
+        if segment_store is not None:
+            # Incremental path: fold the seal-time partial indexes
+            # instead of rescanning every sealed segment the campaign
+            # just wrote (repro_index_segments_reused_total counts the
+            # segments answered without a re-read).
+            ntp_index = segment_store.reader().build_index(
+                name=ntp_corpus.name
+            )
+        else:
+            ntp_index = CorpusIndex.build(ntp_corpus, metrics=registry)
+        ntp_corpus.attach_index(ntp_index)
+        for corpus in (hitlist_corpus, caida_corpus):
+            corpus.attach_index(CorpusIndex.build(corpus, metrics=registry))
 
     return StudyResults(
         ntp=ntp_corpus,

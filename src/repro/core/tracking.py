@@ -27,7 +27,6 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..addr.eui64 import expected_random_eui64
-from ..addr.ipv6 import slash64_of
 from .corpus import AddressCorpus
 
 __all__ = [
@@ -101,41 +100,25 @@ def build_mac_tracks(
 ) -> Dict[int, MACTrack]:
     """Aggregate every embedded MAC's sightings into a track.
 
-    With a :class:`~repro.core.index.CorpusIndex` attached to the
-    corpus, sightings are read straight from the MAC / first-seen /
-    /64 columns and the per-row origins; otherwise each EUI-64 address
-    is re-derived from the record store.  Both paths produce identical
-    tracks.
+    Sightings are read straight from the index's MAC / first-seen /
+    /64 columns and its per-row origins.
     """
-    index = getattr(corpus, "index", None)
+    index = corpus.index
+    addresses = index.addresses
+    first = index.first.tolist()
+    last = index.last.tolist()
+    hi = index.hi.tolist()
+    origins = index.row_origins(origin)
     tracks: Dict[int, MACTrack] = {}
-    if index is not None:
-        groups = index.eui64_rows().items()
-        addresses = index.addresses
-        first = index.first.tolist()
-        last = index.last.tolist()
-        hi = index.hi.tolist()
-        origins = index.row_origins(origin)
-    else:
-        groups = iter(corpus.eui64_mac_addresses().items())
-    for mac, sightings in groups:
-        if index is not None:
-            # Rows are in record order, so this stable sort matches the
-            # naive sorted(addresses, key=corpus.first_seen) exactly.
-            rows = sorted(sightings, key=first.__getitem__)
-            ordered = [addresses[row] for row in rows]
-            firsts = [first[row] for row in rows]
-            prefix64s = [hi[row] << 64 for row in rows]
-            origin_asns = [origins[row] for row in rows]
-            last_seen = max(last[row] for row in rows)
-        else:
-            ordered = sorted(sightings, key=corpus.first_seen)
-            firsts = [corpus.first_seen(address) for address in ordered]
-            prefix64s = [slash64_of(address) for address in ordered]
-            origin_asns = [origin(address) for address in ordered]
-            last_seen = max(
-                corpus.last_seen(address) for address in ordered
-            )
+    for mac, mac_rows in index.eui64_rows().items():
+        # Rows are in record order, so this stable sort orders equal
+        # first sightings by record order.
+        rows = sorted(mac_rows, key=first.__getitem__)
+        ordered = [addresses[row] for row in rows]
+        firsts = [first[row] for row in rows]
+        prefix64s = [hi[row] << 64 for row in rows]
+        origin_asns = [origins[row] for row in rows]
+        last_seen = max(last[row] for row in rows)
         slash64s: List[int] = []
         transitions = 0
         timeline: List[Tuple[float, int, Optional[int]]] = []

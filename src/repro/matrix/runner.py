@@ -141,7 +141,6 @@ def execute_cell(
             execution=ExecutionOptions(
                 workers=cell.workers,
                 faults=plan,
-                build_index=False,
                 metrics=registry,
             ),
         )

@@ -14,6 +14,7 @@ from repro.addr.patterns import (
     classify_iid_structurally,
     embedded_ipv4_candidates,
 )
+from repro.core.corpus import AddressCorpus
 
 iids = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -120,6 +121,14 @@ def _make_world_lookups(embedding_asn=64500):
     return ipv6_origin, ipv4_origin
 
 
+def _index(addresses):
+    """The columnar index of a corpus holding ``addresses``."""
+    corpus = AddressCorpus("c")
+    for address in addresses:
+        corpus.record(address, 0.0)
+    return corpus.index
+
+
 class TestCategoryClassifier:
     def _embedded_address(self, host):
         # 2001:db8::c000:02xx embeds 192.0.2.<host>
@@ -131,7 +140,7 @@ class TestCategoryClassifier:
             ipv6_origin, ipv4_origin, min_as_instances=5, min_as_fraction=0.1
         )
         corpus = [self._embedded_address(i) for i in range(10)]
-        counts = classifier.classify_corpus(corpus)
+        counts = classifier.classify_index(_index(corpus))
         assert counts[AddressCategory.IPV4_MAPPED] == 10
 
     def test_rejects_below_instance_threshold(self):
@@ -140,7 +149,7 @@ class TestCategoryClassifier:
             ipv6_origin, ipv4_origin, min_as_instances=50, min_as_fraction=0.1
         )
         corpus = [self._embedded_address(i) for i in range(10)]
-        counts = classifier.classify_corpus(corpus)
+        counts = classifier.classify_index(_index(corpus))
         assert counts[AddressCategory.IPV4_MAPPED] == 0
 
     def test_rejects_below_fraction_threshold(self):
@@ -154,13 +163,13 @@ class TestCategoryClassifier:
         corpus += [
             ipv6.parse("2001:db8::") | rng.getrandbits(64) for _ in range(100)
         ]
-        counts = classifier.classify_corpus(corpus)
+        counts = classifier.classify_index(_index(corpus))
         assert counts[AddressCategory.IPV4_MAPPED] == 0
 
     def test_without_lookups_never_ipv4(self):
         classifier = CategoryClassifier()
-        counts = classifier.classify_corpus(
-            [self._embedded_address(i) for i in range(200)]
+        counts = classifier.classify_index(
+            _index([self._embedded_address(i) for i in range(200)])
         )
         assert counts[AddressCategory.IPV4_MAPPED] == 0
         # hex32 low-half addresses straddle the low/medium entropy bound
@@ -176,7 +185,7 @@ class TestCategoryClassifier:
         rng = random.Random(9)
         corpus = [rng.getrandbits(128) for _ in range(500)]
         classifier = CategoryClassifier()
-        counts = classifier.classify_corpus(corpus)
+        counts = classifier.classify_index(_index(corpus))
         assert sum(counts.values()) == 500
 
     def test_rejects_bad_thresholds(self):
@@ -192,8 +201,8 @@ class TestCategoryClassifier:
             min_as_instances=1,
             min_as_fraction=0.0,
         )
-        counts = classifier.classify_corpus(
-            [self._embedded_address(i) for i in range(5)]
+        counts = classifier.classify_index(
+            _index([self._embedded_address(i) for i in range(5)])
         )
         assert counts[AddressCategory.IPV4_MAPPED] == 0
 

@@ -1,21 +1,25 @@
 """Equivalence property tests for the columnar corpus index.
 
-Every aggregate a :class:`CorpusIndex` (or an index-carrying corpus)
-serves must be *exactly* equal to the naive per-figure recomputation over
-the raw record store — including the index's per-row origins, resolved
-by the :class:`RoutingTable` under test, against a :class:`PrefixTrie`
-holding the same announcements as the independent reference, with
-prefixes more specific than /64 announced (addresses of one /64 then
-need not share an origin).
+Every aggregate an :class:`AddressCorpus` answers from its
+:class:`CorpusIndex` must be *exactly* equal to the naive per-address
+recomputation over the raw record store in :mod:`tests.naive_analysis`
+— including the index's per-row origins, resolved by the
+:class:`RoutingTable` under test, against a :class:`PrefixTrie` holding
+the same announcements as the independent reference, with prefixes more
+specific than /64 announced (addresses of one /64 then need not share an
+origin).
 
 The strategy builds corpora the way the study produces them: a few
 routed /32s carrying /48 and /64 sub-announcements (plus occasional /80
 and /112 ones), addresses clustered into few /64s, IIDs drawn from the
 paper's pattern families (zeroes, low-byte, EUI-64 with MAC reuse across
-/64s, random) — so every column and aggregate is exercised.
+/64s, random) — so every column and aggregate is exercised.  Windowed
+analyses use a window that starts at one sighting's timestamp, so an
+address whose last sighting is exactly the window start is always in
+play.
 """
 
-import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.addr.eui64 import mac_to_iid
 from repro.addr.ipv6 import with_iid
+from repro.analysis.figures import corpus_entropy_samples
 from repro.core.categories import (
     category_composition,
     top_as_entropy_distributions,
@@ -35,8 +40,15 @@ from repro.core.tracking import analyze_tracking
 from repro.net.prefixes import Prefix, PrefixTrie
 from repro.net.routing import RoutingTable
 
+from .. import naive_analysis as naive
+
 # A handful of /32 blocks the generator announces and draws /64s from.
 BLOCKS = [(0x2001 << 112) | (block << 96) for block in range(1, 7)]
+
+# The /64 subnet IDs the /64 selector picks: they differ in the low,
+# middle and high bits of a /48's 16 subnet bits, so a /48 key that
+# keeps any of those bits splits a /48.
+SLASH64_IDS = (0, 1, 0x100, 0x8001)
 
 # MAC pool small enough that MACs recur across /64s (the tracking case).
 MACS = [0x0011_22_00_00_00 + n for n in range(12)]
@@ -66,7 +78,7 @@ sightings = st.lists(
 def build_corpus(name, events):
     corpus = AddressCorpus(name)
     for block, s48, s64, iid, when in events:
-        prefix64 = block | (s48 << 80) | (s64 << 64)
+        prefix64 = block | (s48 << 80) | (SLASH64_IDS[s64] << 64)
         corpus.record(with_iid(prefix64, iid), when)
     return corpus
 
@@ -102,25 +114,72 @@ def ipv4_origin(value):
     return 64500 + (value % 4)
 
 
-def naive_aggregates(corpus, origin):
+#: (min_as_instances, min_as_fraction) the category properties run at:
+#: every AS with an embedding accepted, then each threshold rejecting
+#: on its own.
+THRESHOLDS = [(1, 0.0), (1, 0.5), (2, 0.0)]
+
+
+def window_of(events):
+    """A one-week window opening at the first event's timestamp."""
+    start = events[0][-1]
+    return start, start + 7 * 86400.0
+
+
+#: The package's side, in the oracle's calling convention: the corpus
+#: accessors as functions of the corpus, and the analyses.
+PACKAGE = SimpleNamespace(
+    slash48_set=AddressCorpus.slash48_set,
+    slash64_set=AddressCorpus.slash64_set,
+    asn_counts=AddressCorpus.asn_counts,
+    asn_set=AddressCorpus.asn_set,
+    lifetimes=AddressCorpus.lifetimes,
+    iid_intervals=AddressCorpus.iid_intervals,
+    eui64_mac_addresses=AddressCorpus.eui64_mac_addresses,
+    eui64_addresses=lambda corpus: list(corpus.eui64_addresses()),
+    addresses_in_window=lambda corpus, start, end: list(
+        corpus.addresses_in_window(start, end)
+    ),
+    corpus_entropy_samples=corpus_entropy_samples,
+    eui64_iid_lifetimes=eui64_iid_lifetimes,
+    iid_lifetimes_by_entropy=iid_lifetimes_by_entropy,
+    category_composition=category_composition,
+    top_as_entropy_distributions=top_as_entropy_distributions,
+    analyze_tracking=analyze_tracking,
+    compare_datasets=compare_datasets,
+)
+
+
+def aggregates(side, corpus, origin, window):
+    """Every aggregate of ``corpus``, from ``side``: :data:`PACKAGE` or
+    the naive oracle module."""
     return {
         "len": len(corpus),
-        "slash48s": corpus.slash48_set(),
-        "slash64s": corpus.slash64_set(),
-        "asn_counts": corpus.asn_counts(origin),
-        "asn_set": corpus.asn_set(origin),
-        "lifetimes": corpus.lifetimes(),
+        "slash48s": side.slash48_set(corpus),
+        "slash64s": side.slash64_set(corpus),
+        "asn_counts": side.asn_counts(corpus, origin),
+        "asn_set": side.asn_set(corpus, origin),
+        "lifetimes": side.lifetimes(corpus),
         # Mappings as item lists: first-occurrence order is compared too.
-        "iid_intervals": list(corpus.iid_intervals().items()),
-        "eui64_macs": list(corpus.eui64_mac_addresses().items()),
-        "eui64_addresses": list(corpus.eui64_addresses()),
-        "eui64_lifetimes": eui64_iid_lifetimes(corpus),
-        "iid_lifetimes": iid_lifetimes_by_entropy(corpus),
-        "categories": category_composition(
-            corpus, origin, ipv4_origin,
-            min_as_instances=1, min_as_fraction=0.0,
-        ),
-        "top_as_entropy": top_as_entropy_distributions(corpus, origin, top=3),
+        "iid_intervals": list(side.iid_intervals(corpus).items()),
+        "eui64_macs": list(side.eui64_mac_addresses(corpus).items()),
+        "eui64_addresses": side.eui64_addresses(corpus),
+        "in_window": side.addresses_in_window(corpus, *window),
+        "entropy_samples": side.corpus_entropy_samples(corpus),
+        "eui64_lifetimes": side.eui64_iid_lifetimes(corpus),
+        "iid_lifetimes": side.iid_lifetimes_by_entropy(corpus),
+        "categories": [
+            side.category_composition(
+                corpus, origin, ipv4_origin, scope,
+                min_as_instances=instances, min_as_fraction=fraction,
+            )
+            for instances, fraction in THRESHOLDS
+            for scope in (None, window)
+        ],
+        "top_as_entropy": [
+            side.top_as_entropy_distributions(corpus, origin, 3, scope)
+            for scope in (None, window)
+        ],
     }
 
 
@@ -129,22 +188,17 @@ class TestIndexEquivalence:
     @given(sightings)
     def test_index_aggregates_equal_naive(self, events):
         table = build_table()
-        naive_corpus = build_corpus("naive", events)
-        naive = naive_aggregates(naive_corpus, reference_lpm(table))
-
-        indexed_corpus = build_corpus("naive", events)
-        indexed_corpus.build_index()
-        assert indexed_corpus.index is not None
-        indexed = naive_aggregates(indexed_corpus, table.origin_asn)
-
-        assert naive == indexed
+        window = window_of(events)
+        corpus = build_corpus("c", events)
+        expected = aggregates(naive, corpus, reference_lpm(table), window)
+        assert aggregates(PACKAGE, corpus, table.origin_asn, window) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(sightings)
-    def test_cached_origins_matches_raw_lpm_per_address(self, events):
+    def test_row_origins_match_raw_lpm_per_address(self, events):
         table = build_table()
         lookup = reference_lpm(table)
-        index = build_corpus("c", events).build_index()
+        index = build_corpus("c", events).index
         origins = index.row_origins(table.origin_asn)
         assert origins == [lookup(address) for address in index.addresses]
         # Resolved once: an equal bound method gets the same view back.
@@ -156,26 +210,20 @@ class TestIndexEquivalence:
         table = build_table()
         country_pool = ("DE", "US", "JP", None)
 
-        def run(indexed):
+        def run(analyses, origin):
             ntp = build_corpus("ntp-pool", ntp_events)
             other = build_corpus("ipv6-hitlist", other_events)
-            if indexed:
-                origin = table.origin_asn
-                ntp.build_index()
-                other.build_index()
-            else:
-                origin = reference_lpm(table)
 
             def country_of(address):
                 asn = origin(address)
                 return None if asn is None else country_pool[asn % 4]
 
-            tracking = analyze_tracking(ntp, origin, country_of)
-            comparison = compare_datasets(ntp, [other], origin)
+            tracking = analyses.analyze_tracking(ntp, origin, country_of)
+            comparison = analyses.compare_datasets(ntp, [other], origin)
             return tracking, comparison.render()
 
-        naive_tracking, naive_table = run(indexed=False)
-        fast_tracking, fast_table = run(indexed=True)
+        naive_tracking, naive_table = run(naive, reference_lpm(table))
+        fast_tracking, fast_table = run(PACKAGE, table.origin_asn)
         assert naive_table == fast_table
         assert naive_tracking.tracks == fast_tracking.tracks
         assert naive_tracking.classes == fast_tracking.classes
@@ -203,14 +251,10 @@ class TestLongerThanSlash64Announcements:
         sibling64 = with_iid(block | (7 << 64), 5)     # another /64, same /48
         corpus.record(sibling64, 3.0)
 
-        naive = AddressCorpus("hot")
-        for address, (first, last, count) in corpus.items():
-            naive.record_interval(address, first, last, count)
-
-        index = corpus.build_index()
+        index = corpus.index
         assert index.row_origins(table.origin_asn) == [65001, 64500, 64500]
         assert corpus.asn_counts(table.origin_asn) == naive.asn_counts(
-            reference_lpm(table)
+            corpus, reference_lpm(table)
         )
         assert corpus.asn_counts(table.origin_asn) == {65001: 1, 64500: 2}
 
@@ -218,7 +262,7 @@ class TestLongerThanSlash64Announcements:
 class TestIndexLifecycle:
     def test_mutation_drops_index(self):
         # An index is never patched: every kind of mutation drops it,
-        # and rebuilding yields exactly a fresh build.
+        # and the next read builds exactly a fresh build.
         corpus = build_corpus("c", [(BLOCKS[0], 0, 0, 5, 1.0)])
         mutations = [
             lambda: corpus.record(with_iid(BLOCKS[1], 9), 2.0),
@@ -228,17 +272,20 @@ class TestIndexLifecycle:
             ),
         ]
         for mutate in mutations:
-            corpus.build_index()
+            before = corpus.index
+            rows = len(before)
             mutate()
-            assert corpus.index is None
-        rebuilt = corpus.build_index()
-        fresh = CorpusIndex.build(corpus)
-        assert rebuilt.addresses == fresh.addresses
-        for name, _ in PartialIndexColumns.COLUMN_SPEC:
-            assert (
-                getattr(rebuilt, name).tobytes()
-                == getattr(fresh, name).tobytes()
-            ), name
+            after = corpus.index
+            assert after is not before
+            assert len(before) == rows
+            assert corpus.index is after
+            fresh = CorpusIndex.build(corpus)
+            assert after.addresses == fresh.addresses
+            for name, _ in PartialIndexColumns.COLUMN_SPEC:
+                assert (
+                    getattr(after, name).tobytes()
+                    == getattr(fresh, name).tobytes()
+                ), name
 
     def test_attach_index_rejects_size_mismatch(self):
         corpus = build_corpus(

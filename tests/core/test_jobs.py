@@ -174,6 +174,60 @@ class TestForked:
         assert len(child.messages) == 1
 
 
+class TestGrandchildren:
+    """A child that dies while a child it forked through :class:`Forked`
+    still runs is seen dead at once: the grandchild does not hold the
+    child's report pipe open."""
+
+    GRANDCHILD_SECONDS = 10
+
+    def test_a_job_killed_while_its_child_runs_settles_at_once(
+        self, tmp_path
+    ):
+        pid_file = tmp_path / "grandchild.pid"
+
+        def work(key):
+            grandchild = Forked(
+                lambda sender: time.sleep(self.GRANDCHILD_SECONDS),
+                name="repro-test-grandchild",
+            )
+            pid_file.write_text(str(grandchild.process.pid))
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        start = time.monotonic()
+        try:
+            outcomes = run_all(["job"], work, timeout=30.0)
+            seconds = time.monotonic() - start
+        finally:
+            if pid_file.exists():
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+        assert outcomes["job"].exitcode == -signal.SIGKILL
+        assert seconds < 2
+
+    def test_a_child_that_exits_while_its_child_runs_is_seen_at_once(self):
+        def target(sender):
+            grandchild = Forked(
+                lambda sender: time.sleep(self.GRANDCHILD_SECONDS),
+                name="repro-test-grandchild",
+            )
+            sender.send(grandchild.process.pid)
+            os._exit(0)
+
+        child = Forked(target, name="repro-test-early-exit")
+        start = time.monotonic()
+        try:
+            # Read the grandchild's pid, then wait for end of file.
+            while child.receive():
+                assert wait([child.receiver], 30)
+            seconds = time.monotonic() - start
+            assert child.reap() == 0
+        finally:
+            for grandchild in child.messages:
+                os.kill(grandchild, signal.SIGKILL)
+        assert len(child.messages) == 1
+        assert seconds < 2
+
+
 class TestSignals:
     def test_sigterm_reaches_a_child_despite_the_parents_handler(self):
         caught = []

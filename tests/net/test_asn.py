@@ -1,5 +1,7 @@
 """Tests for repro.net.asn — AS records and category aggregation."""
 
+from collections import Counter
+
 import pytest
 
 from repro.net.asn import ASCategory, ASRecord, ASRegistry, ISPSubtype
@@ -95,14 +97,17 @@ class TestASRegistry:
         registry = ASRegistry()
         registry.register(_record(asn=1, subtype=ISPSubtype.PHONE_PROVIDER))
         registry.register(_record(asn=2))
-        # 3 of 4 addresses from the phone AS
-        assert registry.phone_provider_fraction([1, 1, 1, 2]) == pytest.approx(
-            0.75
-        )
+        # 3 of 4 addresses from the phone AS; unrouted ones count too.
+        assert registry.phone_provider_fraction(
+            Counter({1: 3, 2: 1})
+        ) == pytest.approx(0.75)
+        assert registry.phone_provider_fraction(
+            Counter({1: 3, 2: 1, None: 2})
+        ) == pytest.approx(0.5)
 
     def test_phone_provider_fraction_empty_rejected(self):
         with pytest.raises(ValueError):
-            ASRegistry().phone_provider_fraction([])
+            ASRegistry().phone_provider_fraction(Counter())
 
     def test_countries_sorted_unique(self):
         registry = ASRegistry()
