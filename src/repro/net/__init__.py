@@ -1,6 +1,6 @@
 """Internet numbering substrate.
 
-Prefix tries and longest-prefix matching (:mod:`repro.net.prefixes`),
+Prefixes and longest-prefix matching (:mod:`repro.net.prefixes`),
 AS records with ASdb-style categories (:mod:`repro.net.asn`), routed
 prefix tables answering from flattened origin intervals
 (:mod:`repro.net.routing`), country-level geolocation
@@ -13,7 +13,7 @@ from .geodb import GeoDatabase, country_histogram, top_country_share
 from .prefixes import (
     LinearPrefixTable,
     Prefix,
-    PrefixTrie,
+    PrefixMap,
     parse_ipv4_prefix,
     parse_prefix,
 )
@@ -33,7 +33,7 @@ __all__ = [
     "ISPSubtype",
     "LinearPrefixTable",
     "Prefix",
-    "PrefixTrie",
+    "PrefixMap",
     "RoutedPrefix",
     "RouterAddressPlan",
     "RoutingTable",

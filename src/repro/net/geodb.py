@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, List, Optional, Tuple
 
-from .prefixes import Prefix, PrefixTrie
+from .prefixes import Prefix, PrefixMap
 
 __all__ = ["GeoDatabase", "country_histogram", "top_country_share"]
 
@@ -24,15 +24,16 @@ __all__ = ["GeoDatabase", "country_histogram", "top_country_share"]
 class GeoDatabase:
     """Longest-prefix-match geolocation database.
 
-    >>> db = GeoDatabase()
+    >>> import ipaddress
     >>> from repro.net.prefixes import parse_prefix
+    >>> db = GeoDatabase()
     >>> db.add(parse_prefix("2001:db8::/32"), "DE")
     >>> db.country(int(ipaddress.IPv6Address("2001:db8::1")))
     'DE'
     """
 
     def __init__(self, width: int = 128) -> None:
-        self._trie: PrefixTrie[str] = PrefixTrie(width)
+        self._countries: PrefixMap[str] = PrefixMap(width)
 
     def add(self, prefix: Prefix, country: str) -> None:
         """Map a prefix to a two-letter country code."""
@@ -40,14 +41,14 @@ class GeoDatabase:
             raise ValueError(
                 f"country must be an ISO-3166-1 alpha-2 code: {country!r}"
             )
-        self._trie.insert(prefix, country)
+        self._countries.insert(prefix, country)
 
     def country(self, address: int) -> Optional[str]:
         """Country of the most specific covering prefix, or ``None``."""
-        return self._trie.lookup(address)
+        return self._countries.lookup(address)
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._countries)
 
 
 def country_histogram(

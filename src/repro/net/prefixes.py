@@ -1,25 +1,37 @@
-"""Binary prefix trie with longest-prefix matching.
+"""Prefixes and longest-prefix matching.
 
-The numbering substrate everything else stands on: geolocation
-(:mod:`repro.net.geodb`) and alias lists need "which stored prefix covers
-this address?" answered quickly.  The trie is generic over the address
-width (IPv6 128, IPv4 32).  Routing tables (:mod:`repro.net.routing`)
-answer origin lookups from flattened intervals instead; the trie and the
-linear-scan baseline with the same interface (:class:`LinearPrefixTable`)
-are their independent references in the tests and the LPM ablation
-bench (DESIGN.md §6).
+The numbering substrate everything else stands on: routing
+(:mod:`repro.net.routing`), geolocation (:mod:`repro.net.geodb`) and
+the Hitlist's alias list all ask "which stored prefix covers this
+address?", and all answer it from one :class:`PrefixMap`: prefixes
+mapped to values, flattened after the last insert into sorted, disjoint
+intervals, so a lookup is one binary search.  The map is generic over
+the address width (IPv6 128, IPv4 32).  :class:`LinearPrefixTable`, a
+linear scan with the same lookup, is its independent reference in the
+tests and the LPM ablation bench (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 import ipaddress
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from bisect import bisect_right
+from typing import (
+    Dict,
+    Generic,
+    ItemsView,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 __all__ = [
     "Prefix",
     "parse_prefix",
     "parse_ipv4_prefix",
-    "PrefixTrie",
+    "PrefixMap",
     "LinearPrefixTable",
 ]
 
@@ -128,168 +140,130 @@ def parse_ipv4_prefix(text: str) -> Prefix:
     return Prefix(int(network.network_address), network.prefixlen, 32)
 
 
-class _TrieNode:
-    __slots__ = ("children", "value", "occupied")
+def _flatten(
+    items: Iterable[Tuple[Prefix, V]], width: int
+) -> Tuple[List[int], List[Optional[V]]]:
+    """Flatten ``(prefix, value)`` pairs to disjoint LPM intervals.
 
-    def __init__(self) -> None:
-        self.children: List[Optional["_TrieNode"]] = [None, None]
-        self.value = None
-        self.occupied = False
+    Returns ``(starts, values)``: interval starts sorted ascending from
+    0, each interval running to the next start, and ``values[i]`` the
+    value of the most specific prefix covering every address in
+    interval ``i`` (``None`` where no prefix covers it).  Adjacent
+    intervals never hold equal values.  The answer for any address is
+    the entry at the rightmost start <= address; nesting is resolved
+    here, once, by a sweep over the prefixes sorted by (network, length).
+    """
+    entries = sorted(
+        ((prefix.network, prefix.length, value) for prefix, value in items),
+        key=lambda entry: (entry[0], entry[1]),
+    )
+    # Sweep: entering a prefix opens its interval; leaving it restores
+    # whatever shorter prefix still covers the space (or None).
+    boundaries: List[Tuple[int, Optional[V]]] = [(0, None)]
+    stack: List[Tuple[int, V]] = []  # (end_exclusive, value)
+    for network, length, value in entries:
+        while stack and stack[-1][0] <= network:
+            popped_end, _ = stack.pop()
+            boundaries.append((popped_end, stack[-1][1] if stack else None))
+        boundaries.append((network, value))
+        stack.append((network + (1 << (width - length)), value))
+    while stack:
+        popped_end, _ = stack.pop()
+        boundaries.append((popped_end, stack[-1][1] if stack else None))
+
+    # Same-start boundaries: the later entry (the more specific prefix
+    # entered at that address) wins.  Then merge equal-value runs.  A
+    # prefix ending at the top of the address space ends past every
+    # address: drop that boundary.
+    space = 1 << width
+    deduped: List[Tuple[int, Optional[V]]] = []
+    for start, value in boundaries:
+        if start >= space:
+            continue
+        if deduped and deduped[-1][0] == start:
+            deduped[-1] = (start, value)
+        else:
+            deduped.append((start, value))
+    starts: List[int] = []
+    values: List[Optional[V]] = []
+    for start, value in deduped:
+        if values and values[-1] == value:
+            continue
+        starts.append(start)
+        values.append(value)
+    return starts, values
 
 
-class PrefixTrie(Generic[V]):
-    """Binary trie mapping prefixes to values with longest-prefix match.
+class PrefixMap(Generic[V]):
+    """Prefixes mapped to values, answered by longest-prefix match.
 
-    >>> trie = PrefixTrie()
-    >>> trie.insert(parse_prefix("2001:db8::/32"), "doc")
-    >>> trie.longest_match(int(ipaddress.IPv6Address("2001:db8::1")))
-    (Prefix('2001:db8::/32'), 'doc')
+    Lookups bisect the map's flattened intervals, computed once after
+    the last insert.
+
+    >>> table = PrefixMap()
+    >>> table.insert(parse_prefix("2001:db8::/32"), "doc")
+    >>> table.insert(parse_prefix("2001:db8:1::/48"), "lab")
+    >>> table.lookup(int(ipaddress.IPv6Address("2001:db8:1::1")))
+    'lab'
+    >>> table.lookup(int(ipaddress.IPv6Address("2001:db9::1"))) is None
+    True
+    >>> table.intervals()[1]
+    [None, 'doc', 'lab', 'doc', None]
     """
 
     def __init__(self, width: int = 128) -> None:
         if width not in (32, 128):
             raise ValueError(f"unsupported address width: {width}")
         self._width = width
-        self._root = _TrieNode()
-        self._size = 0
+        self._space = 1 << width
+        # Insertion order is kept: a re-insert moves the prefix to the end.
+        self._values: Dict[Prefix, V] = {}
+        self._intervals: Optional[Tuple[List[int], List[Optional[V]]]] = None
 
     @property
     def width(self) -> int:
         """Address width in bits (32 or 128)."""
         return self._width
 
-    def _walk_to(self, prefix: Prefix, create: bool) -> Optional[_TrieNode]:
+    def insert(self, prefix: Prefix, value: V) -> None:
+        """Map ``prefix`` to ``value``, replacing any earlier value."""
         if prefix.width != self._width:
             raise ValueError(
-                f"prefix width {prefix.width} != trie width {self._width}"
+                f"prefix width {prefix.width} != map width {self._width}"
             )
-        node = self._root
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (self._width - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                if not create:
-                    return None
-                child = _TrieNode()
-                node.children[bit] = child
-            node = child
-        return node
+        self._values.pop(prefix, None)
+        self._values[prefix] = value
+        self._intervals = None
 
-    def insert(self, prefix: Prefix, value: V, replace: bool = True) -> None:
-        """Map ``prefix`` to ``value``.
-
-        With ``replace=False`` an already-occupied prefix raises
-        ``KeyError`` instead of being overwritten.
-        """
-        node = self._walk_to(prefix, create=True)
-        assert node is not None
-        if node.occupied and not replace:
-            raise KeyError(f"prefix already present: {prefix}")
-        if not node.occupied:
-            self._size += 1
-        node.occupied = True
-        node.value = value
-
-    def exact(self, prefix: Prefix) -> V:
-        """Value stored at exactly ``prefix``; raises ``KeyError`` if absent."""
-        node = self._walk_to(prefix, create=False)
-        if node is None or not node.occupied:
-            raise KeyError(f"prefix not present: {prefix}")
-        return node.value
-
-    def remove(self, prefix: Prefix) -> V:
-        """Remove and return the value at exactly ``prefix``.
-
-        Interior nodes are left in place (removal is rare in our
-        workloads); raises ``KeyError`` when the prefix is absent.
-        """
-        node = self._walk_to(prefix, create=False)
-        if node is None or not node.occupied:
-            raise KeyError(f"prefix not present: {prefix}")
-        value = node.value
-        node.occupied = False
-        node.value = None
-        self._size -= 1
-        return value
-
-    def longest_match(self, address: int) -> Optional[Tuple[Prefix, V]]:
-        """Most-specific covering prefix and its value, or ``None``."""
-        if not 0 <= address < (1 << self._width):
-            raise ValueError(f"address out of range: {address:#x}")
-        node = self._root
-        best: Optional[Tuple[int, V]] = None
-        if node.occupied:
-            best = (0, node.value)
-        for depth in range(self._width):
-            bit = (address >> (self._width - 1 - depth)) & 1
-            node = node.children[bit]
-            if node is None:
-                break
-            if node.occupied:
-                best = (depth + 1, node.value)
-        if best is None:
-            return None
-        length, value = best
-        shift = self._width - length
-        network = (address >> shift) << shift
-        return Prefix(network, length, self._width), value
+    def intervals(self) -> Tuple[List[int], List[Optional[V]]]:
+        """``(starts, values)`` as flattened after the last insert."""
+        if self._intervals is None:
+            self._intervals = _flatten(self._values.items(), self._width)
+        return self._intervals
 
     def lookup(self, address: int) -> Optional[V]:
-        """Value of the most-specific covering prefix, or ``None``."""
-        match = self.longest_match(address)
-        return None if match is None else match[1]
-
-    def covering(self, address: int) -> Iterator[Tuple[Prefix, V]]:
-        """All stored prefixes covering ``address``, shortest first."""
-        if not 0 <= address < (1 << self._width):
+        """Value of the most specific covering prefix, or ``None``."""
+        if not 0 <= address < self._space:
             raise ValueError(f"address out of range: {address:#x}")
-        node = self._root
-        if node.occupied:
-            yield Prefix(0, 0, self._width), node.value
-        network = 0
-        for depth in range(self._width):
-            bit = (address >> (self._width - 1 - depth)) & 1
-            node = node.children[bit]
-            if node is None:
-                return
-            network = (network << 1) | bit
-            if node.occupied:
-                length = depth + 1
-                yield (
-                    Prefix(network << (self._width - length), length, self._width),
-                    node.value,
-                )
+        starts, values = self._intervals or self.intervals()
+        return values[bisect_right(starts, address) - 1]
 
-    def items(self) -> Iterator[Tuple[Prefix, V]]:
-        """All stored ``(prefix, value)`` pairs, in address order."""
-        stack = [(self._root, 0, 0)]
-        while stack:
-            node, network, depth = stack.pop()
-            if node.occupied:
-                yield (
-                    Prefix(network << (self._width - depth), depth, self._width),
-                    node.value,
-                )
-            # Push right before left so left pops first (address order).
-            right = node.children[1]
-            if right is not None:
-                stack.append((right, (network << 1) | 1, depth + 1))
-            left = node.children[0]
-            if left is not None:
-                stack.append((left, network << 1, depth + 1))
+    def items(self) -> ItemsView[Prefix, V]:
+        """All ``(prefix, value)`` pairs in insertion order."""
+        return self._values.items()
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._values)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        node = self._walk_to(prefix, create=False)
-        return node is not None and node.occupied
+        return prefix in self._values
 
 
 class LinearPrefixTable(Generic[V]):
     """Linear-scan prefix table with the same lookup interface.
 
-    Exists purely as the baseline for the LPM ablation bench; correct but
+    The independent reference :class:`PrefixMap` is checked against in
+    the tests and timed against in the LPM ablation bench; correct but
     O(n) per lookup.
     """
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set
 
-from ..net.prefixes import Prefix
+from ..net.prefixes import Prefix, PrefixMap
 from ..world.rng import split_rng
 from ..world.world import World
 
@@ -92,13 +92,12 @@ def filter_aliased(
 ) -> List[int]:
     """Drop addresses covered by any aliased prefix.
 
-    Linear in ``len(addresses) * len(aliased)`` for small alias lists;
-    campaigns with large lists should use a :class:`PrefixTrie` instead
-    (the Hitlist service does).
+    Answered from a :class:`PrefixMap` of the list, as the Hitlist
+    service answers from its own alias map.
     """
-    aliased_list = list(aliased)
-    kept = []
-    for address in addresses:
-        if not any(prefix.contains(address) for prefix in aliased_list):
-            kept.append(address)
-    return kept
+    covered: PrefixMap[bool] = PrefixMap()
+    for prefix in aliased:
+        covered.insert(prefix, True)
+    return [
+        address for address in addresses if covered.lookup(address) is None
+    ]

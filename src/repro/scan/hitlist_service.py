@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..net.prefixes import Prefix, PrefixTrie
+from ..net.prefixes import Prefix, PrefixMap
 from ..obs import MetricsRegistry
 from ..world.clock import WEEK
 from ..world.devices import DeviceType
@@ -105,12 +105,10 @@ class HitlistService:
         self._cpe_seed_fraction = cpe_seed_fraction
         self._seed = seed
         self._known_responsive: Set[int] = set()
-        self._aliased: Set[Prefix] = set()
-        #: Incrementally-maintained trie over ``_aliased`` — the single
-        #: source of truth for "does the alias list cover this address?"
-        #: (both the weekly filter and :meth:`is_aliased` read it; the
-        #: old code rebuilt a trie every week and linear-scanned here).
-        self._alias_trie: PrefixTrie[bool] = PrefixTrie()
+        #: The published alias list, grown as APD flags prefixes: the
+        #: single source of truth for "does the alias list cover this
+        #: address?" (the weekly filter and :meth:`is_aliased` read it).
+        self._aliased: PrefixMap[bool] = PrefixMap()
         self.snapshots: List[WeeklySnapshot] = []
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self._m_seeds = self.metrics.counter(
@@ -210,13 +208,11 @@ class HitlistService:
         )
         newly_aliased = detector.aliased_prefixes(candidates, when)
         for prefix in newly_aliased:
-            if prefix not in self._aliased:
-                self._alias_trie.insert(prefix, True)
-        self._aliased.update(newly_aliased)
+            self._aliased.insert(prefix, True)
         kept = {
             address
             for address in responsive
-            if self._alias_trie.lookup(address) is None
+            if self._aliased.lookup(address) is None
         }
         return kept, newly_aliased
 
@@ -274,13 +270,13 @@ class HitlistService:
     @property
     def aliased_prefixes(self) -> Set[Prefix]:
         """All prefixes ever judged aliased (the published alias list)."""
-        return set(self._aliased)
+        return {prefix for prefix, _ in self._aliased.items()}
 
     def is_aliased(self, address: int) -> bool:
         """True when the service's alias list covers ``address``.
 
-        Answered from the incrementally-maintained trie in
-        O(prefix length) — pinned identical to a naive linear scan of
+        One binary search over the alias map's flattened intervals —
+        pinned identical to a naive linear scan of
         :attr:`aliased_prefixes` by tests/scan/test_alias_trie.py.
         """
-        return self._alias_trie.lookup(address) is not None
+        return self._aliased.lookup(address) is not None

@@ -4,8 +4,8 @@ Every aggregate an :class:`AddressCorpus` answers from its
 :class:`CorpusIndex` must be *exactly* equal to the naive per-address
 recomputation over the raw record store in :mod:`tests.naive_analysis`
 — including the index's per-row origins, resolved by the
-:class:`RoutingTable` under test, against a :class:`PrefixTrie` holding
-the same announcements as the independent reference, with prefixes more
+:class:`RoutingTable` under test, against a :class:`LinearPrefixTable`
+holding the same announcements as the independent reference, with prefixes more
 specific than /64 announced (addresses of one /64 then need not share an
 origin).
 
@@ -37,7 +37,7 @@ from repro.core.corpus import AddressCorpus
 from repro.core.index import NO_MAC, CorpusIndex, PartialIndexColumns
 from repro.core.lifetime import eui64_iid_lifetimes, iid_lifetimes_by_entropy
 from repro.core.tracking import analyze_tracking
-from repro.net.prefixes import Prefix, PrefixTrie
+from repro.net.prefixes import LinearPrefixTable, Prefix
 from repro.net.routing import RoutingTable
 
 from .. import naive_analysis as naive
@@ -102,11 +102,11 @@ def build_table():
 
 
 def reference_lpm(table):
-    """An independent LPM over ``table``'s announcements: a trie walk."""
-    trie = PrefixTrie()
+    """An independent LPM over ``table``'s announcements: a linear scan."""
+    linear = LinearPrefixTable()
     for routed in table.routed_prefixes():
-        trie.insert(routed.prefix, routed.asn)
-    return trie.lookup
+        linear.insert(routed.prefix, routed.asn)
+    return linear.lookup
 
 
 def ipv4_origin(value):

@@ -1,4 +1,4 @@
-"""Tests for repro.net.prefixes — Prefix, trie, linear baseline."""
+"""Tests for repro.net.prefixes — Prefix, prefix map, linear baseline."""
 
 import pytest
 from hypothesis import given
@@ -8,7 +8,7 @@ from repro.addr import ipv6
 from repro.net.prefixes import (
     LinearPrefixTable,
     Prefix,
-    PrefixTrie,
+    PrefixMap,
     parse_ipv4_prefix,
     parse_prefix,
 )
@@ -117,127 +117,106 @@ class TestPrefix:
         assert prefix.contains(address) == expected
 
 
-class TestPrefixTrie:
-    def test_insert_and_exact(self):
-        trie = PrefixTrie()
+class TestPrefixMap:
+    def test_insert_and_items(self):
+        table = PrefixMap()
         prefix = parse_prefix("2001:db8::/32")
-        trie.insert(prefix, "doc")
-        assert trie.exact(prefix) == "doc"
-        assert len(trie) == 1
+        table.insert(prefix, "doc")
+        assert list(table.items()) == [(prefix, "doc")]
+        assert len(table) == 1
 
-    def test_exact_missing_raises(self):
-        trie = PrefixTrie()
-        with pytest.raises(KeyError):
-            trie.exact(parse_prefix("2001:db8::/32"))
-
-    def test_insert_no_replace(self):
-        trie = PrefixTrie()
+    def test_replace_keeps_len(self):
+        table = PrefixMap()
         prefix = parse_prefix("2001:db8::/32")
-        trie.insert(prefix, 1)
-        with pytest.raises(KeyError):
-            trie.insert(prefix, 2, replace=False)
-        trie.insert(prefix, 2)
-        assert trie.exact(prefix) == 2
-        assert len(trie) == 1
+        table.insert(prefix, 1)
+        assert table.lookup(ipv6.parse("2001:db8::1")) == 1
+        table.insert(prefix, 2)
+        assert table.lookup(ipv6.parse("2001:db8::1")) == 2
+        assert len(table) == 1
 
-    def test_longest_match_prefers_specific(self):
-        trie = PrefixTrie()
-        trie.insert(parse_prefix("2001:db8::/32"), "short")
-        trie.insert(parse_prefix("2001:db8:1::/48"), "long")
-        match = trie.longest_match(ipv6.parse("2001:db8:1::1"))
-        assert match is not None
-        assert match[1] == "long"
-        assert match[0] == parse_prefix("2001:db8:1::/48")
-        assert trie.lookup(ipv6.parse("2001:db8:2::1")) == "short"
+    def test_most_specific_wins(self):
+        table = PrefixMap()
+        table.insert(parse_prefix("2001:db8::/32"), "short")
+        table.insert(parse_prefix("2001:db8:1::/48"), "long")
+        assert table.lookup(ipv6.parse("2001:db8:1::1")) == "long"
+        assert table.lookup(ipv6.parse("2001:db8:2::1")) == "short"
 
     def test_lookup_miss(self):
-        trie = PrefixTrie()
-        trie.insert(parse_prefix("2001:db8::/32"), "doc")
-        assert trie.lookup(ipv6.parse("2001:db9::1")) is None
-        assert trie.longest_match(ipv6.parse("2001:db9::1")) is None
+        table = PrefixMap()
+        assert table.lookup(ipv6.parse("2001:db9::1")) is None
+        table.insert(parse_prefix("2001:db8::/32"), "doc")
+        assert table.lookup(ipv6.parse("2001:db9::1")) is None
 
     def test_default_route(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix(0, 0, 128), "default")
-        assert trie.lookup(ipv6.parse("2001:db8::1")) == "default"
+        table = PrefixMap()
+        table.insert(Prefix(0, 0, 128), "default")
+        assert table.lookup(ipv6.parse("2001:db8::1")) == "default"
+        assert table.intervals() == ([0], ["default"])
 
     def test_lookup_rejects_out_of_range(self):
-        trie = PrefixTrie()
+        table = PrefixMap()
         with pytest.raises(ValueError):
-            trie.lookup(-1)
+            table.lookup(-1)
         with pytest.raises(ValueError):
-            trie.lookup(1 << 128)
+            table.lookup(1 << 128)
+        assert table.lookup((1 << 128) - 1) is None
 
     def test_width_mismatch_rejected(self):
-        trie = PrefixTrie(width=32)
+        table = PrefixMap(width=32)
         with pytest.raises(ValueError):
-            trie.insert(parse_prefix("2001:db8::/32"), 1)
+            table.insert(parse_prefix("2001:db8::/32"), 1)
 
-    def test_remove(self):
-        trie = PrefixTrie()
-        prefix = parse_prefix("2001:db8::/32")
-        trie.insert(prefix, "doc")
-        assert trie.remove(prefix) == "doc"
-        assert len(trie) == 0
-        assert prefix not in trie
-        with pytest.raises(KeyError):
-            trie.remove(prefix)
-
-    def test_covering_order(self):
-        trie = PrefixTrie()
-        trie.insert(parse_prefix("2001:db8::/32"), 32)
-        trie.insert(parse_prefix("2001:db8::/48"), 48)
-        trie.insert(parse_prefix("2001:db8::/64"), 64)
-        covers = list(trie.covering(ipv6.parse("2001:db8::1")))
-        assert [value for _, value in covers] == [32, 48, 64]
-        assert [p.length for p, _ in covers] == [32, 48, 64]
-
-    def test_items_in_address_order(self):
-        trie = PrefixTrie()
+    def test_items_in_insertion_order(self):
+        table = PrefixMap()
         prefixes = [
             parse_prefix("2001:db9::/32"),
             parse_prefix("2001:db8::/32"),
             parse_prefix("2001:db8:1::/48"),
         ]
         for index, prefix in enumerate(prefixes):
-            trie.insert(prefix, index)
-        got = [prefix for prefix, _ in trie.items()]
-        assert got == sorted(prefixes)
+            table.insert(prefix, index)
+        assert [prefix for prefix, _ in table.items()] == prefixes
+        # A re-insert moves the prefix to the end.
+        table.insert(prefixes[0], 9)
+        assert list(table.items())[-1] == (prefixes[0], 9)
 
     def test_contains(self):
-        trie = PrefixTrie()
+        table = PrefixMap()
         prefix = parse_prefix("2001:db8::/32")
-        assert prefix not in trie
-        trie.insert(prefix, 1)
-        assert prefix in trie
+        assert prefix not in table
+        table.insert(prefix, 1)
+        assert prefix in table
+        assert parse_prefix("2001:db8::/48") not in table
+
+    def test_intervals_follow_the_last_insert(self):
+        table = PrefixMap()
+        table.insert(parse_prefix("2001:db8::/32"), "doc")
+        assert table.intervals()[1] == [None, "doc", None]
+        table.insert(parse_prefix("2001:db8::/48"), "lab")
+        assert table.intervals()[1] == [None, "lab", "doc", None]
+        assert table.lookup(ipv6.parse("2001:db8::1")) == "lab"
 
     def test_ipv4_width(self):
-        trie = PrefixTrie(width=32)
-        trie.insert(parse_ipv4_prefix("192.0.2.0/24"), 64496)
-        assert trie.lookup(0xC0000201) == 64496
-        assert trie.lookup(0xC0000301) is None
+        table = PrefixMap(width=32)
+        table.insert(parse_ipv4_prefix("192.0.2.0/24"), 64496)
+        assert table.lookup(0xC0000201) == 64496
+        assert table.lookup(0xC0000301) is None
+        with pytest.raises(ValueError):
+            table.lookup(1 << 32)
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
-            PrefixTrie(width=48)
+            PrefixMap(width=48)
 
     @given(st.lists(prefix_strategy(), min_size=1, max_size=30), addresses)
     def test_matches_linear_baseline(self, prefixes, address):
-        trie = PrefixTrie()
+        table = PrefixMap()
         linear = LinearPrefixTable()
         for index, prefix in enumerate(prefixes):
-            trie.insert(prefix, index)
+            table.insert(prefix, index)
             linear.insert(prefix, index)
-        trie_match = trie.longest_match(address)
-        linear_match = linear.longest_match(address)
-        if linear_match is None:
-            assert trie_match is None
-        else:
-            assert trie_match is not None
-            # Same prefix; the value may differ only if duplicate prefixes
-            # appeared (later insert replaces in both).
-            assert trie_match[0] == linear_match[0]
-            assert trie_match[1] == linear_match[1]
+        # A duplicate prefix keeps its later value in both.
+        assert table.lookup(address) == linear.lookup(address)
 
 
 class TestLinearPrefixTable:

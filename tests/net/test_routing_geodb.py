@@ -1,8 +1,9 @@
 """Tests for repro.net.routing and repro.net.geodb.
 
-The routing table answers longest-prefix match from its flattened
-interval table; a :class:`PrefixTrie` and a :class:`LinearPrefixTable`
-holding the same announcements are the independent references.
+Routing tables and the geolocation database answer longest-prefix match
+from a :class:`PrefixMap`'s flattened intervals; a
+:class:`LinearPrefixTable` holding the same prefixes is the independent
+reference.
 """
 
 from bisect import bisect_right
@@ -17,11 +18,11 @@ from repro.net.geodb import GeoDatabase, country_histogram, top_country_share
 from repro.net.prefixes import (
     LinearPrefixTable,
     Prefix,
-    PrefixTrie,
+    PrefixMap,
     parse_ipv4_prefix,
     parse_prefix,
 )
-from repro.net.routing import RoutedPrefix, RoutingTable, flatten_origin_table
+from repro.net.routing import RoutedPrefix, RoutingTable
 from repro.world import build_routing, preset_config
 
 
@@ -48,8 +49,6 @@ class TestRoutingTable:
         table.announce(parse_prefix("2001:db8::/32"), 64496)
         assert table.origin_asn(ipv6.parse("2001:db8::1")) == 64496
         assert table.origin_asn(ipv6.parse("2001:db9::1")) is None
-        assert table.is_routed(ipv6.parse("2001:db8::1"))
-        assert not table.is_routed(ipv6.parse("2001:db9::1"))
 
     def test_most_specific_wins(self):
         table = RoutingTable()
@@ -73,14 +72,6 @@ class TestRoutingTable:
         table.announce(parse_prefix("2001:db8::/32"), 2)
         assert [routed.asn for routed in table.routed_prefixes()] == [1, 2]
 
-    def test_prefixes_of(self):
-        table = RoutingTable()
-        table.announce(parse_prefix("2001:db8::/32"), 64496)
-        table.announce(parse_prefix("2001:db9::/32"), 64496)
-        table.announce(parse_prefix("2001:dba::/32"), 64497)
-        assert len(table.prefixes_of(64496)) == 2
-        assert table.prefixes_of(9999) == []
-
     def test_rejects_bad_asn(self):
         table = RoutingTable()
         with pytest.raises(ValueError):
@@ -92,10 +83,11 @@ class TestRoutingTable:
         assert table.origin_asn(0xC0000201) == 64496
         assert table.width == 32
 
-    def test_items(self):
-        table = RoutingTable()
-        table.announce(parse_prefix("2001:db8::/32"), 64496)
-        assert list(table.items()) == [(parse_prefix("2001:db8::/32"), 64496)]
+
+def _columns(routing):
+    """``origin_columns()`` as whole interval starts and ASNs."""
+    hi, lo, asns = routing.origin_columns()
+    return [(high << 64) | low for high, low in zip(hi, lo)], asns
 
 
 def _lookup(starts, asns, address):
@@ -104,21 +96,16 @@ def _lookup(starts, asns, address):
 
 
 class TestFlattenedOrigins:
-    def test_matches_trie_over_dense_probes(self):
+    def test_matches_linear_scan_over_dense_probes(self):
         routing = build_routing(preset_config("tiny", seed=3))
-        trie = PrefixTrie()
+        linear = LinearPrefixTable()
         for routed in routing.routed_prefixes():
-            trie.insert(routed.prefix, routed.asn)
-        starts, asns = flatten_origin_table(routing.routed_prefixes())
+            linear.insert(routed.prefix, routed.asn)
+        starts, asns = _columns(routing)
         assert starts[0] == 0
         # Starts strictly increase; runs of equal ASN are merged.
         assert starts == sorted(set(starts))
         assert all(a != b for a, b in zip(asns, asns[1:]))
-        assert routing.origin_columns() == (
-            [start >> 64 for start in starts],
-            [start & ((1 << 64) - 1) for start in starts],
-            asns,
-        )
         # Probe densely around every interval boundary.
         probes = set()
         for start in starts:
@@ -126,7 +113,7 @@ class TestFlattenedOrigins:
                 if 0 <= start + delta < (1 << 128):
                     probes.add(start + delta)
         for probe in sorted(probes):
-            want = trie.lookup(probe)
+            want = linear.lookup(probe)
             assert _lookup(starts, asns, probe) == want, hex(probe)
             assert routing.origin_asn(probe) == want, hex(probe)
 
@@ -136,7 +123,7 @@ class TestFlattenedOrigins:
         table.announce(Prefix(base, 16), 1)
         table.announce(Prefix(base, 32), 2)  # same start, longer
         table.announce(Prefix(base | (5 << 80), 48), 3)  # nested
-        starts, asns = flatten_origin_table(table.routed_prefixes())
+        starts, asns = _columns(table)
         for probe, want in [
             (0, None),
             (base, 2),  # most specific same-start wins
@@ -150,11 +137,20 @@ class TestFlattenedOrigins:
             assert table.origin_asn(probe) == want, hex(probe)
 
 
+#: Value kinds the three maps hold: origin ASNs (few, so equal adjacent
+#: runs occur), country codes and the alias list's ``True``.
+VALUES = [
+    st.integers(1, 3),
+    st.sampled_from(["DE", "FR", "IN"]),
+    st.just(True),
+]
+
+
 @st.composite
-def announcements(draw, width):
-    """Nested announcements of one width: few anchors (so prefixes nest
-    and share starts), /0 and full-length prefixes, repeated prefixes
-    (a re-announcement to a new ASN) and few ASNs (equal adjacent runs)."""
+def announcements(draw, width, values):
+    """Nested prefixes of one width: few anchors (so prefixes nest and
+    share starts), /0 and full-length prefixes, repeated prefixes (a
+    re-insert with a new value) and few values (equal adjacent runs)."""
     top = (1 << width) - 1
     anchors = draw(
         st.lists(
@@ -173,7 +169,7 @@ def announcements(draw, width):
     )
     drawn = draw(
         st.lists(
-            st.tuples(st.sampled_from(anchors), lengths, st.integers(1, 3)),
+            st.tuples(st.sampled_from(anchors), lengths, values),
             max_size=12,
         )
     )
@@ -182,29 +178,30 @@ def announcements(draw, width):
             Prefix(
                 anchor >> (width - length) << (width - length), length, width
             ),
-            asn,
+            value,
         )
-        for anchor, length, asn in drawn
+        for anchor, length, value in drawn
     ]
 
 
 class TestFlattenedLPMProperties:
     @pytest.mark.parametrize("width", [128, 32])
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_flattened_lpm_equals_linear_scan(self, width, data):
-        announced = data.draw(announcements(width))
-        table = RoutingTable(width)
+        values = data.draw(st.sampled_from(VALUES))
+        announced = data.draw(announcements(width, values))
+        table = PrefixMap(width)
         linear = LinearPrefixTable(width)
-        for prefix, asn in announced:
-            table.announce(prefix, asn)
-            linear.insert(prefix, asn)
-        starts, asns = flatten_origin_table(table.routed_prefixes(), width)
-        assert starts[0] == 0
-        assert starts == sorted(set(starts))
-        assert all(a != b for a, b in zip(asns, asns[1:]))
-
+        for prefix, value in announced:
+            table.insert(prefix, value)
+            linear.insert(prefix, value)
+        starts, flat = table.intervals()
         top = (1 << width) - 1
+        assert starts[0] == 0 and starts[-1] <= top
+        assert starts == sorted(set(starts))
+        assert all(a != b for a, b in zip(flat, flat[1:]))
+
         edges = {0, top, *starts}
         for prefix, _ in announced:
             edges.update((prefix.first_address, prefix.last_address))
@@ -215,7 +212,7 @@ class TestFlattenedLPMProperties:
             if 0 <= edge + delta <= top
         }
         for probe in sorted(probes):
-            assert table.origin_asn(probe) == linear.lookup(probe), hex(probe)
+            assert table.lookup(probe) == linear.lookup(probe), hex(probe)
 
 
 class TestGeoDatabase:
@@ -231,6 +228,14 @@ class TestGeoDatabase:
         db.add(parse_prefix("2001:db8::/32"), "DE")
         db.add(parse_prefix("2001:db8:1::/48"), "FR")
         assert db.country(ipv6.parse("2001:db8:1::1")) == "FR"
+
+    def test_lookup_rejects_out_of_range(self):
+        db = GeoDatabase()
+        db.add(parse_prefix("2001:db8::/32"), "DE")
+        with pytest.raises(ValueError):
+            db.country(-1)
+        with pytest.raises(ValueError):
+            db.country(1 << 128)
 
     def test_rejects_bad_country(self):
         db = GeoDatabase()

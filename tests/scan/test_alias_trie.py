@@ -1,10 +1,9 @@
-"""The Hitlist's incrementally-maintained alias trie.
+"""The Hitlist's incrementally-maintained alias list.
 
-``HitlistService.is_aliased`` used to linear-scan the alias set while
-``_filter_aliases`` rebuilt a throwaway trie every week.  Both now read
-one trie that grows as APD flags prefixes; these tests pin the trie's
-answers to a naive linear scan of the published alias list, across
-every week of a real multi-week run.
+``HitlistService.is_aliased`` and the weekly filter read one prefix map
+that grows as APD flags prefixes; these tests pin its answers to a
+naive linear scan of the published alias list, across every week of a
+real multi-week run.
 """
 
 import pytest
@@ -62,11 +61,15 @@ class TestIncrementalMaintenance:
         service = HitlistService(
             scan_world, scan_world.vantages[0].asn, seed=3
         )
+        published = set()
         for week in range(3):
-            service.run_week(week, NOW + week * WEEK)
-            assert len(service._alias_trie) == len(service.aliased_prefixes)
-            for prefix in service.aliased_prefixes:
-                assert service._alias_trie.exact(prefix) is True
+            snapshot = service.run_week(week, NOW + week * WEEK)
+            published |= snapshot.aliased_prefixes
+            assert service.aliased_prefixes == published
+            for prefix in published:
+                assert service.is_aliased(prefix.first_address)
+                assert service.is_aliased(prefix.last_address)
+        assert published
 
     def test_unaliased_address_is_clean(self, service):
         # Documentation space is never part of the simulated topology.

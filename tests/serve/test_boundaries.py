@@ -14,9 +14,9 @@ Every op is asked about each address and its in-range ±1 neighbours
 of at least 8 — one batch on each side of the search kernel's size
 cut — through ``columnar_batch(...).to_list()``, through RSB1 request
 and reply frames, and through a JSON round trip.  The answers must
-equal :class:`CorpusIndex`, a :class:`PrefixTrie` holding the announced
-prefixes (independent of the routing table's flattened intervals the
-index stores) and the scalar :func:`repro.core.kernels.iid_features`.
+equal :class:`CorpusIndex`, a :class:`LinearPrefixTable` holding the
+announced prefixes (independent of the routing table's flattened
+intervals the index stores) and the scalar :func:`repro.core.kernels.iid_features`.
 
 The oracle itself is pinned row by row too: each stored address's
 columns, in a cold :meth:`CorpusIndex.build` and in the partial-index
@@ -34,7 +34,7 @@ from repro.core import kernels
 from repro.core.corpus import AddressCorpus
 from repro.core.index import CorpusIndex
 from repro.core.segments import SegmentStore, SegmentedCorpusReader
-from repro.net.prefixes import Prefix, PrefixTrie
+from repro.net.prefixes import LinearPrefixTable, Prefix
 from repro.net.routing import RoutingTable
 from repro.serve import ServingIndex, build_serving_index
 from repro.serve import wire
@@ -97,11 +97,11 @@ def routing():
 
 @pytest.fixture(scope="module")
 def lpm():
-    """The reference origin lookup: a trie walk over ``ANNOUNCED``."""
-    trie = PrefixTrie()
+    """The reference origin lookup: a linear scan over ``ANNOUNCED``."""
+    linear = LinearPrefixTable()
     for prefix, asn in _announced():
-        trie.insert(prefix, asn)
-    return trie.lookup
+        linear.insert(prefix, asn)
+    return linear.lookup
 
 
 @pytest.fixture(scope="module")

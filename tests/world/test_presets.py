@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.routing import flatten_origin_table
 from repro.world import (
     WorldConfig,
     build_routing,
@@ -64,6 +63,4 @@ def test_build_routing_equals_the_worlds_routing(name, seed):
     routing = build_routing(preset_config(name, seed=seed))
     world = build_world(preset_config(name, seed=seed)).routing
     assert _announcements(routing) == _announcements(world)
-    assert flatten_origin_table(
-        routing.routed_prefixes()
-    ) == flatten_origin_table(world.routed_prefixes())
+    assert routing.origin_columns() == world.origin_columns()
