@@ -27,8 +27,10 @@ Two classes implement that:
   origins) shared by every consumer.  The IID is ``lo``, the /64 key is
   ``hi`` and the /48 key is ``hi`` with its low 16 bits cleared.
 * :class:`PartialIndexColumns` — one sealed segment's columnar summary,
-  built at seal time and persisted next to the segment; any set of
-  partials folds associatively into a full :class:`CorpusIndex`.
+  built at seal time from the same sorted columns
+  (:func:`sorted_record_columns`) the segment's records are packed
+  from, and persisted next to the segment; any set of partials folds
+  associatively into a full :class:`CorpusIndex`.
 
 Aggregate views hand out Python ints, floats, lists and dicts, never
 numpy scalars: ``np.uint64`` fails :func:`json.dumps`, and the ``repr``
@@ -43,7 +45,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..addr.ipv6 import IID_MASK
+from ..addr.ipv6 import IID_MASK, format_address
 from ..addr.patterns import STRUCTURAL_CODES
 from . import kernels as _kernels
 from .kernels import NO_MAC
@@ -53,10 +55,13 @@ __all__ = [
     "PartialIndexColumns",
     "NO_MAC",
     "STRUCTURAL_CODES",
+    "sorted_record_columns",
 ]
 
 #: The /48 key of an address, as a mask over its ``hi`` half.
 _SLASH48_HI_MASK = np.uint64(0xFFFF_FFFF_FFFF_0000)
+
+_U64_MAX = 0xFFFF_FFFF_FFFF_FFFF
 
 _RECORD_DTYPE = np.dtype(
     [("first", "<f8"), ("last", "<f8"), ("counts", "<u8")]
@@ -88,6 +93,37 @@ def _record_columns(corpus):
         lo,
         *(np.ascontiguousarray(table[name]) for name in _RECORD_DTYPE.names),
     )
+
+
+def sorted_record_columns(corpus) -> Tuple[np.ndarray, ...]:
+    """``(hi, lo, first, last, counts)`` in ascending address order, from
+    one scan and one ``lexsort``.
+
+    This is the canonical record order.  A seal hands the same five
+    columns to the segment's records
+    (:func:`~repro.core.storage.binary_v2_chunks`) and to its partial
+    index (:meth:`PartialIndexColumns.from_sorted_columns`).  A count
+    beyond the uint64 column raises ``ValueError`` naming the first
+    such address in address order.
+    """
+    try:
+        _, hi, lo, first, last, counts = _record_columns(corpus)
+    except OverflowError:
+        too_large = {
+            address: count
+            for address, (_, _, count) in corpus.items()
+            if count > _U64_MAX
+        }
+        if not too_large:
+            raise
+        address = min(too_large)
+        raise ValueError(
+            f"observation count {too_large[address]:,} of "
+            f"{format_address(address)} exceeds the uint64 range of "
+            "binary format v2"
+        ) from None
+    order = np.lexsort((lo, hi))
+    return hi[order], lo[order], first[order], last[order], counts[order]
 
 
 def _distinct_rows(keys):
@@ -470,27 +506,32 @@ class PartialIndexColumns:
         return len(self.lo)
 
     @classmethod
+    def from_sorted_columns(
+        cls,
+        hi: np.ndarray,
+        lo: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+        counts: np.ndarray,
+    ) -> "PartialIndexColumns":
+        """A partial over :func:`sorted_record_columns`' five columns; it
+        adds only the IID feature columns."""
+        return cls(
+            hi, lo, first, last, counts, *_kernels.iid_feature_columns(lo)
+        )
+
+    @classmethod
     def from_corpus(cls, corpus) -> "PartialIndexColumns":
         """Summarize a (segment's) corpus.
 
-        Rows are in ascending address order — the canonical record
-        order :func:`~repro.core.storage.save_corpus_binary` serializes
-        — so a partial built from the in-memory buffer at seal time and
-        one rebuilt from the sealed file are identical, and the fold's
-        first-occurrence order matches a segment-by-segment merge of
-        the files on disk.
+        Rows are in ascending address order, from the one sort
+        (:func:`sorted_record_columns`) a seal shares between the
+        segment's records and its partial, so a partial built from the
+        in-memory buffer at seal time and one rebuilt from the sealed
+        file are identical, and the fold's first-occurrence order
+        matches a segment-by-segment merge of the files on disk.
         """
-        _, hi, lo, first, last, counts = _record_columns(corpus)
-        order = np.lexsort((lo, hi))
-        lo = lo[order]
-        return cls(
-            hi[order],
-            lo,
-            first[order],
-            last[order],
-            counts[order],
-            *_kernels.iid_feature_columns(lo),
-        )
+        return cls.from_sorted_columns(*sorted_record_columns(corpus))
 
     @classmethod
     def stack(cls, partials: Iterable["PartialIndexColumns"], rows: int):

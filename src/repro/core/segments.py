@@ -48,6 +48,12 @@ segment itself and bound to it by the segment's checksum::
 
     RPI1 | uint32 segment_crc32 | uint64 rows | columns | RPIF crc32
 
+A seal scans and sorts its corpus once
+(:func:`~repro.core.index.sorted_record_columns`): the ``.seg`` records
+are those five columns packed as one big-endian structured array, and
+the ``.idx`` holds the same columns plus the IID features, so both
+files share one canonical address order.
+
 Partials let :meth:`SegmentedCorpusReader.build_index` fold an index
 for the whole corpus **without re-reading any sealed segment** (DESIGN.md
 §12).  They are pure accelerators: a missing or corrupt ``.idx`` only
@@ -71,12 +77,12 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from ..obs import DEFAULT_SIZE_BUCKETS, MetricsRegistry, NULL_REGISTRY
 from . import durable
 from .corpus import AddressCorpus
-from .index import CorpusIndex, PartialIndexColumns
+from .index import CorpusIndex, PartialIndexColumns, sorted_record_columns
 from .storage import (
     BINARY_RECORD_BYTES,
     CorpusFormatError,
+    binary_v2_chunks,
     load_corpus_binary,
-    save_corpus_binary,
 )
 
 __all__ = [
@@ -502,42 +508,52 @@ class SegmentStore:
 
         Each seal also persists the segment's partial index (same stem,
         ``.idx``) so later analysis folds it instead of rescanning the
-        segment.  The partial is written *after* the segment: at any
-        crash instant the ``.idx`` on disk matches a durable ``.seg``
-        (or is absent, which merely costs a rescan).
+        segment.  Both files come from one scan and one sort of
+        ``corpus`` (:func:`~repro.core.index.sorted_record_columns`):
+        the ``.seg`` records are those columns packed big-endian, the
+        ``.idx`` adds the IID feature columns.  A count beyond uint64
+        raises ``ValueError`` before either file is written.  The
+        partial is written *after* the segment: at any crash instant
+        the ``.idx`` on disk matches a durable ``.seg`` (or is absent,
+        which merely costs a rescan).
         """
         if not 0 <= start_day < end_day <= 0xFFFFFFFF:
             raise ValueError(f"bad segment day range: [{start_day}, {end_day})")
         if "/" in segment_id or segment_id.startswith("."):
             raise ValueError(f"bad segment id: {segment_id!r}")
-        payload = io.BytesIO()
-        payload.write(_SEGMENT_SEAL.head_magic)
-        payload.write(start_day.to_bytes(4, "big"))
-        payload.write(end_day.to_bytes(4, "big"))
-        records = save_corpus_binary(corpus, payload)
-        size = payload.tell() + durable.TRAILER_SIZE
+        # One scan and one sort feed both files.
+        columns = sorted_record_columns(corpus)
+        chunks = [
+            _SEGMENT_SEAL.head_magic
+            + start_day.to_bytes(4, "big")
+            + end_day.to_bytes(4, "big"),
+            *binary_v2_chunks(corpus.name, columns),
+        ]
+        size = sum(len(chunk) for chunk in chunks) + durable.TRAILER_SIZE
         filename = f"{segment_id}{SEGMENT_SUFFIX}"
-        crc = _SEGMENT_SEAL.write(
-            self.directory / filename, [payload.getbuffer()]
-        )
+        crc = _SEGMENT_SEAL.write(self.directory / filename, chunks)
         self._m_flushed.inc()
         self._m_bytes.observe(size)
-        self._write_partial_index(segment_id, corpus, crc)
+        self._write_partial_index(
+            segment_id, PartialIndexColumns.from_sorted_columns(*columns), crc
+        )
         return SegmentMeta(
             segment_id=segment_id,
             file=filename,
             start_day=start_day,
             end_day=end_day,
-            records=records,
+            records=len(columns[0]),
             size_bytes=size,
             crc32=crc,
         )
 
     def _write_partial_index(
-        self, segment_id: str, corpus: AddressCorpus, segment_crc: int
+        self,
+        segment_id: str,
+        partial: PartialIndexColumns,
+        segment_crc: int,
     ) -> None:
         """Seal the segment's partial index next to its ``.seg`` file."""
-        partial = PartialIndexColumns.from_corpus(corpus)
         header = (
             _PARTIAL_SEAL.head_magic
             + segment_crc.to_bytes(4, "big")

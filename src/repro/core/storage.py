@@ -16,12 +16,19 @@ re-running the world.  Two formats:
 Records are written in ascending address order, so two corpora with the
 same contents serialize to identical bytes regardless of the order the
 observations arrived in (the sharded executor relies on this for its
-determinism checks).  Both formats round-trip exactly (timestamps are
-preserved bit-for-bit in binary and via ``repr`` precision in text).
+determinism checks).  The binary writer takes that order from one scan
+and one sort (:func:`~repro.core.index.sorted_record_columns`) and
+packs every v2 record at once, as one big-endian structured array
+(:func:`binary_v2_chunks`); a segment seal encodes its records with
+the same function from the same columns.  Both formats round-trip
+exactly (timestamps are preserved bit-for-bit in binary and via
+``repr`` precision in text).
 
 Malformed or truncated input raises :class:`CorpusFormatError` naming
 the file and byte offset — never a bare ``struct.error`` or a silently
-shorter corpus.
+shorter corpus.  A count beyond the v2 record's uint64 field raises
+``ValueError`` naming the first such address, before any byte is
+written.
 
 Path-based saves (:func:`save_corpus`) are **atomic**
 (:func:`repro.core.durable.atomic_file`): a crash mid-write leaves the
@@ -36,15 +43,19 @@ from __future__ import annotations
 import io
 import struct
 from pathlib import Path
-from typing import BinaryIO, Optional, TextIO, Union
+from typing import BinaryIO, Optional, Sequence, TextIO, Tuple, Union
+
+import numpy as np
 
 from ..addr.ipv6 import format_address, parse
 from . import durable
 from .corpus import AddressCorpus
+from .index import sorted_record_columns
 
 __all__ = [
     "BINARY_RECORD_BYTES",
     "CorpusFormatError",
+    "binary_v2_chunks",
     "save_corpus_text",
     "load_corpus_text",
     "save_corpus_binary",
@@ -58,7 +69,17 @@ _BINARY_MAGIC_V1 = b"RPC1"
 _BINARY_MAGIC_V2 = b"RPC2"
 _RECORD_V1 = struct.Struct(">16s d d I")
 _RECORD_V2 = struct.Struct(">16s d d Q")
-_MAX_COUNT = 0xFFFFFFFFFFFFFFFF
+#: One v2 record as a numpy row: the bytes of ``_RECORD_V2``, with the
+#: 16-byte address as its two big-endian u64 halves.
+_RECORD_V2_ROW = np.dtype(
+    [
+        ("hi", ">u8"),
+        ("lo", ">u8"),
+        ("first", ">f8"),
+        ("last", ">f8"),
+        ("count", ">u8"),
+    ]
+)
 
 #: Serialized size of one current-format (v2) record — the segment
 #: store's flush estimator prices its in-memory buffer with this.
@@ -168,32 +189,41 @@ def load_corpus_text(stream: TextIO) -> AddressCorpus:
     return corpus
 
 
+def binary_v2_chunks(
+    name: str, columns: Sequence[np.ndarray]
+) -> Tuple[bytes, bytes]:
+    """A v2 corpus as two chunks: its header, then every record.
+
+    ``columns`` are :func:`~repro.core.index.sorted_record_columns`'
+    ``(hi, lo, first, last, counts)``; the records are packed as one
+    big-endian structured array, so a save and a segment seal encode
+    the same bytes from the same sort.
+    """
+    name_bytes = name.encode("utf-8")
+    if len(name_bytes) > 0xFFFF:
+        raise ValueError("corpus name too long for the binary header")
+    table = np.empty(len(columns[0]), dtype=_RECORD_V2_ROW)
+    for field, column in zip(_RECORD_V2_ROW.names, columns):
+        table[field] = column
+    header = (
+        _BINARY_MAGIC_V2
+        + len(name_bytes).to_bytes(2, "big")
+        + name_bytes
+        + len(table).to_bytes(8, "big")
+    )
+    return header, table.tobytes()
+
+
 def save_corpus_binary(corpus: AddressCorpus, stream: BinaryIO) -> int:
     """Write the binary format (v2); returns the number of records written.
 
-    Counts beyond the uint64 record field raise ``ValueError`` instead
-    of a bare ``struct.error``.
+    Counts beyond the uint64 record field raise ``ValueError`` naming
+    the first such address, before any byte is written.
     """
-    name_bytes = corpus.name.encode("utf-8")
-    if len(name_bytes) > 0xFFFF:
-        raise ValueError("corpus name too long for the binary header")
-    stream.write(_BINARY_MAGIC_V2)
-    stream.write(len(name_bytes).to_bytes(2, "big"))
-    stream.write(name_bytes)
-    stream.write(len(corpus).to_bytes(8, "big"))
-    written = 0
-    for address, (first, last, count) in sorted(corpus.items()):
-        if count > _MAX_COUNT:
-            raise ValueError(
-                f"observation count {count:,} of "
-                f"{format_address(address)} exceeds the uint64 range of "
-                "binary format v2"
-            )
-        stream.write(
-            _RECORD_V2.pack(address.to_bytes(16, "big"), first, last, count)
-        )
-        written += 1
-    return written
+    columns = sorted_record_columns(corpus)
+    for chunk in binary_v2_chunks(corpus.name, columns):
+        stream.write(chunk)
+    return len(columns[0])
 
 
 def load_corpus_binary(stream: BinaryIO) -> AddressCorpus:

@@ -1,0 +1,129 @@
+"""The columnar seal writes the bytes of the per-record reference.
+
+``save_corpus_binary`` and ``SegmentStore.write_segment`` pack a corpus
+from one sorted set of numpy columns; ``tests/naive_seal.py`` sorts with
+``sorted(items())`` and packs record by record.  Over drawn corpora the
+``.bin``, ``.seg`` and ``.idx`` bytes (and the manifest entry) must be
+equal.  The draws reach the edges a columnar pack can get wrong: the
+lowest and highest address, addresses sharing one 64-bit half, signed
+zeros, subnormal and extreme floats, counts of 1 and 2**64-1, an empty
+corpus and non-ASCII names.
+"""
+
+import io
+import sys
+import zlib
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.corpus import AddressCorpus
+from repro.core.segments import SegmentStore
+from repro.core.storage import save_corpus_binary
+
+from .. import naive_seal as naive
+
+TOP = (1 << 64) - 1
+
+# Few distinct halves per corpus, so addresses share a ``hi`` with a
+# different ``lo`` and a ``lo`` with a different ``hi``.
+HALVES = st.one_of(
+    st.sampled_from([0, 1, 1 << 63, TOP]),
+    st.integers(min_value=0, max_value=TOP),
+)
+
+TIMES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, sys.float_info.min, sys.float_info.max]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+COUNTS = st.one_of(
+    st.sampled_from([1, TOP]),
+    st.integers(min_value=1, max_value=TOP),
+)
+
+NAMES = st.one_of(
+    st.sampled_from(["hitlist", "hitlist été ✓", "\U0001f310"]),
+    st.text(
+        st.characters(
+            blacklist_categories=("Cs",), blacklist_characters="\r\n"
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+
+
+@st.composite
+def corpora(draw):
+    """A corpus whose records arrive in drawn, not address, order."""
+    his = draw(st.lists(HALVES, min_size=1, max_size=4, unique=True))
+    los = draw(st.lists(HALVES, min_size=1, max_size=4, unique=True))
+    addresses = draw(
+        st.lists(
+            st.tuples(st.sampled_from(his), st.sampled_from(los)).map(
+                lambda halves: (halves[0] << 64) | halves[1]
+            ),
+            unique=True,
+            max_size=16,
+        )
+    )
+    corpus = AddressCorpus(draw(NAMES))
+    for address in addresses:
+        first, last = sorted(draw(st.tuples(TIMES, TIMES)))
+        corpus.record_interval(address, first, last, draw(COUNTS))
+    return corpus
+
+
+def edge_corpus():
+    """Every edge at once, inserted in descending address order."""
+    corpus = AddressCorpus("hitlist été")
+    records = [
+        ((TOP << 64) | TOP, -0.0, 0.0, TOP),
+        ((TOP << 64) | 1, 5e-324, sys.float_info.max, 1),
+        ((1 << 64) | TOP, -sys.float_info.max, -0.0, 2),
+        ((1 << 64) | 1, sys.float_info.min, 1.5, TOP),
+        (TOP, 0.0, 0.0, 1),
+        (0, -5e-324, 5e-324, 7),
+    ]
+    for address, first, last, count in records:
+        corpus.record_interval(address, first, last, count)
+    return corpus
+
+
+class TestSealIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=corpora())
+    @example(corpus=edge_corpus())
+    @example(corpus=AddressCorpus("empty"))
+    def test_save_corpus_binary_matches_per_record_writer(self, corpus):
+        stream = io.BytesIO()
+        written = save_corpus_binary(corpus, stream)
+        assert written == len(corpus)
+        assert stream.getvalue() == naive.corpus_bytes(corpus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=corpora(), start_day=st.integers(0, 1000))
+    @example(corpus=edge_corpus(), start_day=0)
+    @example(corpus=AddressCorpus("empty"), start_day=0)
+    def test_segment_and_partial_match_per_record_writer(
+        self, corpus, start_day, tmp_path_factory
+    ):
+        directory = tmp_path_factory.mktemp("seal")
+        store = SegmentStore(directory, name="seal")
+        meta = store.write_segment(
+            corpus, segment_id="s", start_day=start_day, end_day=start_day + 7
+        )
+        segment = naive.segment_bytes(corpus, start_day, start_day + 7)
+        segment_crc = zlib.crc32(segment[:-8])
+        assert (directory / "s.seg").read_bytes() == segment
+        assert (directory / "s.idx").read_bytes() == (
+            naive.partial_index_bytes(corpus, segment_crc)
+        )
+        assert (meta.records, meta.size_bytes, meta.crc32) == (
+            len(corpus),
+            len(segment),
+            segment_crc,
+        )

@@ -207,6 +207,30 @@ class TestIntegrityDetection:
             store.load_segment(lying)
 
 
+class TestCountOverflow:
+    def test_count_beyond_uint64_raises_and_writes_nothing(self, tmp_path):
+        corpus = AddressCorpus("busy")
+        # Two offenders, the higher address inserted first.
+        corpus.record_interval((1 << 128) - 1, 1.0, 2.0, (1 << 64) + 5)
+        corpus.record_interval(0x20010DB8 << 96 | 9, 1.0, 2.0, 1 << 64)
+        corpus.record_interval(7, 1.0, 2.0, 3)
+        store = SegmentStore(tmp_path, name="busy")
+        with pytest.raises(ValueError) as excinfo:
+            store.write_segment(
+                corpus, segment_id="s", start_day=0, end_day=7
+            )
+        assert str(excinfo.value) == (
+            "observation count 18,446,744,073,709,551,616 of 2001:db8::9 "
+            "exceeds the uint64 range of binary format v2"
+        )
+        written = [
+            path.name
+            for path in tmp_path.iterdir()
+            if path.suffix in (".seg", ".idx") or ".tmp-" in path.name
+        ]
+        assert written == []
+
+
 class TestCompaction:
     def test_compaction_preserves_bytes_and_prunes_files(self, tmp_path):
         store = SegmentStore(tmp_path, name="c", segment_bytes=1)

@@ -191,6 +191,51 @@ class TestBinaryVersions:
             load_corpus_binary(io.BytesIO(b"RPC3" + data[4:]))
 
 
+def overflowing_corpus():
+    """Two counts past uint64, the higher address inserted first."""
+    corpus = AddressCorpus("busy")
+    corpus.record_interval((1 << 128) - 1, 1.0, 2.0, (1 << 64) + 5)
+    corpus.record_interval(0x20010DB8 << 96 | 9, 1.0, 2.0, 1 << 64)
+    corpus.record_interval(7, 1.0, 2.0, (1 << 64) - 1)
+    return corpus
+
+
+#: The error for :func:`overflowing_corpus` names its lower offender.
+OVERFLOW_ERROR = (
+    "observation count 18,446,744,073,709,551,616 of 2001:db8::9 "
+    "exceeds the uint64 range of binary format v2"
+)
+
+
+class TestCountOverflow:
+    """Counts past the v2 record's uint64 field raise a typed error."""
+
+    def test_save_corpus_binary_raises_before_writing(self):
+        stream = io.BytesIO()
+        with pytest.raises(ValueError) as excinfo:
+            save_corpus_binary(overflowing_corpus(), stream)
+        assert str(excinfo.value) == OVERFLOW_ERROR
+        assert stream.getvalue() == b""
+
+    def test_save_corpus_bin_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "c.corpus.bin"
+        save_corpus(sample_corpus(), path)
+        with pytest.raises(ValueError) as excinfo:
+            save_corpus(overflowing_corpus(), path)
+        assert str(excinfo.value) == OVERFLOW_ERROR
+        assert_corpora_equal(sample_corpus(), load_corpus(path))
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_largest_count_round_trips(self):
+        corpus = AddressCorpus("busy")
+        corpus.record_interval(9, 1.0, 2.0, (1 << 64) - 1)
+        stream = io.BytesIO()
+        save_corpus_binary(corpus, stream)
+        stream.seek(0)
+        loaded = load_corpus_binary(stream)
+        assert loaded.observation_count(9) == (1 << 64) - 1
+
+
 class ExplodingCorpus(AddressCorpus):
     """Raises partway through serialization, like a mid-write crash."""
 
