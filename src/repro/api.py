@@ -137,28 +137,25 @@ def open_corpus(
 
     Accepts every on-disk corpus shape the pipeline produces: a text or
     binary corpus file (suffix-detected, as :func:`repro.core.load_corpus`),
-    a segment directory, or that directory's ``MANIFEST.json`` — segment
-    stores are folded to one in-memory corpus, bit-identical to the
-    campaign that wrote them.  For memory-bounded streaming over a large
-    store, use :class:`repro.core.SegmentedCorpusReader` directly.
+    a segment directory, or that directory's ``MANIFEST.json``.
 
-    With ``indexed=True`` the corpus comes back with a columnar
-    :class:`~repro.core.CorpusIndex` attached.  For a segment
-    directory this is the incremental path: the index is folded from
-    the seal-time partial indexes and the corpus reconstructed from its
-    columns, re-reading **zero** sealed segment files when the partials
-    are intact (``metrics``, an optional
+    A segment store is always folded from its seal-time partial
+    indexes (:meth:`~repro.core.SegmentedCorpusReader.load_indexed`):
+    the corpus, bit-identical to the campaign that wrote it, comes back
+    with its columnar :class:`~repro.core.CorpusIndex` attached,
+    re-reading **zero** sealed segment files when the partials are
+    intact (``metrics``, an optional
     :class:`~repro.obs.MetricsRegistry`, counts the reuse on
-    ``repro_index_segments_reused_total``).
+    ``repro_index_segments_reused_total``).  ``indexed=True`` only
+    makes a corpus *file* build and attach its index at once.  To stream
+    a large store segment by segment, use
+    :class:`repro.core.SegmentedCorpusReader` directly.
     """
     path = Path(path)
     if path.name == MANIFEST_NAME:
         path = path.parent
     if path.is_dir():
-        reader = SegmentedCorpusReader.open(path, metrics=metrics)
-        if indexed:
-            return reader.load_indexed()
-        return reader.load()
+        return SegmentedCorpusReader.open(path, metrics=metrics).load_indexed()
     corpus = load_corpus(path)
     if indexed:
         corpus.attach_index(CorpusIndex.build(corpus, metrics=metrics))
@@ -291,9 +288,9 @@ async def connect(
     remote-only — local targets reject them.
 
     ``reload_interval`` (local targets only, seconds) keeps the client
-    live: a watcher polls the store's ``MANIFEST.json`` fingerprint and
-    hot-swaps the serving index when commits or compactions change it
-    — the same machinery ``repro serve --reload-interval`` uses.  The
+    live: a watcher stats the store's ``MANIFEST.json`` and hot-swaps
+    the serving index when commits or compactions change its segment
+    list — the same machinery ``repro serve --reload-interval`` uses.  The
     watcher dies with :meth:`LocalHitlistClient.aclose`.
     """
     import asyncio

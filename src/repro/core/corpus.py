@@ -21,6 +21,7 @@ drops it, and the next read builds a fresh one.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -97,7 +98,10 @@ class AddressCorpus:
     def record_interval(
         self, address: int, first: float, last: float, count: int = 2
     ) -> None:
-        """Import a pre-compacted sighting interval (from scan histories)."""
+        """Import a pre-compacted sighting interval (from scan histories).
+
+        ``count`` must be an integer (numpy integers included) >= 1.
+        """
         # NaN must be rejected explicitly: ``last < first`` is False for
         # NaN operands, so it would slip past the ordering guard below.
         if not (math.isfinite(first) and math.isfinite(last)):
@@ -106,6 +110,10 @@ class AddressCorpus:
             )
         if last < first:
             raise ValueError("interval ends before it starts")
+        try:
+            count = operator.index(count)
+        except TypeError:
+            raise ValueError(f"count must be an integer: {count!r}") from None
         if count < 1:
             raise ValueError("count must be >= 1")
         record = self._records.get(address)
@@ -139,10 +147,6 @@ class AddressCorpus:
         folds worker snapshots back together.
         """
         self._index = None
-        if not isinstance(other, AddressCorpus):
-            for address, (first, last, count) in other.items():
-                self.record_interval(address, first, last, count)
-            return
         records = self._records
         if not records:
             # Bulk copy: list copies keep the two corpora independent.

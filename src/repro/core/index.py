@@ -14,7 +14,9 @@ An index is built once — by one scan of a corpus
 (:meth:`CorpusIndex.build`) or by one fold of seal-time
 :class:`PartialIndexColumns`, one per segment
 (:meth:`CorpusIndex.from_partials`, no segment rescan) — and is never
-patched: a corpus that changes drops its index.
+patched: a corpus that changes drops its index.  :func:`fold_partials`
+is the one fold of a segment store's partials: analysis, the serving
+index and compaction all call it.
 
 Two classes implement that:
 
@@ -55,6 +57,7 @@ __all__ = [
     "PartialIndexColumns",
     "NO_MAC",
     "STRUCTURAL_CODES",
+    "fold_partials",
     "sorted_record_columns",
 ]
 
@@ -68,9 +71,25 @@ _RECORD_DTYPE = np.dtype(
 )
 
 
+def _raise_count_overflow(counts: Iterable[Tuple[int, int]]) -> None:
+    """Raise the typed error for the lowest address among ``(address,
+    exact count)`` pairs whose count exceeds uint64; return if none does."""
+    too_large = [pair for pair in counts if pair[1] > _U64_MAX]
+    if too_large:
+        address, count = min(too_large)
+        raise ValueError(
+            f"observation count {count:,} of {format_address(address)} "
+            "exceeds the uint64 range of binary format v2"
+        ) from None
+
+
 def _record_columns(corpus):
     """``(addresses, hi, lo, first, last, counts)`` in ``corpus`` record
-    order, from one scan: the address list and five ndarrays."""
+    order, from one scan: the address list and five ndarrays.
+
+    A count beyond the uint64 column raises ``ValueError`` naming the
+    lowest such address.
+    """
     size = len(corpus)
     addresses: List[int] = []
     keep = addresses.append
@@ -80,7 +99,13 @@ def _record_columns(corpus):
             keep(address)
             yield record
 
-    table = np.fromiter(records(), dtype=_RECORD_DTYPE, count=size)
+    try:
+        table = np.fromiter(records(), dtype=_RECORD_DTYPE, count=size)
+    except OverflowError:
+        _raise_count_overflow(
+            (address, count) for address, (_, _, count) in corpus.items()
+        )
+        raise
     hi = np.fromiter(
         (address >> 64 for address in addresses), dtype="<u8", count=size
     )
@@ -106,24 +131,46 @@ def sorted_record_columns(corpus) -> Tuple[np.ndarray, ...]:
     beyond the uint64 column raises ``ValueError`` naming the first
     such address in address order.
     """
-    try:
-        _, hi, lo, first, last, counts = _record_columns(corpus)
-    except OverflowError:
-        too_large = {
-            address: count
-            for address, (_, _, count) in corpus.items()
-            if count > _U64_MAX
-        }
-        if not too_large:
-            raise
-        address = min(too_large)
-        raise ValueError(
-            f"observation count {too_large[address]:,} of "
-            f"{format_address(address)} exceeds the uint64 range of "
-            "binary format v2"
-        ) from None
+    _, hi, lo, first, last, counts = _record_columns(corpus)
     order = np.lexsort((lo, hi))
     return hi[order], lo[order], first[order], last[order], counts[order]
+
+
+def fold_partials(
+    partials: Iterable["PartialIndexColumns"], rows: int
+) -> Tuple[np.ndarray, "PartialIndexColumns"]:
+    """Fold partials into one partial with a row per address, ascending.
+
+    ``partials`` is any iterable of partials holding ``rows`` rows in
+    all, stacked as drawn (:meth:`PartialIndexColumns.stack`), so a lazy
+    one — a segment store's
+    :meth:`~repro.core.segments.SegmentStore.iter_partial_indexes` —
+    never has every partial in memory.  Rows sharing an address fold to
+    ``(min first, max last, summed count)``, keeping the first of tied
+    values in fold order as ``AddressCorpus.merge`` does
+    (:func:`~repro.core.kernels.sorted_record_fold`); the feature
+    columns are read at the address's first row.  Returns that row per
+    address (``source``, in fold order) and the folded partial.  A
+    summed count beyond uint64 raises ``ValueError`` naming the lowest
+    such address.
+    """
+    hi, lo, first, last, counts, entropies, codes, macs = (
+        PartialIndexColumns.stack(partials, rows)
+    )
+    try:
+        source, *records = _kernels.sorted_record_fold(
+            hi, lo, first, last, counts
+        )
+    except OverflowError:
+        totals: Dict[int, int] = {}
+        for high, low, count in zip(hi.tolist(), lo.tolist(), counts.tolist()):
+            address = (high << 64) | low
+            totals[address] = totals.get(address, 0) + count
+        _raise_count_overflow(totals.items())
+        raise
+    return source, PartialIndexColumns(
+        *records, entropies[source], codes[source], macs[source]
+    )
 
 
 def _distinct_rows(keys):
@@ -261,39 +308,25 @@ class CorpusIndex:
         """Fold per-segment partial indexes into one full index.
 
         ``partials`` is any iterable of partials holding ``rows`` rows
-        in all; each is stacked as it is drawn
-        (:meth:`PartialIndexColumns.stack`), so a lazy iterable never
-        has every partial in memory.  The record fold is the
-        associative, commutative ``(min first, max last, summed
-        count)`` every reader applies, and output rows are in
-        first-occurrence order across ``partials`` — exactly the
-        record order of the corpus
+        in all, folded by :func:`fold_partials`.  Output rows are in
+        first-occurrence order across ``partials`` — exactly the record
+        order of the corpus
         :meth:`~repro.core.segments.SegmentedCorpusReader.load`
         materializes from the same segments.  The result is therefore
         bit-identical to ``CorpusIndex.build`` over that folded corpus
         (property-test pinned) without re-reading any segment file.
         """
         t0 = time.perf_counter()
-        hi, lo, first, last, counts, entropies, codes, macs = (
-            PartialIndexColumns.stack(partials, rows)
-        )
-        source, hi, lo, first, last, counts = _kernels.sorted_record_fold(
-            hi, lo, first, last, counts
-        )
+        source, folded = fold_partials(partials, rows)
         # The merged corpus meets each address first at its group's first
         # input row, so its record order is the argsort of those rows.
         emit = np.argsort(source)
-        source = source[emit]
         index = cls(
             name,
-            hi[emit],
-            lo[emit],
-            first[emit],
-            last[emit],
-            counts[emit],
-            entropies[source],
-            codes[source],
-            macs[source],
+            *(
+                getattr(folded, column)[emit]
+                for column, _ in PartialIndexColumns.COLUMN_SPEC
+            ),
         )
         index.build_seconds = time.perf_counter() - t0
         return index

@@ -10,13 +10,13 @@ scalar reference functions.**  The vectorized entropy kernel reproduces
 :func:`~repro.addr.entropy.normalized_iid_entropy`'s sum order exactly
 (per-nibble terms added in first-occurrence order, non-first positions
 contributing an exact ``+0.0``); count sums are exact integer
-arithmetic.  Min/max folds follow ``AddressCorpus.merge``'s
-keep-the-accumulator-on-ties rule (it replaces a value only on a strict
-``<``/``>``), so each group takes the *first* value equal to its min or
-max.  numpy's ``minimum``/``maximum`` do not promise that: on a tie
-between ``-0.0`` and ``+0.0`` they may return either operand, so the
-sorted fold (:func:`sorted_record_fold`) settles zero extremes
-explicitly.  The equivalence is pinned against the scalar oracles
+arithmetic, checked against the uint64 range.  Min/max folds follow
+``AddressCorpus.merge``'s keep-the-accumulator-on-ties rule (it
+replaces a value only on a strict ``<``/``>``), so each group takes the
+*first* value equal to its min or max.  numpy's ``minimum``/``maximum``
+do not promise that: on a tie between ``-0.0`` and ``+0.0`` they may
+return either operand, so the sorted fold (:func:`sorted_record_fold`)
+settles zero extremes explicitly.  The equivalence is pinned against the scalar oracles
 (:func:`iid_features` and the :mod:`repro.addr` functions) and by
 fold ≡ rebuild in ``tests/core/test_partial_index.py``, and by the
 signed-zero table in ``tests/serve/test_build.py``.
@@ -64,6 +64,9 @@ _HIGH_ENTROPY = STRUCTURAL_CODES[AddressCategory.HIGH_ENTROPY]
 
 _IID_UL_BIT = 1 << 57
 _NIBBLE_COUNT = 16
+
+_HALF_BITS = np.uint64(32)
+_LOW_32_BITS = np.uint64(0xFFFF_FFFF)
 
 
 def structural_code(iid: int, entropy: float) -> int:
@@ -255,20 +258,36 @@ def interval_map(
 # -- associative record fold (the partial-index merge) -------------------------
 
 
+def _exact_sums(values, starts):
+    """Per-group sums of u64 ``values`` in group order (see
+    :func:`_sorted_groups`); ``OverflowError`` when one exceeds uint64.
+
+    ``np.add`` wraps silently on uint64.  The sums of the values' 32-bit
+    halves cannot wrap (a group has fewer than 2**32 rows), so they show
+    exactly which group sums carry past 64 bits.
+    """
+    sums = np.add.reduceat(values, starts)
+    carry = np.add.reduceat(values & _LOW_32_BITS, starts) >> _HALF_BITS
+    carry += np.add.reduceat(values >> _HALF_BITS, starts)
+    if (carry >> _HALF_BITS).any():
+        raise OverflowError("a summed count exceeds the uint64 range")
+    return sums
+
+
 def sorted_record_fold(hi, lo, first, last, counts):
     """Fold rows that share a 128-bit address, in ascending address order.
 
-    The one implementation of the record fold for analysis
-    (:meth:`~repro.core.index.CorpusIndex.from_partials`) and serving
-    (the ``RSI1`` builder).  Inputs are row-aligned ndarrays (u64, u64,
-    f64, f64, u64) in fold order, as
+    The one implementation of the record fold, behind
+    :func:`repro.core.index.fold_partials`.  Inputs are row-aligned
+    ndarrays (u64, u64, f64, f64, u64) in fold order, as
     :meth:`~repro.core.index.PartialIndexColumns.stack` returns them.
     Per distinct address, sorted by ``(hi, lo)``, returns ``(source,
     hi, lo, first, last, counts)``: ``source`` is the input row of the
     address's first occurrence (where the first-occurrence columns —
     entropy, code, MAC — are read), then its min ``first``, max
     ``last`` (the first of tied values, as ``AddressCorpus.merge``
-    keeps) and summed ``counts``.
+    keeps) and summed ``counts``.  A sum beyond uint64 raises
+    ``OverflowError``.
     """
     order, starts = _sorted_groups(hi, lo)
     source = order[starts]
@@ -278,7 +297,7 @@ def sorted_record_fold(hi, lo, first, last, counts):
         lo[source],
         _first_extreme(np.minimum, first[order], starts),
         _first_extreme(np.maximum, last[order], starts),
-        np.add.reduceat(counts[order], starts),
+        _exact_sums(counts[order], starts),
     )
 
 

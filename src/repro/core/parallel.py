@@ -22,8 +22,11 @@ Two properties make that safe:
 Every shard seals its window into segment files and reports their
 manifest entries plus its telemetry snapshot; only the coordinator
 commits.  The store is the caller's
-:class:`~repro.core.segments.SegmentStore`, or a temporary one whose
-segments are folded into ``campaign.corpus`` and then removed.
+:class:`~repro.core.segments.SegmentStore`, or a temporary one removed
+after the run.  Either way the campaign's corpus is the store's fold of
+its seal-time partials
+(:meth:`~repro.core.segments.SegmentedCorpusReader.load_indexed`), with
+its index attached.
 
 Failure containment is layered on top, because a months-long campaign
 *will* lose workers (OOM kills, host reboots) and disks *will* corrupt
@@ -278,7 +281,9 @@ def run_campaign_parallel(
                         completed_weeks=window_end,
                         metrics=metrics.snapshot(),
                     )
-            campaign.corpus = segment_store.reader().load(buffered.name)
+            campaign.corpus = segment_store.reader().load_indexed(
+                buffered.name
+            )
             return campaign.corpus
         for window_start, window_end in windows():
             with metrics.span("campaign-window"):
@@ -389,10 +394,9 @@ def run_campaign_parallel(
                 batch, completed_weeks=window[1], metrics=metrics.snapshot()
             )
         # The parent never held shard corpora; fold the committed
-        # segments (bit-identical to the monolithic run for any budget
-        # and shard count).
-        for _, segment in store.reader().iter_segments():
-            campaign.corpus.merge(segment)
+        # segments' partials (bit-identical to the monolithic run for
+        # any budget and shard count).
+        campaign.corpus = store.reader().load_indexed(campaign.corpus.name)
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)

@@ -32,7 +32,8 @@ Three invariants carry the design:
   name (orphans from crashed attempts are harmless), resume restarts
   from the watermark without materializing anything, and
   :meth:`SegmentStore.compact` folds small segments into bigger ones
-  without changing what any reader observes.
+  without changing what any reader observes.  Only writes create the
+  directory: opening a store, a reader or its manifest creates nothing.
 
 Segment files reuse the binary corpus **v2** record layout
 (:mod:`repro.core.storage`) behind a small day-range header::
@@ -54,30 +55,37 @@ are those five columns packed as one big-endian structured array, and
 the ``.idx`` holds the same columns plus the IID features, so both
 files share one canonical address order.
 
-Partials let :meth:`SegmentedCorpusReader.build_index` fold an index
-for the whole corpus **without re-reading any sealed segment** (DESIGN.md
-§12).  They are pure accelerators: a missing or corrupt ``.idx`` only
-costs a rescan of its segment (counted by
+Reading a committed store is one fold of those partials
+(:func:`~repro.core.index.fold_partials`, fed by
+:meth:`SegmentStore.iter_partial_indexes`): the analysis index
+(:meth:`SegmentedCorpusReader.build_index`), the folded corpus
+(:meth:`SegmentedCorpusReader.load_indexed`), the serving index and
+compaction all come from it **without re-reading any sealed segment**
+(DESIGN.md §12).  Partials are pure accelerators: a missing or corrupt
+``.idx`` only costs a rescan of its segment (counted by
 ``repro_index_segments_rescanned_total``), never correctness.
+:meth:`SegmentedCorpusReader.load` is the other read, the reference the
+fold is tested against: it merges the ``.seg`` files themselves.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import io
 import json
-import os
-import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..obs import DEFAULT_SIZE_BUCKETS, MetricsRegistry, NULL_REGISTRY
 from . import durable
 from .corpus import AddressCorpus
-from .index import CorpusIndex, PartialIndexColumns, sorted_record_columns
+from .index import (
+    CorpusIndex,
+    PartialIndexColumns,
+    fold_partials,
+    sorted_record_columns,
+)
 from .storage import (
     BINARY_RECORD_BYTES,
     CorpusFormatError,
@@ -95,8 +103,6 @@ __all__ = [
     "SegmentStore",
     "SegmentBufferedCorpus",
     "SegmentedCorpusReader",
-    "clear_manifest_cache",
-    "manifest_cache_info",
 ]
 
 #: Default flush budget: a buffered shard seals a segment once its
@@ -122,11 +128,6 @@ SEGMENT_OVERHEAD_BYTES = 64
 
 #: Times a fault-injected segment write is retried before giving up.
 MAX_SEGMENT_WRITE_RETRIES = 3
-
-#: Process-wide parsed-manifest cache bound.  Each entry holds one
-#: parsed :class:`Manifest`; 64 distinct segment directories per process
-#: is far beyond any workload here.
-MANIFEST_CACHE_MAX_ENTRIES = 64
 
 
 class SegmentError(CorpusFormatError):
@@ -235,71 +236,6 @@ class Manifest:
         )
 
 
-# -- parsed-manifest cache -----------------------------------------------------
-#
-# Every open of a segment directory — and every commit, which reloads
-# before appending — used to re-read and re-parse MANIFEST.json from
-# scratch.  A serving process re-opening the same store thousands of
-# times pays JSON parsing of a potentially multi-thousand-entry segment
-# list each time.  The cache below keys parsed manifests by absolute
-# path and validates each hit against the file's current (mtime_ns,
-# size); when the stat changed but the bytes did not (rewrites of
-# identical content, coarse-timestamp filesystems), a CRC32 of the
-# re-read bytes still skips the JSON parse.  Any watermark or segment
-# change rewrites the file via os.replace, which changes the stat and
-# invalidates the entry — cross-process writers are caught the same way.
-
-_MANIFEST_CACHE: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
-_MANIFEST_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def _manifest_copy(manifest: Manifest) -> Manifest:
-    """A mutation-safe copy of a parsed manifest.
-
-    ``commit()`` appends to ``manifest.segments`` and callers may merge
-    into ``manifest.metrics``, so the cache never hands out (or keeps) an
-    aliased instance.  ``SegmentMeta`` rows are frozen and shared; only
-    the mutable containers are copied.
-    """
-    return Manifest(
-        name=manifest.name,
-        completed_weeks=manifest.completed_weeks,
-        segments=list(manifest.segments),
-        metrics=copy.deepcopy(manifest.metrics),
-        compactions=manifest.compactions,
-    )
-
-
-def _manifest_cache_put(
-    key: str, stat: os.stat_result, crc: int, manifest: Manifest
-) -> None:
-    _MANIFEST_CACHE[key] = {
-        "mtime_ns": stat.st_mtime_ns,
-        "size": stat.st_size,
-        "crc32": crc,
-        "manifest": _manifest_copy(manifest),
-    }
-    _MANIFEST_CACHE.move_to_end(key)
-    while len(_MANIFEST_CACHE) > MANIFEST_CACHE_MAX_ENTRIES:
-        _MANIFEST_CACHE.popitem(last=False)
-
-
-def manifest_cache_info() -> Dict[str, int]:
-    """Cache shape for tests and profiling: entries, hits, misses."""
-    return {
-        "entries": len(_MANIFEST_CACHE),
-        "hits": _MANIFEST_CACHE_STATS["hits"],
-        "misses": _MANIFEST_CACHE_STATS["misses"],
-    }
-
-
-def clear_manifest_cache() -> None:
-    """Drop every cached manifest (tests; also resets hit/miss counts)."""
-    _MANIFEST_CACHE.clear()
-    _MANIFEST_CACHE_STATS["hits"] = 0
-    _MANIFEST_CACHE_STATS["misses"] = 0
-
-
 class SegmentStore:
     """One segment directory: sealed segment files plus their manifest.
 
@@ -324,7 +260,6 @@ class SegmentStore:
                 f"segment byte budget must be >= 1: {segment_bytes}"
             )
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.name = name
         self.segment_bytes = segment_bytes
         self.metrics = NULL_REGISTRY if metrics is None else metrics
@@ -375,58 +310,19 @@ class SegmentStore:
     # -- manifest ----------------------------------------------------------------
 
     def load_manifest(self) -> Optional[Manifest]:
-        """The committed manifest, or ``None`` when none exists yet.
-
-        Parses are cached process-wide keyed by (path, mtime, CRC):
-        repeated opens of an unchanged store skip the JSON parse
-        entirely, and any rewrite — watermark bump, commit, compaction,
-        even by another process — changes the stat (or failing that the
-        CRC re-check) and invalidates the entry.  Callers always get a
-        private, mutation-safe :class:`Manifest` copy.
-        """
-        key = os.path.abspath(self.manifest_path)
-        try:
-            stat = os.stat(self.manifest_path)
-        except FileNotFoundError:
-            _MANIFEST_CACHE.pop(key, None)
-            return None
-        entry = _MANIFEST_CACHE.get(key)
-        if (
-            entry is not None
-            and entry["mtime_ns"] == stat.st_mtime_ns
-            and entry["size"] == stat.st_size
-        ):
-            _MANIFEST_CACHE_STATS["hits"] += 1
-            _MANIFEST_CACHE.move_to_end(key)
-            return _manifest_copy(entry["manifest"])
+        """The committed manifest, read and parsed on every call, or
+        ``None`` when none exists yet."""
         try:
             raw = self.manifest_path.read_bytes()
-        except FileNotFoundError:  # pragma: no cover - stat/read race
-            _MANIFEST_CACHE.pop(key, None)
+        except FileNotFoundError:
             return None
-        crc = zlib.crc32(raw)
-        if (
-            entry is not None
-            and entry["crc32"] == crc
-            and entry["size"] == len(raw)
-        ):
-            # Same bytes under a new stat (atomic rewrite of identical
-            # content): refresh the stat key, skip the parse.
-            entry["mtime_ns"] = stat.st_mtime_ns
-            _MANIFEST_CACHE_STATS["hits"] += 1
-            _MANIFEST_CACHE.move_to_end(key)
-            return _manifest_copy(entry["manifest"])
-        _MANIFEST_CACHE.pop(key, None)
-        _MANIFEST_CACHE_STATS["misses"] += 1
         try:
-            manifest = Manifest.from_json(json.loads(raw))
+            return Manifest.from_json(json.loads(raw))
         except (json.JSONDecodeError, SegmentError) as error:
             raise SegmentError(
                 f"unreadable segment manifest: {error}",
                 path=self.manifest_path,
             ) from error
-        _manifest_cache_put(key, stat, crc, manifest)
-        return manifest
 
     def commit(
         self,
@@ -474,20 +370,8 @@ class SegmentStore:
 
     def _write_manifest(self, manifest: Manifest) -> None:
         blob = json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"
-        data = blob.encode("utf-8")
-        durable.atomic_write(self.manifest_path, [data])
-        # Prime the cache with what we just wrote: the writing process
-        # never pays a re-parse for its own commit.
-        try:
-            stat = os.stat(self.manifest_path)
-        except FileNotFoundError:  # pragma: no cover - concurrent unlink
-            return
-        _manifest_cache_put(
-            os.path.abspath(self.manifest_path),
-            stat,
-            zlib.crc32(data),
-            manifest,
-        )
+        self.directory.mkdir(parents=True, exist_ok=True)
+        durable.atomic_write(self.manifest_path, [blob.encode("utf-8")])
 
     # -- segment I/O -------------------------------------------------------------
 
@@ -521,28 +405,50 @@ class SegmentStore:
             raise ValueError(f"bad segment day range: [{start_day}, {end_day})")
         if "/" in segment_id or segment_id.startswith("."):
             raise ValueError(f"bad segment id: {segment_id!r}")
-        # One scan and one sort feed both files.
-        columns = sorted_record_columns(corpus)
+        return self._seal(
+            corpus.name,
+            # One scan and one sort feed both files.
+            PartialIndexColumns.from_sorted_columns(
+                *sorted_record_columns(corpus)
+            ),
+            segment_id=segment_id,
+            start_day=start_day,
+            end_day=end_day,
+        )
+
+    def _seal(
+        self,
+        name: str,
+        partial: PartialIndexColumns,
+        *,
+        segment_id: str,
+        start_day: int,
+        end_day: int,
+    ) -> SegmentMeta:
+        """Seal ``partial``'s records (ascending address order) as the
+        ``.seg`` of ``segment_id``, then ``partial`` as its ``.idx``."""
+        records = (
+            partial.hi, partial.lo, partial.first, partial.last, partial.counts
+        )
         chunks = [
             _SEGMENT_SEAL.head_magic
             + start_day.to_bytes(4, "big")
             + end_day.to_bytes(4, "big"),
-            *binary_v2_chunks(corpus.name, columns),
+            *binary_v2_chunks(name, records),
         ]
         size = sum(len(chunk) for chunk in chunks) + durable.TRAILER_SIZE
         filename = f"{segment_id}{SEGMENT_SUFFIX}"
+        self.directory.mkdir(parents=True, exist_ok=True)
         crc = _SEGMENT_SEAL.write(self.directory / filename, chunks)
         self._m_flushed.inc()
         self._m_bytes.observe(size)
-        self._write_partial_index(
-            segment_id, PartialIndexColumns.from_sorted_columns(*columns), crc
-        )
+        self._write_partial_index(segment_id, partial, crc)
         return SegmentMeta(
             segment_id=segment_id,
             file=filename,
             start_day=start_day,
             end_day=end_day,
-            records=len(columns[0]),
+            records=len(partial),
             size_bytes=size,
             crc32=crc,
         )
@@ -644,6 +550,31 @@ class SegmentStore:
             )
         return corpus
 
+    def iter_partial_indexes(
+        self, metas: Iterable[SegmentMeta]
+    ) -> Iterator[PartialIndexColumns]:
+        """One partial index per segment of ``metas``, in their order.
+
+        Sourced from the seal-time ``.idx`` files where possible
+        (counted by ``repro_index_segments_reused_total``); a segment
+        whose partial is missing or fails its integrity checks is
+        rescanned and summarized on the fly
+        (``repro_index_segments_rescanned_total``), so the result is
+        identical either way.  Partials are loaded as the iteration
+        reaches them, so a consumer that stacks them as they come holds
+        one at a time.
+        """
+        for meta in metas:
+            try:
+                partial = self.load_partial_index(meta)
+                self._m_index_reused.inc()
+            except (FileNotFoundError, SegmentError):
+                partial = PartialIndexColumns.from_corpus(
+                    self.load_segment(meta)
+                )
+                self._m_index_rescanned.inc()
+            yield partial
+
     # -- reading and compaction --------------------------------------------------
 
     def reader(self) -> "SegmentedCorpusReader":
@@ -655,16 +586,21 @@ class SegmentStore:
     ) -> Manifest:
         """Fold small segments together; observable corpus is unchanged.
 
-        Segments smaller than ``small_bytes`` (default: the store's
-        flush budget) are loaded, folded per-address (min first / max
-        last / summed count — the same fold every reader applies), and
-        rewritten as one consolidated segment spanning their combined
-        day range.  Because the fold is associative and commutative,
-        the materialized corpus after compaction is bit-identical to
-        before (test-pinned).  Crash-safe: the consolidated segment is
-        durably written *before* the manifest swap, and the obsolete
-        files are unlinked only after it; a crash in between leaves
-        harmless orphans.
+        The partials of the segments smaller than ``small_bytes``
+        (default: the store's flush budget) are folded per address (min
+        first / max last / summed count) by the fold every reader
+        applies (:func:`~repro.core.index.fold_partials`, in manifest
+        order), and the folded columns, already in ascending address
+        order, are sealed as one consolidated segment and partial
+        spanning their combined day range.  A ``.seg`` is read only to
+        rescan a missing or bad partial.  Because the fold is
+        associative and commutative, the materialized corpus after
+        compaction is bit-identical to before (test-pinned); a summed
+        count beyond uint64 raises ``ValueError`` before any file is
+        written.  Crash-safe: the consolidated segment is durably
+        written *before* the manifest swap, and the obsolete files are
+        unlinked only after it; a crash in between leaves harmless
+        orphans.
         """
         manifest = self.load_manifest()
         if manifest is None:
@@ -678,11 +614,13 @@ class SegmentStore:
         if len(small) < 2:
             return manifest
         with self.metrics.span("segment-compaction"):
-            folded = AddressCorpus(manifest.name)
-            for meta in small:
-                folded.merge(self.load_segment(meta))
+            _, folded = fold_partials(
+                self.iter_partial_indexes(small),
+                sum(meta.records for meta in small),
+            )
             generation = manifest.compactions + 1
-            merged = self.write_segment(
+            merged = self._seal(
+                manifest.name,
                 folded,
                 segment_id=f"compact-{generation:04d}",
                 start_day=min(meta.start_day for meta in small),
@@ -870,14 +808,11 @@ class SegmentBufferedCorpus(AddressCorpus):
 class SegmentedCorpusReader:
     """Read view over a committed segment store.
 
-    Exposes the iteration/merge surface the analysis stack consumes —
-    ``name``, ``len()``, :meth:`items`, :meth:`addresses`,
-    ``in``-membership — so :meth:`CorpusIndex.build
-    <repro.core.index.CorpusIndex.build>` and
-    :meth:`AddressCorpus.merge` accept a reader wherever they accept a
-    corpus.  The fold across segments is materialized lazily once and
-    cached; :meth:`iter_segments` streams segment-by-segment for
-    memory-bounded passes (counting, re-sharding, export).
+    Holds the manifest read at open.  :meth:`build_index` and
+    :meth:`load_indexed` fold the segments' seal-time partials (the one
+    read path analysis, serving and compaction share); :meth:`load`
+    merges the ``.seg`` files themselves, the reference the fold is
+    tested against.
     """
 
     def __init__(self, store: SegmentStore) -> None:
@@ -888,7 +823,6 @@ class SegmentedCorpusReader:
                 f"no segment manifest at {store.manifest_path}"
             )
         self.manifest = manifest
-        self._folded: Optional[AddressCorpus] = None
 
     @classmethod
     def open(
@@ -919,50 +853,22 @@ class SegmentedCorpusReader:
     def segments(self) -> List[SegmentMeta]:
         return list(self.manifest.segments)
 
-    def iter_segments(self) -> Iterator[Tuple[SegmentMeta, AddressCorpus]]:
-        """Stream ``(meta, corpus)`` per segment, CRC-verified.
-
-        Memory use is one segment at a time — the reader's bounded-RSS
-        path.  Addresses may repeat across segments; consumers fold.
-        """
-        for meta in self.manifest.segments:
-            yield meta, self._store.load_segment(meta)
-
-    # -- folded corpus surface ---------------------------------------------------
+    # -- the .seg reference ------------------------------------------------------
 
     def load(self, name: Optional[str] = None) -> AddressCorpus:
-        """Materialize the folded corpus (cached across calls)."""
-        if self._folded is None:
-            folded = AddressCorpus(name or self.manifest.name)
-            for _, segment in self.iter_segments():
-                folded.merge(segment)
-            self._folded = folded
-        return self._folded
+        """Merge every ``.seg`` file, CRC-verified, into a new corpus, in
+        manifest order.
 
-    # -- incremental indexing ----------------------------------------------------
-
-    def iter_partial_indexes(self) -> Iterator[PartialIndexColumns]:
-        """One partial index per committed segment, in manifest order.
-
-        Sourced from the seal-time ``.idx`` files where possible
-        (counted by ``repro_index_segments_reused_total``); a segment
-        whose partial is missing or fails its integrity checks is
-        rescanned and summarized on the fly
-        (``repro_index_segments_rescanned_total``), so the result is
-        identical either way.  Partials are loaded as the iteration
-        reaches them, so a consumer that stacks them as they come holds
-        one at a time.
+        The reference read: it shares no code with the partial fold
+        (:meth:`load_indexed`), so tests and benchmarks compare the two.
+        Every call reads the segments again.
         """
+        folded = AddressCorpus(name or self.manifest.name)
         for meta in self.manifest.segments:
-            try:
-                partial = self._store.load_partial_index(meta)
-                self._store._m_index_reused.inc()
-            except (FileNotFoundError, SegmentError):
-                partial = PartialIndexColumns.from_corpus(
-                    self._store.load_segment(meta)
-                )
-                self._store._m_index_rescanned.inc()
-            yield partial
+            folded.merge(self._store.load_segment(meta))
+        return folded
+
+    # -- the partial fold --------------------------------------------------------
 
     def build_index(self, name: Optional[str] = None) -> CorpusIndex:
         """Fold the partial indexes into a full :class:`CorpusIndex`.
@@ -977,7 +883,7 @@ class SegmentedCorpusReader:
         with self._store.metrics.span("index-fold"):
             return CorpusIndex.from_partials(
                 name or self.manifest.name,
-                self.iter_partial_indexes(),
+                self._store.iter_partial_indexes(self.manifest.segments),
                 self.manifest.total_records,
             )
 
@@ -988,8 +894,7 @@ class SegmentedCorpusReader:
         the fold emits rows in exactly the record order :meth:`load`
         produces, so the corpus is bit-identical to a segment-by-segment
         merge — and attaches the index, all without reading a single
-        ``.seg`` file when the partials are intact.  The result is
-        cached as the reader's folded corpus.
+        ``.seg`` file when the partials are intact.
         """
         index = self.build_index(name=name)
         corpus = AddressCorpus(name or self.manifest.name)
@@ -1003,29 +908,7 @@ class SegmentedCorpusReader:
             )
         }
         corpus.attach_index(index)
-        self._folded = corpus
         return corpus
-
-    def __len__(self) -> int:
-        return len(self.load())
-
-    def __contains__(self, address: int) -> bool:
-        return address in self.load()
-
-    def items(self):
-        return self.load().items()
-
-    def addresses(self):
-        return self.load().addresses()
-
-    def first_seen(self, address: int) -> float:
-        return self.load().first_seen(address)
-
-    def last_seen(self, address: int) -> float:
-        return self.load().last_seen(address)
-
-    def observation_count(self, address: int) -> int:
-        return self.load().observation_count(address)
 
     def __repr__(self) -> str:
         return (

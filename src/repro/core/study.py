@@ -193,9 +193,13 @@ def run_study(
         ),
         metrics=registry,
     )
-    segment_store = None
+    # A sharded or segmented campaign returns its corpus folded from the
+    # store's partials, index attached; only a serial in-memory one is
+    # indexed by a scan below.
+    folded = execution.workers > 1 or bool(execution.segment_dir)
     with registry.span("ntp-collection"):
-        if execution.workers > 1 or execution.segment_dir:
+        if folded:
+            segment_store = None
             if execution.segment_dir is not None:
                 segment_store = SegmentStore(
                     execution.segment_dir,
@@ -240,17 +244,10 @@ def run_study(
     caida_corpus = AddressCorpus.from_history("caida-routed-48", caida_history)
 
     with registry.span("corpus-index"):
-        if segment_store is not None:
-            # Incremental path: fold the seal-time partial indexes
-            # instead of rescanning every sealed segment the campaign
-            # just wrote (repro_index_segments_reused_total counts the
-            # segments answered without a re-read).
-            ntp_index = segment_store.reader().build_index(
-                name=ntp_corpus.name
+        if not folded:
+            ntp_corpus.attach_index(
+                CorpusIndex.build(ntp_corpus, metrics=registry)
             )
-        else:
-            ntp_index = CorpusIndex.build(ntp_corpus, metrics=registry)
-        ntp_corpus.attach_index(ntp_index)
         for corpus in (hitlist_corpus, caida_corpus):
             corpus.attach_index(CorpusIndex.build(corpus, metrics=registry))
 

@@ -48,7 +48,6 @@ from .format import (
     build_serving_index,
     ensure_serving_index,
     manifest_digest,
-    manifest_fingerprint,
     serving_build_lock,
 )
 from .service import (
@@ -103,7 +102,6 @@ __all__ = [
     "ensure_serving_index",
     "fork_index_build",
     "manifest_digest",
-    "manifest_fingerprint",
     "reuseport_socket",
     "resolve_op",
     "run_single",

@@ -15,9 +15,9 @@ backoff (``repro_serve_worker_restarts_total``), propagates SIGTERM
 merges the snapshot of every worker it ran, restarted ones included,
 into one ``--metrics-out`` document.
 
-The index, meanwhile, stays **live**: every worker polls the
-``(mtime_ns, size, digest)`` fingerprint of ``MANIFEST.json`` (the
-parse is cached, so an unchanged manifest costs one ``stat``), and when
+The index, meanwhile, stays **live**: every worker stats
+``MANIFEST.json`` once per poll and reads it only when its ``(mtime_ns,
+size)`` moved (so an unchanged manifest costs one ``stat``), and when
 a commit or compaction moves the segment list, one builder is elected
 via an advisory ``flock`` — the winner rebuilds ``SERVING.rsi`` from
 the seal-time partials, the losers block then reuse the fresh file —
@@ -52,15 +52,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.jobs import Forked, backoff_delay
+from ..core.segments import MANIFEST_NAME, SegmentStore
 from ..net.routing import RoutingTable
 from ..obs import MetricsRegistry, NULL_REGISTRY, write_metrics
 from ..world import build_routing, preset_config
 from .engine import CoalescingEngine
-from .format import (
-    ServingIndex,
-    ensure_serving_index,
-    manifest_fingerprint,
-)
+from .format import ServingIndex, ensure_serving_index, manifest_digest
 from .service import (
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_MAX_PIPELINE,
@@ -81,7 +78,7 @@ __all__ = [
 
 logger = logging.getLogger("repro.serve.fleet")
 
-#: Default seconds between manifest-fingerprint polls (0 disables).
+#: Default seconds between manifest polls (0 disables).
 DEFAULT_RELOAD_INTERVAL = 1.0
 
 #: Default seconds in-flight requests get to flush replies on SIGTERM.
@@ -279,17 +276,20 @@ def fork_index_build(
 class IndexReloader:
     """Watch the manifest; hot-swap the engine's index when it moves.
 
-    Each poll compares the manifest's ``(mtime_ns, size, digest)``
-    fingerprint against the last one seen; the first poll has none, so
-    it checks the digest against the index the engine serves.  A digest
-    change means the segment list the current index was derived from
-    is gone: a forked builder (:func:`fork_index_build`) rebuilds or
-    reuses ``SERVING.rsi`` under the advisory build lock while queries
-    keep flowing off the old snapshot; the reloader awaits its report
-    on the loop, maps the file, swaps it into the engine between ticks,
-    and closes the old index — whose mmap stays valid for any
-    still-referenced view.  A failed or killed build swaps nothing and
-    is retried at the next poll.
+    Each poll stats ``MANIFEST.json`` and stops there while its
+    ``(mtime_ns, size)`` equals that of the last manifest the reloader
+    acted on, so an unchanged store costs one ``stat``.  Otherwise it
+    reads the manifest, and when its :func:`manifest_digest` is not the
+    one the served index was derived from, a forked builder
+    (:func:`fork_index_build`) rebuilds or reuses ``SERVING.rsi`` under
+    the advisory build lock while queries keep flowing off the old
+    snapshot; the reloader awaits its report on the loop, maps the
+    file, swaps it into the engine between ticks, and closes the old
+    index — whose mmap stays valid for any still-referenced view.  The
+    stat is taken before the read and recorded only once the poll has
+    acted, so a commit landing in between is seen by the next poll, and
+    a failed or killed build swaps nothing and is retried at the next
+    poll.
     """
 
     def __init__(
@@ -315,37 +315,43 @@ class IndexReloader:
             "repro_serve_index_reloads_total",
             "serving indexes hot-swapped after a manifest change",
         )
-        # No fingerprint yet: the first poll compares the manifest with
-        # the index the engine serves, so a commit that landed after
-        # that index was opened (but before this reloader existed) is
-        # picked up instead of being taken as already seen.
-        self._fingerprint: Optional[Tuple[int, int, int]] = None
+        # No stat yet: the first poll compares the manifest with the
+        # index the engine serves, so a commit that landed after that
+        # index was opened (but before this reloader existed) is picked
+        # up instead of being taken as already seen.
+        self._seen: Optional[Tuple[int, int]] = None
 
     async def poll_once(self) -> bool:
         """One poll; True when an index swap happened."""
-        fingerprint = manifest_fingerprint(self.directory)
-        if fingerprint is None or fingerprint == self._fingerprint:
+        try:
+            stat = os.stat(self.directory / MANIFEST_NAME)
+        except OSError:
             return False
-        if fingerprint[2] == self.engine.index.source_digest:
-            # The file was rewritten (watermark bump, metrics merge)
-            # but the segment list — hence every answer — is the same.
-            self._fingerprint = fingerprint
+        seen = (stat.st_mtime_ns, stat.st_size)
+        if seen == self._seen:
             return False
-        build = fork_index_build(self.directory, routing=self.routing)
-        new_index = await build.wait(self.metrics)
-        old = self.engine.swap_index(new_index)
-        # Deferred one tick: any callback already queued ahead of this
-        # one still sees a closeable-but-valid mapping (close() keeps
-        # the mmap alive while views reference it).
-        asyncio.get_running_loop().call_soon(old.close)
-        self._fingerprint = fingerprint
-        self._m_reloads.inc()
-        logger.info(
-            "serving index reloaded: generation=%d rows=%d",
-            new_index.generation,
-            new_index.rows,
-        )
-        return True
+        manifest = SegmentStore(self.directory).load_manifest()
+        if manifest is None:
+            return False
+        swapped = manifest_digest(manifest) != self.engine.index.source_digest
+        # Otherwise the file was rewritten (watermark bump, metrics
+        # merge) but the segment list — hence every answer — is the same.
+        if swapped:
+            build = fork_index_build(self.directory, routing=self.routing)
+            new_index = await build.wait(self.metrics)
+            old = self.engine.swap_index(new_index)
+            # Deferred one tick: any callback already queued ahead of
+            # this one still sees a closeable-but-valid mapping (close()
+            # keeps the mmap alive while views reference it).
+            asyncio.get_running_loop().call_soon(old.close)
+            self._m_reloads.inc()
+            logger.info(
+                "serving index reloaded: generation=%d rows=%d",
+                new_index.generation,
+                new_index.rows,
+            )
+        self._seen = seen
+        return swapped
 
     async def run(self) -> None:
         """Poll forever; a failed reload logs and retries next tick."""

@@ -69,7 +69,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 
 from ..core import durable
 from ..core import kernels as _kernels
-from ..core.index import PartialIndexColumns
+from ..core.index import fold_partials
 from ..core.segments import (
     MANIFEST_NAME,
     Manifest,
@@ -88,7 +88,6 @@ __all__ = [
     "ensure_serving_index",
     "le_bytes",
     "manifest_digest",
-    "manifest_fingerprint",
     "pack_uvarint",
     "serving_build_lock",
     "unpack_uvarint",
@@ -170,32 +169,6 @@ def manifest_digest(manifest: Manifest) -> int:
         )
     )
     return zlib.crc32(lines.encode("utf-8")) & 0xFFFFFFFF
-
-
-def manifest_fingerprint(
-    directory: Union[str, Path],
-) -> Optional[Tuple[int, int, int]]:
-    """``(mtime_ns, size, digest)`` of a directory's committed manifest.
-
-    The cheap change detector live reload polls on: the stat pair
-    catches any rewrite (commits replace the file atomically, which
-    always changes the stat), and the digest — computed from the cached
-    manifest parse, so an unchanged file costs one ``stat`` — is what
-    actually decides whether the *segment list* the serving index was
-    derived from moved.  ``None`` when no manifest exists (yet).
-    """
-    directory = Path(directory)
-    if directory.name == MANIFEST_NAME:
-        directory = directory.parent
-    manifest_path = directory / MANIFEST_NAME
-    try:
-        stat = manifest_path.stat()
-    except OSError:
-        return None
-    manifest = SegmentStore(directory).load_manifest()
-    if manifest is None:  # pragma: no cover - deleted between stats
-        return None
-    return (stat.st_mtime_ns, stat.st_size, manifest_digest(manifest))
 
 
 @contextlib.contextmanager
@@ -423,11 +396,10 @@ def build_serving_index(
 ) -> Path:
     """Derive ``SERVING.rsi`` from a segment store's ``.idx`` partials.
 
-    Stacks the seal-time partial indexes one at a time (re-reading
-    **zero** sealed ``.seg`` payloads while the partials are intact)
-    into columns sized from the manifest, folds them in one sorted numpy
-    pass (:func:`repro.core.kernels.sorted_record_fold`), and writes
-    the flattened intervals of ``routing`` (a
+    Folds the seal-time partial indexes
+    (:func:`repro.core.index.fold_partials`, re-reading **zero** sealed
+    ``.seg`` payloads while the partials are intact) into query-ordered
+    columns, and writes the flattened intervals of ``routing`` (a
     :class:`~repro.net.routing.RoutingTable`) as the LPM origin table
     when given.
     The header, each column and the CRC footer are then streamed
@@ -441,21 +413,16 @@ def build_serving_index(
     if directory.name == MANIFEST_NAME:
         directory = directory.parent
     store = SegmentStore(directory, metrics=registry)
-    # One manifest decides both the rows stacked and the digest stamped.
-    reader = store.reader()
-    manifest = reader.manifest
+    # One manifest decides both the rows folded and the digest stamped.
+    manifest = store.reader().manifest
     with registry.span("serve-index-build"):
-        hi, lo, first, last, counts, entropies, codes, macs = (
-            PartialIndexColumns.stack(
-                reader.iter_partial_indexes(), manifest.total_records
-            )
+        _, folded = fold_partials(
+            store.iter_partial_indexes(manifest.segments),
+            manifest.total_records,
         )
-        source, hi, lo, first, last, counts = _kernels.sorted_record_fold(
-            hi, lo, first, last, counts
-        )
-        size = len(source)
-        slash48 = np.unique(hi & np.uint64(_SLASH48_HI_MASK))
-        slash64 = np.unique(hi)
+        size = len(folded)
+        slash48 = np.unique(folded.hi & np.uint64(_SLASH48_HI_MASK))
+        slash64 = np.unique(folded.hi)
 
         flags = 0
         origin_hi = origin_lo = origin_asn = ()
@@ -478,14 +445,14 @@ def build_serving_index(
         # (values, on-disk dtype) in file order; each run is padded to
         # 8 bytes, which only the u8 codes and u32 ASNs ever need.
         columns = (
-            (hi, "<u8"),
-            (lo, "<u8"),
-            (first, "<f8"),
-            (last, "<f8"),
-            (counts, "<u8"),
-            (entropies[source], "<f8"),
-            (macs[source], "<u8"),
-            (codes[source], "u1"),
+            (folded.hi, "<u8"),
+            (folded.lo, "<u8"),
+            (folded.first, "<f8"),
+            (folded.last, "<f8"),
+            (folded.counts, "<u8"),
+            (folded.entropies, "<f8"),
+            (folded.macs, "<u8"),
+            (folded.pattern_codes, "u1"),
             (slash48, "<u8"),
             (slash64, "<u8"),
             (origin_hi, "<u8"),

@@ -1,5 +1,8 @@
 """Tests for repro.core.corpus."""
 
+import io
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from repro.addr.eui64 import mac_to_address
 from repro.addr.ipv6 import parse
 from repro.core.corpus import AddressCorpus
+from repro.core.storage import load_corpus_text
 
 A = parse("2001:db8::1")
 B = parse("2001:db8::2")
@@ -52,6 +56,32 @@ class TestRecording:
             corpus.record_interval(A, 10.0, 5.0)
         with pytest.raises(ValueError):
             corpus.record_interval(A, 5.0, 10.0, count=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+    def test_record_interval_rejects_a_non_integer_count(self, bad):
+        corpus = AddressCorpus("test")
+        with pytest.raises(ValueError, match="count must be an integer"):
+            corpus.record_interval(A, 1.0, 2.0, bad)
+        # Nothing was recorded, so nothing is saved or sealed later.
+        assert len(corpus) == 0
+
+    def test_record_interval_takes_numpy_integers_as_ints(self):
+        corpus = AddressCorpus("test")
+        corpus.record_interval(A, 1.0, 2.0, np.uint64(3))
+        corpus.record_interval(A, 1.0, 2.0, np.int64(4))
+        count = corpus.observation_count(A)
+        assert count == 7 and type(count) is int
+        assert type(next(corpus.items())[1][2]) is int
+
+    def test_text_loader_reports_a_fractional_count_as_a_bad_line(self):
+        text = (
+            "# repro-corpus v1 name=test\n"
+            "address,first_seen,last_seen,count\n"
+            "2001:db8::1,1.0,2.0,3\n"
+            "2001:db8::2,1.0,2.0,2.5\n"
+        )
+        with pytest.raises(ValueError, match="bad record on line 4"):
+            load_corpus_text(io.StringIO(text))
 
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), float("-inf")]

@@ -25,11 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.corpus import AddressCorpus
-from repro.core.segments import (
-    SegmentError,
-    SegmentStore,
-    SegmentedCorpusReader,
-)
+from repro.core.segments import SegmentError, SegmentStore
 from repro.core.storage import save_corpus
 from repro.matrix import MATRIX_NAME, execute_cell
 from repro.matrix.manifest import CellRecord, MatrixManifest, save_manifest
@@ -335,10 +331,8 @@ def _rpi1(store, meta):
 
     def recovered():
         metrics = MetricsRegistry()
-        reader = SegmentedCorpusReader.open(
-            store.directory, metrics=metrics
-        )
-        [partial] = list(reader.iter_partial_indexes())
+        reopened = SegmentStore(store.directory, metrics=metrics)
+        [partial] = list(reopened.iter_partial_indexes([meta]))
         assert metrics.counter_value(
             "repro_index_segments_rescanned_total"
         ) == 1

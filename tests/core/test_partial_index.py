@@ -22,6 +22,7 @@ and the :mod:`repro.addr` functions it calls.
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -281,6 +282,62 @@ class TestPartialFallback:
         store = self._one_segment_store(tmp_path, MetricsRegistry())
         meta = store.reader().segments()[0]
         assert store.partial_index_path(meta).suffix == PARTIAL_INDEX_SUFFIX
+
+
+U64_EDGES = st.sampled_from(
+    [1, (1 << 32) - 1, 1 << 32, 1 << 63, (1 << 63) + 1, (1 << 64) - 1]
+)
+
+
+class TestFoldCountRange:
+    """The record fold sums counts exactly: it raises ``OverflowError``
+    exactly when some address's Python-int sum passes uint64, and
+    otherwise returns those sums (numpy's uint64 sum wraps silently)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.one_of(
+                    U64_EDGES,
+                    st.integers(min_value=1, max_value=(1 << 64) - 1),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_sums_are_exact_or_raise(self, rows):
+        totals = {}
+        for address, count in rows:
+            totals[address] = totals.get(address, 0) + count
+        columns = (
+            np.zeros(len(rows), dtype=np.uint64),
+            np.array([address for address, _ in rows], dtype=np.uint64),
+            np.zeros(len(rows)),
+            np.zeros(len(rows)),
+            np.array([count for _, count in rows], dtype=np.uint64),
+        )
+        if any(total >= 1 << 64 for total in totals.values()):
+            with pytest.raises(OverflowError):
+                kernels.sorted_record_fold(*columns)
+        else:
+            *_, lo, _, _, counts = kernels.sorted_record_fold(*columns)
+            assert lo.tolist() == sorted(totals)
+            assert counts.tolist() == [totals[key] for key in sorted(totals)]
+
+    def test_a_sum_that_wraps_past_its_largest_term_raises(self):
+        # 3 * 2**63 wraps to 2**63, no smaller than any term: a check
+        # that compares the wrapped sum with the terms misses it.
+        columns = (
+            np.zeros(3, dtype=np.uint64),
+            np.zeros(3, dtype=np.uint64),
+            np.zeros(3),
+            np.zeros(3),
+            np.full(3, 1 << 63, dtype=np.uint64),
+        )
+        with pytest.raises(OverflowError):
+            kernels.sorted_record_fold(*columns)
 
 
 class TestKernelOracleEquivalence:

@@ -8,6 +8,11 @@ equal.  The draws reach the edges a columnar pack can get wrong: the
 lowest and highest address, addresses sharing one 64-bit half, signed
 zeros, subnormal and extreme floats, counts of 1 and 2**64-1, an empty
 corpus and non-ASCII names.
+
+Compaction seals the fold of the segments' partials; its ``.seg`` and
+``.idx`` must be the reference encoding of ``AddressCorpus.merge`` over
+the same ``.seg`` files, in manifest order, whatever the segment layout
+and whether a partial had to be rescanned.
 """
 
 import io
@@ -18,8 +23,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.corpus import AddressCorpus
-from repro.core.segments import SegmentStore
-from repro.core.storage import save_corpus_binary
+from repro.core.segments import (
+    SEGMENT_OVERHEAD_BYTES,
+    SegmentBufferedCorpus,
+    SegmentStore,
+)
+from repro.core.storage import BINARY_RECORD_BYTES, save_corpus_binary
+from repro.obs import MetricsRegistry
 
 from .. import naive_seal as naive
 
@@ -127,3 +137,126 @@ class TestSealIdentity:
             len(segment),
             segment_crc,
         )
+
+
+#: Few addresses, so they repeat across segments.
+POOL = [0, 5, (1 << 64) | 5, (TOP << 64) | TOP]
+
+#: Mostly zeros of either sign, so folded extremes tie.
+TIED_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([-0.0, 5e-324, -1.0, 1.0]),
+)
+
+#: ``(window, address, first, last, count)``; records are fed window by
+#: window.
+RECORDS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from(POOL),
+        st.tuples(TIED_TIMES, TIED_TIMES).map(sorted),
+        st.integers(min_value=1, max_value=1 << 40),
+    ).map(lambda r: (r[0], r[1], r[2][0], r[2][1], r[3])),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _sealed_layout(directory, records, per_segment, registry):
+    """Feed ``records`` through a buffer that seals every
+    ``per_segment`` distinct addresses (1: a one-record budget)."""
+    store = SegmentStore(
+        directory,
+        name="seal",
+        segment_bytes=SEGMENT_OVERHEAD_BYTES
+        + per_segment * BINARY_RECORD_BYTES,
+        metrics=registry,
+    )
+    buffered = SegmentBufferedCorpus("seal", store)
+    for window in sorted({record[0] for record in records}):
+        buffered.set_window(7 * window, 7 * window + 7)
+        for record_window, address, first, last, count in records:
+            if record_window == window:
+                buffered.record_interval(address, first, last, count)
+    buffered.close()
+    store.commit(buffered.take_sealed(), completed_weeks=3)
+    return store
+
+
+def _damage(store, meta, how):
+    path = store.partial_index_path(meta)
+    if how == "delete":
+        path.unlink()
+    elif how == "flip":
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+
+
+class TestCompactionIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=RECORDS,
+        per_segment=st.sampled_from([1, 2, 3, 24]),
+        damage=st.sampled_from([None, "delete", "flip"]),
+        victim=st.integers(min_value=0, max_value=23),
+    )
+    # A -0.0 sighting after a +0.0 one of the same address, each its own
+    # segment: the fold keeps the first of the tied zeros, in manifest
+    # order, for both ends of the interval.
+    @example(
+        records=[(0, 5, 0.0, 0.0, 1), (0, 5, -0.0, -0.0, 1)],
+        per_segment=1,
+        damage=None,
+        victim=0,
+    )
+    @example(
+        records=[
+            (0, 5, -0.0, 0.0, 1),
+            (1, 5, 0.0, -0.0, 2),
+            (1, 0, -0.0, -0.0, 3),
+        ],
+        per_segment=1,
+        damage="flip",
+        victim=1,
+    )
+    def test_compacted_files_encode_the_merge_of_the_segments(
+        self, records, per_segment, damage, victim, tmp_path_factory
+    ):
+        directory = tmp_path_factory.mktemp("compact")
+        registry = MetricsRegistry()
+        store = _sealed_layout(directory, records, per_segment, registry)
+        metas = store.load_manifest().segments
+        expected = store.reader().load()
+        _damage(store, metas[victim % len(metas)], damage)
+        before = sorted(path.name for path in directory.iterdir())
+
+        manifest = store.compact(small_bytes=float("inf"))
+
+        if len(metas) < 2:
+            assert manifest.segments == metas
+            assert sorted(p.name for p in directory.iterdir()) == before
+            return
+        [meta] = manifest.segments
+        start = min(m.start_day for m in metas)
+        end = max(m.end_day for m in metas)
+        segment = naive.segment_bytes(expected, start, end)
+        crc = zlib.crc32(segment[:-8])
+        assert (directory / "compact-0001.seg").read_bytes() == segment
+        assert (directory / "compact-0001.idx").read_bytes() == (
+            naive.partial_index_bytes(expected, crc)
+        )
+        assert (meta.start_day, meta.end_day, meta.records, meta.crc32) == (
+            start,
+            end,
+            len(expected),
+            crc,
+        )
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "MANIFEST.json",
+            "compact-0001.idx",
+            "compact-0001.seg",
+        ]
+        assert registry.counter_value(
+            "repro_index_segments_rescanned_total"
+        ) == (0 if damage is None else 1)

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.core.corpus import AddressCorpus
 from repro.core.segments import (
     DEFAULT_SEGMENT_BYTES,
-    MANIFEST_CACHE_MAX_ENTRIES,
     MANIFEST_NAME,
     Manifest,
     SegmentBufferedCorpus,
@@ -32,8 +31,6 @@ from repro.core.segments import (
     SegmentMeta,
     SegmentStore,
     SegmentedCorpusReader,
-    clear_manifest_cache,
-    manifest_cache_info,
 )
 from repro.core.storage import save_corpus_binary
 
@@ -154,7 +151,7 @@ class TestSegmentStore:
         store.commit([committed], completed_weeks=1)
         reader = store.reader()
         assert [meta.segment_id for meta in reader.segments()] == ["live"]
-        assert len(reader) == 1
+        assert len(reader.load()) == 1
 
 
 class TestIntegrityDetection:
@@ -229,6 +226,92 @@ class TestCountOverflow:
             if path.suffix in (".seg", ".idx") or ".tmp-" in path.name
         ]
         assert written == []
+
+
+def _overflowing_store(directory):
+    """Three segments whose summed counts pass uint64 at ``::5`` (2**64)
+    and ``::9`` (2**64), ``::9`` met first in manifest order."""
+    store = SegmentStore(directory, name="busy")
+    layout = [
+        {9: 1 << 63},
+        {5: 1 << 63, 9: 1 << 63, 7: 3},
+        {5: 1 << 63},
+    ]
+    metas = []
+    for number, counts in enumerate(layout):
+        corpus = AddressCorpus("busy")
+        for address, count in counts.items():
+            corpus.record_interval(address, 1.0, 2.0, count)
+        metas.append(
+            store.write_segment(
+                corpus,
+                segment_id=f"s{number}",
+                start_day=7 * number,
+                end_day=7 * number + 7,
+            )
+        )
+    store.commit(metas, completed_weeks=len(metas))
+    return store
+
+
+FOLD_OVERFLOW = (
+    "observation count 18,446,744,073,709,551,616 of ::5 exceeds the "
+    "uint64 range of binary format v2"
+)
+
+
+class TestFoldCountOverflow:
+    """Every fold of a store checks its summed counts: past uint64 it
+    raises the seal's typed error naming the lowest address, never a
+    wrapped count."""
+
+    def test_partial_fold_raises_the_typed_error(self, tmp_path):
+        reader = _overflowing_store(tmp_path).reader()
+        for fold in (reader.load_indexed, reader.build_index):
+            with pytest.raises(ValueError) as excinfo:
+                fold()
+            assert str(excinfo.value) == FOLD_OVERFLOW
+
+    def test_seg_reference_keeps_the_exact_sum_and_its_index_raises(
+        self, tmp_path
+    ):
+        corpus = _overflowing_store(tmp_path).reader().load()
+        assert corpus.observation_count(5) == 1 << 64
+        assert corpus.observation_count(9) == 1 << 64
+        with pytest.raises(ValueError) as excinfo:
+            corpus.index
+        assert str(excinfo.value) == FOLD_OVERFLOW
+
+    def test_compaction_raises_and_writes_nothing(self, tmp_path):
+        store = _overflowing_store(tmp_path)
+        before = sorted(path.name for path in tmp_path.iterdir())
+        manifest = (tmp_path / MANIFEST_NAME).read_bytes()
+        with pytest.raises(ValueError) as excinfo:
+            store.compact(small_bytes=float("inf"))
+        assert str(excinfo.value) == FOLD_OVERFLOW
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
+        assert (tmp_path / MANIFEST_NAME).read_bytes() == manifest
+
+
+class TestReadersCreateNothing:
+    def test_a_failed_open_leaves_no_directory(self, tmp_path):
+        missing = tmp_path / "typo2" / "sub"
+        with pytest.raises(FileNotFoundError):
+            SegmentedCorpusReader.open(missing)
+        assert SegmentStore(missing).load_manifest() is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writes_create_the_directory(self, tmp_path):
+        sealed = SegmentStore(tmp_path / "a" / "sealed")
+        corpus = AddressCorpus("c")
+        corpus.record(3, 0.0)
+        sealed.write_segment(corpus, segment_id="s", start_day=0, end_day=7)
+        assert sorted(p.name for p in sealed.directory.iterdir()) == [
+            "s.idx", "s.seg"
+        ]
+        committed = SegmentStore(tmp_path / "b" / "committed")
+        committed.commit([], completed_weeks=1)
+        assert committed.load_manifest().completed_weeks == 1
 
 
 class TestCompaction:
@@ -393,19 +476,9 @@ class TestCrashSafety:
 
 
 class TestManifestCache:
-    """The parsed-manifest cache: hits skip parsing, never staleness.
-
-    Keyed by (path, mtime, size) with a CRC re-check behind it, primed
-    by the writer's own commits, and always handing out mutation-safe
-    copies — so a cached store behaves byte-identically to an uncached
-    one under commits, external rewrites and deletion.
-    """
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        clear_manifest_cache()
-        yield
-        clear_manifest_cache()
+    """Every manifest read parses the file on disk: a commit, an
+    external rewrite, a deletion and a corruption are seen by the next
+    read of any store, and a returned manifest is the caller's own."""
 
     def _committed_store(self, tmp_path, records=4):
         store = SegmentStore(tmp_path)
@@ -417,17 +490,6 @@ class TestManifestCache:
         )
         store.commit([meta], completed_weeks=1)
         return store
-
-    def test_repeat_loads_hit_without_reparsing(self, tmp_path):
-        store = self._committed_store(tmp_path)
-        # The commit primed the cache; no load has missed yet.
-        assert manifest_cache_info()["misses"] == 0
-        first = store.load_manifest()
-        second = SegmentStore(tmp_path).load_manifest()  # new store, same path
-        info = manifest_cache_info()
-        assert info["hits"] == 2
-        assert info["misses"] == 0
-        assert first.to_json() == second.to_json()
 
     def test_commit_invalidates_for_other_readers(self, tmp_path):
         store = self._committed_store(tmp_path)
@@ -454,18 +516,6 @@ class TestManifestCache:
         (tmp_path / MANIFEST_NAME).write_text(blob)
         assert store.load_manifest().completed_weeks == 9
 
-    def test_same_bytes_new_stat_is_a_crc_hit(self, tmp_path):
-        store = self._committed_store(tmp_path)
-        raw = (tmp_path / MANIFEST_NAME).read_bytes()
-        (tmp_path / MANIFEST_NAME).write_bytes(raw)  # rewrite, same bytes
-        os.utime(tmp_path / MANIFEST_NAME, ns=(1, 1))  # force stat change
-        hits_before = manifest_cache_info()["hits"]
-        manifest = store.load_manifest()
-        info = manifest_cache_info()
-        assert info["hits"] == hits_before + 1
-        assert info["misses"] == 0  # CRC matched: parse skipped
-        assert manifest.completed_weeks == 1
-
     def test_returned_manifest_is_mutation_safe(self, tmp_path):
         store = self._committed_store(tmp_path)
         first = store.load_manifest()
@@ -480,7 +530,6 @@ class TestManifestCache:
         store.load_manifest()
         (tmp_path / MANIFEST_NAME).unlink()
         assert store.load_manifest() is None
-        assert manifest_cache_info()["entries"] == 0
 
     def test_corrupt_manifest_not_cached(self, tmp_path):
         store = self._committed_store(tmp_path)
@@ -489,11 +538,3 @@ class TestManifestCache:
             store.load_manifest()
         with pytest.raises(SegmentError, match="unreadable"):
             store.load_manifest()  # still failing: the error was not cached
-        assert manifest_cache_info()["entries"] == 0
-
-    def test_cache_is_bounded(self, tmp_path):
-        for n in range(MANIFEST_CACHE_MAX_ENTRIES + 5):
-            self._committed_store(tmp_path / f"store-{n:03d}")
-        assert (
-            manifest_cache_info()["entries"] == MANIFEST_CACHE_MAX_ENTRIES
-        )

@@ -188,3 +188,33 @@ class TestSignedZeroTies:
         )
         low, high = intervals[5]
         assert packed(low if column == "first" else high) == packed(earlier)
+
+
+def test_count_past_uint64_builds_no_index(tmp_path):
+    """The serving build folds like every reader: two segments that each
+    count 2**63 sightings of ``::5`` raise the typed error instead of
+    serving a wrapped count of 0, and no ``SERVING.rsi`` is written."""
+    store = SegmentStore(tmp_path, name="busy")
+    metas = []
+    for number in range(2):
+        corpus = AddressCorpus("busy")
+        corpus.record_interval(5, 1.0, 2.0, 1 << 63)
+        corpus.record_interval(7, 1.0, 2.0, 1)
+        metas.append(
+            store.write_segment(
+                corpus,
+                segment_id=f"seg-{number}",
+                start_day=7 * number,
+                end_day=7 * number + 7,
+            )
+        )
+    store.commit(metas, completed_weeks=2)
+    with pytest.raises(ValueError) as excinfo:
+        build_serving_index(tmp_path, routing=make_routing())
+    assert str(excinfo.value) == (
+        "observation count 18,446,744,073,709,551,616 of ::5 exceeds the "
+        "uint64 range of binary format v2"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "MANIFEST.json", "seg-0.idx", "seg-0.seg", "seg-1.idx", "seg-1.seg"
+    ]

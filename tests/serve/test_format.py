@@ -30,6 +30,7 @@ from repro.serve import (
     ServingIndexError,
     build_serving_index,
     ensure_serving_index,
+    fork_index_build,
     manifest_digest,
 )
 
@@ -424,6 +425,15 @@ class TestEnsure:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="MANIFEST"):
             ensure_serving_index(tmp_path)
+
+    def test_a_mistyped_directory_is_not_created(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ensure_serving_index(tmp_path / "typo")
+        with pytest.raises(FileNotFoundError):
+            ensure_serving_index(tmp_path / "typo" / "sub", lock=True)
+        with pytest.raises(FileNotFoundError):
+            fork_index_build(tmp_path / "nope").result(MetricsRegistry())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestZeroCopy:

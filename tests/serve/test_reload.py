@@ -8,6 +8,10 @@ into the engine between ticks — while a sustained query load observes
 committed manifest (the old one right up to the swap, the new one
 after).
 
+A poll of an unchanged store is one ``stat``: the manifest is read
+only when its ``(mtime_ns, size)`` moved, a commit racing the poll is
+served by that poll or the next, and a failed build is retried.
+
 Every rebuild runs in a forked builder.  Its metrics reach the
 server's registry; a signal sent to it stays with it; and a builder
 killed mid-write swaps nothing, leaves the old index answering, and
@@ -25,9 +29,10 @@ import pytest
 from repro.core import durable
 from repro.core.corpus import AddressCorpus
 from repro.core.index import CorpusIndex
-from repro.core.segments import SegmentedCorpusReader
+from repro.core.segments import SegmentStore, SegmentedCorpusReader
 from repro.obs import MetricsRegistry
 from repro import api
+from repro.serve import fleet
 from repro.serve import (
     SERVING_INDEX_NAME,
     CoalescingEngine,
@@ -204,6 +209,149 @@ class TestReloadUnderLoad:
                 IndexReloader(engine, tmp_path, interval=0)
         finally:
             index.close()
+
+
+def _count_manifest_reads(monkeypatch):
+    """A list that gains an entry per ``SegmentStore.load_manifest``."""
+    reads = []
+    real = SegmentStore.load_manifest
+
+    def counting(store):
+        reads.append(store.directory)
+        return real(store)
+
+    monkeypatch.setattr(SegmentStore, "load_manifest", counting)
+    return reads
+
+
+def _commit_at_the_next_read(monkeypatch, store, number, *, before):
+    """Make the next manifest read commit segment ``number`` just before
+    (``before=True``) or just after it reads the file.  Returns the list
+    the committed addresses are appended to."""
+    real = SegmentStore.load_manifest
+    pending = [number]
+    fresh = []
+
+    def hooked(self):
+        if not pending:
+            return real(self)
+        pending.pop()  # consumed first: commit() reads the manifest too
+        if before:
+            fresh.extend(_commit_segment(store, number))
+            return real(self)
+        manifest = real(self)
+        fresh.extend(_commit_segment(store, number))
+        return manifest
+
+    monkeypatch.setattr(SegmentStore, "load_manifest", hooked)
+    return fresh
+
+
+class TestPollReadsOnlyAMovedManifest:
+    def _serving(self, tmp_path):
+        store = write_serve_store(tmp_path, per_segment=20, segments=1)
+        engine = CoalescingEngine(ensure_serving_index(tmp_path))
+        return store, engine, IndexReloader(engine, tmp_path, interval=0.01)
+
+    def test_unchanged_store_costs_no_read(self, tmp_path, monkeypatch):
+        store, engine, reloader = self._serving(tmp_path)
+        reads = _count_manifest_reads(monkeypatch)
+
+        async def scenario():
+            # The first poll has no stat yet: it reads once and finds
+            # the served index current.
+            assert await reloader.poll_once() is False
+            assert len(reads) == 1
+            for _ in range(50):
+                assert await reloader.poll_once() is False
+            assert len(reads) == 1
+            # A rewrite that keeps the segment list is read once and
+            # swaps nothing; then the store is unchanged again.
+            store.commit([], completed_weeks=10)
+            seen = len(reads)
+            for _ in range(3):
+                assert await reloader.poll_once() is False
+            assert len(reads) == seen + 1
+            # A commit is served at the next poll.
+            fresh = _commit_segment(store, 1)
+            assert await reloader.poll_once() is True
+            assert await engine.batch("contains", fresh) == [True] * 5
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            engine.index.close()
+        assert engine.index_swaps == 1
+
+    def test_a_commit_racing_the_poll_is_not_lost(
+        self, tmp_path, monkeypatch
+    ):
+        store, engine, reloader = self._serving(tmp_path)
+
+        async def race(number, *, before):
+            # Move the stat without moving the segment list, so the
+            # poll reads the manifest.
+            store.commit([], completed_weeks=10 ** number)
+            fresh = _commit_at_the_next_read(
+                monkeypatch, store, number, before=before
+            )
+            swaps = [await reloader.poll_once(), await reloader.poll_once()]
+            assert swaps == ([True, False] if before else [False, True])
+            assert await engine.batch("contains", fresh) == [True] * 5
+
+        async def scenario():
+            assert await reloader.poll_once() is False
+            # Landing between the poll's stat and its read, the commit
+            # is in what that poll reads.
+            await race(1, before=True)
+            # Landing just after the read, it moved the stat the poll
+            # had taken, so the next poll reads it: no poll records
+            # the stat of a manifest it did not act on.
+            await race(2, before=False)
+            assert await reloader.poll_once() is False
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            engine.index.close()
+        assert engine.index_swaps == 2
+
+    def test_a_failed_build_is_retried_with_the_stat_unchanged(
+        self, tmp_path, monkeypatch
+    ):
+        store, engine, reloader = self._serving(tmp_path)
+        fresh = _commit_segment(store, 1)
+        manifest = tmp_path / "MANIFEST.json"
+        stat = manifest.stat()
+        real = fleet.fork_index_build
+        attempts = []
+
+        def fails_once(directory, routing=None):
+            attempts.append(directory)
+            if len(attempts) == 1:
+                raise OSError("fork failed")
+            return real(directory, routing=routing)
+
+        monkeypatch.setattr(fleet, "fork_index_build", fails_once)
+
+        async def scenario():
+            with pytest.raises(OSError, match="fork failed"):
+                await reloader.poll_once()
+            assert await engine.batch("contains", fresh) == [False] * 5
+            assert await reloader.poll_once() is True
+            assert await engine.batch("contains", fresh) == [True] * 5
+            assert await reloader.poll_once() is False
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            engine.index.close()
+        assert len(attempts) == 2
+        after = manifest.stat()
+        assert (after.st_mtime_ns, after.st_size) == (
+            stat.st_mtime_ns,
+            stat.st_size,
+        )
 
 
 class TestApiConnectReload:

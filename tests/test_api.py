@@ -20,6 +20,7 @@ from repro.core import (
     save_corpus,
 )
 from repro.core.storage import save_corpus_binary
+from repro.obs import MetricsRegistry
 from repro.world import CAMPAIGN_EPOCH, WorldConfig, build_world
 
 WORLD_CONFIG = WorldConfig(
@@ -112,6 +113,24 @@ class TestOpenCorpus:
         via_manifest = open_corpus(tmp_path / "MANIFEST.json")
         assert corpus_bytes(via_dir) == corpus_bytes(corpus)
         assert corpus_bytes(via_manifest) == corpus_bytes(corpus)
+
+    def test_segment_directory_is_folded_from_its_partials(self, tmp_path):
+        corpus = AddressCorpus("seg")
+        for n in range(5):
+            corpus.record(1000 + n, float(n))
+        store = SegmentStore(tmp_path, name="seg")
+        meta = store.write_segment(
+            corpus, segment_id="only", start_day=0, end_day=7
+        )
+        store.commit([meta], completed_weeks=1)
+        store.segment_path(meta).unlink()  # only the .idx partial is left
+        registry = MetricsRegistry()
+        loaded = open_corpus(tmp_path, metrics=registry)
+        assert corpus_bytes(loaded) == corpus_bytes(corpus)
+        assert registry.counter_value(
+            "repro_index_segments_reused_total"
+        ) == 1
+        assert loaded.index.addresses == list(corpus.addresses())
 
 
 class TestRelease:
