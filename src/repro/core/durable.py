@@ -5,13 +5,16 @@ the bytes go to ``<name>.tmp-<pid>``, are fsynced, and only then
 ``os.replace`` the live name, so readers see the old file or the new
 one, never a torn one.  The binary formats (RPS1 segments, RPI1
 partials, the RSI1 serving index) are also sealed by a :class:`Seal`:
-a ``trailer magic | crc32`` over every prior byte, checked on load.
-Stdlib only.
+a ``trailer magic | crc32`` over every prior byte, checked on load by
+reading the file through one buffer of :data:`CHECK_BUFFER_BYTES`, so a
+check holds no more of a file than that, whatever its size.  Stdlib
+only.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import zlib
 from dataclasses import dataclass
@@ -19,6 +22,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Union
 
 __all__ = [
+    "CHECK_BUFFER_BYTES",
     "TRAILER_SIZE",
     "Seal",
     "atomic_file",
@@ -29,6 +33,10 @@ __all__ = [
 
 #: Bytes of a sealed trailer: 4 magic bytes and a 4-byte CRC32.
 TRAILER_SIZE = 8
+
+#: The one buffer :meth:`Seal.check` reads a file through: the most of
+#: a file a check holds at once.
+CHECK_BUFFER_BYTES = 256 * 1024
 
 PathLike = Union[str, Path]
 
@@ -126,20 +134,32 @@ class Seal:
         return crc
 
     def check(self, data, path: PathLike) -> int:
-        """Check the size, head magic, trailer magic and CRC of ``data``
-        (bytes or an mmap), in that order; returns the length before the
-        trailer.  Holds no view of ``data`` once it returns or raises."""
-        size = len(data)
+        """Check the size, head magic, trailer magic and CRC of ``data``,
+        in that order; returns the length before the trailer.
+
+        ``data`` is bytes or an open binary file.  Either is read from
+        its start through one buffer of at most
+        :data:`CHECK_BUFFER_BYTES`, retrying short reads, so a check
+        holds no more of a file than that and maps none of it; a file
+        that ends before its size is truncated.  Holds no view of
+        ``data`` once it returns or raises."""
+        stream = data if hasattr(data, "readinto") else io.BytesIO(data)
+        size = stream.seek(0, os.SEEK_END)
         body = size - TRAILER_SIZE
         if size < self.header_size + TRAILER_SIZE:
             raise self._damage(path, size, f"truncated to {size} bytes")
-        if data[:4] != self.head_magic:
-            raise self._damage(path, 0, f"has bad magic {data[:4]!r}")
-        if data[body : body + 4] != self.trailer_magic:
+        buffer = memoryview(bytearray(min(size, CHECK_BUFFER_BYTES)))
+        head = self._read(stream, 0, buffer[:4], path).tobytes()
+        if head != self.head_magic:
+            raise self._damage(path, 0, f"has bad magic {head!r}")
+        trailer = self._read(stream, body, buffer[:TRAILER_SIZE], path)
+        if trailer[:4] != self.trailer_magic:
             raise self._damage(path, body, "has no trailer magic (torn?)")
-        stored = int.from_bytes(data[body + 4 :], self.byteorder)
-        with memoryview(data) as view:
-            computed = zlib.crc32(view[:body])
+        stored = int.from_bytes(trailer[4:], self.byteorder)
+        computed = 0
+        for offset in range(0, body, len(buffer)):
+            chunk = self._read(stream, offset, buffer[: body - offset], path)
+            computed = zlib.crc32(chunk, computed)
         if stored != computed:
             raise self._damage(
                 path,
@@ -148,6 +168,21 @@ class Seal:
                 f"computed {computed:#010x}",
             )
         return body
+
+    def _read(self, stream, offset: int, view: memoryview, path: PathLike):
+        """``view``, filled from ``stream`` at ``offset``: a short read is
+        retried, and a file that ends first is truncated."""
+        stream.seek(offset)
+        filled = 0
+        while filled < len(view):
+            got = stream.readinto(view[filled:])
+            if not got:
+                end = offset + filled
+                raise self._damage(
+                    path, end, f"truncated: no byte at offset {end}"
+                )
+            filled += got
+        return view
 
     def _damage(self, path: PathLike, offset: int, problem: str) -> Exception:
         return self.error(f"{self.noun} {problem}", path=path, offset=offset)

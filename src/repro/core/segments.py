@@ -31,9 +31,10 @@ Three invariants carry the design:
   telemetry snapshot.  Readers ignore any file the manifest does not
   name (orphans from crashed attempts are harmless), resume restarts
   from the watermark without materializing anything, and
-  :meth:`SegmentStore.compact` folds small segments into bigger ones
-  without changing what any reader observes.  Only writes create the
-  directory: opening a store, a reader or its manifest creates nothing.
+  :meth:`SegmentStore.compact` folds runs of adjacent small segments
+  into bigger ones in place, without changing what any reader
+  observes.  Only writes create the directory: opening a store, a
+  reader or its manifest creates nothing.
 
 Segment files reuse the binary corpus **v2** record layout
 (:mod:`repro.core.storage`) behind a small day-range header::
@@ -72,6 +73,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -586,21 +588,24 @@ class SegmentStore:
     ) -> Manifest:
         """Fold small segments together; observable corpus is unchanged.
 
-        The partials of the segments smaller than ``small_bytes``
-        (default: the store's flush budget) are folded per address (min
-        first / max last / summed count) by the fold every reader
-        applies (:func:`~repro.core.index.fold_partials`, in manifest
-        order), and the folded columns, already in ascending address
-        order, are sealed as one consolidated segment and partial
-        spanning their combined day range.  A ``.seg`` is read only to
-        rescan a missing or bad partial.  Because the fold is
-        associative and commutative, the materialized corpus after
-        compaction is bit-identical to before (test-pinned); a summed
-        count beyond uint64 raises ``ValueError`` before any file is
-        written.  Crash-safe: the consolidated segment is durably
-        written *before* the manifest swap, and the obsolete files are
-        unlinked only after it; a crash in between leaves harmless
-        orphans.
+        Each maximal run of two or more adjacent segments smaller than
+        ``small_bytes`` (default: the store's flush budget), in manifest
+        order, is folded per address (min first / max last / summed
+        count) by the fold every reader applies
+        (:func:`~repro.core.index.fold_partials`), and the folded
+        columns, already in ascending address order, are sealed as one
+        consolidated segment and partial spanning the run's combined day
+        range, which takes the run's place in the manifest.  A ``.seg``
+        is read only to rescan a missing or bad partial.  The fold is
+        associative but not commutative: of two tied extremes (``0.0``
+        and ``-0.0``) it keeps the first in manifest order.  Folding
+        only adjacent runs in place keeps that order, so the
+        materialized corpus after compaction is bit-identical to before
+        (test-pinned); a summed count beyond uint64 in any run raises
+        ``ValueError`` before any file is written.  Crash-safe: the
+        consolidated segments are durably written *before* the manifest
+        swap, and the obsolete files are unlinked only after it; a crash
+        in between leaves harmless orphans.
         """
         manifest = self.load_manifest()
         if manifest is None:
@@ -608,40 +613,49 @@ class SegmentStore:
                 f"no manifest to compact at {self.manifest_path}"
             )
         threshold = self.segment_bytes if small_bytes is None else small_bytes
-        small = [
-            meta for meta in manifest.segments if meta.size_bytes < threshold
-        ]
-        if len(small) < 2:
+        # The manifest cut into the runs to fold and lone segments.
+        groups = []
+        for small, group in itertools.groupby(
+            manifest.segments, key=lambda meta: meta.size_bytes < threshold
+        ):
+            group = list(group)
+            if small and len(group) > 1:
+                groups.append(group)
+            else:
+                groups += [[meta] for meta in group]
+        runs = [group for group in groups if len(group) > 1]
+        if not runs:
             return manifest
         with self.metrics.span("segment-compaction"):
-            _, folded = fold_partials(
-                self.iter_partial_indexes(small),
-                sum(meta.records for meta in small),
+            # Every run is folded before any file is written.
+            folds = iter(
+                [
+                    fold_partials(
+                        self.iter_partial_indexes(run),
+                        sum(meta.records for meta in run),
+                    )[1]
+                    for run in runs
+                ]
             )
-            generation = manifest.compactions + 1
-            merged = self._seal(
-                manifest.name,
-                folded,
-                segment_id=f"compact-{generation:04d}",
-                start_day=min(meta.start_day for meta in small),
-                end_day=max(meta.end_day for meta in small),
-            )
-            small_ids = {meta.segment_id for meta in small}
-            kept = [
-                meta
-                for meta in manifest.segments
-                if meta.segment_id not in small_ids
-            ]
-            segments = sorted(
-                kept + [merged],
-                key=lambda meta: (meta.start_day, meta.end_day, meta.segment_id),
-            )
+            segments = []
+            for group in groups:
+                if len(group) > 1:
+                    manifest.compactions += 1
+                    group = [
+                        self._seal(
+                            manifest.name,
+                            next(folds),
+                            segment_id=f"compact-{manifest.compactions:04d}",
+                            start_day=min(meta.start_day for meta in group),
+                            end_day=max(meta.end_day for meta in group),
+                        )
+                    ]
+                segments += group
             manifest.segments = segments
-            manifest.compactions = generation
             self._write_manifest(manifest)
             self._m_commits.inc()
-            self._m_compacted.inc(len(small))
-            for meta in small:
+            self._m_compacted.inc(sum(len(run) for run in runs))
+            for meta in itertools.chain.from_iterable(runs):
                 with contextlib.suppress(FileNotFoundError):
                     self.segment_path(meta).unlink()
                 with contextlib.suppress(FileNotFoundError):

@@ -35,13 +35,17 @@ to ``MANIFEST.json``:
         magic            b"RSIF"
         crc32            u32 over every preceding byte
 
-Readers :func:`mmap.mmap` the file read-only and wrap the column runs in
-``numpy.frombuffer`` views — no deserialization, so N worker processes
-share one page-cache copy.  The whole-file CRC check at open means a
-torn file (a crash mid-copy, a partial rsync) is *detected and
-refused*, never served; rebuilds write a temp file and ``os.replace``
-it, so an already-mmapped reader keeps its old inode — a consistent
-snapshot — while new opens see the new generation.
+Readers check the whole-file CRC at open by reading the file through
+one bounded buffer (:meth:`repro.core.durable.Seal.check`), so a torn
+file (a crash mid-copy, a partial rsync) is *detected and refused*,
+never served.  Only then do they :func:`mmap.mmap` it read-only and
+wrap the column runs in ``numpy.frombuffer`` views — no
+deserialization, so N worker processes share one page-cache copy, and
+each holds resident only the pages its queries touch: a reload maps the
+new file without faulting it in while the old one is still mapped.
+Rebuilds write a temp file and ``os.replace`` it, so an
+already-mmapped reader keeps its old inode — a consistent snapshot —
+while new opens see the new generation.
 
 The origin table is the routing table's own flattened form
 (:meth:`~repro.net.routing.RoutingTable.origin_columns`): disjoint
@@ -479,7 +483,9 @@ class ServingIndex:
     :meth:`columnar_batch` is the one implementation of every op; the
     ``*_batch`` methods are its answers as plain Python lists.  The mmap
     means the columns are never copied into the process: the kernel page
-    cache is shared across every worker serving the same file.
+    cache is shared across every worker serving the same file, and since
+    :meth:`open` checks the CRC by reading the file rather than the
+    mapping, a worker's resident share is the pages its queries touched.
     """
 
     def __init__(
@@ -535,31 +541,35 @@ class ServingIndex:
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "ServingIndex":
-        """Map and validate a serving index.
+        """Check and map a serving index.
 
         ``path`` is the ``.rsi`` file, its segment directory, or that
         directory's ``MANIFEST.json``.  The whole file is CRC-checked
-        against the ``RSIF`` footer before any query — a torn or
-        truncated index raises :class:`ServingIndexError` (and is never
-        served); a missing one raises :class:`FileNotFoundError`.
+        against the ``RSIF`` footer before any query, by reading it
+        through :meth:`durable.Seal.check`'s one bounded buffer — a torn
+        or truncated index raises :class:`ServingIndexError` (and is
+        never served); a missing one raises :class:`FileNotFoundError`.
+        Only then is the checked length of the same descriptor mapped,
+        and only the header unpack and queries touch the mapping.
         """
         path = Path(path)
         if path.name == MANIFEST_NAME:
             path = path.parent
         if path.is_dir():
             path = path / SERVING_INDEX_NAME
-        stream = path.open("rb")
+        stream = path.open("rb", buffering=0)
         try:
+            size = _SEAL.check(stream, path) + durable.TRAILER_SIZE
             try:
                 mapped = mmap.mmap(
-                    stream.fileno(), 0, access=mmap.ACCESS_READ
+                    stream.fileno(), size, access=mmap.ACCESS_READ
                 )
-            except ValueError as error:
+            except ValueError as error:  # shrunk since the check
                 raise ServingIndexError(
                     f"unmappable serving index: {error}", path=path
                 ) from error
             try:
-                return cls._validate(path, stream, mapped)
+                return cls._from_mapping(path, stream, mapped)
             except BaseException:
                 mapped.close()
                 raise
@@ -568,10 +578,9 @@ class ServingIndex:
             raise
 
     @classmethod
-    def _validate(
+    def _from_mapping(
         cls, path: Path, stream, mapped: mmap.mmap
     ) -> "ServingIndex":
-        _SEAL.check(mapped, path)
         (
             _,
             version,

@@ -13,17 +13,25 @@ Three contracts, each over every file the layer publishes:
 * **one integrity table** — five kinds of damage to each of the three
   sealed formats (RPS1 segments, RPI1 partials, RSI1 serving indexes):
   each is detected by its loader, naming the file, and recovered from
-  wherever the format has a second source.
+  wherever the format has a second source;
+* **one bounded check** — :meth:`Seal.check` reads bytes and an open
+  file alike through one buffer of at most
+  :data:`~repro.core.durable.CHECK_BUFFER_BYTES`, retries short reads,
+  and calls a file that ends early truncated.
 """
 
 import errno
 import hashlib
+import io
 import os
+import random
 import signal
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.core import durable
 from repro.core.corpus import AddressCorpus
 from repro.core.segments import SegmentError, SegmentStore
 from repro.core.storage import save_corpus
@@ -413,3 +421,76 @@ class TestSealIntegrity:
         assert word in excinfo.value.reason
         assert str(path) in str(excinfo.value)
         recovered()
+
+
+# -- one bounded check ------------------------------------------------------
+
+_TEST_SEAL = durable.Seal(
+    b"TST1", b"TSTF", "big", 16, "test file", SegmentError
+)
+
+
+class _ShortReads(io.FileIO):
+    """A file whose reads return at most 4093 bytes, as a pipe or a
+    network filesystem may, and whose ``size`` (when set) is what a seek
+    to its end reports, as for a file cut after it was sized."""
+
+    size = None
+    largest = 0
+
+    def readinto(self, buffer):
+        self.largest = max(self.largest, len(buffer))
+        with memoryview(buffer) as view:
+            return super().readinto(view[:4093])
+
+    def seek(self, offset, whence=os.SEEK_SET):
+        position = super().seek(offset, whence)
+        if whence == os.SEEK_END and self.size is not None:
+            return self.size
+        return position
+
+
+def _test_file(directory, body_bytes):
+    """A sealed test file whose body (after a 16-byte header) spans
+    ``body_bytes`` of random bytes."""
+    sealed = b"TST1" + bytes(12) + random.Random(5).randbytes(body_bytes)
+    sealed += b"TSTF" + zlib.crc32(sealed).to_bytes(4, "big")
+    path = directory / "t.tst"
+    path.write_bytes(sealed)
+    return path, sealed
+
+
+class TestBoundedCheck:
+    BODY = 4 * durable.CHECK_BUFFER_BYTES + 1000
+
+    def test_the_buffer_is_at_most_256_kib(self):
+        assert 0 < durable.CHECK_BUFFER_BYTES <= 256 * 1024
+
+    def test_bytes_and_a_file_check_alike(self, tmp_path):
+        path, sealed = _test_file(tmp_path, self.BODY)
+        body = len(sealed) - durable.TRAILER_SIZE
+        assert _TEST_SEAL.check(sealed, path) == body
+        with _ShortReads(path) as stream:
+            assert _TEST_SEAL.check(stream, path) == body
+            assert stream.largest == durable.CHECK_BUFFER_BYTES
+
+    def test_short_reads_reach_the_last_byte(self, tmp_path):
+        path, sealed = _test_file(tmp_path, self.BODY)
+        damaged = bytearray(sealed)
+        damaged[-durable.TRAILER_SIZE - 1] ^= 0x01
+        path.write_bytes(damaged)
+        with _ShortReads(path) as stream:
+            with pytest.raises(SegmentError, match="CRC mismatch"):
+                _TEST_SEAL.check(stream, path)
+
+    def test_a_file_that_ends_before_its_size_is_truncated(self, tmp_path):
+        path, sealed = _test_file(tmp_path, self.BODY)
+        with _ShortReads(path) as stream:
+            # The trailer read gets four bytes, then the end of the file.
+            stream.size = len(sealed) + 4
+            with pytest.raises(SegmentError) as excinfo:
+                _TEST_SEAL.check(stream, path)
+        assert excinfo.value.reason == (
+            f"test file truncated: no byte at offset {len(sealed)}"
+        )
+        assert excinfo.value.offset == len(sealed)

@@ -12,7 +12,10 @@ corpus and non-ASCII names.
 Compaction seals the fold of the segments' partials; its ``.seg`` and
 ``.idx`` must be the reference encoding of ``AddressCorpus.merge`` over
 the same ``.seg`` files, in manifest order, whatever the segment layout
-and whether a partial had to be rescanned.
+and whether a partial had to be rescanned.  Only runs of adjacent small
+segments fold, each in its run's place: with segments committed out of
+day order and a large one between small ones, tied zeros keep the sign
+the manifest order gave them.
 """
 
 import io
@@ -193,6 +196,64 @@ def _damage(store, meta, how):
         path.write_bytes(bytes(blob))
 
 
+#: Rows that make a segment large: none is in ``POOL``.
+FILLER = [(2 << 64) | n for n in range(40)]
+
+#: ``(address, first, last, count)`` rows of one small segment.
+SMALL_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(POOL),
+        st.tuples(TIED_TIMES, TIED_TIMES).map(sorted),
+        st.integers(min_value=1, max_value=1 << 40),
+    ).map(lambda r: (r[0], r[1][0], r[1][1], r[2])),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def commit_layouts(draw):
+    """Segments in commit order, each ``(start_day, rows, large)``: the
+    day ranges are a drawn permutation, and a large segment (one that
+    also holds :data:`FILLER`) always sits between two small ones."""
+    large = draw(st.lists(st.booleans(), max_size=4))
+    at = draw(st.integers(min_value=0, max_value=len(large)))
+    large[at:at] = [False, True, False]
+    days = draw(st.permutations(range(len(large))))
+    return [
+        (7 * day, draw(SMALL_ROWS), big) for day, big in zip(days, large)
+    ]
+
+
+def _committed(directory, layout):
+    store = SegmentStore(directory, name="seal")
+    metas = []
+    for number, (start_day, rows, large) in enumerate(layout):
+        corpus = AddressCorpus("seal")
+        for address, first, last, count in rows:
+            corpus.record_interval(address, first, last, count)
+        if large:
+            for address in FILLER:
+                corpus.record(address, 1.0)
+        metas.append(
+            store.write_segment(
+                corpus,
+                segment_id=f"s{number}",
+                start_day=start_day,
+                end_day=start_day + 7,
+            )
+        )
+    store.commit(metas, completed_weeks=len(layout))
+    return store
+
+
+def _merged(store, metas):
+    merged = AddressCorpus("seal")
+    for meta in metas:
+        merged.merge(store.load_segment(meta))
+    return merged
+
+
 class TestCompactionIdentity:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -260,3 +321,86 @@ class TestCompactionIdentity:
         assert registry.counter_value(
             "repro_index_segments_rescanned_total"
         ) == (0 if damage is None else 1)
+
+    # The repro of the out-of-day-order tie: ``a`` (days 14-21, large)
+    # sees ``::5`` first at 0.0, then ``b`` (days 0-7) at -0.0 and
+    # ``c`` (days 7-14) elsewhere.  Folding ``b`` and ``c`` must not
+    # move them before ``a``.
+    @example(
+        layout=[
+            (14, [(5, 0.0, 0.0, 1)], True),
+            (0, [(5, -0.0, -0.0, 1)], False),
+            (7, [(0, 1.0, 1.0, 1)], False),
+        ]
+    )
+    # Small segments on both sides of a large one: only the adjacent
+    # run folds, so ``::5`` keeps the large segment's -0.0.
+    @example(
+        layout=[
+            (0, [(0, 1.0, 1.0, 1)], False),
+            (7, [(5, -0.0, -0.0, 1)], True),
+            (14, [(5, 0.0, 0.0, 1)], False),
+            (21, [(0, 2.0, 2.0, 1)], False),
+        ]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(layout=commit_layouts())
+    def test_adjacent_small_runs_fold_in_place(
+        self, layout, tmp_path_factory
+    ):
+        directory = tmp_path_factory.mktemp("order")
+        store = _committed(directory, layout)
+        metas = store.load_manifest().segments
+        threshold = min(
+            meta.size_bytes
+            for meta, (_, _, large) in zip(metas, layout)
+            if large
+        )
+        expected = naive.corpus_bytes(store.reader().load())
+        # Each maximal run of two or more small segments, with the
+        # manifest position it starts at and the merge of its segments.
+        runs = []
+        for position, meta in enumerate(metas):
+            if meta.size_bytes >= threshold:
+                continue
+            if runs and runs[-1][0] + len(runs[-1][1]) == position:
+                runs[-1][1].append(meta)
+            else:
+                runs.append((position, [meta]))
+        runs = [
+            (position, run, _merged(store, run))
+            for position, run in runs
+            if len(run) > 1
+        ]
+
+        manifest = store.compact(small_bytes=threshold)
+
+        reader = store.reader()
+        assert naive.corpus_bytes(reader.load()) == expected
+        assert naive.corpus_bytes(reader.load_indexed()) == expected
+        want = list(metas)
+        for number, (position, run, _) in reversed(list(enumerate(runs, 1))):
+            want[position : position + len(run)] = [f"compact-{number:04d}"]
+        assert [
+            meta if meta in metas else meta.segment_id
+            for meta in manifest.segments
+        ] == want
+        assert manifest.compactions == len(runs)
+        for number, (_, run, merged) in enumerate(runs, 1):
+            [meta] = [
+                meta
+                for meta in manifest.segments
+                if meta.segment_id == f"compact-{number:04d}"
+            ]
+            start = min(m.start_day for m in run)
+            end = max(m.end_day for m in run)
+            segment = naive.segment_bytes(merged, start, end)
+            crc = zlib.crc32(segment[:-8])
+            assert (meta.start_day, meta.end_day) == (start, end)
+            assert store.segment_path(meta).read_bytes() == segment
+            assert store.partial_index_path(meta).read_bytes() == (
+                naive.partial_index_bytes(merged, crc)
+            )
+        assert sorted(p.name for p in directory.glob("*.seg")) == sorted(
+            meta.file for meta in manifest.segments
+        )

@@ -6,8 +6,13 @@ table with genuinely nested announcements (a covering /32, more-specific
 /48 and /64, and a longer-than-/64 /80), and the in-process ground
 truth every serving answer is pinned against: :class:`CorpusIndex`
 built from the folded corpus plus :meth:`RoutingTable.origin_asn`.
+
+A wide store (:func:`write_wide_store`) backs the memory pins, which
+read a mapping's resident bytes from ``/proc/<pid>/smaps``
+(:func:`mapped_rss`).
 """
 
+import os
 import random
 
 import pytest
@@ -70,6 +75,64 @@ def write_serve_store(directory, seed=7, per_segment=120, segments=3):
         )
     store.commit(metas, completed_weeks=segments)
     return store
+
+
+#: Rows of :func:`write_wide_store`: an RSI1 index of about 3 MiB, so
+#: twelve check buffers, the last one partial.
+WIDE_ROWS = 48_000
+
+#: Rows per segment of :func:`write_wide_store`: every ``.seg`` and
+#: ``.idx`` fits one check buffer, so the index is the one file whose
+#: check spans several.
+WIDE_SEGMENT_ROWS = 4_000
+
+
+def write_wide_store(directory, rows=WIDE_ROWS):
+    """Seal ``rows`` distinct addresses under ``directory``, in segments
+    of :data:`WIDE_SEGMENT_ROWS`; returns the store and the addresses,
+    ascending."""
+    store = SegmentStore(directory, name="serve")
+    addresses = [
+        (0x2001 << 112) | (4 << 96) | (n << 64) | (n * 7919 + 1)
+        for n in range(rows)
+    ]
+    metas = []
+    for start in range(0, rows, WIDE_SEGMENT_ROWS):
+        corpus = AddressCorpus("serve")
+        for n in range(start, min(start + WIDE_SEGMENT_ROWS, rows)):
+            corpus.record(addresses[n], float(n))
+        number = len(metas)
+        metas.append(
+            store.write_segment(
+                corpus,
+                segment_id=f"seg-wide-{number:03d}",
+                start_day=7 * number,
+                end_day=7 * number + 7,
+            )
+        )
+    store.commit(metas, completed_weeks=len(metas))
+    return store, addresses
+
+
+#: Linux lists every mapping, with its resident bytes, in smaps.
+HAS_SMAPS = os.path.exists("/proc/self/smaps")
+
+
+def mapped_rss(prefix, pid="self"):
+    """``{path: resident bytes}`` over ``pid``'s mappings of the files
+    whose path starts with ``prefix``; a replaced (unlinked) file is
+    listed under its path plus ``" (deleted)"``."""
+    rss = {}
+    name = ""
+    with open(f"/proc/{pid}/smaps") as smaps:
+        for line in smaps:
+            key, _, value = line.partition(" ")
+            if not key.endswith(":"):  # "start-end perms offset dev inode path"
+                fields = line.rstrip("\n").split(maxsplit=5)
+                name = fields[5] if len(fields) > 5 else ""
+            elif key == "Rss:" and name.startswith(str(prefix)):
+                rss[name] = rss.get(name, 0) + int(value.split()[0]) * 1024
+    return rss
 
 
 def make_routing():

@@ -9,7 +9,12 @@ Pinned contracts:
   footer fails the whole-file CRC at open; :func:`ensure_serving_index`
   then rebuilds from the ``.idx`` partials, including after a SIGKILL
   mid-(non-atomic)-write, and the real builder's atomic replace means a
-  SIGKILL during *its* write can never tear the published file.
+  SIGKILL during *its* write can never tear the published file.  The
+  check reads the file one buffer at a time, and a flip on either side
+  of every buffer boundary of a twelve-buffer index is refused.
+* **only queried pages are resident** — right after the open, the
+  mapping holds no more than one check buffer's worth of the file; the
+  pages a query touches are what it holds afterwards.
 * **zero-copy** — with every sealed ``.seg`` deleted, the index still
   opens and answers identically: queries touch only ``SERVING.rsi``.
 """
@@ -21,6 +26,7 @@ import sys
 
 import pytest
 
+from repro.core.durable import CHECK_BUFFER_BYTES, TRAILER_SIZE
 from repro.core.kernels import NO_MAC
 from repro.core.segments import SegmentStore
 from repro.obs import MetricsRegistry
@@ -34,7 +40,12 @@ from repro.serve import (
     manifest_digest,
 )
 
-from .conftest import write_serve_store
+from .conftest import (
+    HAS_SMAPS,
+    mapped_rss,
+    write_serve_store,
+    write_wide_store,
+)
 
 
 def oracle(gt, routing, queries):
@@ -226,6 +237,86 @@ class TestFailureModel:
             assert index.contains_batch([0]) == [False]
         finally:
             index.close()
+
+
+@pytest.fixture(scope="module")
+def wide_index(tmp_path_factory):
+    """A published index twelve check buffers long, its bytes and its
+    addresses."""
+    directory = tmp_path_factory.mktemp("wide-store")
+    _, addresses = write_wide_store(directory)
+    path = build_serving_index(directory)
+    return path, path.read_bytes(), addresses
+
+
+def _buffer_edges(size):
+    """The first byte after the 64-byte header, both sides of every
+    check-buffer boundary and the last body byte of a ``size``-byte
+    index."""
+    body = size - TRAILER_SIZE
+    edges = {64, body - 1}
+    for boundary in range(CHECK_BUFFER_BYTES, body, CHECK_BUFFER_BYTES):
+        edges |= {boundary - 1, boundary}
+    return sorted(edges)
+
+
+class TestBoundedCheck:
+    def test_the_wide_index_ends_inside_its_fifth_or_later_buffer(
+        self, wide_index
+    ):
+        _, data, _ = wide_index
+        body = len(data) - TRAILER_SIZE
+        assert body > 4 * CHECK_BUFFER_BYTES
+        assert body % CHECK_BUFFER_BYTES  # the last buffer is partial
+        assert len(_buffer_edges(len(data))) == 2 + 2 * (
+            body // CHECK_BUFFER_BYTES
+        )
+
+    def test_a_bit_flip_at_every_buffer_edge_is_refused(
+        self, wide_index, tmp_path
+    ):
+        _, data, _ = wide_index
+        torn = tmp_path / SERVING_INDEX_NAME
+        served = []
+        for offset in _buffer_edges(len(data)):
+            damaged = bytearray(data)
+            damaged[offset] ^= 0x01
+            torn.write_bytes(damaged)
+            try:
+                ServingIndex.open(torn).close()
+            except ServingIndexError as error:
+                assert "CRC mismatch" in error.reason
+            else:
+                served.append(offset)
+        assert served == []
+
+    def test_a_file_cut_by_one_buffer_is_refused(self, wide_index, tmp_path):
+        _, data, _ = wide_index
+        torn = tmp_path / SERVING_INDEX_NAME
+        torn.write_bytes(data[:-CHECK_BUFFER_BYTES])
+        with pytest.raises(ServingIndexError, match="trailer magic"):
+            ServingIndex.open(torn)
+
+    def test_the_intact_index_answers_every_row(self, wide_index):
+        path, _, addresses = wide_index
+        with ServingIndex.open(path) as index:
+            assert index.rows == len(addresses)
+            assert index.contains_batch(addresses) == [True] * len(addresses)
+
+    @pytest.mark.skipif(not HAS_SMAPS, reason="reads /proc/self/smaps")
+    def test_open_maps_no_more_than_a_buffer_and_queries_fault_in_rows(
+        self, wide_index
+    ):
+        path, _, addresses = wide_index
+        with ServingIndex.open(path) as index:
+            opened = mapped_rss(path)
+            assert list(opened) == [str(path)]
+            assert opened[str(path)] <= CHECK_BUFFER_BYTES
+            index.record_batch(addresses)
+            # record reads addr_hi, addr_lo, first, last and counts:
+            # every page of five 8-byte columns.
+            assert mapped_rss(path)[str(path)] >= 5 * 8 * len(addresses)
+        assert mapped_rss(path) == {}
 
 
 CRASH_COPY_SCRIPT = """

@@ -8,6 +8,9 @@ into the engine between ticks — while a sustained query load observes
 committed manifest (the old one right up to the swap, the new one
 after).
 
+A reload holds one index: once the swap's tick has run, the replaced
+file is unmapped, and the new one holds only the pages queries touched.
+
 A poll of an unchanged store is one ``stat``: the manifest is read
 only when its ``(mtime_ns, size)`` moved, a commit racing the poll is
 served by that poll or the next, and a failed build is retried.
@@ -41,7 +44,13 @@ from repro.serve import (
     fork_index_build,
 )
 
-from .conftest import make_routing, write_serve_store
+from .conftest import (
+    HAS_SMAPS,
+    make_routing,
+    mapped_rss,
+    write_serve_store,
+    write_wide_store,
+)
 
 #: How long to wait for one reload to land (index rebuilds run in a
 #: forked child; CI machines can be slow and single-core).
@@ -209,6 +218,36 @@ class TestReloadUnderLoad:
                 IndexReloader(engine, tmp_path, interval=0)
         finally:
             index.close()
+
+
+@pytest.mark.skipif(not HAS_SMAPS, reason="reads /proc/self/smaps")
+class TestReloadHoldsOneIndex:
+    def test_the_replaced_file_is_unmapped_and_the_new_one_not_read_in(
+        self, tmp_path
+    ):
+        store, addresses = write_wide_store(tmp_path)
+        path = tmp_path / SERVING_INDEX_NAME
+        engine = CoalescingEngine(ensure_serving_index(tmp_path))
+        reloader = IndexReloader(engine, tmp_path, interval=0.01)
+
+        async def scenario():
+            # Every row of the served index is queried, so it is resident.
+            assert await engine.batch("contains", addresses) == (
+                [True] * len(addresses)
+            )
+            assert mapped_rss(path)[str(path)] >= 16 * len(addresses)
+            _commit_segment(store, 1)
+            assert await reloader.poll_once() is True
+            await asyncio.sleep(0)  # the tick that closes the old index
+            return mapped_rss(tmp_path)
+
+        try:
+            mapped = asyncio.run(scenario())
+        finally:
+            engine.index.close()
+        assert list(mapped) == [str(path)]  # no "... (deleted)" mapping
+        size = path.stat().st_size
+        assert mapped[str(path)] <= durable.CHECK_BUFFER_BYTES < size
 
 
 def _count_manifest_reads(monkeypatch):
