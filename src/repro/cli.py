@@ -24,6 +24,7 @@ arguments produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import sys
 from pathlib import Path
@@ -38,6 +39,7 @@ from .core import (
     analyze_tracking,
     build_release,
     compare_datasets,
+    durable,
     run_study,
     save_corpus,
     verify_release_safety,
@@ -47,6 +49,7 @@ from .core.segments import (
     MANIFEST_NAME,
     SegmentStore,
 )
+from .core.storage import CorpusFormatError
 from .core.tracking import TrackingClass
 from .faults import FaultPlan
 from .obs import MetricsRegistry, write_metrics
@@ -146,6 +149,12 @@ def _study_config(args) -> StudyConfig:
     )
 
 
+def _write_text(path, text: str) -> None:
+    """Publish ``text`` at ``path`` atomically: UTF-8, ``\n`` line
+    endings, the same bytes on every host."""
+    durable.atomic_write(path, [text.encode("utf-8")])
+
+
 def _print_profile(stage_seconds) -> None:
     logger.info("per-stage timings:\n%s", format_timings(stage_seconds))
 
@@ -226,7 +235,7 @@ def _cmd_report(args) -> int:
     with results.metrics.span("analysis-report"):
         text = study_report(world, results)
     if args.output:
-        Path(args.output).write_text(text)
+        _write_text(args.output, text)
         logger.info("report written to %s", args.output)
     else:
         print(text)
@@ -264,7 +273,7 @@ def _cmd_matrix(args) -> int:
         results.manifest, directory=results.directory
     )
     if args.report:
-        Path(args.report).write_text(text)
+        _write_text(args.report, text)
         logger.info("matrix report written to %s", args.report)
     else:
         print(text)
@@ -293,8 +302,9 @@ def _cmd_release(args) -> int:
         for violation in violations:
             print(f"UNSAFE: {violation}", file=sys.stderr)
         return 1
-    with open(args.output, "w") as stream:
-        artifact.write(stream)
+    text = io.StringIO()
+    artifact.write(text)
+    _write_text(args.output, text.getvalue())
     print(
         f"released {artifact.prefix_count:,} /48s "
         f"(aggregating {artifact.address_count:,} addresses) to {args.output}"
@@ -666,7 +676,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         stream=sys.stderr,
         force=True,
     )
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except CorpusFormatError as error:
+        # A torn manifest, a truncated corpus, a damaged segment or
+        # serving index: bad input, named with its path and offset.
+        logger.error("unreadable input: %s", error)
+        return 2
 
 
 if __name__ == "__main__":

@@ -49,10 +49,19 @@ logger = logging.getLogger(__name__)
 
 def write_metrics(registry: MetricsRegistry, path: Union[str, Path]) -> None:
     """Export ``registry`` to ``path``: the JSON snapshot by default, the
-    Prometheus text exposition for ``.prom``/``.txt`` paths."""
+    Prometheus text exposition for ``.prom``/``.txt`` paths.
+
+    Published atomically (:func:`repro.core.durable.atomic_write`), in
+    UTF-8 with ``\n`` line endings, so a reader sees the last complete
+    export, never a torn one."""
+    # Imported here, not at module level: loading repro.obs must not
+    # load repro.core.
+    from ..core import durable
+
     target = Path(path)
     if target.suffix in {".prom", ".txt"}:
-        target.write_text(registry.render_prometheus())
+        text = registry.render_prometheus()
     else:
-        target.write_text(registry.to_json())
+        text = registry.to_json()
+    durable.atomic_write(target, [text.encode("utf-8")])
     logger.info("metrics written to %s", target)

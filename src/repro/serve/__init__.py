@@ -33,8 +33,8 @@ or, end to end, ``repro serve segments/`` and
 from .engine import CoalescingEngine, QUERY_OPS
 from .fleet import (
     FleetConfig,
+    IndexBuild,
     IndexReloader,
-    fork_index_build,
     reuseport_socket,
     run_single,
     run_supervisor,
@@ -82,6 +82,7 @@ __all__ = [
     "FrameCorruptError",
     "FrameTooLargeError",
     "HitlistServer",
+    "IndexBuild",
     "IndexReloader",
     "LocalHitlistClient",
     "PROTOCOL_BINARY",
@@ -100,7 +101,6 @@ __all__ = [
     "ServingIndexError",
     "build_serving_index",
     "ensure_serving_index",
-    "fork_index_build",
     "manifest_digest",
     "reuseport_socket",
     "resolve_op",

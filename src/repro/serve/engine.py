@@ -38,10 +38,11 @@ __all__ = [
     "QUERY_OPS",
 ]
 
-#: Names of the query ops the engine serves — derived from the shared
-#: :data:`~repro.serve.wire.QUERY_OP_TABLE` registry (each an
-#: address-batch op of :class:`~repro.serve.format.ServingIndex`;
-#: ``stats`` is served by the transport layer, not the engine).
+#: Names of the address-batch ops the engine runs kernels for — derived
+#: from the shared :data:`~repro.serve.wire.QUERY_OP_TABLE` registry
+#: (each an op of :class:`~repro.serve.format.ServingIndex`; the
+#: engine answers the table's one other op, ``stats``, from
+#: :meth:`CoalescingEngine.describe`).
 QUERY_OPS: Tuple[str, ...] = tuple(spec.name for spec in ADDRESS_OPS)
 
 #: Batch-size histogram buckets: how many queries one kernel call served.
@@ -168,19 +169,19 @@ class CoalescingEngine:
         (``"contains"``), a wire op code (the binary server's path), or
         a :class:`~repro.serve.wire.QueryOp` itself.  Addresses are
         validated here, before they join a coalesced batch, so a bad
-        request raises to its own caller only.
+        request raises to its own caller only.  ``stats``, the one op
+        that takes no addresses, answers ``[self.describe()]``
+        whatever ``addresses`` holds.
 
         The answer is a plain list, or with ``columnar=True`` (the
         binary wire path) a :class:`~repro.serve.format.ColumnarResults`
         — identical values, held as numpy columns ready for zero-loop
-        RSB1 encoding.
+        RSB1 encoding.  An empty batch answers ``[]`` without touching
+        the index.
         """
         spec = resolve_op(op)
         if not spec.addressed:
-            raise ValueError(
-                f"unknown query op {spec.name!r}; serving ops: "
-                + ", ".join(QUERY_OPS)
-            )
+            return [self.describe()]
         if not len(addresses):
             return []
         block = AddressBlock(*_split_addresses(addresses))

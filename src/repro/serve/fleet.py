@@ -29,7 +29,7 @@ mmap stays valid until closed, so answers already in flight are safe.
 
 No serving process ever builds an index itself.  Every build — at
 start-up and on reload, in the single process, the supervisor and each
-worker — runs in a child forked by :func:`fork_index_build`, which
+worker — runs in a child forked by :class:`IndexBuild`, which
 inherits the routing table, and whose numpy temporaries (a few times
 the file size) die with it, so they never set a server's peak memory.
 The server waits on the child's result pipe, merges the metrics it
@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.jobs import Forked, backoff_delay
 from ..core.segments import MANIFEST_NAME, SegmentStore
+from ..core.storage import CorpusFormatError
 from ..net.routing import RoutingTable
 from ..obs import MetricsRegistry, NULL_REGISTRY, write_metrics
 from ..world import build_routing, preset_config
@@ -69,8 +70,8 @@ __all__ = [
     "DEFAULT_DRAIN_TIMEOUT",
     "DEFAULT_RELOAD_INTERVAL",
     "FleetConfig",
+    "IndexBuild",
     "IndexReloader",
-    "fork_index_build",
     "reuseport_socket",
     "run_single",
     "run_supervisor",
@@ -157,12 +158,14 @@ def reuseport_socket(host: str, port: int) -> socket.socket:
 def _build_in_child(sender, directory, routing, rebuild: bool) -> None:
     """Forked builder: ensure the index, report back, exit.
 
-    The report is ``(metrics snapshot, FileNotFoundError or None)``.
-    Any other failure ends the child with its traceback on stderr and
-    no report, as a kill does.
+    The report is ``(metrics snapshot, error or None)``: the
+    :class:`FileNotFoundError` of a missing store, or the
+    :class:`CorpusFormatError` (path and offset included) of a damaged
+    manifest, segment or partial.  Any other failure ends the child with
+    its traceback on stderr and no report, as a kill does.
     """
     registry = MetricsRegistry()
-    missing = None
+    failure = None
     try:
         ensure_serving_index(
             directory,
@@ -171,14 +174,21 @@ def _build_in_child(sender, directory, routing, rebuild: bool) -> None:
             rebuild=rebuild,
             lock=True,
         ).close()
-    except FileNotFoundError as error:  # no store: the server reports it
-        missing = error
+    except (FileNotFoundError, CorpusFormatError) as error:
+        failure = error  # the input's fault: the server reports it
     with contextlib.suppress(OSError):  # the server is gone: nothing to tell
-        sender.send((registry.snapshot(), missing))
+        sender.send((registry.snapshot(), failure))
 
 
 class IndexBuild(Forked):
-    """One serving-index build running in a forked child.
+    """Fork a child that runs ``ensure_serving_index(lock=True)``.
+
+    The child inherits ``routing`` (and the rest of the server's state)
+    instead of rebuilding it, and the build's temporaries are returned
+    to the OS when it exits.  The serving processes run no threads,
+    which is what makes forking them safe.  The ``flock`` election is
+    unchanged — concurrent builders, one per worker, still elect one
+    writer.  Only the child's report crosses the pipe.
 
     :meth:`result` blocks for the child's report (start-up);
     :meth:`wait` awaits it on the running loop (reload), with no
@@ -188,7 +198,9 @@ class IndexBuild(Forked):
     is served.
     """
 
-    def __init__(self, directory, routing, rebuild: bool) -> None:
+    def __init__(
+        self, directory, routing=None, rebuild: bool = False
+    ) -> None:
         self.directory = Path(directory)
         super().__init__(
             _build_in_child,
@@ -201,8 +213,9 @@ class IndexBuild(Forked):
     def result(self, metrics: MetricsRegistry) -> ServingIndex:
         """Collect the child's report and open the index it published.
 
-        A missing store raises the child's :class:`FileNotFoundError`;
-        a child that failed or was killed before reporting raises
+        A missing store raises the child's :class:`FileNotFoundError`,
+        a damaged one its :class:`CorpusFormatError`; a child that
+        failed or was killed before reporting raises
         :class:`ChildProcessError` naming its exit code.
         """
         self.receiver.poll(None)  # the report, or EOF
@@ -212,10 +225,10 @@ class IndexBuild(Forked):
                 f"serving index builder pid={self.process.pid} exited "
                 f"with code {exitcode} before reporting"
             )
-        snapshot, missing = self.messages[0]
+        snapshot, failure = self.messages[0]
         metrics.merge_snapshot(snapshot)
-        if missing is not None:
-            raise missing
+        if failure is not None:
+            raise failure
         index = ServingIndex.open(self.directory)
         # Merging keeps a gauge that already exists, so the rows gauge
         # is set here, from the index actually served.
@@ -255,21 +268,6 @@ async def _readable(fd: int) -> None:
         loop.remove_reader(fd)
 
 
-def fork_index_build(
-    directory, *, routing=None, rebuild: bool = False
-) -> IndexBuild:
-    """Fork a child that runs ``ensure_serving_index(lock=True)``.
-
-    The child inherits ``routing`` (and the rest of the server's state)
-    instead of rebuilding it, and the build's temporaries are returned
-    to the OS when it exits.  The serving processes run no threads,
-    which is what makes forking them safe.  The ``flock`` election is
-    unchanged — concurrent builders, one per worker, still elect one
-    writer.  Only the child's report crosses the pipe.
-    """
-    return IndexBuild(directory, routing, rebuild)
-
-
 # -- live index reload ---------------------------------------------------------
 
 
@@ -281,7 +279,7 @@ class IndexReloader:
     acted on, so an unchanged store costs one ``stat``.  Otherwise it
     reads the manifest, and when its :func:`manifest_digest` is not the
     one the served index was derived from, a forked builder
-    (:func:`fork_index_build`) rebuilds or reuses ``SERVING.rsi`` under
+    (:class:`IndexBuild`) rebuilds or reuses ``SERVING.rsi`` under
     the advisory build lock while queries keep flowing off the old
     snapshot; the reloader awaits its report on the loop, maps the
     file, swaps it into the engine between ticks, and closes the old
@@ -337,7 +335,7 @@ class IndexReloader:
         # Otherwise the file was rewritten (watermark bump, metrics
         # merge) but the segment list — hence every answer — is the same.
         if swapped:
-            build = fork_index_build(self.directory, routing=self.routing)
+            build = IndexBuild(self.directory, routing=self.routing)
             new_index = await build.wait(self.metrics)
             old = self.engine.swap_index(new_index)
             # Deferred one tick: any callback already queued ahead of
@@ -372,23 +370,15 @@ class IndexReloader:
 
 
 async def _serve(
-    index: ServingIndex,
+    engine: CoalescingEngine,
     config: FleetConfig,
     registry: MetricsRegistry,
     *,
+    routing,
+    on_ready,
     sock=None,
-    routing=None,
-    on_ready=None,
-    holder: Optional[dict] = None,
 ) -> None:
-    """Serve until SIGTERM/SIGINT, then drain and close.
-
-    ``holder`` (a mutable dict) receives the engine so the caller can
-    close whichever index is current after live reloads swapped it.
-    """
-    engine = CoalescingEngine(index, metrics=registry)
-    if holder is not None:
-        holder["engine"] = engine
+    """Serve until SIGTERM/SIGINT, then drain."""
     server = HitlistServer(
         engine,
         host=config.host,
@@ -419,8 +409,7 @@ async def _serve(
 
     for signum in (signal.SIGINT, signal.SIGTERM):
         loop.add_signal_handler(signum, request_stop)
-    if on_ready is not None:
-        on_ready(host, port)
+    on_ready(host, port)
     try:
         await stop
     finally:
@@ -433,47 +422,69 @@ async def _serve(
         await server.aclose(drain_timeout=config.drain_timeout)
 
 
-def run_single(config: FleetConfig) -> int:
-    """``repro serve`` without fan-out: one process, reload-capable."""
-    registry = MetricsRegistry()
+def _serve_process(
+    config: FleetConfig,
+    registry: MetricsRegistry,
+    on_ready,
+    *,
+    reuseport: bool = False,
+) -> int:
+    """One serving process, alone or as a fleet worker; its exit code.
+
+    Builds the origin routing, forks an :class:`IndexBuild`, maps the
+    file it publishes once, then serves it (on an own ``SO_REUSEPORT``
+    socket with ``reuseport``) until SIGTERM/SIGINT, and closes whichever
+    index live reloads left current.  A missing store logs and returns 2
+    without serving.
+    """
     routing = _origin_routing(config)
     try:
-        index = fork_index_build(
-            config.directory, routing=routing, rebuild=config.rebuild
+        index = IndexBuild(
+            config.directory, routing, config.rebuild
         ).result(registry)
     except FileNotFoundError as error:
         logger.error("no segment store to serve: %s", error)
         return 2
-    info = index.describe()
     logger.info(
         "serving index ready: %s rows=%s generation=%s origin_table=%s",
         index.path,
-        info["rows"],
-        info["generation"],
+        index.rows,
+        index.generation,
         index.has_origin_table,
     )
-    holder: dict = {}
+    engine = CoalescingEngine(index, metrics=registry)
+    try:
+        sock = None
+        if reuseport:
+            sock = reuseport_socket(config.host, config.port)
+        asyncio.run(
+            _serve(
+                engine,
+                config,
+                registry,
+                routing=routing,
+                on_ready=on_ready,
+                sock=sock,
+            )
+        )
+    finally:
+        # Whichever index live reloads left current.
+        engine.index.close()
+    return 0
+
+
+def run_single(config: FleetConfig) -> int:
+    """``repro serve`` without fan-out: one process, reload-capable."""
+    registry = MetricsRegistry()
 
     def on_ready(host: str, port: int) -> None:
         print(f"{READY_PREFIX} {host} {port}", flush=True)
 
     try:
-        asyncio.run(
-            _serve(
-                index,
-                config,
-                registry,
-                routing=routing,
-                on_ready=on_ready,
-                holder=holder,
-            )
-        )
+        return _serve_process(config, registry, on_ready)
     finally:
-        engine = holder.get("engine")
-        (engine.index if engine is not None else index).close()
         if config.metrics_out:
             write_metrics(registry, config.metrics_out)
-    return 0
 
 
 # -- worker processes ----------------------------------------------------------
@@ -489,41 +500,23 @@ def _worker_main(sender, config: FleetConfig, worker_id: int) -> None:
     snapshot when it exits (short of a kill).
     """
     registry = MetricsRegistry()
-    try:
-        routing = _origin_routing(config)
-        index = fork_index_build(config.directory, routing=routing).result(
-            registry
+
+    def on_ready(host: str, port: int) -> None:
+        logger.info(
+            "serve worker %d listening pid=%d port=%d",
+            worker_id,
+            os.getpid(),
+            port,
         )
-        sock = reuseport_socket(config.host, config.port)
-        holder: dict = {}
+        sender.send(_READY)
 
-        def on_ready(host: str, port: int) -> None:
-            logger.info(
-                "serve worker %d listening pid=%d port=%d",
-                worker_id,
-                os.getpid(),
-                port,
-            )
-            sender.send(_READY)
-
-        try:
-            asyncio.run(
-                _serve(
-                    index,
-                    config,
-                    registry,
-                    sock=sock,
-                    routing=routing,
-                    on_ready=on_ready,
-                    holder=holder,
-                )
-            )
-        finally:
-            engine = holder.get("engine")
-            (engine.index if engine is not None else index).close()
+    try:
+        code = _serve_process(config, registry, on_ready, reuseport=True)
     finally:
         with contextlib.suppress(OSError):  # the supervisor is gone
             sender.send(registry.snapshot())
+    if code:
+        raise SystemExit(code)
 
 
 # -- the supervisor ------------------------------------------------------------
@@ -547,8 +540,8 @@ def run_supervisor(config: FleetConfig) -> int:
     registry = MetricsRegistry()
     routing = _origin_routing(config)
     try:
-        index = fork_index_build(
-            config.directory, routing=routing, rebuild=config.rebuild
+        index = IndexBuild(
+            config.directory, routing, config.rebuild
         ).result(registry)
     except FileNotFoundError as error:
         logger.error("no segment store to serve: %s", error)

@@ -58,9 +58,7 @@ from __future__ import annotations
 import contextlib
 import mmap
 import struct
-import sys
 import zlib
-from array import array
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -90,7 +88,6 @@ __all__ = [
     "ServingIndexError",
     "build_serving_index",
     "ensure_serving_index",
-    "le_bytes",
     "manifest_digest",
     "pack_uvarint",
     "serving_build_lock",
@@ -112,8 +109,6 @@ _HEADER_SIZE = _HEADER.size  # 64
 _U64_MASK = (1 << 64) - 1
 _ADDRESS_SPACE = 1 << 128
 _SLASH48_HI_MASK = 0xFFFFFFFFFFFF0000
-
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class ServingIndexError(CorpusFormatError):
@@ -198,15 +193,6 @@ def serving_build_lock(directory: Union[str, Path]):
             yield
         finally:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-
-def le_bytes(column: array) -> bytes:
-    """Little-endian bytes of an :mod:`array` column, host order aside."""
-    if _BIG_ENDIAN:  # pragma: no cover - no big-endian CI platform
-        swapped = array(column.typecode, column)
-        swapped.byteswap()
-        return swapped.tobytes()
-    return column.tobytes()
 
 
 def _pad8(size: int) -> int:

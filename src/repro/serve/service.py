@@ -404,14 +404,11 @@ class HitlistServer:
         self._m_requests.inc()
         try:
             spec, block = wire.decode_request(opcode, count, payload)
-            if block is None:
-                results: List = [self.engine.describe()]
-            else:
-                # columnar keeps the answer in numpy columns end to
-                # end; encode_reply turns each into one tobytes call.
-                results = await self.engine.batch(
-                    spec.code, block, columnar=True
-                )
+            # columnar keeps the answer in numpy columns end to end;
+            # encode_reply turns each into one tobytes call.
+            results = await self.engine.batch(
+                spec.code, block, columnar=True
+            )
             frame = wire.encode_reply(spec, request_id, results)
         except Exception as error:
             self._m_errors.inc()
@@ -433,14 +430,10 @@ class HitlistServer:
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
             request_id = request.get("id")
-            op = request.get("op")
-            if op == "stats":
-                results: List = [self.engine.describe()]
-            else:
-                args = request.get("args", [])
-                if not isinstance(args, list):
-                    raise ValueError("args must be a list")
-                results = await self.engine.batch(op, args)
+            args = request.get("args", [])
+            if not isinstance(args, list):
+                raise ValueError("args must be a list")
+            results = await self.engine.batch(request.get("op"), args)
             payload: Dict[str, object] = {
                 "id": request_id,
                 "results": results,
@@ -561,8 +554,6 @@ class LocalHitlistClient(_QuerySurface):
         self._watcher = watcher
 
     async def _request(self, op: str, args: Sequence) -> List:
-        if op == "stats":
-            return [self.engine.describe()]
         return await self.engine.batch(op, args)
 
     async def aclose(self) -> None:

@@ -58,19 +58,13 @@ import asyncio
 import dataclasses
 import json
 import struct
-from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core import kernels as _kernels
 from ..core.durable import crc32_of
-from .format import (
-    ColumnarResults,
-    le_bytes,
-    pack_uvarint,
-    unpack_uvarint,
-)
+from .format import ColumnarResults, pack_uvarint, unpack_uvarint
 
 __all__ = [
     "AddressBlock",
@@ -199,11 +193,11 @@ def typed_error_class(code) -> Optional[type]:
 class QueryOp:
     """One serving query op: wire code ↔ name ↔ reply dtype ↔ surface.
 
-    ``reply`` names the columnar reply payload family (see the
-    ``_encode_*``/``_decode_*`` pairs below); ``surface`` is the client
-    method base name (``in_slash48`` for the wire op ``slash48``);
-    ``tupled`` ops shape each present result as a tuple; non-
-    ``addressed`` ops take no address batch (stats).
+    ``reply`` names the reply payload family (see :func:`encode_reply`
+    and :func:`decode_results`); ``surface`` is the client method base
+    name (``in_slash48`` for the wire op ``slash48``); ``tupled`` ops
+    shape each present result as a tuple; non-``addressed`` ops take no
+    address batch (stats).
     """
 
     code: int
@@ -231,7 +225,7 @@ QUERY_OP_TABLE: Tuple[QueryOp, ...] = (
 OP_BY_CODE: Dict[int, QueryOp] = {spec.code: spec for spec in QUERY_OP_TABLE}
 OP_BY_NAME: Dict[str, QueryOp] = {spec.name: spec for spec in QUERY_OP_TABLE}
 
-#: The address-batch ops — what :class:`CoalescingEngine` executes.
+#: The address-batch ops — what :class:`CoalescingEngine` runs kernels for.
 ADDRESS_OPS: Tuple[QueryOp, ...] = tuple(
     spec for spec in QUERY_OP_TABLE if spec.addressed
 )
@@ -475,8 +469,9 @@ async def read_frame(
 
 def decode_request(
     opcode: int, count: int, payload
-) -> Tuple[QueryOp, Optional[AddressBlock]]:
-    """Server-side request decode: the op spec plus its address block.
+) -> Tuple[QueryOp, AddressBlock]:
+    """Server-side request decode: the op spec plus its address block
+    (empty for an op that takes none).
 
     Unknown ops and shape mismatches raise :class:`ValueError` — the
     frame passed its CRC, so the failure is the *request's*, answered
@@ -489,22 +484,12 @@ def decode_request(
             f"unknown query op code {opcode}; serving ops: "
             + ", ".join(f"{s.name}={s.code}" for s in QUERY_OP_TABLE)
         )
-    if not spec.addressed:
-        if count or len(payload):
-            raise ValueError(f"op {spec.name!r} takes no address payload")
-        return spec, None
+    if not spec.addressed and (count or len(payload)):
+        raise ValueError(f"op {spec.name!r} takes no address payload")
     return spec, AddressBlock.from_payload(payload, count)
 
 
 # -- typed columnar reply payloads ---------------------------------------------
-
-
-def _mask_and(results: Sequence) -> bytes:
-    mask = bytearray(len(results))
-    for i, value in enumerate(results):
-        if value is not None:
-            mask[i] = 1
-    return bytes(mask)
 
 
 def _le_column(column, dtype: str) -> bytes:
@@ -513,9 +498,8 @@ def _le_column(column, dtype: str) -> bytes:
 
 
 def _encode_columnar(spec: QueryOp, results: ColumnarResults) -> bytes:
-    """Vectorized encode of a columnar batch — one ``tobytes`` per
-    column, byte-identical to the list encoder below (masked-out
-    entries are zeroed at the source)."""
+    """Vectorized encode of a columnar batch: one ``tobytes`` per
+    column, masked-out entries zeroed at the source."""
     family = spec.reply
     columns = results.columns
     if family == "bool":
@@ -544,66 +528,21 @@ def _encode_columnar(spec: QueryOp, results: ColumnarResults) -> bytes:
     raise AssertionError(f"unencodable columnar family {family!r}")
 
 
-def _encode_results(spec: QueryOp, results: Sequence) -> bytes:
-    if isinstance(results, ColumnarResults):
-        return _encode_columnar(spec, results)
-    count = len(results)
-    family = spec.reply
-    if family == "bool":
-        return bytes(bytearray(results))
-    if family == "f64opt":
-        values = array("d", bytes(8 * count))
-        for i, value in enumerate(results):
-            if value is not None:
-                values[i] = value
-        return _mask_and(results) + le_bytes(values)
-    if family == "record":
-        first = array("d", bytes(8 * count))
-        last = array("d", bytes(8 * count))
-        counts = array("Q", bytes(8 * count))
-        for i, value in enumerate(results):
-            if value is not None:
-                first[i], last[i], counts[i] = value
-        return (
-            _mask_and(results)
-            + le_bytes(first)
-            + le_bytes(last)
-            + le_bytes(counts)
-        )
-    if family == "features":
-        codes = array("B", bytes(count))
-        entropies = array("d", bytes(8 * count))
-        macs = array("Q", bytes(8 * count))
-        for i, value in enumerate(results):
-            if value is not None:
-                entropies[i] = value[0]
-                codes[i] = value[1]
-                macs[i] = _kernels.NO_MAC if value[2] is None else value[2]
-        return (
-            _mask_and(results)
-            + le_bytes(codes)
-            + le_bytes(entropies)
-            + le_bytes(macs)
-        )
-    if family == "asn":
-        asns = array(
-            "I", (0 if value is None else value for value in results)
-        )
-        return le_bytes(asns)
-    if family == "json":
-        return json.dumps(results, separators=(",", ":")).encode("utf-8")
-    raise AssertionError(f"unencodable reply family {family!r}")
-
-
 def encode_reply(
     spec: QueryOp, request_id: int, results: Sequence
 ) -> bytes:
+    """One reply frame for what :meth:`CoalescingEngine.batch` answers
+    with ``columnar=True``: :class:`ColumnarResults`, the ``json``
+    family's list (``stats``), or ``[]`` for an empty batch of any op,
+    whose payload is empty."""
+    if spec.reply == "json":
+        payload = json.dumps(results, separators=(",", ":")).encode("utf-8")
+    elif len(results):
+        payload = _encode_columnar(spec, results)
+    else:
+        payload = b""
     return encode_frame(
-        KIND_REPLY,
-        spec.code,
-        request_id,
-        len(results),
-        _encode_results(spec, results),
+        KIND_REPLY, spec.code, request_id, len(results), payload
     )
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the dependency-free metrics registry."""
 
 import json
+import os
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.obs import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullMetricsRegistry,
+    write_metrics,
 )
 
 
@@ -177,6 +179,43 @@ class TestExport:
         assert 'repro_sizes_bucket{le="+Inf"} 1' in text
         assert "repro_sizes_count 1" in text
         assert "repro_span_stage_one_seconds_sum 1.5" in text
+
+
+class TestWriteMetrics:
+    @pytest.mark.parametrize("name", ["m.json", "m.prom"])
+    def test_writes_utf8_with_newline_endings(self, tmp_path, name):
+        registry = MetricsRegistry()
+        registry.counter("repro_x_total", "things — counted").inc()
+        write_metrics(registry, tmp_path / name)
+        data = (tmp_path / name).read_bytes()
+        text = (
+            registry.render_prometheus()
+            if name.endswith(".prom")
+            else registry.to_json()
+        )
+        assert data == text.encode("utf-8")
+        assert b"\r\n" not in data
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    def test_a_write_failing_midway_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "m.json"
+        registry = MetricsRegistry()
+        registry.counter("repro_x_total").inc()
+        write_metrics(registry, target)
+        previous = target.read_bytes()
+        registry.counter("repro_x_total").inc(41)
+
+        def fail(fd):
+            raise OSError("device lost mid-write")
+
+        # The new bytes are in the temp file; the publish never happens.
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="mid-write"):
+            write_metrics(registry, target)
+        assert target.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 class TestNullRegistry:

@@ -32,11 +32,11 @@ from repro.core.segments import SegmentStore
 from repro.obs import MetricsRegistry
 from repro.serve import (
     SERVING_INDEX_NAME,
+    IndexBuild,
     ServingIndex,
     ServingIndexError,
     build_serving_index,
     ensure_serving_index,
-    fork_index_build,
     manifest_digest,
 )
 
@@ -523,7 +523,7 @@ class TestEnsure:
         with pytest.raises(FileNotFoundError):
             ensure_serving_index(tmp_path / "typo" / "sub", lock=True)
         with pytest.raises(FileNotFoundError):
-            fork_index_build(tmp_path / "nope").result(MetricsRegistry())
+            IndexBuild(tmp_path / "nope").result(MetricsRegistry())
         assert list(tmp_path.iterdir()) == []
 
 

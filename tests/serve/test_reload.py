@@ -22,6 +22,7 @@ leaves no temp file behind once the next poll has rebuilt.
 """
 
 import asyncio
+import logging
 import multiprocessing
 import os
 import signal
@@ -32,16 +33,21 @@ import pytest
 from repro.core import durable
 from repro.core.corpus import AddressCorpus
 from repro.core.index import CorpusIndex
-from repro.core.segments import SegmentStore, SegmentedCorpusReader
+from repro.core.segments import (
+    PARTIAL_INDEX_SUFFIX,
+    SegmentError,
+    SegmentStore,
+    SegmentedCorpusReader,
+)
 from repro.obs import MetricsRegistry
 from repro import api
 from repro.serve import fleet
 from repro.serve import (
     SERVING_INDEX_NAME,
     CoalescingEngine,
+    IndexBuild,
     IndexReloader,
     ensure_serving_index,
-    fork_index_build,
 )
 
 from .conftest import (
@@ -362,7 +368,7 @@ class TestPollReadsOnlyAMovedManifest:
         fresh = _commit_segment(store, 1)
         manifest = tmp_path / "MANIFEST.json"
         stat = manifest.stat()
-        real = fleet.fork_index_build
+        real = fleet.IndexBuild
         attempts = []
 
         def fails_once(directory, routing=None):
@@ -371,7 +377,7 @@ class TestPollReadsOnlyAMovedManifest:
                 raise OSError("fork failed")
             return real(directory, routing=routing)
 
-        monkeypatch.setattr(fleet, "fork_index_build", fails_once)
+        monkeypatch.setattr(fleet, "IndexBuild", fails_once)
 
         async def scenario():
             with pytest.raises(OSError, match="fork failed"):
@@ -490,7 +496,65 @@ class TestForkedBuilder:
     def test_missing_store_is_a_file_not_found_error(self, tmp_path):
         metrics = MetricsRegistry()
         with pytest.raises(FileNotFoundError):
-            fork_index_build(tmp_path / "nope").result(metrics)
+            IndexBuild(tmp_path / "nope").result(metrics)
+
+    def test_a_torn_manifest_is_reported_with_its_path(self, tmp_path):
+        write_serve_store(tmp_path, per_segment=30, segments=1)
+        manifest = tmp_path / "MANIFEST.json"
+        manifest.write_bytes(manifest.read_bytes()[:-20])
+        with pytest.raises(SegmentError) as caught:
+            IndexBuild(tmp_path).result(MetricsRegistry())
+        assert caught.value.path == manifest
+        assert str(manifest) in str(caught.value)
+
+    def test_a_failed_reload_logs_the_damaged_file(self, tmp_path, caplog):
+        store = write_serve_store(tmp_path, per_segment=30, segments=1)
+        engine = CoalescingEngine(ensure_serving_index(tmp_path))
+        reloader = IndexReloader(
+            engine, tmp_path, metrics=MetricsRegistry(), interval=0.01
+        )
+        fresh = _commit_segment(store, 1)
+        # A flipped byte in the new segment's .idx and .seg: the build
+        # must rescan the .seg, whose CRC check fails.
+        segment = store.segment_path(store.load_manifest().segments[-1])
+        for path in (segment, segment.with_suffix(PARTIAL_INDEX_SUFFIX)):
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0xFF
+            path.write_bytes(bytes(data))
+        with pytest.raises(SegmentError) as in_process:
+            ensure_serving_index(tmp_path)
+        assert in_process.value.path == segment
+        assert in_process.value.offset is not None
+
+        async def scenario():
+            with pytest.raises(SegmentError) as forked:
+                await reloader.poll_once()
+            # The child's error crossed the pipe whole.
+            assert (forked.value.path, forked.value.offset) == (
+                in_process.value.path,
+                in_process.value.offset,
+            )
+            assert str(forked.value) == str(in_process.value)
+            assert await engine.batch("contains", fresh) == [False] * 5
+            watcher = asyncio.ensure_future(reloader.run())
+            deadline = asyncio.get_running_loop().time() + RELOAD_DEADLINE
+            try:
+                while str(in_process.value) not in caplog.text:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.02)
+            finally:
+                watcher.cancel()
+                try:
+                    await watcher
+                except asyncio.CancelledError:
+                    pass
+
+        caplog.set_level(logging.WARNING, logger="repro.serve.fleet")
+        try:
+            asyncio.run(scenario())
+        finally:
+            engine.index.close()
+        assert "reload failed" in caplog.text
 
     def test_sigterm_stops_only_the_builder(self, tmp_path, monkeypatch):
         store = write_serve_store(tmp_path, per_segment=30, segments=1)

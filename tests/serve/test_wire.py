@@ -25,6 +25,7 @@ from repro.serve import (
     CoalescingEngine,
     ColumnarResults,
     HitlistServer,
+    LocalHitlistClient,
     RemoteHitlistClient,
     ServingIndex,
     build_serving_index,
@@ -45,6 +46,8 @@ from repro.serve.wire import (
     resolve_op,
 )
 
+from . import naive_wire
+from .conftest import write_serve_store
 from .test_format import oracle
 
 
@@ -52,6 +55,16 @@ from .test_format import oracle
 def served_index(serve_dir, routing):
     build_serving_index(serve_dir, routing=routing)
     with ServingIndex.open(serve_dir) as index:
+        yield index
+
+
+@pytest.fixture(scope="module")
+def unrouted_index(tmp_path_factory):
+    """An index built without an origin table."""
+    directory = tmp_path_factory.mktemp("unrouted-store")
+    write_serve_store(directory, per_segment=20, segments=1)
+    build_serving_index(directory)
+    with ServingIndex.open(directory) as index:
         yield index
 
 
@@ -151,8 +164,10 @@ REPLY_CASES = [
 class TestReplyCodec:
     @pytest.mark.parametrize("op,results", REPLY_CASES)
     def test_round_trip_bit_identical(self, op, results):
+        # The reference encoder's frames: TestColumnar pins
+        # encode_reply byte-equal to it on every family.
         spec = resolve_op(op)
-        data = wire.encode_reply(spec, 42, results)
+        data = naive_wire.encode_reply(spec, 42, results)
 
         async def scenario():
             frame = await read_one(data)
@@ -220,7 +235,7 @@ class TestReplyCodec:
 
 
 class TestFrameFuzz:
-    FRAME = wire.encode_reply(
+    FRAME = naive_wire.encode_reply(
         resolve_op("lifetime"), 3, [1.5, None, 2.5]
     )
 
@@ -703,9 +718,9 @@ class TestColumnar:
     """Columnar answers equal the oracle, and their frames the reference.
 
     ``columnar_batch`` must produce exactly the ground-truth values
-    (``to_list``), and the columnar encoder exactly the bytes of the
-    list encoder (``encode_reply`` over those values), which stays as
-    the byte reference for every reply family.
+    (``to_list``), and ``encode_reply`` exactly the bytes of the
+    per-item reference encoder (:mod:`tests.serve.naive_wire`) over
+    those values, for every reply family.
     """
 
     OPS = [spec.name for spec in wire.ADDRESS_OPS]
@@ -720,9 +735,9 @@ class TestColumnar:
         assert isinstance(columnar, ColumnarResults)
         assert len(columnar) == len(expected)
         assert columnar.to_list() == expected
-        assert wire.encode_reply(spec, 7, columnar) == wire.encode_reply(
-            spec, 7, expected
-        )
+        assert wire.encode_reply(
+            spec, 7, columnar
+        ) == naive_wire.encode_reply(spec, 7, expected)
 
     def test_slices_items_and_iteration(
         self, served_index, ground_truth, routing, queries
@@ -754,7 +769,7 @@ class TestColumnar:
             assert len(empty) == 0
             assert empty.to_list() == []
             assert wire.encode_reply(resolve_op(op), 7, empty) == (
-                wire.encode_reply(resolve_op(op), 7, [])
+                naive_wire.encode_reply(resolve_op(op), 7, [])
             )
 
     def test_engine_mixed_waiters_coalesce(
@@ -774,5 +789,121 @@ class TestColumnar:
             assert columnar.to_list() == expected
             # Both waiters were answered by the same kernel call.
             assert engine.batches_executed == before + 1
+
+        run(scenario())
+
+
+#: Every key of the ``stats`` document.
+STATS_KEYS = {
+    "path",
+    "rows",
+    "slash48s",
+    "slash64s",
+    "origin_intervals",
+    "has_origin_table",
+    "generation",
+    "source_digest",
+    "coalesce",
+    "max_batch",
+    "queries_served",
+    "batches_executed",
+    "index_swaps",
+    "origin_source",
+}
+
+
+async def _clients(engine):
+    """A server over ``engine`` and one client per path: RSB1,
+    JSON-lines and in-process."""
+    server = HitlistServer(engine)
+    await server.start()
+    clients = {
+        PROTOCOL_BINARY: await RemoteHitlistClient.connect(
+            server.host, server.port
+        ),
+        PROTOCOL_JSON: await RemoteHitlistClient.connect(
+            server.host, server.port, protocol=PROTOCOL_JSON
+        ),
+        "local": LocalHitlistClient(engine),
+    }
+    return server, clients
+
+
+async def _close(server, clients):
+    for client in clients.values():
+        await client.aclose()
+    await server.aclose()
+
+
+class TestOneDispatch:
+    """Every op, ``stats`` included, is answered by ``engine.batch``:
+    the same document and the same empty answers on every path."""
+
+    def test_stats_is_one_document_on_every_path(self, served_index):
+        async def scenario():
+            server, clients = await _clients(CoalescingEngine(served_index))
+            try:
+                return {
+                    name: await client.stats()
+                    for name, client in clients.items()
+                }
+            finally:
+                await _close(server, clients)
+
+        documents = run(scenario())
+        assert documents["local"]["rows"] == served_index.rows
+        for name, document in documents.items():
+            assert set(document) == STATS_KEYS, name
+            shape = {key: document[key] for key in served_index.describe()}
+            assert shape == served_index.describe(), name
+            assert document == documents["local"], name
+
+    @pytest.mark.parametrize("routed", [True, False])
+    def test_an_empty_batch_of_every_op_answers_empty(
+        self, served_index, unrouted_index, routed
+    ):
+        index = served_index if routed else unrouted_index
+        assert index.has_origin_table is routed
+
+        async def scenario():
+            server, clients = await _clients(CoalescingEngine(index))
+            try:
+                for name, client in clients.items():
+                    for spec in wire.ADDRESS_OPS:
+                        batch = getattr(client, f"{spec.surface}_batch")
+                        assert await batch([]) == [], (name, spec.name)
+            finally:
+                await _close(server, clients)
+
+        run(scenario())
+
+    @pytest.mark.parametrize("routed", [True, False])
+    def test_engine_answers_encode_as_the_reference(
+        self, served_index, unrouted_index, queries, routed
+    ):
+        # encode_reply takes whatever engine.batch(columnar=True)
+        # answers, for every op and batch size, empty included.
+        index = served_index if routed else unrouted_index
+
+        async def scenario():
+            engine = CoalescingEngine(index)
+            for spec in QUERY_OP_TABLE:
+                for batch in ([], queries[:1], queries):
+                    if batch and spec.name == "origin" and not routed:
+                        continue
+                    results = await engine.batch(
+                        spec.code, batch, columnar=True
+                    )
+                    values = (
+                        results.to_list()
+                        if isinstance(results, ColumnarResults)
+                        else results
+                    )
+                    assert wire.encode_reply(
+                        spec, 7, results
+                    ) == naive_wire.encode_reply(spec, 7, values), (
+                        spec.name,
+                        len(batch),
+                    )
 
         run(scenario())

@@ -1,13 +1,14 @@
 """Tests for repro.cli — the command-line interface."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import load_corpus
 from repro.core.corpus import AddressCorpus
-from repro.core.segments import SegmentStore
+from repro.core.segments import MANIFEST_NAME, SegmentStore
 from repro.core.storage import save_corpus
 
 
@@ -477,6 +478,85 @@ class TestSegmentStoreRefusals:
         err = capsys.readouterr().err
         assert "covers 12 weeks" in err
         assert "--weeks 10" in err
+
+
+class TestBadInputExits:
+    """A torn manifest or a truncated corpus is bad input: exit 2 with
+    one log line naming the file, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["study", "--weeks", "10", "--resume", "--segment-dir", "{dir}",
+             "--output-dir", "{out}"],
+            ["analyze", "{dir}"],
+            ["release", "{dir}", "--output", "{out}"],
+            ["serve", "{dir}", "--build-only"],
+            ["serve", "{dir}"],
+            ["serve", "{dir}", "--serve-workers", "2"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if "{" not in a),
+    )
+    def test_a_torn_manifest_exits_2_naming_it(self, tmp_path, capsys, argv):
+        seg_dir = committed_store(tmp_path / "segments", weeks=10)
+        manifest = seg_dir / MANIFEST_NAME
+        manifest.write_bytes(manifest.read_bytes()[:-20])
+        out = tmp_path / "out"
+        code = main(
+            [arg.format(dir=seg_dir, out=out) for arg in argv]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unreadable input: unreadable segment manifest" in err
+        assert str(manifest) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "release"])
+    def test_a_truncated_corpus_exits_2_naming_it(
+        self, study_dir, tmp_path, capsys, command
+    ):
+        whole = (study_dir / "ntp-pool.corpus.bin").read_bytes()
+        cut = tmp_path / "ntp-pool.corpus.bin"
+        cut.write_bytes(whole[: len(whole) // 2])
+        out = tmp_path / "release.csv"
+        argv = [command, str(cut)]
+        if command == "release":
+            argv += ["--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"in {cut}" in err
+        assert "at byte offset" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestAtomicOutputs:
+    """``--output`` and ``--report`` files are published whole or not
+    at all."""
+
+    def test_a_release_write_failing_midway_keeps_the_previous_file(
+        self, study_dir, tmp_path, monkeypatch
+    ):
+        corpus = str(study_dir / "ntp-pool.corpus.bin")
+        output = tmp_path / "release.csv"
+        assert main(["release", corpus, "--output", str(output)]) == 0
+        previous = output.read_bytes()
+        assert b"\r\n" not in previous
+        output.write_bytes(previous + b"# an earlier release\n")
+        previous = output.read_bytes()
+
+        def fail(fd):
+            raise OSError("device lost mid-write")
+
+        # The new bytes are in the temp file; the publish never happens.
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="mid-write"):
+            main(["release", corpus, "--output", str(output)])
+        assert output.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "release.csv"
+        ]
 
 
 class TestMatrixCommand:
