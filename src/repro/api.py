@@ -142,14 +142,16 @@ def open_corpus(
     A segment store is always folded from its seal-time partial
     indexes (:meth:`~repro.core.SegmentedCorpusReader.load_indexed`):
     the corpus, bit-identical to the campaign that wrote it, comes back
-    with its columnar :class:`~repro.core.CorpusIndex` attached,
+    held by its columnar :class:`~repro.core.CorpusIndex` alone,
     re-reading **zero** sealed segment files when the partials are
     intact (``metrics``, an optional
     :class:`~repro.obs.MetricsRegistry`, counts the reuse on
-    ``repro_index_segments_reused_total``).  ``indexed=True`` only
-    makes a corpus *file* build and attach its index at once.  To stream
-    a large store segment by segment, use
-    :class:`repro.core.SegmentedCorpusReader` directly.
+    ``repro_index_segments_reused_total``).  Its aggregates read the
+    columns; the per-address record store is built from them on the
+    first record-level read.  ``indexed=True`` only makes a corpus
+    *file* build and attach its index at once.  To stream a large store
+    segment by segment, use :class:`repro.core.SegmentedCorpusReader`
+    directly.
     """
     path = Path(path)
     if path.name == MANIFEST_NAME:

@@ -16,6 +16,15 @@ built and attached on first read or attached prebuilt by a fold.  An
 index is never patched: any mutation (:meth:`AddressCorpus.record`,
 :meth:`AddressCorpus.record_interval`, :meth:`AddressCorpus.merge`)
 drops it, and the next read builds a fresh one.
+
+A corpus folded from a segment store
+(:meth:`~repro.core.segments.SegmentedCorpusReader.load_indexed`) is
+its index alone: ``len()``, :attr:`AddressCorpus.index` and every
+aggregate read the columns, and the record store is built from them
+only on the first record-level read (``in``,
+:meth:`AddressCorpus.addresses`, :meth:`AddressCorpus.items`, the
+per-address reads) or mutation, which builds it before it drops the
+index.
 """
 
 from __future__ import annotations
@@ -33,7 +42,12 @@ __all__ = ["AddressCorpus"]
 
 
 class AddressCorpus:
-    """A deduplicated set of observed addresses with sighting intervals."""
+    """A deduplicated set of observed addresses with sighting intervals.
+
+    One ``[first, last, count]`` record per address, or, for a corpus
+    folded from a segment store, its :class:`CorpusIndex` alone until a
+    record is read or the corpus is mutated (see the module docstring).
+    """
 
     def __init__(self, name: str) -> None:
         if not name:
@@ -45,11 +59,38 @@ class AddressCorpus:
                 f"corpus name must not contain line breaks: {name!r}"
             )
         self.name = name
-        # address -> [first_seen, last_seen, observation_count]
-        self._records: Dict[int, List[float]] = {}
+        # address -> [first_seen, last_seen, observation_count]; None
+        # while the corpus is held by its index alone (_from_index).
+        self._records: Optional[Dict[int, List[float]]] = {}
         # Columnar index over the records; None until first read, and
         # reset to None by every mutation.
         self._index: Optional[CorpusIndex] = None
+
+    @classmethod
+    def _from_index(cls, index: CorpusIndex) -> "AddressCorpus":
+        """A corpus held by ``index`` alone, named as the index; its
+        record store is built from the columns on first use."""
+        corpus = cls(index.name)
+        corpus._records = None
+        corpus._index = index
+        return corpus
+
+    def _materialized(self) -> Dict[int, List[float]]:
+        """The record store, built from the index columns (in row order)
+        if the corpus is held by its index alone."""
+        records = self._records
+        if records is None:
+            index = self._index
+            records = self._records = {
+                address: [first, last, count]
+                for address, first, last, count in zip(
+                    index.addresses,
+                    index.first.tolist(),
+                    index.last.tolist(),
+                    index.counts.tolist(),
+                )
+            }
+        return records
 
     # -- columnar index ------------------------------------------------------
 
@@ -71,9 +112,9 @@ class AddressCorpus:
         The index answers the aggregate accessors until the corpus is
         next mutated, which drops it.
         """
-        if len(index) != len(self._records):
+        if len(index) != len(self):
             raise ValueError(
-                f"index has {len(index)} rows for {len(self._records)} records"
+                f"index has {len(index)} rows for {len(self)} records"
             )
         self._index = index
 
@@ -83,10 +124,12 @@ class AddressCorpus:
         """Record one sighting of ``address`` at ``when``."""
         if not math.isfinite(when):
             raise ValueError(f"non-finite sighting timestamp: {when!r}")
-        record = self._records.get(address)
+        records = self._records
+        if records is None:  # not a method call on the per-sighting path
+            records = self._materialized()
+        record = records.get(address)
         if record is None:
-            record = [when, when, 1]
-            self._records[address] = record
+            records[address] = [when, when, 1]
         else:
             if when < record[0]:
                 record[0] = when
@@ -116,10 +159,10 @@ class AddressCorpus:
             raise ValueError(f"count must be an integer: {count!r}") from None
         if count < 1:
             raise ValueError("count must be >= 1")
-        record = self._records.get(address)
+        records = self._materialized()
+        record = records.get(address)
         if record is None:
-            record = [first, last, count]
-            self._records[address] = record
+            records[address] = [first, last, count]
         else:
             record[0] = min(record[0], first)
             record[1] = max(record[1], last)
@@ -144,18 +187,19 @@ class AddressCorpus:
         they were first recorded, so the merge skips the per-record
         :meth:`record_interval` re-validation and manipulates the
         record store directly — the hot path when a sharded campaign
-        folds worker snapshots back together.
+        folds worker snapshots back together.  Both record stores are
+        built first if either corpus is held by its index alone.
         """
+        records = self._materialized()
+        theirs = other._materialized()
         self._index = None
-        records = self._records
         if not records:
             # Bulk copy: list copies keep the two corpora independent.
             self._records = {
-                address: record.copy()
-                for address, record in other._records.items()
+                address: record.copy() for address, record in theirs.items()
             }
             return
-        for address, record in other._records.items():
+        for address, record in theirs.items():
             mine = records.get(address)
             if mine is None:
                 records[address] = record.copy()
@@ -169,36 +213,38 @@ class AddressCorpus:
     # -- basic access ----------------------------------------------------------
 
     def __len__(self) -> int:
+        if self._records is None:
+            return len(self._index)
         return len(self._records)
 
     def __contains__(self, address: int) -> bool:
-        return address in self._records
+        return address in self._materialized()
 
     def addresses(self) -> Iterator[int]:
         """All distinct addresses."""
-        return iter(self._records)
+        return iter(self._materialized())
 
     def items(self) -> Iterator[Tuple[int, Tuple[float, float, int]]]:
         """All ``(address, (first, last, count))`` pairs."""
-        for address, record in self._records.items():
+        for address, record in self._materialized().items():
             yield address, (record[0], record[1], record[2])
 
     def first_seen(self, address: int) -> float:
         """First sighting time of ``address``."""
-        return self._records[address][0]
+        return self._materialized()[address][0]
 
     def last_seen(self, address: int) -> float:
         """Last sighting time of ``address``."""
-        return self._records[address][1]
+        return self._materialized()[address][1]
 
     def lifetime(self, address: int) -> float:
         """Observed lifetime: last minus first sighting (0 if seen once)."""
-        record = self._records[address]
+        record = self._materialized()[address]
         return record[1] - record[0]
 
     def observation_count(self, address: int) -> int:
         """Number of recorded sightings of ``address``."""
-        return int(self._records[address][2])
+        return int(self._materialized()[address][2])
 
     # -- aggregates --------------------------------------------------------------
 

@@ -25,8 +25,8 @@ commits.  The store is the caller's
 :class:`~repro.core.segments.SegmentStore`, or a temporary one removed
 after the run.  Either way the campaign's corpus is the store's fold of
 its seal-time partials
-(:meth:`~repro.core.segments.SegmentedCorpusReader.load_indexed`), with
-its index attached.
+(:meth:`~repro.core.segments.SegmentedCorpusReader.load_indexed`), held
+by its index until a record is read.
 
 Failure containment is layered on top, because a months-long campaign
 *will* lose workers (OOM kills, host reboots) and disks *will* corrupt
@@ -157,7 +157,7 @@ def run_campaign_parallel(
       ``workers``.  Any value yields the identical merged corpus.
     * ``segment_store`` — crash-safe persistence: the manifest is
       committed after each completed week, so the coordinator never
-      holds the whole corpus while collecting.  The final materialized
+      holds the whole corpus while collecting.  The final folded
       corpus is bit-identical to the monolithic run for any flush
       budget and shard count.  Without a store, sharded runs seal into
       a temporary one that is removed once folded.

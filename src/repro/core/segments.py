@@ -902,27 +902,16 @@ class SegmentedCorpusReader:
             )
 
     def load_indexed(self, name: Optional[str] = None) -> AddressCorpus:
-        """Materialize the folded corpus *from the partial indexes*.
+        """The folded corpus, held by its index alone.
 
-        Reconstructs the record store from the folded index columns —
-        the fold emits rows in exactly the record order :meth:`load`
-        produces, so the corpus is bit-identical to a segment-by-segment
-        merge — and attaches the index, all without reading a single
-        ``.seg`` file when the partials are intact.
+        The corpus is the :meth:`build_index` fold, read without a
+        single ``.seg`` file when the partials are intact: ``len()``,
+        ``.index`` and every aggregate read its columns, and the first
+        record-level read or mutation builds the record store from them
+        in row order, the record order :meth:`load` produces, so the two
+        corpora are bit-identical.
         """
-        index = self.build_index(name=name)
-        corpus = AddressCorpus(name or self.manifest.name)
-        corpus._records = {
-            address: [first, last, count]
-            for address, first, last, count in zip(
-                index.addresses,
-                index.first.tolist(),
-                index.last.tolist(),
-                index.counts.tolist(),
-            )
-        }
-        corpus.attach_index(index)
-        return corpus
+        return AddressCorpus._from_index(self.build_index(name=name))
 
     def __repr__(self) -> str:
         return (

@@ -26,6 +26,9 @@ and each worker atomically swaps the new :class:`ServingIndex` into its
 (``repro_serve_index_reloads_total``).  Batches execute synchronously
 within a tick, so no kernel call ever straddles a swap; the replaced
 mmap stays valid until closed, so answers already in flight are safe.
+A reload that fails (a damaged segment, a torn manifest) leaves the
+old index answering and is retried with capped exponential backoff
+until the manifest moves or the store is repaired.
 
 No serving process ever builds an index itself.  Every build — at
 start-up and on reload, in the single process, the supervisor and each
@@ -87,6 +90,9 @@ DEFAULT_DRAIN_TIMEOUT = 5.0
 
 _RESTART_BACKOFF_BASE = 0.2
 _RESTART_BACKOFF_CAP = 5.0
+#: Ceiling on the wait before retrying a reload that keeps failing on
+#: an unchanged manifest (the first retry waits one poll interval).
+_RELOAD_BACKOFF_CAP = 5.0
 #: A worker that lived at least this long resets its backoff streak.
 _RESTART_RESET_SECONDS = 10.0
 #: How long the supervisor waits for the initial fleet to come up.
@@ -286,8 +292,8 @@ class IndexReloader:
     index — whose mmap stays valid for any still-referenced view.  The
     stat is taken before the read and recorded only once the poll has
     acted, so a commit landing in between is seen by the next poll, and
-    a failed or killed build swaps nothing and is retried at the next
-    poll.
+    a failed or killed build swaps nothing and is retried.  :meth:`run`
+    backs off a reload that keeps failing on an unchanged manifest.
     """
 
     def __init__(
@@ -319,14 +325,18 @@ class IndexReloader:
         # up instead of being taken as already seen.
         self._seen: Optional[Tuple[int, int]] = None
 
-    async def poll_once(self) -> bool:
-        """One poll; True when an index swap happened."""
+    def _manifest_stat(self) -> Optional[Tuple[int, int]]:
+        """The manifest's ``(mtime_ns, size)``, or None if unreadable."""
         try:
             stat = os.stat(self.directory / MANIFEST_NAME)
         except OSError:
-            return False
-        seen = (stat.st_mtime_ns, stat.st_size)
-        if seen == self._seen:
+            return None
+        return stat.st_mtime_ns, stat.st_size
+
+    async def poll_once(self) -> bool:
+        """One poll; True when an index swap happened."""
+        seen = self._manifest_stat()
+        if seen is None or seen == self._seen:
             return False
         manifest = SegmentStore(self.directory).load_manifest()
         if manifest is None:
@@ -352,18 +362,45 @@ class IndexReloader:
         return swapped
 
     async def run(self) -> None:
-        """Poll forever; a failed reload logs and retries next tick."""
+        """Poll every ``interval`` seconds forever; a failed reload logs
+        and is retried with capped backoff.
+
+        After ``k`` consecutive failures on an unchanged manifest, the
+        next attempt waits ``backoff_delay(k, interval,
+        _RELOAD_BACKOFF_CAP)``, so a damaged store costs one forked
+        build per backoff step rather than one per poll.  A manifest
+        whose ``(mtime_ns, size)`` moved since the last failure is
+        polled at the next tick, and a success ends the streak.
+        """
+        loop = asyncio.get_running_loop()
+        failures = 0
+        failed_on: Optional[Tuple[int, int]] = None
+        retry_at = 0.0
         while True:
             await asyncio.sleep(self.interval)
+            seen = self._manifest_stat()
+            if seen != failed_on:
+                failures = 0
+            elif failures and loop.time() < retry_at:
+                continue
             try:
                 await self.poll_once()
             except asyncio.CancelledError:  # pragma: no cover - shutdown
                 raise
             except Exception as error:
+                failures += 1
+                failed_on = seen
+                delay = backoff_delay(
+                    failures, self.interval, _RELOAD_BACKOFF_CAP
+                )
+                retry_at = loop.time() + delay
                 logger.warning(
-                    "serving index reload failed (will retry): %s",
+                    "serving index reload failed (retry in %.2fs): %s",
+                    delay,
                     error,
                 )
+            else:
+                failures = 0
 
 
 # -- one serving process (single mode, and each worker) ------------------------

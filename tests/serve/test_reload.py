@@ -13,7 +13,11 @@ file is unmapped, and the new one holds only the pages queries touched.
 
 A poll of an unchanged store is one ``stat``: the manifest is read
 only when its ``(mtime_ns, size)`` moved, a commit racing the poll is
-served by that poll or the next, and a failed build is retried.
+served by that poll or the next, and a failed build is retried.  The
+watcher backs off a reload that keeps failing on an unchanged manifest
+(a damaged segment forks a handful of builders, not one per poll),
+polls a manifest that moved at the next tick, and serves a repaired
+store within the backoff cap.
 
 Every rebuild runs in a forked builder.  Its metrics reach the
 server's registry; a signal sent to it stays with it; and a builder
@@ -33,6 +37,7 @@ import pytest
 from repro.core import durable
 from repro.core.corpus import AddressCorpus
 from repro.core.index import CorpusIndex
+from repro.core.jobs import backoff_delay
 from repro.core.segments import (
     PARTIAL_INDEX_SUFFIX,
     SegmentError,
@@ -397,6 +402,178 @@ class TestPollReadsOnlyAMovedManifest:
             stat.st_mtime_ns,
             stat.st_size,
         )
+
+
+#: How long the damaged-store scenario drives the watcher, and the most
+#: builders it may fork meanwhile (one per poll would be about 40).
+DAMAGED_SECONDS = 2.0
+MAX_DAMAGED_BUILDS = 8
+
+#: Event-loop lateness allowed on top of a scheduled poll.
+TICK_SLACK = 0.25
+
+
+def _flip_middle_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+class TestReloadBackoff:
+    def test_a_damaged_store_backs_off_and_a_repair_is_served(
+        self, tmp_path, monkeypatch
+    ):
+        interval = 0.05
+        store = write_serve_store(tmp_path, per_segment=30, segments=1)
+        baseline = sorted(
+            CorpusIndex.build(
+                SegmentedCorpusReader.open(tmp_path).load()
+            ).addresses
+        )
+        engine = CoalescingEngine(ensure_serving_index(tmp_path))
+        reloader = IndexReloader(
+            engine, tmp_path, metrics=MetricsRegistry(), interval=interval
+        )
+        fresh = _commit_segment(store, 1)
+        # The new segment's .seg and .idx are both damaged: every build
+        # rescans the .seg and fails its CRC check.
+        segment = store.segment_path(store.load_manifest().segments[-1])
+        intact = {
+            path: path.read_bytes()
+            for path in (segment, segment.with_suffix(PARTIAL_INDEX_SUFFIX))
+        }
+        for path in intact:
+            _flip_middle_byte(path)
+        real_build = fleet.IndexBuild
+        builds = []
+
+        def counted(directory, routing=None):
+            builds.append(asyncio.get_running_loop().time())
+            return real_build(directory, routing=routing)
+
+        monkeypatch.setattr(fleet, "IndexBuild", counted)
+        real_poll = reloader.poll_once
+        polling = []
+
+        async def tracked():
+            polling.append(True)
+            try:
+                return await real_poll()
+            finally:
+                polling.pop()
+
+        monkeypatch.setattr(reloader, "poll_once", tracked)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            watcher = asyncio.ensure_future(reloader.run())
+            try:
+                end = loop.time() + DAMAGED_SECONDS
+                while loop.time() < end:
+                    assert await engine.batch("contains", baseline) == (
+                        [True] * len(baseline)
+                    )
+                    assert await engine.batch("contains", fresh) == (
+                        [False] * len(fresh)
+                    )
+                    await asyncio.sleep(0.02)
+                assert 2 <= len(builds) <= MAX_DAMAGED_BUILDS, builds
+                # Repair in place, between attempts: the manifest does
+                # not move, so only the backoff brings the next build.
+                while polling:
+                    await asyncio.sleep(0.005)
+                for path, data in intact.items():
+                    path.write_bytes(data)
+                repaired = loop.time()
+                attempts = len(builds)
+                deadline = repaired + RELOAD_DEADLINE
+                while await engine.batch("contains", fresh) != (
+                    [True] * len(fresh)
+                ):
+                    assert loop.time() < deadline, "repair never served"
+                    await asyncio.sleep(0.02)
+                assert len(builds) == attempts + 1
+                assert builds[attempts] - repaired <= (
+                    fleet._RELOAD_BACKOFF_CAP + interval + TICK_SLACK
+                )
+            finally:
+                watcher.cancel()
+                try:
+                    await watcher
+                except asyncio.CancelledError:
+                    pass
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            engine.index.close()
+        assert engine.index_swaps == 1
+
+    def test_a_moved_manifest_is_polled_at_the_next_tick(
+        self, tmp_path, monkeypatch
+    ):
+        interval = 0.05
+        store = write_serve_store(tmp_path, per_segment=20, segments=1)
+        engine = CoalescingEngine(ensure_serving_index(tmp_path))
+        reloader = IndexReloader(engine, tmp_path, interval=interval)
+        attempts = []
+
+        async def poll_once():
+            # Every attempt fails but the tenth.
+            attempts.append(asyncio.get_running_loop().time())
+            if len(attempts) != 10:
+                raise OSError("damaged store")
+            return False
+
+        monkeypatch.setattr(reloader, "poll_once", poll_once)
+
+        def delay(failures):
+            return backoff_delay(
+                failures, interval, fleet._RELOAD_BACKOFF_CAP
+            )
+
+        def gap(attempt):
+            return attempts[attempt] - attempts[attempt - 1]
+
+        async def until(count):
+            deadline = asyncio.get_running_loop().time() + RELOAD_DEADLINE
+            while len(attempts) < count:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.005)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            watcher = asyncio.ensure_future(reloader.run())
+            try:
+                # After k failures on one manifest, the next attempt
+                # waits at least backoff_delay(k): 1, 2, 4, 8 intervals.
+                await until(5)
+                for attempt in range(1, 5):
+                    assert gap(attempt) >= delay(attempt) * 0.99, attempts
+                # The next wait would be 16 intervals; a manifest that
+                # moved is polled at the next tick, and its failures
+                # count from one.
+                store.commit([], completed_weeks=1000)
+                moved = loop.time()
+                await until(12)
+                assert attempts[5] - moved <= interval + TICK_SLACK
+                assert gap(6) <= interval + TICK_SLACK
+                assert gap(9) >= delay(4) * 0.99
+                # The tenth attempt succeeds, which ends the streak: the
+                # next failure waits one interval, not sixteen.
+                assert gap(10) <= interval + TICK_SLACK
+                assert gap(11) <= interval + TICK_SLACK
+            finally:
+                watcher.cancel()
+                try:
+                    await watcher
+                except asyncio.CancelledError:
+                    pass
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            engine.index.close()
 
 
 class TestApiConnectReload:
