@@ -41,6 +41,12 @@ from .index import NO_MAC, CorpusIndex
 __all__ = ["AddressCorpus"]
 
 
+def _address_keys(index: CorpusIndex) -> np.ndarray:
+    """Each row's ``(hi, lo)`` as one 16-byte key, equal only for equal
+    addresses."""
+    return np.column_stack((index.hi, index.lo)).view("V16").ravel()
+
+
 class AddressCorpus:
     """A deduplicated set of observed addresses with sighting intervals.
 
@@ -279,13 +285,16 @@ class AddressCorpus:
         return (addresses[row] for row in index.rows_in_window(start, end))
 
     def common_addresses(self, other: "AddressCorpus") -> Set[int]:
-        """Addresses present in both corpora."""
-        if len(other) < len(self):
-            small, large = other, self
-        else:
-            small, large = self, other
+        """Addresses present in both corpora: one intersection of the two
+        indexes' address columns."""
+        words = np.intersect1d(
+            _address_keys(self.index),
+            _address_keys(other.index),
+            assume_unique=True,
+        ).view(np.uint64)
         return {
-            address for address in small.addresses() if address in large
+            (hi << 64) | lo
+            for hi, lo in zip(words[0::2].tolist(), words[1::2].tolist())
         }
 
     # -- IID-level views -----------------------------------------------------------

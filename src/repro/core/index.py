@@ -28,11 +28,11 @@ Two classes implement that:
   (prefix sets, lifetimes, IID intervals, per-MAC groupings, per-row
   origins) shared by every consumer.  The IID is ``lo``, the /64 key is
   ``hi`` and the /48 key is ``hi`` with its low 16 bits cleared.
-* :class:`PartialIndexColumns` — one sealed segment's columnar summary,
-  built at seal time from the same sorted columns
-  (:func:`sorted_record_columns`) the segment's records are packed
-  from, and persisted next to the segment; any set of partials folds
-  associatively into a full :class:`CorpusIndex`.
+* :class:`PartialIndexColumns` — an index's eight columns sorted by
+  address (:meth:`PartialIndexColumns.from_corpus`): the rows a seal
+  packs into a segment's records and persists next to it, and a saved
+  corpus's records; any set of partials folds associatively into a
+  full :class:`CorpusIndex`.
 
 Aggregate views hand out Python ints, floats, lists and dicts, never
 numpy scalars: ``np.uint64`` fails :func:`json.dumps`, and the ``repr``
@@ -58,7 +58,6 @@ __all__ = [
     "NO_MAC",
     "STRUCTURAL_CODES",
     "fold_partials",
-    "sorted_record_columns",
 ]
 
 #: The /48 key of an address, as a mask over its ``hi`` half.
@@ -118,22 +117,6 @@ def _record_columns(corpus):
         lo,
         *(np.ascontiguousarray(table[name]) for name in _RECORD_DTYPE.names),
     )
-
-
-def sorted_record_columns(corpus) -> Tuple[np.ndarray, ...]:
-    """``(hi, lo, first, last, counts)`` in ascending address order, from
-    one scan and one ``lexsort``.
-
-    This is the canonical record order.  A seal hands the same five
-    columns to the segment's records
-    (:func:`~repro.core.storage.binary_v2_chunks`) and to its partial
-    index (:meth:`PartialIndexColumns.from_sorted_columns`).  A count
-    beyond the uint64 column raises ``ValueError`` naming the first
-    such address in address order.
-    """
-    _, hi, lo, first, last, counts = _record_columns(corpus)
-    order = np.lexsort((lo, hi))
-    return hi[order], lo[order], first[order], last[order], counts[order]
 
 
 def fold_partials(
@@ -539,32 +522,24 @@ class PartialIndexColumns:
         return len(self.lo)
 
     @classmethod
-    def from_sorted_columns(
-        cls,
-        hi: np.ndarray,
-        lo: np.ndarray,
-        first: np.ndarray,
-        last: np.ndarray,
-        counts: np.ndarray,
-    ) -> "PartialIndexColumns":
-        """A partial over :func:`sorted_record_columns`' five columns; it
-        adds only the IID feature columns."""
-        return cls(
-            hi, lo, first, last, counts, *_kernels.iid_feature_columns(lo)
-        )
-
-    @classmethod
     def from_corpus(cls, corpus) -> "PartialIndexColumns":
-        """Summarize a (segment's) corpus.
+        """``corpus.index``'s columns in ascending address order: the one
+        route from a corpus's records to sorted columns.
 
-        Rows are in ascending address order, from the one sort
-        (:func:`sorted_record_columns`) a seal shares between the
-        segment's records and its partial, so a partial built from the
-        in-memory buffer at seal time and one rebuilt from the sealed
-        file are identical, and the fold's first-occurrence order
-        matches a segment-by-segment merge of the files on disk.
+        A seal packs these rows into the segment's records and persists
+        them as its partial, and a save writes them as the corpus's
+        records, so a partial built from the in-memory buffer at seal
+        time and one rebuilt from the sealed file are identical, and
+        the fold's first-occurrence order matches a segment-by-segment
+        merge of the files on disk.  A count beyond the uint64 column
+        raises ``ValueError`` naming the first such address in address
+        order.
         """
-        return cls.from_sorted_columns(*sorted_record_columns(corpus))
+        index = corpus.index
+        order = np.lexsort((index.lo, index.hi))
+        return cls(
+            *(getattr(index, name)[order] for name, _ in cls.COLUMN_SPEC)
+        )
 
     @classmethod
     def stack(cls, partials: Iterable["PartialIndexColumns"], rows: int):

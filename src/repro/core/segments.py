@@ -50,11 +50,11 @@ segment itself and bound to it by the segment's checksum::
 
     RPI1 | uint32 segment_crc32 | uint64 rows | columns | RPIF crc32
 
-A seal scans and sorts its corpus once
-(:func:`~repro.core.index.sorted_record_columns`): the ``.seg`` records
-are those five columns packed as one big-endian structured array, and
-the ``.idx`` holds the same columns plus the IID features, so both
-files share one canonical address order.
+A seal sorts its corpus's index columns once
+(:meth:`~repro.core.index.PartialIndexColumns.from_corpus`): the
+``.seg`` records are five of those columns packed as one big-endian
+structured array, and the ``.idx`` holds all eight, so both files share
+one canonical address order.
 
 Reading a committed store is one fold of those partials
 (:func:`~repro.core.index.fold_partials`, fed by
@@ -82,12 +82,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from ..obs import DEFAULT_SIZE_BUCKETS, MetricsRegistry, NULL_REGISTRY
 from . import durable
 from .corpus import AddressCorpus
-from .index import (
-    CorpusIndex,
-    PartialIndexColumns,
-    fold_partials,
-    sorted_record_columns,
-)
+from .index import CorpusIndex, PartialIndexColumns, fold_partials
 from .storage import (
     BINARY_RECORD_BYTES,
     CorpusFormatError,
@@ -394,11 +389,11 @@ class SegmentStore:
 
         Each seal also persists the segment's partial index (same stem,
         ``.idx``) so later analysis folds it instead of rescanning the
-        segment.  Both files come from one scan and one sort of
-        ``corpus`` (:func:`~repro.core.index.sorted_record_columns`):
-        the ``.seg`` records are those columns packed big-endian, the
-        ``.idx`` adds the IID feature columns.  A count beyond uint64
-        raises ``ValueError`` before either file is written.  The
+        segment.  Both files come from one sort of ``corpus``'s index
+        columns (:meth:`~repro.core.index.PartialIndexColumns.from_corpus`):
+        the ``.seg`` records are five of them packed big-endian, the
+        ``.idx`` holds all eight.  A count beyond uint64 raises
+        ``ValueError`` before either file is written.  The
         partial is written *after* the segment: at any crash instant
         the ``.idx`` on disk matches a durable ``.seg`` (or is absent,
         which merely costs a rescan).
@@ -409,10 +404,8 @@ class SegmentStore:
             raise ValueError(f"bad segment id: {segment_id!r}")
         return self._seal(
             corpus.name,
-            # One scan and one sort feed both files.
-            PartialIndexColumns.from_sorted_columns(
-                *sorted_record_columns(corpus)
-            ),
+            # One sort feeds both files.
+            PartialIndexColumns.from_corpus(corpus),
             segment_id=segment_id,
             start_day=start_day,
             end_day=end_day,
@@ -429,14 +422,11 @@ class SegmentStore:
     ) -> SegmentMeta:
         """Seal ``partial``'s records (ascending address order) as the
         ``.seg`` of ``segment_id``, then ``partial`` as its ``.idx``."""
-        records = (
-            partial.hi, partial.lo, partial.first, partial.last, partial.counts
-        )
         chunks = [
             _SEGMENT_SEAL.head_magic
             + start_day.to_bytes(4, "big")
             + end_day.to_bytes(4, "big"),
-            *binary_v2_chunks(name, records),
+            *binary_v2_chunks(name, partial),
         ]
         size = sum(len(chunk) for chunk in chunks) + durable.TRAILER_SIZE
         filename = f"{segment_id}{SEGMENT_SUFFIX}"

@@ -16,13 +16,15 @@ re-running the world.  Two formats:
 Records are written in ascending address order, so two corpora with the
 same contents serialize to identical bytes regardless of the order the
 observations arrived in (the sharded executor relies on this for its
-determinism checks).  The binary writer takes that order from one scan
-and one sort (:func:`~repro.core.index.sorted_record_columns`) and
-packs every v2 record at once, as one big-endian structured array
-(:func:`binary_v2_chunks`); a segment seal encodes its records with
-the same function from the same columns.  Both formats round-trip
-exactly (timestamps are preserved bit-for-bit in binary and via
-``repr`` precision in text).
+determinism checks).  Both writers take that order from one sort of the
+corpus's index columns
+(:meth:`~repro.core.index.PartialIndexColumns.from_corpus`), so saving a
+corpus held by its index alone builds no record store; the binary
+writer packs every v2 record at once, as one big-endian structured
+array (:func:`binary_v2_chunks`), and a segment seal encodes its
+records with the same function from the same columns.  Both formats
+round-trip exactly (timestamps are preserved bit-for-bit in binary and
+via ``repr`` precision in text).
 
 Malformed or truncated input raises :class:`CorpusFormatError` naming
 the file and byte offset — never a bare ``struct.error`` or a silently
@@ -43,14 +45,14 @@ from __future__ import annotations
 import io
 import struct
 from pathlib import Path
-from typing import BinaryIO, Optional, Sequence, TextIO, Tuple, Union
+from typing import BinaryIO, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
 from ..addr.ipv6 import format_address, parse
 from . import durable
 from .corpus import AddressCorpus
-from .index import sorted_record_columns
+from .index import PartialIndexColumns
 
 __all__ = [
     "BINARY_RECORD_BYTES",
@@ -147,15 +149,20 @@ def save_corpus_text(corpus: AddressCorpus, stream: TextIO) -> int:
         raise ValueError(
             f"corpus name would corrupt the text header: {name!r}"
         )
+    rows = PartialIndexColumns.from_corpus(corpus)
     stream.write(f"{_TEXT_HEADER}{name}\n")
     stream.write("address,first_seen,last_seen,count\n")
-    written = 0
-    for address, (first, last, count) in sorted(corpus.items()):
+    for hi, lo, first, last, count in zip(
+        rows.hi.tolist(),
+        rows.lo.tolist(),
+        rows.first.tolist(),
+        rows.last.tolist(),
+        rows.counts.tolist(),
+    ):
         stream.write(
-            f"{format_address(address)},{first!r},{last!r},{count}\n"
+            f"{format_address((hi << 64) | lo)},{first!r},{last!r},{count}\n"
         )
-        written += 1
-    return written
+    return len(rows)
 
 
 def load_corpus_text(stream: TextIO) -> AddressCorpus:
@@ -190,20 +197,24 @@ def load_corpus_text(stream: TextIO) -> AddressCorpus:
 
 
 def binary_v2_chunks(
-    name: str, columns: Sequence[np.ndarray]
+    name: str, rows: PartialIndexColumns
 ) -> Tuple[bytes, bytes]:
     """A v2 corpus as two chunks: its header, then every record.
 
-    ``columns`` are :func:`~repro.core.index.sorted_record_columns`'
-    ``(hi, lo, first, last, counts)``; the records are packed as one
-    big-endian structured array, so a save and a segment seal encode
-    the same bytes from the same sort.
+    ``rows`` are sorted by address
+    (:meth:`~repro.core.index.PartialIndexColumns.from_corpus`); their
+    ``(hi, lo, first, last, counts)`` are packed as one big-endian
+    structured array, so a save and a segment seal encode the same
+    bytes from the same sort.
     """
     name_bytes = name.encode("utf-8")
     if len(name_bytes) > 0xFFFF:
         raise ValueError("corpus name too long for the binary header")
-    table = np.empty(len(columns[0]), dtype=_RECORD_V2_ROW)
-    for field, column in zip(_RECORD_V2_ROW.names, columns):
+    table = np.empty(len(rows), dtype=_RECORD_V2_ROW)
+    for field, column in zip(
+        _RECORD_V2_ROW.names,
+        (rows.hi, rows.lo, rows.first, rows.last, rows.counts),
+    ):
         table[field] = column
     header = (
         _BINARY_MAGIC_V2
@@ -220,10 +231,10 @@ def save_corpus_binary(corpus: AddressCorpus, stream: BinaryIO) -> int:
     Counts beyond the uint64 record field raise ``ValueError`` naming
     the first such address, before any byte is written.
     """
-    columns = sorted_record_columns(corpus)
-    for chunk in binary_v2_chunks(corpus.name, columns):
+    rows = PartialIndexColumns.from_corpus(corpus)
+    for chunk in binary_v2_chunks(corpus.name, rows):
         stream.write(chunk)
-    return len(columns[0])
+    return len(rows)
 
 
 def load_corpus_binary(stream: BinaryIO) -> AddressCorpus:

@@ -8,10 +8,12 @@ Four pieces (DESIGN.md §14–15):
 * :mod:`repro.serve.engine` — the asyncio
   :class:`~repro.serve.engine.CoalescingEngine`, batching concurrent
   lookups into single vectorized kernel calls.
-* :mod:`repro.serve.wire` — the shared query-op registry and the
-  ``RSB1`` binary wire codec (length-prefixed, CRC-sealed frames with
-  columnar payloads), negotiated per connection with a JSON-lines
-  fallback.
+* :mod:`repro.serve.wire` — the shared query-op registry, the one
+  address check (:meth:`~repro.serve.wire.AddressBlock.of`), the reply
+  columns (:class:`~repro.serve.wire.ColumnarResults`, laid out by
+  ``REPLY_LAYOUT``) and the ``RSB1`` binary wire codec
+  (length-prefixed, CRC-sealed frames), negotiated per connection with
+  a JSON-lines fallback.
 * :mod:`repro.serve.service` — the TCP
   :class:`~repro.serve.service.HitlistServer` and the local/remote
   client pair behind :func:`repro.api.connect`.
@@ -40,7 +42,6 @@ from .fleet import (
     run_supervisor,
 )
 from .format import (
-    ColumnarResults,
     SERVING_INDEX_NAME,
     SERVING_LOCK_NAME,
     ServingIndex,
@@ -59,6 +60,7 @@ from .service import (
 )
 from .wire import (
     AddressBlock,
+    ColumnarResults,
     DEFAULT_MAX_FRAME_BYTES,
     FrameCorruptError,
     FrameTooLargeError,

@@ -10,10 +10,11 @@ batch, answered by **one**
 :meth:`~repro.serve.format.ServingIndex.columnar_batch` call over the
 mmap'd columns.  Each caller still awaits its own future and receives
 only its own results; coalescing changes scheduling, never answers.
-Requests are validated and split into hi/lo u64 columns before they
-join a batch, so a bad request fails only its own caller.
+Requests pass :meth:`~repro.serve.wire.AddressBlock.of` (validated
+and split into hi/lo u64 columns) before they join a batch, so a bad
+request fails only its own caller.
 
-Every tick computes :class:`~repro.serve.format.ColumnarResults`;
+Every tick computes :class:`~repro.serve.wire.ColumnarResults`;
 binary-path waiters (``columnar=True``) get their slice as is, every
 other waiter gets it as a plain list (``to_list()``).
 
@@ -30,8 +31,14 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import DEFAULT_TIME_BUCKETS, MetricsRegistry, NULL_REGISTRY
-from .format import ColumnarResults, ServingIndex, _split_addresses
-from .wire import ADDRESS_OPS, AddressBlock, QueryOp, resolve_op
+from .format import ServingIndex
+from .wire import (
+    ADDRESS_OPS,
+    AddressBlock,
+    ColumnarResults,
+    QueryOp,
+    resolve_op,
+)
 
 __all__ = [
     "CoalescingEngine",
@@ -68,7 +75,7 @@ class _Pending:
         # (future, start, count, enqueued_at, columnar) — each waiter
         # owns the slice [start, start + count) of the batch results;
         # ``columnar`` marks binary-path waiters that take a
-        # :class:`~repro.serve.format.ColumnarResults` slice instead of
+        # :class:`~repro.serve.wire.ColumnarResults` slice instead of
         # a materialized list.
         self.waiters: List[
             Tuple[asyncio.Future, int, int, float, bool]
@@ -167,14 +174,14 @@ class CoalescingEngine:
 
         ``op`` is anything the shared registry resolves — a wire name
         (``"contains"``), a wire op code (the binary server's path), or
-        a :class:`~repro.serve.wire.QueryOp` itself.  Addresses are
-        validated here, before they join a coalesced batch, so a bad
-        request raises to its own caller only.  ``stats``, the one op
-        that takes no addresses, answers ``[self.describe()]``
-        whatever ``addresses`` holds.
+        a :class:`~repro.serve.wire.QueryOp` itself.  Addresses pass
+        :meth:`~repro.serve.wire.AddressBlock.of` here, before they join
+        a coalesced batch, so a bad request raises to its own caller
+        only.  ``stats``, the one op that takes no addresses, answers
+        ``[self.describe()]`` whatever ``addresses`` holds.
 
         The answer is a plain list, or with ``columnar=True`` (the
-        binary wire path) a :class:`~repro.serve.format.ColumnarResults`
+        binary wire path) a :class:`~repro.serve.wire.ColumnarResults`
         — identical values, held as numpy columns ready for zero-loop
         RSB1 encoding.  An empty batch answers ``[]`` without touching
         the index.
@@ -184,7 +191,7 @@ class CoalescingEngine:
             return [self.describe()]
         if not len(addresses):
             return []
-        block = AddressBlock(*_split_addresses(addresses))
+        block = AddressBlock.of(addresses)
         if not self.coalesce:
             started = perf_counter()
             results = self._execute_columnar(spec, block)

@@ -79,9 +79,9 @@ from ..core.segments import (
 )
 from ..core.storage import CorpusFormatError
 from ..obs import MetricsRegistry, NULL_REGISTRY
+from .wire import AddressBlock, ColumnarResults
 
 __all__ = [
-    "ColumnarResults",
     "SERVING_INDEX_NAME",
     "SERVING_LOCK_NAME",
     "ServingIndex",
@@ -89,9 +89,7 @@ __all__ = [
     "build_serving_index",
     "ensure_serving_index",
     "manifest_digest",
-    "pack_uvarint",
     "serving_build_lock",
-    "unpack_uvarint",
 ]
 
 #: File name of the serving index inside a segment directory.
@@ -106,8 +104,6 @@ _FLAG_ORIGIN_TABLE = 1
 _HEADER = struct.Struct("<4sHHQQQQQI12x")
 _HEADER_SIZE = _HEADER.size  # 64
 
-_U64_MASK = (1 << 64) - 1
-_ADDRESS_SPACE = 1 << 128
 _SLASH48_HI_MASK = 0xFFFFFFFFFFFF0000
 
 
@@ -119,39 +115,6 @@ _SEAL = durable.Seal(
     b"RSI1", b"RSIF", "little", _HEADER_SIZE, "serving index",
     ServingIndexError,
 )
-
-
-# -- shared binary-format helpers (RSI1 files and RSB1 wire frames) ------------
-
-
-def pack_uvarint(value: int) -> bytes:
-    """LEB128-style unsigned varint (7 value bits per byte, MSB = more)."""
-    if value < 0:
-        raise ValueError(f"uvarint cannot encode negatives: {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def unpack_uvarint(data, offset: int = 0) -> Tuple[int, int]:
-    """Decode one uvarint; returns ``(value, next_offset)``."""
-    value = 0
-    shift = 0
-    while True:
-        if offset >= len(data) or shift > 63:
-            raise ValueError("truncated or oversized uvarint")
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
 
 
 def manifest_digest(manifest: Manifest) -> int:
@@ -197,149 +160,6 @@ def serving_build_lock(directory: Union[str, Path]):
 
 def _pad8(size: int) -> int:
     return (-size) % 8
-
-
-def _split_addresses(addresses: Sequence[int]) -> Tuple:
-    """Hi/lo u64 ndarray halves of a batch of addresses, range-checked.
-
-    A batch that arrives pre-split — an
-    :class:`~repro.serve.wire.AddressBlock` wrapping a decoded RSB1
-    request payload — short-circuits to its existing ``hi``/``lo``
-    columns: zero copies, zero per-int validation (every 16-byte wire
-    address is range-valid by construction).
-    """
-    hi = getattr(addresses, "hi", None)
-    if hi is not None:
-        return hi, addresses.lo
-    q_hi: List[int] = []
-    q_lo: List[int] = []
-    for address in addresses:
-        if not isinstance(address, int) or isinstance(address, bool):
-            raise ValueError(
-                f"addresses must be ints, not {type(address).__name__}"
-            )
-        if not 0 <= address < _ADDRESS_SPACE:
-            raise ValueError(f"address out of range: {address:#x}")
-        q_hi.append(address >> 64)
-        q_lo.append(address & _U64_MASK)
-    return np.array(q_hi, dtype=np.uint64), np.array(q_lo, dtype=np.uint64)
-
-
-class ColumnarResults:
-    """Column-major batch answers: what every serving op computes.
-
-    One numpy array per reply column (family-specific order, see below)
-    plus a boolean ``mask`` for families where results can be None, with
-    masked-out entries **zeroed** — exactly the RSB1 reply payload
-    layout, so :func:`repro.serve.wire.encode_reply` is one ``tobytes``
-    per column and byte-identical to encoding the materialized list.
-
-    Behaves enough like a list for the engine to slice coalesced
-    batches per waiter: ``len()``, integer indexing (materializes one
-    Python value) and slicing (a columnar sub-view).  :meth:`to_list`
-    materializes the whole batch into the plain Python values the
-    ``*_batch`` methods and JSON replies carry.
-
-    Column order per family: ``bool`` → ``(flags,)`` (np.bool\\_);
-    ``f64opt`` → ``(values,)``; ``record`` → ``(first, last, counts)``;
-    ``features`` → ``(entropies, codes, macs)`` (result-tuple order, a
-    stored ``NO_MAC`` meaning "no MAC"); ``asn`` → ``(asns,)`` (u4,
-    0 meaning None).
-    """
-
-    __slots__ = ("family", "mask", "columns")
-
-    def __init__(self, family: str, mask, columns: Tuple) -> None:
-        self.family = family
-        self.mask = mask
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            mask = None if self.mask is None else self.mask[item]
-            return ColumnarResults(
-                self.family,
-                mask,
-                tuple(column[item] for column in self.columns),
-            )
-        family = self.family
-        if family == "bool":
-            return bool(self.columns[0][item])
-        if family == "asn":
-            return int(self.columns[0][item]) or None
-        if not self.mask[item]:
-            return None
-        if family == "f64opt":
-            return float(self.columns[0][item])
-        if family == "record":
-            first, last, counts = self.columns
-            return (
-                float(first[item]),
-                float(last[item]),
-                int(counts[item]),
-            )
-        entropies, codes, macs = self.columns
-        mac = int(macs[item])
-        return (
-            float(entropies[item]),
-            int(codes[item]),
-            None if mac == _kernels.NO_MAC else mac,
-        )
-
-    def __iter__(self):
-        return iter(self.to_list())
-
-    def to_list(self) -> List:
-        """The batch as a list of plain Python values (None for misses)."""
-        family = self.family
-        if family == "bool":
-            return self.columns[0].tolist()
-        if family == "asn":
-            return [asn or None for asn in self.columns[0].tolist()]
-        mask = self.mask.tolist()
-        if family == "f64opt":
-            return [
-                value if hit else None
-                for hit, value in zip(mask, self.columns[0].tolist())
-            ]
-        if family == "record":
-            first, last, counts = (c.tolist() for c in self.columns)
-            return [
-                (first[i], last[i], counts[i]) if hit else None
-                for i, hit in enumerate(mask)
-            ]
-        entropies, codes, macs = (c.tolist() for c in self.columns)
-        no_mac = _kernels.NO_MAC
-        return [
-            (
-                entropies[i],
-                codes[i],
-                None if macs[i] == no_mac else macs[i],
-            )
-            if hit
-            else None
-            for i, hit in enumerate(mask)
-        ]
-
-    @classmethod
-    def concat(cls, parts: Sequence["ColumnarResults"]):
-        """Concatenate chunked results (the engine's max_batch split)."""
-        if len(parts) == 1:
-            return parts[0]
-        first = parts[0]
-        mask = (
-            None
-            if first.mask is None
-            else np.concatenate([part.mask for part in parts])
-        )
-        columns = tuple(
-            np.concatenate([part.columns[i] for part in parts])
-            for i in range(len(first.columns))
-        )
-        return cls(first.family, mask, columns)
 
 
 def _peek_generation(path: Path) -> int:
@@ -684,14 +504,15 @@ class ServingIndex:
         """Column-major answers for ``op``: the one implementation of
         every serving op.
 
+        ``addresses`` pass :meth:`~repro.serve.wire.AddressBlock.of`.
         No per-item Python objects: searchsorted rows, fancy-indexed
         columns, a hit mask — ready for one-``tobytes``-per-column RSB1
-        encoding (see :class:`ColumnarResults`).  An empty batch gives
-        empty columns; ``origin`` on an index built without an origin
-        table raises :class:`ServingIndexError`.
+        encoding (see :class:`~repro.serve.wire.ColumnarResults`).  An
+        empty batch gives empty columns; ``origin`` on an index built
+        without an origin table raises :class:`ServingIndexError`.
         """
-        count = len(addresses)
-        qh, ql = _split_addresses(addresses)
+        block = AddressBlock.of(addresses)
+        qh, ql, count = block.hi, block.lo, len(block)
         if op in ("slash48", "slash64"):
             if op == "slash48":
                 probes = qh & np.uint64(_SLASH48_HI_MASK)
@@ -749,8 +570,8 @@ class ServingIndex:
                 "features",
                 hit,
                 (
-                    gather(hit, rows_idx, self._entropies, 0.0),
                     gather(hit, rows_idx, self._codes, 0),
+                    gather(hit, rows_idx, self._entropies, 0.0),
                     gather(hit, rows_idx, self._macs, 0),
                 ),
             )

@@ -25,10 +25,15 @@ Request payloads are the address batch as a packed u128 column — each
 address is 16 bytes little-endian, i.e. the lo u64 word then the hi u64
 word — which :class:`AddressBlock` turns back into the hi/lo u64 columns
 the vectorized kernels consume **without copying** (two strided numpy
-views over the received buffer).  Reply payloads are typed per op (see
-``QUERY_OP_TABLE``): columnar, with a leading u8 presence mask wherever
-results can be None, so both sides decode with ``frombuffer`` instead of
-a parser.  Error payloads are ``uvarint(code) + utf-8 message``.
+views over the received buffer).  :meth:`AddressBlock.of` is the one
+address check: the RSB1 client, the JSON-lines server and the
+in-process paths all run it, so each refuses a bad batch in the same
+words.  Reply payloads are laid out per reply family by
+:data:`REPLY_LAYOUT`: a leading u8 presence mask wherever results can
+be None, then one little-endian run per column, so both sides encode
+with one ``tobytes`` and decode with one ``frombuffer`` per column
+instead of a parser.  Error payloads are ``uvarint(code) + utf-8
+message``.
 
 Negotiation: a binary-capable client's *first* line on a fresh
 connection is a perfectly ordinary JSON-lines request::
@@ -64,10 +69,10 @@ import numpy as np
 
 from ..core import kernels as _kernels
 from ..core.durable import crc32_of
-from .format import ColumnarResults, pack_uvarint, unpack_uvarint
 
 __all__ = [
     "AddressBlock",
+    "ColumnarResults",
     "DEFAULT_MAX_FRAME_BYTES",
     "FRAME_HEADER_SIZE",
     "FRAME_TRAILER_SIZE",
@@ -81,12 +86,16 @@ __all__ = [
     "PROTOCOL_JSON",
     "QUERY_OP_TABLE",
     "QueryOp",
+    "REPLY_LAYOUT",
     "REQUEST_ERROR",
+    "ReplyLayout",
     "WIRE_MAGIC",
     "WIRE_VERSION",
     "WireError",
     "WireProtocolError",
+    "pack_uvarint",
     "resolve_op",
+    "unpack_uvarint",
 ]
 
 WIRE_MAGIC = b"RSB1"
@@ -117,7 +126,6 @@ DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
 MIN_FRAME_BYTES = 4096
 
 _ADDRESS_SPACE = 1 << 128
-_U64_MASK = (1 << 64) - 1
 
 
 # -- error taxonomy ------------------------------------------------------------
@@ -191,30 +199,35 @@ def typed_error_class(code) -> Optional[type]:
 
 @dataclasses.dataclass(frozen=True)
 class QueryOp:
-    """One serving query op: wire code ↔ name ↔ reply dtype ↔ surface.
+    """One serving query op: wire code ↔ name ↔ reply family ↔ surface.
 
-    ``reply`` names the reply payload family (see :func:`encode_reply`
-    and :func:`decode_results`); ``surface`` is the client method base
-    name (``in_slash48`` for the wire op ``slash48``); ``tupled`` ops
-    shape each present result as a tuple; non-``addressed`` ops take no
-    address batch (stats).
+    ``reply`` names the reply payload family: a :data:`REPLY_LAYOUT`
+    key, or ``json`` for a JSON document (stats); ``surface`` is the
+    client method base name (``in_slash48`` for the wire op
+    ``slash48``); non-``addressed`` ops take no address batch (stats).
     """
 
     code: int
     name: str
     reply: str
     surface: str
-    tupled: bool = False
     addressed: bool = True
+
+    @property
+    def tupled(self) -> bool:
+        """Whether each present result is a tuple: the reply family has
+        more than one column."""
+        layout = REPLY_LAYOUT.get(self.reply)
+        return layout is not None and len(layout.dtypes) > 1
 
 
 #: Every op both protocols serve.  Codes are wire ABI — append, never
 #: renumber.  (DESIGN.md §15 mirrors this table.)
 QUERY_OP_TABLE: Tuple[QueryOp, ...] = (
-    QueryOp(1, "record", "record", "record", tupled=True),
+    QueryOp(1, "record", "record", "record"),
     QueryOp(2, "lifetime", "f64opt", "lifetime"),
     QueryOp(3, "entropy", "f64opt", "entropy"),
-    QueryOp(4, "features", "features", "features", tupled=True),
+    QueryOp(4, "features", "features", "features"),
     QueryOp(5, "origin", "asn", "origin"),
     QueryOp(6, "contains", "bool", "contains"),
     QueryOp(7, "slash48", "bool", "in_slash48"),
@@ -256,10 +269,9 @@ class AddressBlock:
     ``hi``/``lo`` are u64 ndarrays.  Decoded request payloads become
     blocks whose columns are **strided views over the received bytes**
     — the vectorized kernels consume them directly, so a binary request
-    is never materialized into Python ints on the hot path.
-    ``ServingIndex``'s batch methods detect the pre-split columns by
-    the ``hi`` attribute and skip their per-int validation loop;
-    addresses from the wire are range-valid by construction.
+    is never materialized into Python ints on the hot path.  Every
+    other batch becomes a block through :meth:`of`, the one address
+    check; addresses from the wire are range-valid by construction.
 
     Behaves enough like a sequence of int addresses for the coalescing
     engine: ``len``, indexing, slicing (returns a sub-block), and
@@ -271,6 +283,38 @@ class AddressBlock:
     def __init__(self, hi, lo) -> None:
         self.hi = hi
         self.lo = lo
+
+    @classmethod
+    def of(cls, addresses: Sequence[int]) -> "AddressBlock":
+        """``addresses`` as a block: a block as it is, else a sequence
+        of ints in ``[0, 2**128)``.
+
+        The batch is packed as a request payload, 16 little-endian
+        bytes per int, and wrapped by :meth:`from_payload`.  A bool,
+        any other non-int, or an int out of range raises
+        :class:`ValueError` naming the first such item, in the words
+        every serving path reports.
+        """
+        if isinstance(addresses, AddressBlock):
+            return addresses
+        kinds = set(map(type, addresses))
+        if bool not in kinds and all(issubclass(kind, int) for kind in kinds):
+            try:
+                payload = b"".join(
+                    [address.to_bytes(16, "little") for address in addresses]
+                )
+            except OverflowError:  # a negative int, or one past 2**128
+                pass
+            else:
+                return cls.from_payload(payload, len(addresses))
+        # The batch did not pack, so some item is bad: name the first.
+        for address in addresses:
+            if not isinstance(address, int) or isinstance(address, bool):
+                raise ValueError(
+                    f"addresses must be ints, not {type(address).__name__}"
+                )
+            if not 0 <= address < _ADDRESS_SPACE:
+                raise ValueError(f"address out of range: {address:#x}")
 
     @classmethod
     def from_payload(cls, payload, count: int) -> "AddressBlock":
@@ -308,6 +352,14 @@ class AddressBlock:
         for hi, lo in zip(self.hi, self.lo):
             yield (int(hi) << 64) | int(lo)
 
+    def to_payload(self) -> bytes:
+        """The block as a request payload: each address's lo word, then
+        its hi word."""
+        words = np.empty(2 * len(self), dtype="<u8")
+        words[0::2] = self.lo
+        words[1::2] = self.hi
+        return words.tobytes()
+
 
 # -- frame encode --------------------------------------------------------------
 
@@ -329,7 +381,8 @@ def encode_request(
     *,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
 ) -> bytes:
-    """One request frame; validates addresses and the frame bound."""
+    """One request frame, within the frame bound; the addresses pass
+    :meth:`AddressBlock.of`."""
     if not spec.addressed:
         return encode_frame(KIND_REQUEST, spec.code, request_id, 0, b"")
     count = len(addresses)
@@ -340,43 +393,38 @@ def encode_request(
             f"over the {max_frame_bytes}-byte frame bound",
             request_id=request_id,
         )
-    # Vectorized pack: two fromiter passes beat per-address
-    # int.to_bytes + join severalfold at serving batch sizes.  Any bad
-    # address drops to the scalar path for its exact error.
-    try:
-        lo = np.fromiter(
-            (address & _U64_MASK for address in addresses),
-            dtype=np.uint64,
-            count=count,
-        )
-        hi = np.fromiter(
-            (address >> 64 for address in addresses),
-            dtype=np.uint64,
-            count=count,
-        )
-    except (TypeError, OverflowError):
-        try:
-            payload = b"".join(
-                address.to_bytes(16, "little") for address in addresses
-            )
-        except (AttributeError, OverflowError):
-            # Match the JSON path's server-side rejection wording.
-            bad = next(
-                a
-                for a in addresses
-                if not isinstance(a, int) or not 0 <= a < _ADDRESS_SPACE
-            )
-            if not isinstance(bad, int):
-                raise ValueError(
-                    f"addresses must be ints, not {type(bad).__name__}"
-                ) from None
-            raise ValueError(f"address out of range: {bad:#x}") from None
-    else:
-        words = np.empty(2 * count, dtype="<u8")
-        words[0::2] = lo
-        words[1::2] = hi
-        payload = words.tobytes()
+    payload = AddressBlock.of(addresses).to_payload()
     return encode_frame(KIND_REQUEST, spec.code, request_id, count, payload)
+
+
+def pack_uvarint(value: int) -> bytes:
+    """LEB128-style unsigned varint (7 value bits per byte, MSB = more)."""
+    if value < 0:
+        raise ValueError(f"uvarint cannot encode negatives: {value}")
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def unpack_uvarint(data, offset: int = 0) -> Tuple[int, int]:
+    """Decode one uvarint; returns ``(value, next_offset)``."""
+    value = 0
+    shift = 0
+    while True:
+        if offset >= len(data) or shift > 63:
+            raise ValueError("truncated or oversized uvarint")
+        byte = data[offset]
+        offset += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, offset
+        shift += 7
 
 
 def encode_error(request_id: int, number: int, message: str) -> bytes:
@@ -489,43 +537,132 @@ def decode_request(
     return spec, AddressBlock.from_payload(payload, count)
 
 
-# -- typed columnar reply payloads ---------------------------------------------
+# -- columnar reply payloads ---------------------------------------------------
+
+#: dtype of the one-byte presence mask (0 = None) a masked payload leads with.
+_MASK_DTYPE = "?"
 
 
-def _le_column(column, dtype: str) -> bytes:
-    """One reply column as little-endian bytes (no-copy when already so)."""
-    return np.ascontiguousarray(column, dtype=dtype).tobytes()
+class ReplyLayout:
+    """One columnar reply family: its RSB1 payload and its result shape.
 
+    The payload is a one-byte presence mask when ``masked``, then each
+    :class:`ColumnarResults` column as one run of its ``dtypes`` entry
+    (little-endian), in payload order; ``runs`` holds every run's
+    dtype, the mask's first, and ``row_bytes`` their sum.  A present
+    result is the ``fields`` columns as a tuple, in that order, or its
+    one column's value; ``nulls`` are ``(column, stored value)`` pairs
+    read as None.
+    """
 
-def _encode_columnar(spec: QueryOp, results: ColumnarResults) -> bytes:
-    """Vectorized encode of a columnar batch: one ``tobytes`` per
-    column, masked-out entries zeroed at the source."""
-    family = spec.reply
-    columns = results.columns
-    if family == "bool":
-        return _le_column(columns[0], "u1")
-    if family == "asn":
-        return _le_column(columns[0], "<u4")
-    mask = _le_column(results.mask, "u1")
-    if family == "f64opt":
-        return mask + _le_column(columns[0], "<f8")
-    if family == "record":
-        first, last, counts = columns
-        return (
-            mask
-            + _le_column(first, "<f8")
-            + _le_column(last, "<f8")
-            + _le_column(counts, "<u8")
+    __slots__ = ("masked", "dtypes", "fields", "nulls", "runs", "row_bytes")
+
+    def __init__(
+        self,
+        masked: bool,
+        dtypes: Tuple[str, ...],
+        *,
+        fields: Tuple[int, ...] = (0,),
+        nulls: Tuple[Tuple[int, int], ...] = (),
+    ) -> None:
+        self.masked = masked
+        self.dtypes = dtypes
+        self.fields = fields
+        self.nulls = nulls
+        self.runs = tuple(
+            np.dtype(dtype)
+            for dtype in ((_MASK_DTYPE,) if masked else ()) + dtypes
         )
-    if family == "features":
-        entropies, codes, macs = columns
-        return (
-            mask
-            + _le_column(codes, "u1")
-            + _le_column(entropies, "<f8")
-            + _le_column(macs, "<u8")
+        self.row_bytes = sum(run.itemsize for run in self.runs)
+
+
+#: Every columnar reply family's layout: the one place a family's
+#: column dtypes are written.  (DESIGN.md §15 mirrors this table.)
+REPLY_LAYOUT: Dict[str, ReplyLayout] = {
+    "bool": ReplyLayout(False, ("?",)),
+    "f64opt": ReplyLayout(True, ("<f8",)),
+    "record": ReplyLayout(True, ("<f8", "<f8", "<u8"), fields=(0, 1, 2)),
+    # (codes, entropies, macs) answer (entropy, code, mac-or-None).
+    "features": ReplyLayout(
+        True,
+        ("u1", "<f8", "<u8"),
+        fields=(1, 0, 2),
+        nulls=((2, _kernels.NO_MAC),),
+    ),
+    "asn": ReplyLayout(False, ("<u4",), nulls=((0, 0),)),
+}
+
+
+class ColumnarResults:
+    """Column-major batch answers: what every serving op computes.
+
+    One numpy array per column of the family's :data:`REPLY_LAYOUT`, in
+    payload order, plus a boolean ``mask`` for the masked families with
+    masked-out entries **zeroed** — the RSB1 reply payload itself, so
+    :func:`encode_reply` is one ``tobytes`` per column.
+
+    ``len()`` and slicing (a columnar sub-view: how the engine hands
+    each coalesced waiter its share) are its whole sequence surface;
+    :meth:`to_list` shapes the batch into the plain Python values the
+    ``*_batch`` methods and JSON replies carry.
+    """
+
+    __slots__ = ("family", "mask", "columns")
+
+    def __init__(self, family: str, mask, columns: Tuple) -> None:
+        self.family = family
+        self.mask = mask
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    # Not iterable: the fallback through __getitem__ would yield one
+    # malformed result per row instead of failing.
+    __iter__ = None
+
+    def __getitem__(self, rows: slice) -> "ColumnarResults":
+        return ColumnarResults(
+            self.family,
+            None if self.mask is None else self.mask[rows],
+            tuple(column[rows] for column in self.columns),
         )
-    raise AssertionError(f"unencodable columnar family {family!r}")
+
+    def to_list(self) -> List:
+        """The batch as a list of plain Python values (None for misses)."""
+        layout = REPLY_LAYOUT[self.family]
+        values = [column.tolist() for column in self.columns]
+        for column, null in layout.nulls:
+            values[column] = [
+                None if value == null else value for value in values[column]
+            ]
+        if len(values) == 1:
+            results = values[0]
+        else:
+            results = list(zip(*(values[field] for field in layout.fields)))
+        if self.mask is None:
+            return results
+        return [
+            result if hit else None
+            for hit, result in zip(self.mask.tolist(), results)
+        ]
+
+    @classmethod
+    def concat(cls, parts: Sequence["ColumnarResults"]):
+        """Concatenate chunked results (the engine's max_batch split)."""
+        if len(parts) == 1:
+            return parts[0]
+        first = parts[0]
+        mask = (
+            None
+            if first.mask is None
+            else np.concatenate([part.mask for part in parts])
+        )
+        columns = tuple(
+            np.concatenate([part.columns[i] for part in parts])
+            for i in range(len(first.columns))
+        )
+        return cls(first.family, mask, columns)
 
 
 def encode_reply(
@@ -538,7 +675,12 @@ def encode_reply(
     if spec.reply == "json":
         payload = json.dumps(results, separators=(",", ":")).encode("utf-8")
     elif len(results):
-        payload = _encode_columnar(spec, results)
+        layout = REPLY_LAYOUT[spec.reply]
+        runs = ((results.mask,) if layout.masked else ()) + results.columns
+        payload = b"".join(
+            np.ascontiguousarray(run, dtype=dtype).tobytes()
+            for run, dtype in zip(runs, layout.runs)
+        )
     else:
         payload = b""
     return encode_frame(
@@ -546,71 +688,11 @@ def encode_reply(
     )
 
 
-def _check_payload_size(
-    spec: QueryOp, payload, expected: int, request_id: int
-) -> None:
-    if len(payload) != expected:
-        raise FrameCorruptError(
-            f"{spec.name} reply payload is {len(payload)} bytes "
-            f"(expected {expected})",
-            request_id=request_id,
-        )
-
-
-def _column(payload, offset: int, count: int, width: int, code: str):
-    """Decode one little-endian column to a plain list of Python values."""
-    end = offset + width * count
-    dtype = {"d": "<f8", "Q": "<u8", "I": "<u4", "B": "u1"}[code]
-    return np.frombuffer(payload[offset:end], dtype=dtype).tolist(), end
-
-
 def decode_results(
     spec: QueryOp, count: int, payload, *, request_id: int = 0
 ) -> List:
     """Client-side reply decode back to the JSON path's exact values."""
-    family = spec.reply
-    if family == "bool":
-        _check_payload_size(spec, payload, count, request_id)
-        return [byte != 0 for byte in bytes(payload)]
-    if family == "f64opt":
-        _check_payload_size(spec, payload, 9 * count, request_id)
-        mask = bytes(payload[:count])
-        values, _ = _column(payload, count, count, 8, "d")
-        return [
-            value if present else None
-            for present, value in zip(mask, values)
-        ]
-    if family == "record":
-        _check_payload_size(spec, payload, 25 * count, request_id)
-        mask = bytes(payload[:count])
-        first, offset = _column(payload, count, count, 8, "d")
-        last, offset = _column(payload, offset, count, 8, "d")
-        counts, _ = _column(payload, offset, count, 8, "Q")
-        return [
-            (first[i], last[i], counts[i]) if mask[i] else None
-            for i in range(count)
-        ]
-    if family == "features":
-        _check_payload_size(spec, payload, 18 * count, request_id)
-        mask = bytes(payload[:count])
-        codes = bytes(payload[count : 2 * count])
-        entropies, offset = _column(payload, 2 * count, count, 8, "d")
-        macs, _ = _column(payload, offset, count, 8, "Q")
-        return [
-            (
-                entropies[i],
-                codes[i],
-                None if macs[i] == _kernels.NO_MAC else macs[i],
-            )
-            if mask[i]
-            else None
-            for i in range(count)
-        ]
-    if family == "asn":
-        _check_payload_size(spec, payload, 4 * count, request_id)
-        asns, _ = _column(payload, 0, count, 4, "I")
-        return [None if asn == 0 else asn for asn in asns]
-    if family == "json":
+    if spec.reply == "json":
         try:
             results = json.loads(bytes(payload).decode("utf-8"))
         except ValueError:
@@ -624,7 +706,21 @@ def decode_results(
                 request_id=request_id,
             )
         return results
-    raise AssertionError(f"undecodable reply family {family!r}")
+    layout = REPLY_LAYOUT[spec.reply]
+    expected = count * layout.row_bytes
+    if len(payload) != expected:
+        raise FrameCorruptError(
+            f"{spec.name} reply payload is {len(payload)} bytes "
+            f"(expected {expected})",
+            request_id=request_id,
+        )
+    runs = []
+    offset = 0
+    for dtype in layout.runs:
+        runs.append(np.frombuffer(payload, dtype, count, offset))
+        offset += runs[-1].nbytes
+    mask = runs.pop(0) if layout.masked else None
+    return ColumnarResults(spec.reply, mask, tuple(runs)).to_list()
 
 
 # -- the hello handshake -------------------------------------------------------

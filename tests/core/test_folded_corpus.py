@@ -9,12 +9,15 @@ sealed at any budget, a partial deleted or flipped so its segment is
 rescanned; segments committed out of day order beside a large one):
 
 * every accessor agrees: ``len``, ``in``, the ``addresses`` order,
-  ``items``, the per-address reads, every aggregate and the bytes
-  ``save_corpus`` writes, signed zeros included;
+  ``items``, the per-address reads, every aggregate, the intersection
+  with another corpus and the bytes ``save_corpus`` writes, signed
+  zeros included;
 * the same mutation applied to both corpora gives equal corpora:
   ``record``, ``record_interval``, and ``merge`` in both directions,
   into an empty corpus and between two folded corpora;
-* ``len``, ``.index`` and the aggregates leave the record store unbuilt.
+* ``len``, ``.index``, the aggregates, ``common_addresses`` between two
+  folded corpora and ``.bin``/``.csv`` saves leave the record store
+  unbuilt.
 """
 
 from hypothesis import example, given, settings
@@ -166,6 +169,12 @@ class TestFoldedCorpusEqualsMerged:
         assert _columns(indexed.index) == _columns(loaded.index)
         assert indexed._records is None
 
+        # So do intersections, which read the address columns.
+        again = reader.load_indexed()
+        assert indexed.common_addresses(again) == set(loaded.addresses())
+        assert again.common_addresses(indexed) == set(loaded.addresses())
+        assert indexed._records is None and again._records is None
+
         # Record-level reads build it, in the merged corpus's order.
         assert list(indexed.addresses()) == list(loaded.addresses())
         assert indexed._records is not None
@@ -203,9 +212,12 @@ class TestFoldedCorpusEqualsMerged:
         for suffix in (".bin", ".csv"):
             indexed_path = directory / f"indexed{suffix}"
             loaded_path = directory / f"loaded{suffix}"
-            save_corpus(reader.load_indexed(), indexed_path)
+            indexed = reader.load_indexed()
+            save_corpus(indexed, indexed_path)
             save_corpus(reader.load(), loaded_path)
             assert indexed_path.read_bytes() == loaded_path.read_bytes()
+            # A save sorts the index columns; it builds no record store.
+            assert indexed._records is None
 
 
 class TestFoldedCorpusMutations:

@@ -1,9 +1,9 @@
 """Per-record reference encoders for the sealed corpus formats.
 
 The package seals a corpus from one set of sorted numpy columns
-(:func:`repro.core.index.sorted_record_columns`): ``save_corpus_binary``
-and ``SegmentStore.write_segment`` pack every v2 record at once, and a
-segment's ``.idx`` partial reuses the same columns.  This module is the
+(:meth:`repro.core.index.PartialIndexColumns.from_corpus`):
+``save_corpus_binary`` and ``SegmentStore.write_segment`` pack every v2
+record at once, and a segment's ``.idx`` partial is the same columns.  This module is the
 independent side those bytes are checked against.  It sorts the records
 with ``sorted(corpus.items())``, packs each one with its own
 ``struct.pack`` call, and derives the partial's feature columns one IID

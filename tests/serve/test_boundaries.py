@@ -18,6 +18,12 @@ equal :class:`CorpusIndex`, a :class:`LinearPrefixTable` holding the
 announced prefixes (independent of the routing table's flattened
 intervals the index stores) and the scalar :func:`repro.core.kernels.iid_features`.
 
+A property then draws batches from the stored addresses, their ±1
+neighbours and random 128-bit ints: every op answers them alike on the
+three paths (binary ≡ JSON ≡ in-process), and a batch holding one item
+that is no int in ``[0, 2**128)`` fails on every path with the same
+:class:`ValueError` text, the one :meth:`wire.AddressBlock.of` writes.
+
 The oracle itself is pinned row by row too: each stored address's
 columns, in a cold :meth:`CorpusIndex.build` and in the partial-index
 fold, equal the address's own bits, the scalar features and the
@@ -29,6 +35,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.corpus import AddressCorpus
@@ -205,6 +213,39 @@ def json_path(index, spec, batch):
     if spec.tupled:
         return [None if item is None else tuple(item) for item in results]
     return results
+
+
+PATHS = (columnar_path, rsb1_path, json_path)
+
+#: Drawn batch items: stored addresses, their ±1 neighbours, any address.
+ADDRESSES = st.one_of(
+    st.sampled_from(sorted({p for a in STORED for p in probes_of(a)})),
+    st.integers(min_value=0, max_value=_ALL_ONES),
+)
+
+#: Items no path may serve.  JSON cannot carry ``np.uint64(5)``, so only
+#: the columnar and RSB1 paths are asked about it.
+BAD_ITEMS = [True, -1, 1 << 128, 1.0, "1", np.uint64(5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.lists(ADDRESSES, max_size=20),
+    bad=st.sampled_from(BAD_ITEMS),
+    at=st.integers(min_value=0, max_value=20),
+)
+def test_drawn_batches_agree_on_every_path(index, batch, bad, at):
+    poisoned = batch[:at] + [bad] + batch[at:]
+    paths = PATHS if not isinstance(bad, np.generic) else PATHS[:2]
+    for spec in wire.ADDRESS_OPS:
+        answers = [path(index, spec, batch) for path in PATHS]
+        assert answers[1:] == answers[:1] * 2, spec.name
+        errors = []
+        for path in paths:
+            with pytest.raises(ValueError) as caught:
+                path(index, spec, poisoned)
+            errors.append(str(caught.value))
+        assert errors == errors[:1] * len(paths), (spec.name, errors)
 
 
 def test_edge_table_is_what_it_claims():

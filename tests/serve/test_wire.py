@@ -744,11 +744,12 @@ class TestColumnar:
     ):
         columnar = served_index.columnar_batch("record", queries)
         expected = oracle(ground_truth, routing, queries)["record"]
-        assert list(columnar) == expected
-        assert columnar[3] == expected[3]
         piece = columnar[2:9]
         assert isinstance(piece, ColumnarResults)
         assert piece.to_list() == expected[2:9]
+        # Rows are read through to_list(), never one by one.
+        with pytest.raises(TypeError):
+            iter(columnar)
 
     def test_address_block_concat_feeds_columnar(
         self, served_index, ground_truth, routing, queries
