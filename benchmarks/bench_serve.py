@@ -22,7 +22,8 @@ binary-over-JSON throughput ratio reported; a second, ``--serve-workers
 2 --json-only`` fleet proves the negotiation downgrade (a binary client
 lands on ``protocol == "json"`` with correct answers).
 
-Reported per mode: aggregate lookups/s and p50/p99 per-query latency.
+Reported per mode: aggregate lookups/s and p50/p99 per-query latency;
+and once, the index file's size (``index_bytes``, ``index_bytes_per_row``).
 ``--check`` additionally proves correctness end to end: every serving
 answer bit-identical to the in-process :class:`CorpusIndex` plus
 :meth:`RoutingTable.origin_asn` ground truth, remote (TCP) answers
@@ -600,7 +601,9 @@ def run_bench(n_addresses, seed=11, server=False, serve_workers=0):
         directory = pathlib.Path(tmp)
         table = build_store(directory, n_addresses, seed)
         build_started = time.perf_counter()
-        build_serving_index(directory, routing=table)
+        index_bytes = build_serving_index(
+            directory, routing=table
+        ).stat().st_size
         build_seconds = time.perf_counter() - build_started
 
         index = ServingIndex.open(directory)
@@ -654,6 +657,10 @@ def run_bench(n_addresses, seed=11, server=False, serve_workers=0):
             "queries": len(queries),
             "clients": CLIENTS,
             "index_rows": modes and len(gt.addresses),
+            "index_bytes": index_bytes,
+            "index_bytes_per_row": round(
+                index_bytes / max(1, len(gt.addresses)), 2
+            ),
             "index_build_seconds": round(build_seconds, 3),
             "ground_truth_build_seconds": round(gt_seconds, 3),
             "modes": modes,
@@ -693,7 +700,9 @@ def render(payload):
         f"{payload['clients']} concurrent clients",
         f"  index build: {payload['index_build_seconds']:.3f}s "
         f"(in-process ground truth: "
-        f"{payload['ground_truth_build_seconds']:.3f}s)",
+        f"{payload['ground_truth_build_seconds']:.3f}s), "
+        f"{payload['index_bytes']:,} bytes "
+        f"({payload['index_bytes_per_row']:.2f} per row)",
     ]
     for mode in ("unbatched", "coalesced", "batched"):
         row = payload["modes"][mode]

@@ -49,6 +49,7 @@ __all__ = [
     "interval_map",
     "sorted_record_fold",
     "pair_searchsorted_array",
+    "run_searchsorted",
 ]
 
 #: Sentinel in MAC columns for rows whose IID is not EUI-64 (MACs are
@@ -308,6 +309,46 @@ def sorted_record_fold(hi, lo, first, last, counts):
 _VECTOR_MIN_QUERIES = 8
 
 
+def run_searchsorted(column, queries, left, right, side="left"):
+    """Insertion point of each query inside its own sorted run
+    ``column[left[i]:right[i]]``, as an int64 ndarray.
+
+    ``column`` is a u64 ndarray sorted within every run the queries
+    name (not necessarily across runs); ``queries``, ``left`` and
+    ``right`` are row-aligned.  ``side`` follows
+    :func:`bisect.bisect_left` / ``bisect_right`` semantics, so each
+    answer lies in ``[left[i], right[i]]``.  Below
+    :data:`_VECTOR_MIN_QUERIES` queries each run is bisected in Python;
+    above, one batched bisection takes O(log longest-run) vector steps.
+    The result stays an ndarray because the serving layer's batch path
+    stays in numpy end to end (index lookup through RSB1 reply encode).
+    """
+    if len(queries) < _VECTOR_MIN_QUERIES:
+        inner = bisect_left if side == "left" else bisect_right
+        out = np.empty(len(queries), dtype=np.int64)
+        for row, (query, low, high) in enumerate(
+            zip(queries, left.tolist(), right.tolist())
+        ):
+            out[row] = inner(column, query, low, high)
+        return out
+    left = left.astype(np.int64)
+    right = right.astype(np.int64)
+    take_left = side == "left"
+    while True:
+        active = left < right
+        if not active.any():
+            break
+        mid = (left + right) >> 1
+        mid_vals = column[np.where(active, mid, 0)]
+        if take_left:
+            go_right = mid_vals < queries
+        else:
+            go_right = mid_vals <= queries
+        left = np.where(active & go_right, mid + 1, left)
+        right = np.where(active & ~go_right, mid, right)
+    return left
+
+
 def pair_searchsorted_array(hi_col, lo_col, q_hi, q_lo, side="left"):
     """Insertion points of 128-bit queries in a sorted ``(hi, lo)`` pair
     of u64 columns, as an int64 ndarray — ``searchsorted`` over a
@@ -316,33 +357,14 @@ def pair_searchsorted_array(hi_col, lo_col, q_hi, q_lo, side="left"):
     ``hi_col``/``lo_col`` are row-aligned u64 ndarrays sorted
     lexicographically by ``(hi, lo)``; the queries arrive pre-split into
     u64 ndarrays of hi and lo halves.  ``side`` follows
-    :func:`bisect.bisect_left` / ``bisect_right`` semantics.  The result
-    stays an ndarray because the serving layer's batch path stays in
-    numpy end to end (index lookup through RSB1 reply encode).
+    :func:`bisect.bisect_left` / ``bisect_right`` semantics.  The rows
+    sharing a query's hi half are one run of ``lo_col``, which
+    :func:`run_searchsorted` bisects.
     """
-    if len(q_hi) < _VECTOR_MIN_QUERIES:
-        inner = bisect_left if side == "left" else bisect_right
-        out = np.empty(len(q_hi), dtype=np.int64)
-        for row, (qh, ql) in enumerate(zip(q_hi, q_lo)):
-            low = bisect_left(hi_col, qh)
-            out[row] = inner(lo_col, ql, low, bisect_right(hi_col, qh, low))
-        return out
-    # The run of rows sharing the query's hi half is [left, right); a
-    # batched manual bisection over the lo column inside each run turns
-    # the composite 128-bit search into O(log max-run) vector steps.
-    left = np.searchsorted(hi_col, q_hi, side="left").astype(np.int64)
-    right = np.searchsorted(hi_col, q_hi, side="right").astype(np.int64)
-    take_left = side == "left"
-    while True:
-        active = left < right
-        if not active.any():
-            break
-        mid = (left + right) >> 1
-        mid_vals = lo_col[np.where(active, mid, 0)]
-        if take_left:
-            go_right = mid_vals < q_lo
-        else:
-            go_right = mid_vals <= q_lo
-        left = np.where(active & go_right, mid + 1, left)
-        right = np.where(active & ~go_right, mid, right)
-    return left
+    return run_searchsorted(
+        lo_col,
+        q_lo,
+        np.searchsorted(hi_col, q_hi, side="left"),
+        np.searchsorted(hi_col, q_hi, side="right"),
+        side,
+    )

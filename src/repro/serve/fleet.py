@@ -61,7 +61,7 @@ from ..net.routing import RoutingTable
 from ..obs import MetricsRegistry, NULL_REGISTRY, write_metrics
 from ..world import build_routing, preset_config
 from .engine import CoalescingEngine
-from .format import ServingIndex, ensure_serving_index, manifest_digest
+from .format import ServingIndex, _ensure, manifest_digest
 from .service import (
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_MAX_PIPELINE,
@@ -164,7 +164,9 @@ def reuseport_socket(host: str, port: int) -> socket.socket:
 def _build_in_child(sender, directory, routing, rebuild: bool) -> None:
     """Forked builder: ensure the index, report back, exit.
 
-    The report is ``(metrics snapshot, error or None)``: the
+    The child opens an index only to check it for reuse; one it has
+    just built it leaves to the server's own open.  The report is
+    ``(metrics snapshot, error or None)``: the
     :class:`FileNotFoundError` of a missing store, or the
     :class:`CorpusFormatError` (path and offset included) of a damaged
     manifest, segment or partial.  Any other failure ends the child with
@@ -173,13 +175,11 @@ def _build_in_child(sender, directory, routing, rebuild: bool) -> None:
     registry = MetricsRegistry()
     failure = None
     try:
-        ensure_serving_index(
-            directory,
-            routing=routing,
-            metrics=registry,
-            rebuild=rebuild,
-            lock=True,
-        ).close()
+        reused = _ensure(
+            directory, routing, registry, rebuild, lock=True, reopen=False
+        )
+        if reused is not None:
+            reused.close()
     except (FileNotFoundError, CorpusFormatError) as error:
         failure = error  # the input's fault: the server reports it
     with contextlib.suppress(OSError):  # the server is gone: nothing to tell
@@ -187,7 +187,8 @@ def _build_in_child(sender, directory, routing, rebuild: bool) -> None:
 
 
 class IndexBuild(Forked):
-    """Fork a child that runs ``ensure_serving_index(lock=True)``.
+    """Fork a child that runs ``ensure_serving_index(lock=True)``, short
+    of opening an index it has just built.
 
     The child inherits ``routing`` (and the rest of the server's state)
     instead of rebuilding it, and the build's temporaries are returned

@@ -11,7 +11,7 @@ to ``MANIFEST.json``:
 
     header (64 bytes):
         magic            b"RSI1"
-        version          u16
+        version          u16   2
         flags            u16   bit 0: origin table present
         rows             u64   address rows
         n48              u64   distinct /48 keys
@@ -20,8 +20,8 @@ to ``MANIFEST.json``:
         generation       u64   bumped on every rebuild
         source_digest    u32   CRC over the manifest's segment list
         (12 zero bytes reserved)
-    columns, 8-byte aligned, rows sorted by (addr_hi, addr_lo):
-        addr_hi, addr_lo          u64 x rows
+    columns, 8-byte aligned, rows sorted by (/64, addr_lo):
+        addr_lo                   u64 x rows
         first, last               f64 x rows
         counts                    u64 x rows
         entropies                 f64 x rows
@@ -29,16 +29,25 @@ to ``MANIFEST.json``:
         codes                     u8  x rows (zero-padded to 8)
         slash48 keys              u64 x n48   (sorted hi-half & /48 mask)
         slash64 keys              u64 x n64   (sorted hi halves)
+        slash64 row starts        u64 x (n64 + 1)
         origin starts hi, lo      u64 x n_origins (sorted interval starts)
         origin asns               u32 x n_origins (0 = unrouted; padded)
     footer (8 bytes):
         magic            b"RSIF"
         crc32            u32 over every preceding byte
 
+A row's address is never stored whole.  Its /64 (the ``addr_hi`` half)
+is the ``k``-th /64 key exactly when the row lies in ``[starts[k],
+starts[k+1])``, the run of rows in that /64, whose ``addr_lo`` values
+ascend.  So a lookup finds its /64 among the n64 keys and bisects
+``addr_lo`` inside that one run; a /64 that is no key has no rows.
+
 Readers check the whole-file CRC at open by reading the file through
 one bounded buffer (:meth:`repro.core.durable.Seal.check`), so a torn
 file (a crash mid-copy, a partial rsync) is *detected and refused*,
-never served.  Only then do they :func:`mmap.mmap` it read-only and
+never served.  A file of another version, whose layout this reader does
+not know, is refused too, and :func:`ensure_serving_index` rebuilds it
+as stale.  Only then do they :func:`mmap.mmap` it read-only and
 wrap the column runs in ``numpy.frombuffer`` views — no
 deserialization, so N worker processes share one page-cache copy, and
 each holds resident only the pages its queries touch: a reload maps the
@@ -98,7 +107,9 @@ SERVING_INDEX_NAME = "SERVING.rsi"
 #: Advisory lock file electing one builder among concurrent workers.
 SERVING_LOCK_NAME = "SERVING.rsi.lock"
 
-_VERSION = 1
+#: Version 1 stored every row's ``addr_hi``; version 2 stores the /64
+#: row starts instead.  Both share the 64-byte header.
+_VERSION = 2
 _FLAG_ORIGIN_TABLE = 1
 
 _HEADER = struct.Struct("<4sHHQQQQQI12x")
@@ -109,6 +120,10 @@ _SLASH48_HI_MASK = 0xFFFFFFFFFFFF0000
 
 class ServingIndexError(CorpusFormatError):
     """A serving index file is torn, corrupt, or inconsistent."""
+
+
+class _OtherVersion(ServingIndexError):
+    """An intact serving index of a version this reader does not serve."""
 
 
 _SEAL = durable.Seal(
@@ -167,7 +182,8 @@ def _peek_generation(path: Path) -> int:
 
     Reads only the fixed header so even a torn file (valid header, torn
     columns) still carries its generation forward — readers distinguish
-    rebuilds by a strictly growing number.
+    rebuilds by a strictly growing number.  Every version shares the
+    header, so an upgraded index continues its predecessor's count.
     """
     try:
         with path.open("rb") as stream:
@@ -176,11 +192,8 @@ def _peek_generation(path: Path) -> int:
         return 0
     if len(head) != _HEADER_SIZE:
         return 0
-    try:
-        magic, version, _, _, _, _, _, generation, _ = _HEADER.unpack(head)
-    except struct.error:  # pragma: no cover - fixed-size read
-        return 0
-    if magic != _SEAL.head_magic or version != _VERSION:
+    magic, _, _, _, _, _, _, generation, _ = _HEADER.unpack(head)
+    if magic != _SEAL.head_magic:
         return 0
     return generation
 
@@ -198,6 +211,14 @@ def _file_chunks(header: bytes, columns) -> Iterator:
         yield bytes(_pad8(run.nbytes))
 
 
+def _run_heads(column):
+    """Positions where each run of equal values in sorted ``column``
+    begins."""
+    heads = np.ones(len(column), dtype=bool)
+    np.not_equal(column[1:], column[:-1], out=heads[1:])
+    return np.flatnonzero(heads)
+
+
 def build_serving_index(
     directory: Union[str, Path],
     *,
@@ -211,7 +232,10 @@ def build_serving_index(
     ``.seg`` payloads while the partials are intact) into query-ordered
     columns, and writes the flattened intervals of ``routing`` (a
     :class:`~repro.net.routing.RoutingTable`) as the LPM origin table
-    when given.
+    when given.  The folded ``hi`` column is already sorted, so one pass
+    over it finds where each /64 run starts, hence the /64 keys, and the
+    /48 keys are the distinct masked /64 keys; ``hi`` itself is not
+    written.
     The header, each column and the CRC footer are then streamed
     through the durable writer — the file is never assembled in
     memory — replacing any previous index, bumping its generation and
@@ -231,8 +255,10 @@ def build_serving_index(
             manifest.total_records,
         )
         size = len(folded)
-        slash48 = np.unique(folded.hi & np.uint64(_SLASH48_HI_MASK))
-        slash64 = np.unique(folded.hi)
+        starts = _run_heads(folded.hi)
+        slash64 = folded.hi[starts]
+        masked = slash64 & np.uint64(_SLASH48_HI_MASK)
+        slash48 = masked[_run_heads(masked)]
 
         flags = 0
         origin_hi = origin_lo = origin_asn = ()
@@ -255,7 +281,6 @@ def build_serving_index(
         # (values, on-disk dtype) in file order; each run is padded to
         # 8 bytes, which only the u8 codes and u32 ASNs ever need.
         columns = (
-            (folded.hi, "<u8"),
             (folded.lo, "<u8"),
             (folded.first, "<f8"),
             (folded.last, "<f8"),
@@ -265,6 +290,7 @@ def build_serving_index(
             (folded.pattern_codes, "u1"),
             (slash48, "<u8"),
             (slash64, "<u8"),
+            (np.append(starts, size), "<u8"),
             (origin_hi, "<u8"),
             (origin_lo, "<u8"),
             (origin_asn, "<u4"),
@@ -285,7 +311,7 @@ class ServingIndex:
     Open with :meth:`open` (or :func:`ensure_serving_index`).  All query
     methods are batch-shaped, because the serving engine's whole point
     is answering many concurrent lookups with one vectorized binary
-    search (:func:`repro.core.kernels.pair_searchsorted_array`).
+    search (:func:`repro.core.kernels.run_searchsorted`).
     :meth:`columnar_batch` is the one implementation of every op; the
     ``*_batch`` methods are its answers as plain Python lists.  The mmap
     means the columns are never copied into the process: the kernel page
@@ -315,7 +341,6 @@ class ServingIndex:
         ) = header
 
         offset = _HEADER_SIZE
-        self._hi, offset = self._view(offset, self.rows, "<u8")
         self._lo, offset = self._view(offset, self.rows, "<u8")
         self._first, offset = self._view(offset, self.rows, "<f8")
         self._last, offset = self._view(offset, self.rows, "<f8")
@@ -326,6 +351,9 @@ class ServingIndex:
         offset += _pad8(self.rows)
         self._slash48, offset = self._view(offset, self.slash48_count, "<u8")
         self._slash64, offset = self._view(offset, self.slash64_count, "<u8")
+        self._starts, offset = self._view(
+            offset, self.slash64_count + 1, "<u8"
+        )
         self._origin_hi, offset = self._view(
             offset, self.origin_intervals, "<u8"
         )
@@ -399,8 +427,9 @@ class ServingIndex:
             digest,
         ) = _HEADER.unpack_from(mapped, 0)
         if version != _VERSION:
-            raise ServingIndexError(
-                f"unsupported serving index version {version}",
+            raise _OtherVersion(
+                f"unsupported serving index version {version} "
+                f"(serving version {_VERSION})",
                 path=path,
                 offset=4,
             )
@@ -431,8 +460,8 @@ class ServingIndex:
     def close(self) -> None:
         """Release the mapping (queries are invalid afterwards)."""
         for attr in (
-            "_hi", "_lo", "_first", "_last", "_counts", "_entropies",
-            "_macs", "_codes", "_slash48", "_slash64", "_origin_hi",
+            "_lo", "_first", "_last", "_counts", "_entropies", "_macs",
+            "_codes", "_slash48", "_slash64", "_starts", "_origin_hi",
             "_origin_lo", "_origin_asn",
         ):
             setattr(self, attr, None)
@@ -468,19 +497,23 @@ class ServingIndex:
     # -- batch queries -----------------------------------------------------------
 
     def _columnar_rows(self, qh, ql, count: int):
-        """(row-index, hit) ndarrays; misses index row 0 with hit False."""
+        """(row-index, hit) ndarrays; misses index row 0 with hit False.
+
+        A query's /64 is the ``k``-th key when ``keys[k] == qh`` for its
+        insertion point ``k < n64``; its rows are then ``[starts[k],
+        starts[k+1])``, whose ``addr_lo`` ascend.  An unknown /64 gets
+        the empty run ``[starts[k], starts[k])``.
+        """
         if not self.rows:
             zeros = np.zeros(count, dtype=np.int64)
             return zeros, np.zeros(count, dtype=bool)
-        pos = _kernels.pair_searchsorted_array(
-            self._hi, self._lo, qh, ql, "left"
-        )
-        clipped = np.minimum(pos, self.rows - 1)
-        hit = (
-            (pos < self.rows)
-            & (self._hi[clipped] == qh)
-            & (self._lo[clipped] == ql)
-        )
+        key = np.searchsorted(self._slash64, qh)
+        # Clipping maps k == n64 to the last key, which is below qh.
+        known = self._slash64.take(key, mode="clip") == qh
+        left = self._starts[key]
+        right = self._starts[key + known]
+        pos = _kernels.run_searchsorted(self._lo, ql, left, right)
+        hit = (pos < right) & (self._lo.take(pos, mode="clip") == ql)
         return np.where(hit, pos, 0), hit
 
     def _columnar_gather(self, hit, rows_idx, column, zero):
@@ -648,6 +681,26 @@ def ensure_serving_index(
     writers that died mid-write in the directory, a builder's each as
     large as the index
     (:func:`repro.core.durable.remove_dead_writers_temp_files`).
+    An intact index of another format version is rebuilt as stale, its
+    generation carried forward.
+    """
+    return _ensure(directory, routing, metrics, rebuild, lock, reopen=True)
+
+
+def _ensure(
+    directory: Union[str, Path],
+    routing,
+    metrics: Optional[MetricsRegistry],
+    rebuild: bool,
+    lock: bool,
+    reopen: bool,
+) -> Optional[ServingIndex]:
+    """:func:`ensure_serving_index`'s check-or-build.
+
+    A reused index is returned open, since that open is the reuse
+    check.  With ``reopen=False`` a fresh build returns None instead of
+    an open index: a forked builder's server maps the published file
+    itself, and its :meth:`ServingIndex.open` checks it then.
     """
     directory = Path(directory)
     if directory.name == MANIFEST_NAME:
@@ -655,11 +708,8 @@ def ensure_serving_index(
     if lock:
         with serving_build_lock(directory):
             durable.remove_dead_writers_temp_files(directory)
-            return ensure_serving_index(
-                directory,
-                routing=routing,
-                metrics=metrics,
-                rebuild=rebuild,
+            return _ensure(
+                directory, routing, metrics, rebuild, False, reopen
             )
     registry = NULL_REGISTRY if metrics is None else metrics
     store = SegmentStore(directory, metrics=registry)
@@ -674,6 +724,8 @@ def ensure_serving_index(
             index = ServingIndex.open(directory)
         except FileNotFoundError:
             reason = "missing"
+        except _OtherVersion:
+            reason = "stale"
         except ServingIndexError:
             reason = "torn"
         else:
@@ -695,4 +747,4 @@ def ensure_serving_index(
         labels={"reason": reason},
     ).inc()
     build_serving_index(directory, routing=routing, metrics=registry)
-    return ServingIndex.open(directory)
+    return ServingIndex.open(directory) if reopen else None

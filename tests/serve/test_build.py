@@ -36,9 +36,9 @@ from repro.world import WorldBuilder, build_world, preset_config
 from .conftest import make_routing, write_serve_store
 
 PINNED_SHA256 = {
-    "routed": "75f1eb81304e372c65bd9f906a1c43c06bef75bd58498ef982278b02a23c0cbc",
-    "bare": "08a897233182918d844b0dcb6e2824764e83dea4f91370d33df790b79cd61afb",
-    "empty": "0bc267ee9ed1505ec4f165f605f3df947886fe857414ec0abe34461c4af70463",
+    "routed": "3b6200e5f36dd309d42983ba18ad7ee832016edfb00777a41f84a1c71b45246e",
+    "bare": "a798a99fc90111cea55ab5d0ffc3794c583cdde6326663cc675cff6d3607b079",
+    "empty": "0db62d847489b9ffd0e82ebf77f44906373d423fea34e2d0a0d5f9151182ced5",
 }
 
 

@@ -12,6 +12,10 @@ Pinned contracts:
   SIGKILL during *its* write can never tear the published file.  The
   check reads the file one buffer at a time, and a flip on either side
   of every buffer boundary of a twelve-buffer index is refused.
+* **an older version is stale, not torn** — an intact index of header
+  version 1 is refused at open naming its version, and
+  :func:`ensure_serving_index` rebuilds it once as ``stale``, carrying
+  its generation forward.
 * **only queried pages are resident** — right after the open, the
   mapping holds no more than one check buffer's worth of the file; the
   pages a query touches are what it holds afterwards.
@@ -21,14 +25,17 @@ Pinned contracts:
 
 import os
 import signal
+import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from repro.core.durable import CHECK_BUFFER_BYTES, TRAILER_SIZE
+from repro.core.index import CorpusIndex
 from repro.core.kernels import NO_MAC
-from repro.core.segments import SegmentStore
+from repro.core.segments import SegmentStore, SegmentedCorpusReader
 from repro.obs import MetricsRegistry
 from repro.serve import (
     SERVING_INDEX_NAME,
@@ -43,6 +50,7 @@ from repro.serve import (
 from .conftest import (
     HAS_SMAPS,
     mapped_rss,
+    query_addresses,
     write_serve_store,
     write_wide_store,
 )
@@ -99,6 +107,20 @@ def assert_index_matches(index, gt, routing, queries):
     assert index.slash48_batch(queries) == expected["slash48"]
     assert index.slash64_batch(queries) == expected["slash64"]
     assert index.origin_batch(queries) == expected["origin"]
+
+
+def header_version(path):
+    """The u16 header version of the serving index at ``path``."""
+    return struct.unpack_from("<H", path.read_bytes(), 4)[0]
+
+
+def reseal_with_version(path, version):
+    """Rewrite ``path``'s header version and seal it with a matching CRC,
+    so only the version tells it from the file it was."""
+    body = bytearray(path.read_bytes()[:-TRAILER_SIZE])
+    struct.pack_into("<H", body, 4, version)
+    trailer = b"RSIF" + struct.pack("<I", zlib.crc32(body))
+    path.write_bytes(bytes(body) + trailer)
 
 
 class TestRoundTrip:
@@ -313,8 +335,9 @@ class TestBoundedCheck:
             assert list(opened) == [str(path)]
             assert opened[str(path)] <= CHECK_BUFFER_BYTES
             index.record_batch(addresses)
-            # record reads addr_hi, addr_lo, first, last and counts:
-            # every page of five 8-byte columns.
+            # record reads addr_lo, first, last and counts, and (a /64
+            # per row here) the /64 keys and starts: every page of at
+            # least five 8-byte columns.
             assert mapped_rss(path)[str(path)] >= 5 * 8 * len(addresses)
         assert mapped_rss(path) == {}
 
@@ -501,6 +524,38 @@ class TestEnsure:
             )
         finally:
             upgraded.close()
+
+    def test_an_older_version_is_rebuilt_as_stale(self, tmp_path, routing):
+        write_serve_store(tmp_path, per_segment=30, segments=2)
+        path = build_serving_index(tmp_path, routing=routing)
+        with ServingIndex.open(path) as index:
+            generation = index.generation
+        reseal_with_version(path, 1)
+        with pytest.raises(ServingIndexError, match="version 1"):
+            ServingIndex.open(path)
+
+        metrics = MetricsRegistry()
+        index = ensure_serving_index(
+            tmp_path, routing=routing, metrics=metrics
+        )
+        try:
+            assert index.generation == generation + 1
+            assert header_version(path) == 2
+            gt = CorpusIndex.build(
+                SegmentedCorpusReader.open(tmp_path).load()
+            )
+            assert_index_matches(
+                index, gt, routing, query_addresses(gt.addresses)
+            )
+        finally:
+            index.close()
+        rebuilds = {
+            reason: metrics.counter_value(
+                "repro_serve_index_rebuilds_total", labels={"reason": reason}
+            )
+            for reason in ("stale", "torn")
+        }
+        assert rebuilds == {"stale": 1, "torn": 0}
 
     def test_forced_rebuild(self, tmp_path):
         write_serve_store(tmp_path, per_segment=10, segments=1)

@@ -20,9 +20,11 @@ polls a manifest that moved at the next tick, and serves a repaired
 store within the backoff cap.
 
 Every rebuild runs in a forked builder.  Its metrics reach the
-server's registry; a signal sent to it stays with it; and a builder
-killed mid-write swaps nothing, leaves the old index answering, and
-leaves no temp file behind once the next poll has rebuilt.
+server's registry; it opens an index only to check one for reuse,
+leaving a file it built to the server's open; a signal sent to it
+stays with it; and a builder killed mid-write swaps nothing, leaves
+the old index answering, and leaves no temp file behind once the next
+poll has rebuilt.
 """
 
 import asyncio
@@ -52,6 +54,7 @@ from repro.serve import (
     CoalescingEngine,
     IndexBuild,
     IndexReloader,
+    ServingIndex,
     ensure_serving_index,
 )
 
@@ -669,6 +672,35 @@ class TestForkedBuilder:
         # The second build's rows, not the first's: merging keeps a
         # gauge that already exists, so the server sets it itself.
         assert snapshot["gauges"]["repro_serve_index_rows"] == rows
+
+    def test_a_fresh_build_is_opened_by_the_server_alone(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "store"
+        write_serve_store(directory, per_segment=30, segments=1)
+        log = tmp_path / "opens"
+        real_open = ServingIndex.open.__func__
+
+        def logged_open(cls, path):
+            index = real_open(cls, path)
+            with open(log, "a") as stream:
+                stream.write(f"{os.getpid()}\n")
+            return index
+
+        # The forked builder inherits the patch.
+        monkeypatch.setattr(ServingIndex, "open", classmethod(logged_open))
+
+        def openers():
+            log.write_text("")
+            IndexBuild(directory).result(MetricsRegistry()).close()
+            return sorted(
+                "server" if int(pid) == os.getpid() else "builder"
+                for pid in log.read_text().split()
+            )
+
+        assert openers() == ["server"]  # built, and not re-opened
+        # Reused: the builder's open is the reuse check.
+        assert openers() == ["builder", "server"]
 
     def test_missing_store_is_a_file_not_found_error(self, tmp_path):
         metrics = MetricsRegistry()
