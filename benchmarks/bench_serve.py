@@ -52,6 +52,7 @@ import json
 import os
 import pathlib
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -84,10 +85,14 @@ BATCH_SIZE = 256
 BATCHES_PER_CLIENT = 24
 
 #: Multi-worker sweep: client *processes* driving the fleet (separate
-#: processes so the drivers don't share the servers' GIL) and batched
-#: rounds per driver.
+#: processes so the drivers don't share the servers' GIL); the batches
+#: per driver whose answers are digested; and the timed rounds per
+#: fleet size, each about SWEEP_ROUND_SECONDS long, after one untimed
+#: warm-up round.
 SWEEP_DRIVERS = 4
 SWEEP_ROUNDS = 60
+SWEEP_TIMED_ROUNDS = 5
+SWEEP_ROUND_SECONDS = 1.0
 
 #: Wire comparison: pipelined batches per op per protocol, their size,
 #: in-flight cap, and the op mix (record is the encode-heaviest reply,
@@ -487,39 +492,84 @@ def run_downgrade_check(directory, expected, queries):
     }
 
 
-def _sweep_driver(host, port, queries, rounds, offset, out_queue):
+def _sweep_driver(host, port, queries, offset, start, out_queue):
     """One client process: batched contains over a deterministic slice.
 
-    Returns ``(lookups, seconds, answers_digest)`` via the queue; the
-    digest covers every answer in issue order, so two sweeps with the
-    same (queries, rounds, offset) are bit-identical iff digests match
-    — regardless of which worker the kernel landed each connection on.
+    Connects, reports in, waits for ``start``, then sends batches for
+    ``SWEEP_ROUND_SECONDS`` (and at least ``SWEEP_ROUNDS``).  Puts
+    ``(lookups, seconds, cpu_seconds, answers_digest)`` on the queue:
+    ``cpu_seconds`` is this process's CPU time over the timed loop, and
+    the digest covers the first ``SWEEP_ROUNDS`` answers in issue
+    order, so two rounds with the same (queries, offset) are
+    bit-identical iff digests match — regardless of which worker the
+    kernel landed each connection on.
     """
     import hashlib
 
     async def go():
         client = await RemoteHitlistClient.connect(host, port)
-        digest = hashlib.sha256()
-        lookups = 0
         async with client:
+            out_queue.put(None)
+            start.wait()
+            kept = []
+            batches = lookups = 0
+            cpu_started = time.process_time()
             started = time.perf_counter()
-            for round_number in range(rounds):
-                start = (offset + round_number) * BATCH_SIZE
+            while (
+                batches < SWEEP_ROUNDS
+                or time.perf_counter() - started < SWEEP_ROUND_SECONDS
+            ):
+                first = (offset + batches) * BATCH_SIZE
                 chunk = [
-                    queries[(start + n) % len(queries)]
+                    queries[(first + n) % len(queries)]
                     for n in range(BATCH_SIZE)
                 ]
                 answers = await client.contains_batch(chunk)
-                digest.update(json.dumps(answers).encode())
+                if batches < SWEEP_ROUNDS:
+                    kept.append(answers)
+                batches += 1
                 lookups += len(answers)
             elapsed = time.perf_counter() - started
-        return lookups, elapsed, digest.hexdigest()
+            cpu = time.process_time() - cpu_started
+        digest = hashlib.sha256()
+        for answers in kept:
+            digest.update(json.dumps(answers).encode())
+        return lookups, elapsed, cpu, digest.hexdigest()
 
     out_queue.put(asyncio.run(go()))
 
 
-def _drive_fleet(host, port, queries):
-    """SWEEP_DRIVERS client processes against one fleet; aggregate."""
+def _cpu_seconds(pid):
+    """User plus system CPU seconds of one process, from /proc."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _fleet_pids(supervisor):
+    """The serving process and its children (the fleet's workers)."""
+    pids = [supervisor]
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError):
+            continue  # exited while we looked
+        if ppid == supervisor:
+            pids.append(int(entry))
+    return pids
+
+
+def _fleet_round(server, host, port, queries):
+    """SWEEP_DRIVERS client processes against one fleet for one round.
+
+    The fleet's CPU time (supervisor and workers, from /proc) is read
+    once every driver has connected and again after every driver has
+    reported, so it covers the timed loops and nothing of the drivers'
+    start-up.
+    """
     import multiprocessing
 
     methods = multiprocessing.get_all_start_methods()
@@ -527,6 +577,7 @@ def _drive_fleet(host, port, queries):
         "fork" if "fork" in methods else None
     )
     out_queue = context.Queue()
+    start = context.Event()
     drivers = [
         context.Process(
             target=_sweep_driver,
@@ -534,8 +585,8 @@ def _drive_fleet(host, port, queries):
                 host,
                 port,
                 queries,
-                SWEEP_ROUNDS,
                 number * SWEEP_ROUNDS,
+                start,
                 out_queue,
             ),
         )
@@ -543,23 +594,67 @@ def _drive_fleet(host, port, queries):
     ]
     for driver in drivers:
         driver.start()
+    for _ in drivers:
+        out_queue.get(timeout=600)  # connected
+    pids = _fleet_pids(server.pid)
+    server_cpu = -sum(_cpu_seconds(pid) for pid in pids)
+    start.set()
     results = [out_queue.get(timeout=600) for _ in drivers]
+    server_cpu += sum(_cpu_seconds(pid) for pid in pids)
     for driver in drivers:
         driver.join(timeout=60)
     lookups = sum(result[0] for result in results)
     # Wall-clock of the slowest driver: they run concurrently.
     elapsed = max(result[1] for result in results)
-    digests = sorted(result[2] for result in results)
     return {
         "lookups": lookups,
         "seconds": round(elapsed, 6),
         "lookups_per_second": round(lookups / elapsed, 1),
-        "digests": digests,
+        "server_cpu_us_per_lookup": round(1e6 * server_cpu / lookups, 3),
+        "driver_cpu_us_per_lookup": round(
+            1e6 * sum(result[2] for result in results) / lookups, 3
+        ),
+        "digests": sorted(result[3] for result in results),
+    }
+
+
+def _fleet_summary(rounds, cpu_count):
+    """Median and quartiles of one fleet size's timed rounds, and the
+    throughput its CPU cost per lookup allows on ``cpu_count`` cores."""
+    rates = [row["lookups_per_second"] for row in rounds]
+    q1, median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
+    server_us = statistics.median(
+        row["server_cpu_us_per_lookup"] for row in rounds
+    )
+    driver_us = statistics.median(
+        row["driver_cpu_us_per_lookup"] for row in rounds
+    )
+    return {
+        "lookups_per_second": round(median, 1),
+        "lookups_per_second_q1": round(q1, 1),
+        "lookups_per_second_q3": round(q3, 1),
+        "server_cpu_us_per_lookup": round(server_us, 3),
+        "driver_cpu_us_per_lookup": round(driver_us, 3),
+        "ceiling_lookups_per_second": round(
+            1e6 * cpu_count / (server_us + driver_us), 1
+        ),
+        "rounds": [
+            {key: value for key, value in row.items() if key != "digests"}
+            for row in rounds
+        ],
     }
 
 
 def run_worker_sweep(directory, queries, workers):
     """Throughput of ``--serve-workers 1`` vs ``--serve-workers N``.
+
+    Both fleets stay up for the whole sweep.  After one untimed warm-up
+    round each, they take ``SWEEP_TIMED_ROUNDS`` timed rounds in turn,
+    and the order alternates each round so that neither size always
+    runs first.  Each size reports the median and quartiles of its
+    rounds' lookups/s, the fleet's and the drivers' CPU microseconds
+    per lookup, and the ceiling those imply, ``cpu_count / (server +
+    driver µs per lookup)``; ``speedup`` is the ratio of the medians.
 
     The acceptance bar scales with the hardware: N workers can only
     beat one where there are cores to run them, so the required
@@ -567,33 +662,61 @@ def run_worker_sweep(directory, queries, workers):
     the full 2x bar on multi-core machines, an honest no-regression
     sanity bound (~0.8x) on a single core.
     """
-    sweep = {
+    sizes = sorted({1, workers})
+    cpu_count = os.cpu_count() or 1
+    servers = {}
+    rounds = {count: [] for count in sizes}
+    try:
+        for count in sizes:
+            servers[count] = _spawn_server(
+                directory,
+                "--serve-workers",
+                str(count),
+                "--reload-interval",
+                "0",
+            )
+        warm_ups = [_fleet_round(*servers[count], queries) for count in sizes]
+        for number in range(SWEEP_TIMED_ROUNDS):
+            for count in sizes if number % 2 == 0 else sizes[::-1]:
+                rounds[count].append(_fleet_round(*servers[count], queries))
+    finally:
+        for process, _, _ in servers.values():
+            _stop_server(process)
+    per_count = {
+        count: _fleet_summary(rounds[count], cpu_count) for count in sizes
+    }
+    single, fleet = per_count[1], per_count[workers]
+    digests = {
+        tuple(row["digests"])
+        for row in warm_ups + [row for count in sizes for row in rounds[count]]
+    }
+    return {
         "workers": workers,
         "drivers": SWEEP_DRIVERS,
-        "cpu_count": os.cpu_count() or 1,
-        "per_count": {},
+        "cpu_count": cpu_count,
+        "rounds": SWEEP_TIMED_ROUNDS,
+        "round_seconds": SWEEP_ROUND_SECONDS,
+        "per_count": {str(count): row for count, row in per_count.items()},
+        "speedup": round(
+            fleet["lookups_per_second"] / single["lookups_per_second"], 2
+        ),
+        "ceiling_speedup": round(
+            fleet["ceiling_lookups_per_second"]
+            / single["lookups_per_second"],
+            2,
+        ),
+        "identical": len(digests) == 1,
     }
-    for count in sorted({1, workers}):
-        process, host, port = _spawn_server(
-            directory,
-            "--serve-workers",
-            str(count),
-            "--reload-interval",
-            "0",
-        )
-        try:
-            sweep["per_count"][str(count)] = _drive_fleet(
-                host, port, queries
-            )
-        finally:
-            _stop_server(process)
-    single = sweep["per_count"]["1"]
-    fleet = sweep["per_count"][str(workers)]
-    sweep["speedup"] = round(
-        fleet["lookups_per_second"] / single["lookups_per_second"], 2
-    )
-    sweep["identical"] = single["digests"] == fleet["digests"]
-    return sweep
+
+
+def sweep_verdict(sweep):
+    """The sweep's speedup against its bar, and what limits it."""
+    required = sweep["required_speedup"]
+    if sweep["speedup"] >= required:
+        return "meets the bar"
+    if sweep["ceiling_speedup"] < required:
+        return "below the bar, and so is the CPU ceiling"
+    return "below the bar, under the CPU ceiling"
 
 
 def run_bench(n_addresses, seed=11, server=False, serve_workers=0):
@@ -756,18 +879,32 @@ def render(payload):
         )
     sweep = payload.get("worker_sweep")
     if sweep:
+        lines.append(
+            f"  fleet sweep: {sweep['drivers']} driver processes, "
+            f"{sweep['rounds']} rounds of {sweep['round_seconds']:.1f}s "
+            "per size, order alternated; median [Q1, Q3]"
+        )
         for count, row in sorted(
             sweep["per_count"].items(), key=lambda item: int(item[0])
         ):
             lines.append(
                 f"  fleet x{count:>2s}  "
-                f"{row['lookups_per_second']:>12,.0f}/s over TCP  "
-                f"({sweep['drivers']} driver processes)"
+                f"{row['lookups_per_second']:>12,.0f}/s "
+                f"[{row['lookups_per_second_q1']:,.0f}, "
+                f"{row['lookups_per_second_q3']:,.0f}] over TCP; "
+                f"CPU/lookup: server {row['server_cpu_us_per_lookup']:.2f}"
+                f"us, drivers {row['driver_cpu_us_per_lookup']:.2f}us; "
+                f"ceiling {row['ceiling_lookups_per_second']:,.0f}/s"
             )
         lines.append(
             f"  {sweep['workers']}-worker speedup over 1: "
-            f"{sweep['speedup']:.2f}x on {sweep['cpu_count']} cores, "
-            f"answers identical: {sweep['identical']}"
+            f"{sweep['speedup']:.2f}x (CPU ceiling "
+            f"{sweep['ceiling_speedup']:.2f}x) on {sweep['cpu_count']} "
+            f"cores, answers identical: {sweep['identical']}"
+        )
+        lines.append(
+            f"  against the {sweep['required_speedup']:.2f}x bar: "
+            f"{sweep['verdict']}"
         )
     return "\n".join(lines)
 
@@ -834,6 +971,7 @@ def main(argv=None):
             ),
             2,
         )
+        sweep["verdict"] = sweep_verdict(sweep)
     publish_text("serve", render(payload))
     write_bench_json("serve", payload)
     wire_row = payload.get("wire")

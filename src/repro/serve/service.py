@@ -16,6 +16,10 @@ same pipelining, the same out-of-order replies, an order of magnitude
 less encode/decode work at large batches.  Old clients never send a
 hello and notice nothing; old servers answer the hello like any unknown
 op, and the client downgrades to JSON-lines on the same connection.
+What differs per protocol lives in one object each
+(:class:`~repro.serve.wire.JsonLines`, :class:`~repro.serve.wire.Rsb1`),
+so the server reads every connection in one loop, answers every request
+in one task, and the remote client runs one reply pump.
 
 Requests on one connection may be pipelined without awaiting replies;
 the server answers each as its own task, which is exactly what lets the
@@ -66,17 +70,6 @@ READY_PREFIX = "SERVE READY"
 #: without bound; past this many unanswered requests the server simply
 #: stops reading that connection until replies flush.
 DEFAULT_MAX_PIPELINE = 128
-
-_COMPACT = {"separators": (",", ":")}
-
-#: What an op the registry cannot resolve is sent as on the binary
-#: protocol: op code 0 is reserved-invalid, so the *server* rejects it
-#: with the same request-scoped error contract as the JSON path.
-_UNKNOWN_OP = wire.QueryOp(0, "unknown", "json", "unknown")
-
-
-def _encode(payload: Dict[str, object]) -> bytes:
-    return (json.dumps(payload, **_COMPACT) + "\n").encode("utf-8")
 
 
 class HitlistServer:
@@ -204,17 +197,6 @@ class HitlistServer:
 
     # -- connection handling -----------------------------------------------------
 
-    @staticmethod
-    def _parse_hello(line: bytes) -> Optional[Dict[str, object]]:
-        """The parsed request when a first line is a protocol hello."""
-        try:
-            request = json.loads(line)
-        except ValueError:
-            return None
-        if isinstance(request, dict) and request.get("op") == wire.HELLO_OP:
-            return request
-        return None
-
     async def _handle_connection(
         self,
         reader: asyncio.StreamReader,
@@ -231,7 +213,11 @@ class HitlistServer:
         slots = asyncio.Semaphore(self.max_pipeline)
         tasks: set = set()
         self._writers.add(writer)
-        binary_mode = False
+        # Every connection opens on JSON-lines; a hello on its first
+        # line may switch it to RSB1, once.
+        protocol: wire.WireProtocol = wire.JsonLines(
+            self.max_frame_bytes, server=True
+        )
         first_line = True
 
         def finish(task: asyncio.Task) -> None:
@@ -250,99 +236,47 @@ class HitlistServer:
                     if slots.locked():
                         self._m_stalls.inc()
                     await slots.acquire()
-                    if binary_mode:
-                        try:
-                            frame = await wire.read_frame(
-                                reader,
-                                max_frame_bytes=self.max_frame_bytes,
-                            )
-                        except wire.WireError as error:
-                            slots.release()
-                            await self._fail_connection(
-                                writer, write_lock, error, binary=True
-                            )
-                            break
-                        if frame is None:
-                            slots.release()
-                            break
-                        kind, opcode, request_id, count, payload = frame
-                        if kind != wire.KIND_REQUEST:
-                            slots.release()
-                            await self._fail_connection(
-                                writer,
-                                write_lock,
-                                wire.WireProtocolError(
-                                    f"expected a request frame, got "
-                                    f"kind {kind}",
-                                    request_id=request_id,
-                                ),
-                                binary=True,
-                            )
-                            break
-                        task = asyncio.ensure_future(
-                            self._serve_frame(
-                                opcode,
-                                request_id,
-                                count,
-                                payload,
-                                writer,
-                                write_lock,
-                            )
+                    try:
+                        message = await protocol.read(reader)
+                    except wire.WireError as error:
+                        # Connection-fatal: the reply carries the error
+                        # class, so the peer fails its in-flight
+                        # requests with the typed exception instead of
+                        # a bare EOF.  Then the connection closes.
+                        self._m_errors.inc()
+                        await self._send(
+                            writer, write_lock, protocol.fatal(error)
                         )
-                    else:
-                        try:
-                            line = await reader.readline()
-                        except (
-                            asyncio.LimitOverrunError,
-                            ValueError,
-                        ):
-                            # readline found no separator within the
-                            # stream limit: the request line is over
-                            # max_frame_bytes.
-                            slots.release()
-                            await self._fail_connection(
-                                writer,
-                                write_lock,
-                                wire.FrameTooLargeError(
-                                    "request line is over the "
-                                    f"{self.max_frame_bytes}-byte "
-                                    "frame bound"
-                                ),
-                                binary=False,
+                        message = None
+                    if message is None:
+                        slots.release()
+                        break
+                    hello = wire.parse_hello(message) if first_line else None
+                    first_line = False
+                    if hello is not None:
+                        slots.release()
+                        self._m_requests.inc()
+                        granted = self.binary and wire.hello_accepts(hello)
+                        if granted:
+                            self._m_binary.inc()
+                            protocol = wire.Rsb1(
+                                self.max_frame_bytes, server=True
                             )
-                            break
-                        if not line:
-                            slots.release()
-                            break
-                        if first_line:
-                            first_line = False
-                            hello = self._parse_hello(line)
-                            if hello is not None:
-                                slots.release()
-                                binary_mode = self._serve_hello_reply(
-                                    hello
-                                )
-                                await self._reply(
-                                    writer,
-                                    write_lock,
-                                    {
-                                        "id": hello.get("id"),
-                                        "results": [
-                                            wire.hello_reply(
-                                                binary_mode
-                                            )
-                                        ],
-                                    },
-                                )
-                                if hello.get("id") is None:
-                                    # Same rule as any id-less reply:
-                                    # un-correlatable, close.
-                                    writer.close()
-                                    break
-                                continue
-                        task = asyncio.ensure_future(
-                            self._serve_line(line, writer, write_lock)
+                        reply = {
+                            "id": hello.get("id"),
+                            "results": [wire.hello_reply(granted)],
+                        }
+                        await self._send(
+                            writer, write_lock, wire.json_line(reply)
                         )
+                        if hello.get("id") is None:
+                            # Same rule as any id-less reply:
+                            # un-correlatable, close.
+                            break
+                        continue
+                    task = asyncio.ensure_future(
+                        self._serve(protocol, message, writer, write_lock)
+                    )
                     tasks.add(task)
                     self._inflight.add(task)
                     task.add_done_callback(finish)
@@ -356,109 +290,23 @@ class HitlistServer:
                 with contextlib.suppress(ConnectionError):
                     await writer.wait_closed()
 
-    def _serve_hello_reply(self, hello: Dict[str, object]) -> bool:
-        """Account a hello; returns whether the upgrade is granted."""
-        self._m_requests.inc()
-        granted = self.binary and wire.hello_accepts(hello)
-        if granted:
-            self._m_binary.inc()
-        return granted
-
-    async def _fail_connection(
+    async def _serve(
         self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        error: wire.WireError,
-        *,
-        binary: bool,
-    ) -> None:
-        """Report a connection-fatal wire error, typed, then close.
-
-        The reply carries the error class — an RSB1 error frame with
-        its numeric code, or a JSON error with a ``"code"`` field — so
-        the peer fails its in-flight requests with the *typed*
-        exception instead of a bare EOF.
-        """
-        self._m_errors.inc()
-        if binary:
-            frame = wire.encode_error(
-                error.request_id or 0, error.number, str(error)
-            )
-            await self._reply_bytes(writer, write_lock, frame)
-        else:
-            await self._reply(
-                writer,
-                write_lock,
-                {"id": None, "error": str(error), "code": error.code},
-            )
-
-    async def _serve_frame(
-        self,
-        opcode: int,
-        request_id: int,
-        count: int,
-        payload,
+        protocol: wire.WireProtocol,
+        message,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
+        """Answer one request through the engine: the per-request task."""
         self._m_requests.inc()
-        try:
-            spec, block = wire.decode_request(opcode, count, payload)
-            # columnar keeps the answer in numpy columns end to end;
-            # encode_reply turns each into one tobytes call.
-            results = await self.engine.batch(
-                spec.code, block, columnar=True
-            )
-            frame = wire.encode_reply(spec, request_id, results)
-        except Exception as error:
+        answer = await protocol.answer(self.engine, message)
+        if answer.failed:
             self._m_errors.inc()
-            frame = wire.encode_error(
-                request_id, wire.REQUEST_ERROR, str(error)
-            )
-        await self._reply_bytes(writer, write_lock, frame)
-
-    async def _serve_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        self._m_requests.inc()
-        request_id: Optional[int] = None
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            request_id = request.get("id")
-            args = request.get("args", [])
-            if not isinstance(args, list):
-                raise ValueError("args must be a list")
-            results = await self.engine.batch(request.get("op"), args)
-            payload: Dict[str, object] = {
-                "id": request_id,
-                "results": results,
-            }
-        except Exception as error:
-            self._m_errors.inc()
-            payload = {"id": request_id, "error": str(error)}
-        await self._reply(writer, write_lock, payload)
-        if request_id is None:
-            # A reply no client can attribute to a request id (the
-            # line was undecodable, or the request carried no id)
-            # poisons the pipelined stream: the requester would wait
-            # forever for an answer that can never be correlated.
-            # Close the connection so the client fails fast instead.
+        await self._send(writer, write_lock, answer.reply)
+        if answer.closes:
             writer.close()
 
-    async def _reply(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        payload: Dict[str, object],
-    ) -> None:
-        await self._reply_bytes(writer, write_lock, _encode(payload))
-
-    async def _reply_bytes(
+    async def _send(
         self,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
@@ -594,19 +442,14 @@ class RemoteHitlistClient(_QuerySurface):
         self._reader = reader
         self._writer = writer
         self.protocol = protocol
-        self._max_frame_bytes = max_frame_bytes
+        self._wire = wire.PROTOCOLS[protocol](max_frame_bytes)
         # id 0 is reserved for the connection's hello.
         self._next_id = 1
         self._pending: Dict[
             int, Tuple[asyncio.Future, Optional[wire.QueryOp]]
         ] = {}
         self._write_lock = asyncio.Lock()
-        reads = (
-            self._read_frames
-            if protocol == PROTOCOL_BINARY
-            else self._read_replies
-        )
-        self._reader_task = asyncio.ensure_future(reads())
+        self._reader_task = asyncio.ensure_future(self._read_replies())
 
     @classmethod
     async def connect(
@@ -663,115 +506,20 @@ class RemoteHitlistClient(_QuerySurface):
             max_frame_bytes=max_frame_bytes,
         )
 
-    # -- reply pumps (one per protocol) ------------------------------------------
+    # -- the reply pump ----------------------------------------------------------
 
     async def _read_replies(self) -> None:
-        """JSON-lines reply pump."""
+        """Settle each reply against the pending requests until the
+        connection ends; then fail whatever is still pending."""
         error: Exception = ConnectionError(
             "hitlist server closed the connection"
         )
         try:
             while True:
-                line = await self._reader.readline()
-                if not line:
+                message = await self._wire.read(self._reader)
+                if message is None:
                     break
-                reply = json.loads(line)
-                entry = self._pending.pop(reply.get("id"), None)
-                if entry is None:
-                    if "error" in reply:
-                        # An error the server could not attribute to
-                        # any request we know (a null or unknown id).
-                        # Every in-flight request is now ambiguous —
-                        # one of them may be the request that failed —
-                        # so fail them all instead of letting an
-                        # unmatched caller await forever.  A typed
-                        # "code" (an oversized line, say) keeps its
-                        # exception class across the wire.
-                        typed = wire.typed_error_class(
-                            reply.get("code")
-                        )
-                        if typed is not None:
-                            error = typed(reply["error"])
-                        else:
-                            error = ConnectionError(
-                                "un-correlatable server error: "
-                                f"{reply['error']}"
-                            )
-                        break
-                    continue
-                future = entry[0]
-                if future.done():
-                    continue
-                if "error" in reply:
-                    future.set_exception(
-                        RuntimeError(f"server error: {reply['error']}")
-                    )
-                else:
-                    future.set_result(reply["results"])
-        except Exception as caught:  # pragma: no cover - transport loss
-            error = caught
-        self._fail_pending(error)
-
-    async def _read_frames(self) -> None:
-        """RSB1 reply pump."""
-        error: Exception = ConnectionError(
-            "hitlist server closed the connection"
-        )
-        try:
-            while True:
-                frame = await wire.read_frame(
-                    self._reader, max_frame_bytes=self._max_frame_bytes
-                )
-                if frame is None:
-                    break
-                kind, opcode, request_id, count, payload = frame
-                entry = self._pending.pop(request_id, None)
-                if kind == wire.KIND_ERROR:
-                    number, message = wire.decode_error(payload)
-                    if number == wire.REQUEST_ERROR:
-                        if entry is None:
-                            error = ConnectionError(
-                                "un-correlatable server error: "
-                                f"{message}"
-                            )
-                            break
-                        if not entry[0].done():
-                            entry[0].set_exception(
-                                RuntimeError(
-                                    f"server error: {message}"
-                                )
-                            )
-                        continue
-                    # Connection-fatal codes: the server reported a
-                    # wire-level failure and is closing; fail every
-                    # in-flight request with the typed exception —
-                    # including the already-popped one this frame
-                    # answered, which _fail_pending can no longer see.
-                    error = wire.error_for(number, message)
-                    if entry is not None and not entry[0].done():
-                        entry[0].set_exception(error)
-                    break
-                if entry is None:
-                    continue
-                future, spec = entry
-                if future.done():
-                    continue
-                if kind != wire.KIND_REPLY or opcode != spec.code:
-                    error = wire.WireProtocolError(
-                        f"reply kind {kind} op {opcode} does not match "
-                        f"request {request_id} ({spec.name})"
-                    )
-                    future.set_exception(error)
-                    break
-                try:
-                    results = wire.decode_results(
-                        spec, count, payload, request_id=request_id
-                    )
-                except wire.WireError as caught:
-                    future.set_exception(caught)
-                    error = caught
-                    break
-                future.set_result(results)
+                self._wire.settle(message, self._pending)
         except Exception as caught:
             error = caught
         self._fail_pending(error)
@@ -788,25 +536,7 @@ class RemoteHitlistClient(_QuerySurface):
             raise ConnectionError("hitlist client is closed")
         request_id = self._next_id
         self._next_id += 1
-        if self.protocol == PROTOCOL_BINARY:
-            try:
-                spec = wire.resolve_op(op)
-            except ValueError:
-                # Reserved-invalid op code 0: the server rejects it
-                # with the same request-scoped error a JSON request
-                # naming an unknown op gets.
-                spec = _UNKNOWN_OP
-            data = wire.encode_request(
-                spec,
-                request_id,
-                args,
-                max_frame_bytes=self._max_frame_bytes,
-            )
-        else:
-            spec = None
-            data = _encode(
-                {"id": request_id, "op": op, "args": list(args)}
-            )
+        data, spec = self._wire.request(op, request_id, args)
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = (future, spec)
         try:

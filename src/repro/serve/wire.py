@@ -63,7 +63,16 @@ import asyncio
 import dataclasses
 import json
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    List,
+    NamedTuple,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -79,6 +88,7 @@ __all__ = [
     "FrameCorruptError",
     "FrameTooLargeError",
     "HELLO_OP",
+    "JsonLines",
     "KIND_ERROR",
     "KIND_REPLY",
     "KIND_REQUEST",
@@ -89,10 +99,13 @@ __all__ = [
     "REPLY_LAYOUT",
     "REQUEST_ERROR",
     "ReplyLayout",
+    "Rsb1",
     "WIRE_MAGIC",
     "WIRE_VERSION",
     "WireError",
+    "WireProtocol",
     "WireProtocolError",
+    "json_line",
     "pack_uvarint",
     "resolve_op",
     "unpack_uvarint",
@@ -726,19 +739,33 @@ def decode_results(
 # -- the hello handshake -------------------------------------------------------
 
 
+def json_line(document) -> bytes:
+    """``document`` as one compact JSON line: every JSON-lines message."""
+    return (json.dumps(document, separators=(",", ":")) + "\n").encode(
+        "utf-8"
+    )
+
+
 def encode_hello_line(request_id: int = 0) -> bytes:
     """The JSON-lines hello a binary-capable client opens with."""
-    return (
-        json.dumps(
-            {
-                "id": request_id,
-                "op": HELLO_OP,
-                "args": [WIRE_MAGIC.decode("ascii"), WIRE_VERSION],
-            },
-            separators=(",", ":"),
-        )
-        + "\n"
-    ).encode("utf-8")
+    return json_line(
+        {
+            "id": request_id,
+            "op": HELLO_OP,
+            "args": [WIRE_MAGIC.decode("ascii"), WIRE_VERSION],
+        }
+    )
+
+
+def parse_hello(line: bytes) -> Optional[Dict[str, object]]:
+    """The parsed request when a connection's first line is a hello."""
+    try:
+        request = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(request, dict) and request.get("op") == HELLO_OP:
+        return request
+    return None
 
 
 def hello_accepts(request: Dict[str, object]) -> bool:
@@ -782,3 +809,235 @@ def negotiated_protocol(reply: Dict[str, object]) -> str:
     ):
         return PROTOCOL_BINARY
     return PROTOCOL_JSON
+
+
+# -- one connection's protocol -------------------------------------------------
+
+
+class Answer(NamedTuple):
+    """What a server writes for one request."""
+
+    reply: bytes
+    #: An error reply (``repro_serve_protocol_errors_total`` counts it).
+    failed: bool
+    #: No client can correlate the reply: the connection closes after it.
+    closes: bool
+
+
+def _end(entry, error: Exception) -> NoReturn:
+    """End the connection with ``error``, failing ``entry``'s request
+    with it first: a settled request is no longer pending, so the
+    client's sweep of its pending requests cannot see it."""
+    if entry is not None and not entry[0].done():
+        entry[0].set_exception(error)
+    raise error
+
+
+def _settle_error(entry, message, fatal: Optional[WireError]) -> None:
+    """An error reply.  A request-scoped one fails its own request and
+    the connection serves on.  A typed ``fatal`` one, or one no pending
+    request owns — every in-flight request is then ambiguous, since one
+    of them may be the one that failed — ends the connection."""
+    if fatal is None and entry is not None:
+        if not entry[0].done():
+            entry[0].set_exception(RuntimeError(f"server error: {message}"))
+        return
+    _end(
+        entry,
+        fatal or ConnectionError(f"un-correlatable server error: {message}"),
+    )
+
+
+class WireProtocol:
+    """Everything one connection does differently per wire protocol.
+
+    ``read(reader)`` awaits one message: a request on the ``server``
+    side, a reply on the client side.  It returns None at a clean EOF
+    and raises a typed :class:`WireError` when the connection must end.
+    A server answers each request with ``answer(engine, message)``, an
+    :class:`Answer`, and a connection-fatal error with ``fatal(error)``.
+    A client encodes each request with ``request(op, request_id,
+    args)``, which returns the bytes and what the reply is checked
+    against, and passes each reply to ``settle(message, pending)``:
+    that resolves the future its request waits on in ``pending`` (``id
+    -> (future, spec)``), or raises the error that ends the connection.
+    """
+
+    name = ""
+
+    def __init__(
+        self,
+        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+        *,
+        server: bool = False,
+    ) -> None:
+        self.max_frame_bytes = max_frame_bytes
+        self.server = server
+
+
+class JsonLines(WireProtocol):
+    """JSON-lines: one JSON object per line in each direction."""
+
+    name = PROTOCOL_JSON
+
+    async def read(self, reader: asyncio.StreamReader) -> Optional[bytes]:
+        try:
+            line = await reader.readline()
+        except (asyncio.LimitOverrunError, ValueError):
+            # readline found no separator within the stream limit: the
+            # line is over max_frame_bytes.
+            raise FrameTooLargeError(
+                f"{'request' if self.server else 'reply'} line is over "
+                f"the {self.max_frame_bytes}-byte frame bound"
+            ) from None
+        return line or None
+
+    async def answer(self, engine, line: bytes) -> Answer:
+        request_id = None
+        try:
+            request = json.loads(line)
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object")
+            request_id = request.get("id")
+            args = request.get("args", [])
+            if not isinstance(args, list):
+                raise ValueError("args must be a list")
+            results = await engine.batch(request.get("op"), args)
+            reply = {"id": request_id, "results": results}
+        except Exception as error:
+            reply = {"id": request_id, "error": str(error)}
+        # A reply no client can attribute to a request id (the line was
+        # undecodable, or the request carried no id) poisons the
+        # pipelined stream: the requester would wait forever for an
+        # answer that can never be correlated.  Closing the connection
+        # makes the client fail fast instead.
+        return Answer(json_line(reply), "error" in reply, request_id is None)
+
+    def fatal(self, error: WireError) -> bytes:
+        return json_line({"id": None, "error": str(error), "code": error.code})
+
+    def request(
+        self, op, request_id: int, args: Sequence
+    ) -> Tuple[bytes, None]:
+        document = {"id": request_id, "op": op, "args": list(args)}
+        return json_line(document), None
+
+    def settle(self, line: bytes, pending: Dict) -> None:
+        try:
+            reply = json.loads(line)
+        except ValueError as error:
+            raise FrameCorruptError(
+                f"undecodable reply line: {error}"
+            ) from None
+        if not isinstance(reply, dict):
+            raise WireProtocolError("reply line is not a JSON object")
+        try:
+            entry = pending.pop(reply.get("id"), None)
+        except TypeError:  # an unhashable id answers no request
+            entry = None
+        if "error" in reply:
+            # A typed "code" (an oversized line, say) keeps its
+            # exception class across the wire.
+            message = reply["error"]
+            typed = typed_error_class(reply.get("code"))
+            _settle_error(entry, message, typed(message) if typed else None)
+        elif "results" not in reply:
+            _end(
+                entry,
+                WireProtocolError(
+                    "reply line holds neither results nor an error"
+                ),
+            )
+        elif entry is not None and not entry[0].done():
+            entry[0].set_result(reply["results"])
+
+
+#: What an op the registry cannot resolve is sent as on the binary
+#: protocol: op code 0 is reserved-invalid, so the *server* rejects it
+#: with the same request-scoped error contract as the JSON path.
+_UNKNOWN_OP = QueryOp(0, "unknown", "json", "unknown")
+
+
+class Rsb1(WireProtocol):
+    """RSB1: length-prefixed, CRC-sealed binary frames."""
+
+    name = PROTOCOL_BINARY
+
+    async def read(self, reader: asyncio.StreamReader):
+        frame = await read_frame(reader, max_frame_bytes=self.max_frame_bytes)
+        if self.server and frame is not None and frame[0] != KIND_REQUEST:
+            raise WireProtocolError(
+                f"expected a request frame, got kind {frame[0]}",
+                request_id=frame[2],
+            )
+        return frame
+
+    async def answer(self, engine, frame) -> Answer:
+        _, opcode, request_id, count, payload = frame
+        try:
+            spec, block = decode_request(opcode, count, payload)
+            # columnar keeps the answer in numpy columns end to end;
+            # encode_reply turns each into one tobytes call.
+            results = await engine.batch(spec.code, block, columnar=True)
+            reply = encode_reply(spec, request_id, results)
+        except Exception as error:
+            reply = encode_error(request_id, REQUEST_ERROR, str(error))
+            return Answer(reply, True, False)
+        return Answer(reply, False, False)
+
+    def fatal(self, error: WireError) -> bytes:
+        return encode_error(error.request_id or 0, error.number, str(error))
+
+    def request(
+        self, op, request_id: int, args: Sequence
+    ) -> Tuple[bytes, QueryOp]:
+        try:
+            spec = resolve_op(op)
+        except ValueError:
+            spec = _UNKNOWN_OP
+        data = encode_request(
+            spec, request_id, args, max_frame_bytes=self.max_frame_bytes
+        )
+        return data, spec
+
+    def settle(self, frame, pending: Dict) -> None:
+        kind, opcode, request_id, count, payload = frame
+        entry = pending.pop(request_id, None)
+        if kind == KIND_ERROR:
+            try:
+                number, message = decode_error(payload)
+            except ValueError:
+                _end(
+                    entry,
+                    FrameCorruptError(
+                        "undecodable error frame payload",
+                        request_id=request_id,
+                    ),
+                )
+            fatal = (
+                None if number == REQUEST_ERROR else error_for(number, message)
+            )
+            _settle_error(entry, message, fatal)
+            return
+        if entry is None or entry[0].done():
+            return
+        future, spec = entry
+        if kind != KIND_REPLY or opcode != spec.code:
+            _end(
+                entry,
+                WireProtocolError(
+                    f"reply kind {kind} op {opcode} does not match "
+                    f"request {request_id} ({spec.name})"
+                ),
+            )
+        try:
+            results = decode_results(
+                spec, count, payload, request_id=request_id
+            )
+        except WireError as error:
+            _end(entry, error)
+        future.set_result(results)
+
+
+#: The protocol object for each negotiated protocol name.
+PROTOCOLS: Dict[str, type] = {cls.name: cls for cls in (JsonLines, Rsb1)}
